@@ -1,8 +1,8 @@
-"""Compare the compiled counting kernel against the pure-Python twin.
+"""Compare the Frobenius-pair DP counting kernel against the brute-force oracle.
 
-Runs the same rank-window workloads through both engines and prints a small
-table with per-call times and the speedup.  The compiled engine needs the
-built extension; without it the script still runs and says so.
+Runs the same rank-window workloads through ``kernels`` and ``_pure`` and
+prints a small table with per-call times and the speedup.  Exits 1 if the two
+ever disagree.
 
 Usage: python benchmarks/bench_kernels.py [--repeat 5]
 """
@@ -37,33 +37,24 @@ def main() -> int:
     parser.add_argument("--repeat", type=int, default=5, help="timings per workload")
     args = parser.parse_args()
 
-    if not kernels.HAS_COMPILED:
-        print("compiled extension not built; timing the pure engine only")
-
-    header = f"{'workload':<24} {'pure':>10} {'compiled':>10} {'speedup':>8}"
+    header = f"{'workload':<24} {'pure':>10} {'dp':>10} {'speedup':>8}"
     print(header)
     print("-" * len(header))
     for label, u, v, lo, hi, cap in WORKLOADS:
         pure_best, _, pure_result = time_call(
             lambda: pure_counts(u, v, lo, hi, cap), args.repeat
         )
-        if kernels.HAS_COMPILED:
-            from colorpartitions import _speedups
-
-            top = u * v if cap is None else min(cap, u * v)
-            fast_best, _, fast_result = time_call(
-                lambda: _speedups.count_rank_bounded_partitions(u, v, lo, hi, top),
-                args.repeat,
-            )
-            if fast_result != pure_result:
-                print(f"{label}: ENGINES DISAGREE")
-                return 1
-            print(
-                f"{label:<24} {pure_best * 1e3:>8.2f}ms {fast_best * 1e3:>8.2f}ms "
-                f"{pure_best / fast_best:>7.1f}x"
-            )
-        else:
-            print(f"{label:<24} {pure_best * 1e3:>8.2f}ms {'-':>10} {'-':>8}")
+        dp_best, _, dp_result = time_call(
+            lambda: kernels.count_rank_bounded_partitions(u, v, lo, hi, cap),
+            args.repeat,
+        )
+        if dp_result != pure_result:
+            print(f"{label}: DP DISAGREES WITH THE ORACLE")
+            return 1
+        print(
+            f"{label:<24} {pure_best * 1e3:>8.2f}ms {dp_best * 1e3:>8.2f}ms "
+            f"{pure_best / dp_best:>7.1f}x"
+        )
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Pure-Python counting kernel; reference semantics for the compiled twin.
+"""Brute-force counting kernel; the test oracle for the Frobenius-pair DP.
 
 Counts partitions inside a box whose successive ranks stay in a window, by
 brute-force descent over non-increasing part prefixes.  Every prefix is itself

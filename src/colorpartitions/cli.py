@@ -33,7 +33,7 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--config",
         default=None,
-        help="JSON file with defaults for format/output/threads; flags win",
+        help="JSON file with defaults for format/output; flags win",
     )
 
 
@@ -86,12 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument(
         "--parity", choices=("odd", "even"), default=None, help="finitized parity"
     )
-    verify_cmd.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads (default: available cores; output is deterministic)",
-    )
     _add_output_flags(verify_cmd)
 
     angles_cmd = commands.add_parser(
@@ -112,7 +106,7 @@ def _apply_config(args: argparse.Namespace) -> None:
         overrides = json.load(handle)
     if not isinstance(overrides, dict):
         raise ValueError("config file must hold a JSON object")
-    for key in ("format", "output", "threads"):
+    for key in ("format", "output"):
         if getattr(args, key, None) is None and key in overrides:
             setattr(args, key, overrides[key])
 
@@ -154,7 +148,6 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    threads = args.threads
     n_max = args.n_max
     if args.scope in ("counts", "bijection"):
         moduli = [args.M] if args.M is not None else verify.DEFAULT_MODULI
@@ -163,7 +156,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             moduli,
             residues,
             n_max if n_max is not None else 30,
-            threads,
             scope="product_counts" if args.scope == "counts" else "bijection",
         )
     elif args.scope == "gordon":
@@ -174,9 +166,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             pairs = [(k, args.r) for k, r in verify.DEFAULT_GORDON_PAIRS if r == args.r]
         else:
             pairs = verify.DEFAULT_GORDON_PAIRS
-        report = verify.verify_gordon_grid(
-            pairs, n_max if n_max is not None else 25, threads
-        )
+        report = verify.verify_gordon_grid(pairs, n_max if n_max is not None else 25)
     elif args.scope == "finitized":
         halves = [args.k] if args.k is not None else verify.DEFAULT_FINITIZED_HALVES
         parities = (args.parity,) if args.parity else ("odd", "even")
@@ -191,12 +181,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             even_size,
             n_max,
             residues=[args.r] if args.r is not None else None,
-            threads=threads,
         )
     else:
-        report = verify.verify_all(
-            n_max=n_max if n_max is not None else 30, threads=threads
-        )
+        report = verify.verify_all(n_max=n_max if n_max is not None else 30)
     _emit(render.render_report(report, args.format), args.output)
     return 0 if report.passed else 1
 

@@ -58,6 +58,10 @@ class IdentityParams:
     residue: int
 
     def __post_init__(self):
+        for name in ("modulus", "residue"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.modulus < 3:
             raise ValueError(f"modulus must be >= 3, got {self.modulus}")
         if not 0 < self.residue * 2 <= self.modulus:

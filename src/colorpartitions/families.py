@@ -4,7 +4,7 @@ Six families share one interface: rank-window members, their colored
 encodings, box-bounded rank-window members, Gordon-condition partitions,
 gap-2 partitions, and partitions into residue-restricted parts.  Enumerators
 return materialized lists at fixed weight; per-weight fast counts go through
-the engine-dispatched kernel instead.
+the Frobenius-pair counting kernel instead.
 """
 
 from __future__ import annotations

@@ -1,42 +1,25 @@
-"""Engine selection for the hot counting loop.
+"""The rank-window counting kernel: a dynamic programme over Frobenius pairs.
 
-The compiled extension is preferred when it imported cleanly, the environment
-variable COLORPARTITIONS_PURE is unset, and the top weight fits the compiled
-kernel's int64 guard.  The pure-Python twin is always available and exact at
-any size.
+A partition with Durfee square d is the chain of its d diagonal pairs
+(w_i, h_i) = (lambda_i - i + 1, lambda'_i - i + 1), both coordinates strictly
+decreasing, with successive rank r_i = w_i - h_i and weight sum(w_i + h_i - 1)
+(Andrews, Baxter, Bressoud, Burge, Forrester and Viennot, "Partitions with
+prescribed hooklength differences", Europ. J. Combin. 8, 1987).  The box
+bounds only the first pair: w_1 <= max_part and h_1 <= max_length.
+
+So with f(w, h) the series of admissible chains headed by (w, h),
+
+    f(w, h) = q^(w+h-1) * (1 + sum_{w' < w, h' < h} f(w', h'))
+
+when rank_lo <= w - h <= rank_hi and 0 otherwise, and the box count is
+1 + sum of f over the box, truncated at the top weight.  Counts are exact
+Python ints at every size; ``_pure`` is the brute-force oracle the tests
+compare against.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _pure
-
-try:
-    from . import _speedups
-except ImportError:  # extension not built — interpreted fallback only
-    _speedups = None
-
-__all__ = ["HAS_COMPILED", "active_engine", "count_rank_bounded_partitions"]
-
-HAS_COMPILED = _speedups is not None
-
-# Per-weight tallies are bounded by the unrestricted partition count of the
-# heaviest weight, and p(401) no longer fits in 63 bits.
-COMPILED_WEIGHT_LIMIT = 400
-
-_FORCE_PURE_VAR = "COLORPARTITIONS_PURE"
-
-
-def _forced_pure() -> bool:
-    return bool(os.environ.get(_FORCE_PURE_VAR))
-
-
-def active_engine() -> str:
-    """Name of the engine the next dispatch would pick: compiled or pure."""
-    if HAS_COMPILED and not _forced_pure():
-        return "compiled"
-    return "pure"
+__all__ = ["count_rank_bounded_partitions"]
 
 
 def count_rank_bounded_partitions(
@@ -46,17 +29,40 @@ def count_rank_bounded_partitions(
     rank_hi: int,
     cap: int | None = None,
 ) -> list[int]:
-    """Per-weight counts of rank-window partitions in a box (engine-dispatched)."""
+    """Per-weight counts of rank-window partitions in a box.
+
+    Returns ``counts`` of length W+1 with W = min(max_part * max_length, cap):
+    ``counts[w]`` is the number of partitions of w with at most ``max_length``
+    parts, each at most ``max_part``, whose successive ranks all lie in
+    [rank_lo, rank_hi].
+    """
     if max_part < 0 or max_length < 0:
         raise ValueError("box sides must be nonnegative")
     box = max_part * max_length
     top = box if cap is None else min(cap, box)
     if top < 0:
         raise ValueError("cap must be nonnegative")
-    if HAS_COMPILED and not _forced_pure() and top <= COMPILED_WEIGHT_LIMIT:
-        return _speedups.count_rank_bounded_partitions(
-            max_part, max_length, rank_lo, rank_hi, top
-        )
-    return _pure.count_rank_bounded_partitions(
-        max_part, max_length, rank_lo, rank_hi, top
-    )
+    size = top + 1
+    zero = [0] * size
+    # below[h] = sum of f(w', h) over the rows w' already done; h is 1-based.
+    heights = min(max_length, top)
+    below = [zero] * (heights + 1)
+    for w in range(1, min(max_part, top) + 1):
+        h_lo = max(1, w - rank_hi)
+        h_hi = min(heights, w - rank_lo, top + 1 - w)
+        if h_lo > h_hi:
+            continue
+        # run = sum of f(w', h') over w' < w and h' < h, kept as h climbs.
+        run = zero
+        for h in range(1, h_lo):
+            run = list(map(int.__add__, run, below[h]))
+        for h in range(h_lo, h_hi + 1):
+            shift = w + h - 1
+            # f has no constant term, so run[0] == 0 and the 1 takes its place.
+            cell = [0] * shift + [1] + run[1 : size - shift]
+            run = list(map(int.__add__, run, below[h]))
+            below[h] = list(map(int.__add__, below[h], cell))
+    total = [1] + [0] * top
+    for column in below[1:]:
+        total = list(map(int.__add__, total, column))
+    return total

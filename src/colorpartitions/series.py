@@ -23,7 +23,6 @@ __all__ = [
     "gaussian_binomial",
     "odd_offset",
     "even_offset",
-    "EVEN_OFFSET_TABLES",
     "finitized_box",
     "finitized_lhs",
     "finitized_rhs",
@@ -377,40 +376,22 @@ def odd_offset(k: int, i: int, j: int) -> int:
     return max(j - i + 1, 0)
 
 
-# Literal even-modulus offset tables, rows top to bottom, k = 2..6.  Row i is
-# the pointwise minimum of the constant k - max(i, 2) and the anti-diagonal
-# k - 1 - j: the first two rows coincide and run k-2, k-3, ..., 1; each later
-# row plateaus one lower before joining that run; the last row is zero.
-# Entries are nonnegative and are *added* to the chain binomial's upper index.
-# Subtracting them instead breaks the identity at every even cell with
-# residue below k (first at size 0, where the empty tuple's factor would get
-# a negative upper index).  Both the sign and the plateau shape were pinned
-# down by solving for the integer offsets matching the alternating-binomial
-# side: unique over [-3, 3]^(k-2) for k <= 4 (sizes <= 6), unique again at
-# k = 5 and 6 where the plateau first separates from a strictly decreasing
-# row, and confirmed through k = 8 for every residue.
-EVEN_OFFSET_TABLES: dict[int, tuple[tuple[int, ...], ...]] = {
-    2: ((), ()),
-    3: ((1,), (1,), (0,)),
-    4: ((2, 1), (2, 1), (1, 1), (0, 0)),
-    5: ((3, 2, 1), (3, 2, 1), (2, 2, 1), (1, 1, 1), (0, 0, 0)),
-    6: (
-        (4, 3, 2, 1),
-        (4, 3, 2, 1),
-        (3, 3, 2, 1),
-        (2, 2, 2, 1),
-        (1, 1, 1, 1),
-        (0, 0, 0, 0),
-    ),
-}
-
-
 def even_offset(k: int, i: int, j: int) -> int:
     """Offset matrix entry for the even finitized sum (1-based i <= k, j <= k-2)."""
     if not (1 <= i <= k and 1 <= j <= k - 2):
         raise ValueError(f"offset index ({i},{j}) outside {k}x{k-2}")
-    if k in EVEN_OFFSET_TABLES:
-        return EVEN_OFFSET_TABLES[k][i - 1][j - 1]
+    # Row i is the pointwise minimum of the constant k - max(i, 2) and the
+    # anti-diagonal k - 1 - j: the first two rows coincide and run k-2, k-3,
+    # ..., 1; each later row plateaus one lower before joining that run; the
+    # last row is zero.  Entries are nonnegative and are *added* to the chain
+    # binomial's upper index.  Subtracting them instead breaks the identity at
+    # every even cell with residue below k (first at size 0, where the empty
+    # tuple's factor would get a negative upper index).  Both the sign and the
+    # plateau shape were pinned down by solving for the integer offsets
+    # matching the alternating-binomial side: unique over [-3, 3]^(k-2) for
+    # k <= 4 (sizes <= 6), unique again at k = 5 and 6 where the plateau
+    # first separates from a strictly decreasing row, and confirmed through
+    # k = 8 for every residue.
     return min(k - max(i, 2), k - 1 - j)
 
 

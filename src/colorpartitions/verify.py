@@ -8,8 +8,6 @@ canonical JSON.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import families, series
@@ -289,20 +287,10 @@ def _valid_residues(modulus: int):
     return range(1, modulus // 2 + 1)
 
 
-def _run_ordered(tasks, threads: int | None):
-    workers = threads if threads and threads > 0 else (os.cpu_count() or 1)
-    if workers == 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [future.result() for future in futures]
-
-
 def verify_identity_grid(
     moduli=DEFAULT_MODULI,
     residues=None,
     n_max: int = 30,
-    threads: int | None = None,
     scope: str = "both",
 ) -> VerificationReport:
     """Count and/or bijection checks over a modulus grid.
@@ -311,7 +299,7 @@ def verify_identity_grid(
     """
     if scope not in ("product_counts", "bijection", "both"):
         raise ValueError(f"unknown scope {scope!r}")
-    tasks = []
+    records = []
     for modulus in moduli:
         cell_residues = (
             [r for r in residues if 2 * r <= modulus]
@@ -321,19 +309,17 @@ def verify_identity_grid(
         for residue in cell_residues:
             params = IdentityParams(modulus, residue)
             if scope in ("product_counts", "both"):
-                tasks.append(lambda p=params: check_product_counts(p, n_max))
+                records.append(check_product_counts(params, n_max))
             if scope in ("bijection", "both"):
-                tasks.append(lambda p=params: check_bijection(p, n_max))
-    return VerificationReport(f"{scope} grid", tuple(_run_ordered(tasks, threads)))
+                records.append(check_bijection(params, n_max))
+    return VerificationReport(f"{scope} grid", tuple(records))
 
 
 def verify_gordon_grid(
-    pairs=DEFAULT_GORDON_PAIRS, n_max: int = 25, threads: int | None = None
+    pairs=DEFAULT_GORDON_PAIRS, n_max: int = 25
 ) -> VerificationReport:
-    tasks = [
-        lambda k=k, r=r: check_gordon(k, r, n_max) for k, r in pairs
-    ]
-    return VerificationReport("gordon grid", tuple(_run_ordered(tasks, threads)))
+    records = tuple(check_gordon(k, r, n_max) for k, r in pairs)
+    return VerificationReport("gordon grid", records)
 
 
 def verify_finitized_grid(
@@ -343,9 +329,8 @@ def verify_finitized_grid(
     even_size_max: int = DEFAULT_EVEN_SIZE_MAX,
     n_max: int | None = None,
     residues=None,
-    threads: int | None = None,
 ) -> VerificationReport:
-    tasks = []
+    records = []
     for parity in parities:
         for half in halves:
             modulus = 2 * half + 1 if parity == "odd" else 2 * half
@@ -357,10 +342,8 @@ def verify_finitized_grid(
             )
             for residue in cell_residues:
                 params = IdentityParams(modulus, residue)
-                tasks.append(
-                    lambda p=params, s=size_max: check_finitized(p, s, n_max)
-                )
-    return VerificationReport("finitized grid", tuple(_run_ordered(tasks, threads)))
+                records.append(check_finitized(params, size_max, n_max))
+    return VerificationReport("finitized grid", tuple(records))
 
 
 def verify_all(
@@ -368,15 +351,14 @@ def verify_all(
     gordon_n_max: int = 25,
     odd_size_max: int = DEFAULT_ODD_SIZE_MAX,
     even_size_max: int = DEFAULT_EVEN_SIZE_MAX,
-    threads: int | None = None,
 ) -> VerificationReport:
     """Every scope over its default grid, merged into one report."""
     records = []
-    records.extend(verify_identity_grid(n_max=n_max, threads=threads).records)
-    records.extend(verify_gordon_grid(n_max=gordon_n_max, threads=threads).records)
+    records.extend(verify_identity_grid(n_max=n_max).records)
+    records.extend(verify_gordon_grid(n_max=gordon_n_max).records)
     records.extend(
         verify_finitized_grid(
-            odd_size_max=odd_size_max, even_size_max=even_size_max, threads=threads
+            odd_size_max=odd_size_max, even_size_max=even_size_max
         ).records
     )
     return VerificationReport("all scopes", tuple(records))

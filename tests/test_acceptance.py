@@ -101,7 +101,7 @@ def test_identity_grid_counts_and_bijection():
     # identity (it first over-counts at n = r, pinned below), so those cells
     # check the two series forms that do hold.
     started = time.perf_counter()
-    grid = verify_identity_grid(n_max=30, threads=1)
+    grid = verify_identity_grid(n_max=30)
     elapsed = time.perf_counter() - started
     boundary_ok = True
     for params in GRID:

@@ -32,6 +32,10 @@ def test_params_validation():
         IdentityParams(7, 0)
     with pytest.raises(ValueError):
         IdentityParams(7, 4)  # 2r > M
+    with pytest.raises(ValueError):
+        IdentityParams(7.0, 1)  # integers only
+    with pytest.raises(ValueError):
+        IdentityParams(5, True)  # a bool is not a residue
     assert IdentityParams(8, 4).half_modulus == 4  # 2r = M allowed
 
 

@@ -1,4 +1,4 @@
-"""Counting kernels: pure/compiled agreement, dispatch rules, edge cases."""
+"""Counting kernel: the Frobenius-pair DP against the brute-force oracle, edge cases."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from colorpartitions import kernels
 from colorpartitions._pure import count_rank_bounded_partitions as pure_counts
 from colorpartitions.partitions import partitions_of, successive_ranks
+from colorpartitions.series import partition_series
 
 
 def brute_counts(max_part, max_length, rank_lo, rank_hi, top):
@@ -53,82 +54,41 @@ def test_inverted_window_counts_nothing():
     assert sum(counts[1:]) == 0
 
 
-@pytest.mark.skipif(not kernels.HAS_COMPILED, reason="extension not built")
-def test_compiled_matches_pure_on_grid():
-    from colorpartitions import _speedups
-
+def test_dp_matches_pure_on_grid():
     for u in range(0, 7):
         for v in range(0, 7):
             for lo in range(-3, 3):
-                for hi in range(lo, lo + 5):
+                for hi in range(lo - 2, lo + 5):
                     top = min(u * v, 14)
-                    assert _speedups.count_rank_bounded_partitions(
+                    assert kernels.count_rank_bounded_partitions(
                         u, v, lo, hi, top
                     ) == pure_counts(u, v, lo, hi, top)
 
 
-@pytest.mark.skipif(not kernels.HAS_COMPILED, reason="extension not built")
 @settings(max_examples=60, deadline=None)
 @given(
     u=st.integers(0, 10),
     v=st.integers(0, 10),
     lo=st.integers(-6, 6),
-    span=st.integers(0, 8),
+    span=st.integers(-3, 8),
     cap=st.integers(0, 40) | st.none(),
 )
-def test_compiled_matches_pure_random(u, v, lo, span, cap):
-    from colorpartitions import _speedups
-
-    top = u * v if cap is None else min(cap, u * v)
-    assert _speedups.count_rank_bounded_partitions(
-        u, v, lo, lo + span, top
-    ) == pure_counts(u, v, lo, lo + span, top)
+def test_dp_matches_pure_random(u, v, lo, span, cap):
+    assert kernels.count_rank_bounded_partitions(
+        u, v, lo, lo + span, cap
+    ) == pure_counts(u, v, lo, lo + span, cap)
 
 
-def test_active_engine_reports_dispatch(monkeypatch):
-    monkeypatch.delenv("COLORPARTITIONS_PURE", raising=False)
-    expected = "compiled" if kernels.HAS_COMPILED else "pure"
-    assert kernels.active_engine() == expected
-    monkeypatch.setenv("COLORPARTITIONS_PURE", "1")
-    assert kernels.active_engine() == "pure"
-
-
-def test_env_var_forces_pure_dispatch(monkeypatch):
-    calls = []
-
-    class Spy:
-        @staticmethod
-        def count_rank_bounded_partitions(u, v, lo, hi, top):
-            calls.append((u, v, lo, hi, top))
-            return pure_counts(u, v, lo, hi, top)
-
-    monkeypatch.setattr(kernels, "_speedups", Spy)
-    monkeypatch.setattr(kernels, "HAS_COMPILED", True)
-
-    monkeypatch.setenv("COLORPARTITIONS_PURE", "1")
-    kernels.count_rank_bounded_partitions(4, 4, 0, 3)
-    assert calls == []
-
-    monkeypatch.delenv("COLORPARTITIONS_PURE")
-    kernels.count_rank_bounded_partitions(4, 4, 0, 3)
-    assert calls == [(4, 4, 0, 3, 16)]
-
-
-def test_oversize_weights_route_to_pure(monkeypatch):
-    # past the int64-safe weight the dispatcher must not touch the extension
-    class Exploder:
-        @staticmethod
-        def count_rank_bounded_partitions(*args):
-            raise AssertionError("compiled kernel used beyond its weight guard")
-
-    monkeypatch.delenv("COLORPARTITIONS_PURE", raising=False)
-    monkeypatch.setattr(kernels, "_speedups", Exploder)
-    monkeypatch.setattr(kernels, "HAS_COMPILED", True)
-
-    limit = kernels.COMPILED_WEIGHT_LIMIT
-    counts = kernels.count_rank_bounded_partitions(limit + 1, 1, 0, limit + 1)
+def test_weights_past_400_are_exact():
     # one row: every weight admits exactly the single-part partition (rank >= 0)
-    assert counts == [1] * (limit + 2)
+    counts = kernels.count_rank_bounded_partitions(401, 1, 0, 401)
+    assert counts == [1] * 402
+
+
+def test_open_window_counts_every_partition():
+    # a size brute force cannot reach: every partition of n <= 120
+    counts = kernels.count_rank_bounded_partitions(120, 120, -120, 120, cap=120)
+    assert counts == list(partition_series(120).coefficients)
 
 
 def test_dispatched_counts_match_pure():

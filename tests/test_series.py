@@ -22,7 +22,6 @@ from colorpartitions import (
     restricted_product,
 )
 from colorpartitions.series import (
-    EVEN_OFFSET_TABLES,
     even_offset,
     first_difference,
     odd_offset,
@@ -153,13 +152,25 @@ def test_gauss_base_inflation():
 
 
 def test_offset_tables_match_closed_form():
-    for k, table in EVEN_OFFSET_TABLES.items():
-        assert len(table) == k
-        for i, row in enumerate(table, start=1):
-            assert len(row) == k - 2
-            for j, entry in enumerate(row, start=1):
-                expected = min(k - max(i, 2), k - 1 - j) if k > 2 else 0
-                assert entry == expected == even_offset(k, i, j)
+    # the even-modulus offset rows for k = 2..6, top to bottom
+    expected_rows = {
+        2: ((), ()),
+        3: ((1,), (1,), (0,)),
+        4: ((2, 1), (2, 1), (1, 1), (0, 0)),
+        5: ((3, 2, 1), (3, 2, 1), (2, 2, 1), (1, 1, 1), (0, 0, 0)),
+        6: (
+            (4, 3, 2, 1),
+            (4, 3, 2, 1),
+            (3, 3, 2, 1),
+            (2, 2, 2, 1),
+            (1, 1, 1, 1),
+            (0, 0, 0, 0),
+        ),
+    }
+    for k, rows in expected_rows.items():
+        assert len(rows) == k
+        for i, row in enumerate(rows, start=1):
+            assert row == tuple(even_offset(k, i, j) for j in range(1, k - 1))
 
 
 def test_offset_closed_form_beyond_tables():

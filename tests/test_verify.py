@@ -134,12 +134,6 @@ def test_theorem_grid_rejects_unknown_scope():
         verify_identity_grid(scope="everything")
 
 
-def test_thread_counts_agree():
-    sequential = verify_identity_grid(moduli=(6, 7), n_max=10, threads=1)
-    threaded = verify_identity_grid(moduli=(6, 7), n_max=10, threads=4)
-    assert sequential.records == threaded.records
-
-
 def test_gordon_grid_default_pairs():
     report = verify_gordon_grid(n_max=12)
     assert report.passed
@@ -161,7 +155,7 @@ def test_finitized_grid_small():
 
 def test_verify_all_merges_scopes():
     report = verify_all(
-        n_max=8, gordon_n_max=8, odd_size_max=3, even_size_max=3, threads=2
+        n_max=8, gordon_n_max=8, odd_size_max=3, even_size_max=3
     )
     assert report.passed, report.first_failure
     scopes = {r.scope for r in report.records}

@@ -148,6 +148,9 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    for flag, bound in (("--n-max", args.n_max), ("--N-max", args.size_max)):
+        if bound is not None and bound < 0:
+            raise ValueError(f"{flag} must be nonnegative")
     n_max = args.n_max
     if args.scope in ("counts", "bijection"):
         moduli = [args.M] if args.M is not None else verify.DEFAULT_MODULI
@@ -184,6 +187,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     else:
         report = verify.verify_all(n_max=n_max if n_max is not None else 30)
+    if not report.records:
+        raise ValueError("the selection matches no grid cell")
     _emit(render.render_report(report, args.format), args.output)
     return 0 if report.passed else 1
 

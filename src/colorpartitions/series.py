@@ -38,7 +38,7 @@ class TruncatedSeries:
     def __init__(self, coefficients: Sequence[int]):
         if not coefficients:
             raise ValueError("a truncated series needs at least the constant term")
-        self.coefficients = tuple(int(c) for c in coefficients)
+        self.coefficients = _int_tuple(coefficients)
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
@@ -81,6 +81,15 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coefficients)!r})"
 
 
+def _int_tuple(coefficients: Sequence[int]) -> tuple[int, ...]:
+    # Exact arithmetic only: no float, str or bool coefficient is coerced.
+    coeffs = tuple(coefficients)
+    for c in coeffs:
+        if type(c) is not int:
+            raise ValueError(f"coefficients must be ints, got {c!r}")
+    return coeffs
+
+
 def _convolve(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
     out = [0] * (order + 1)
     for i, ai in enumerate(a):
@@ -110,10 +119,11 @@ class QPolynomial:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Sequence[int] = ()):
-        coeffs = list(coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coefficients = tuple(int(c) for c in coeffs)
+        coeffs = _int_tuple(coefficients)
+        end = len(coeffs)
+        while end and coeffs[end - 1] == 0:
+            end -= 1
+        self.coefficients = coeffs[:end]
 
     @classmethod
     def one(cls) -> "QPolynomial":
@@ -404,33 +414,6 @@ def finitized_box(params: IdentityParams, size: int) -> tuple[int, int]:
     return size + k - r, size
 
 
-def _odd_lhs(k: int, r: int, size: int) -> QPolynomial:
-    m = 2 * k + 1
-    total = QPolynomial()
-    j = 0
-    while True:  # ascending j: the binomial's lower index only decreases
-        lower = (size - k + r - m * j) // 2
-        if lower < 0:
-            break
-        total = total + _signed_theta_term(m, r, j, size, lower)
-        j += 1
-    j = -1
-    while True:  # descending j: the lower index only increases
-        lower = (size - k + r - m * j) // 2
-        if lower > size:
-            break
-        total = total + _signed_theta_term(m, r, j, size, lower)
-        j -= 1
-    return total
-
-
-def _signed_theta_term(m: int, r: int, j: int, upper: int, lower: int) -> QPolynomial:
-    exponent, remainder = divmod(j * (m * j + m - 2 * r), 2)
-    assert remainder == 0
-    term = gaussian_binomial(upper, lower).shifted(exponent)
-    return -term if j % 2 else term
-
-
 def _odd_rhs(k: int, r: int, size: int) -> QPolynomial:
     total = QPolynomial()
     budget = size - k + r
@@ -467,31 +450,6 @@ def _odd_rhs(k: int, r: int, size: int) -> QPolynomial:
         descend(1, value, value)
         values.pop()
     return total
-
-
-def _even_lhs(k: int, r: int, size: int) -> QPolynomial:
-    upper = 2 * size + k - r
-    total = QPolynomial()
-    j = 0
-    while True:
-        lower = size - k * j
-        if lower < 0:
-            break
-        total = total + _even_theta_term(k, r, j, upper, lower)
-        j += 1
-    j = -1
-    while True:
-        lower = size - k * j
-        if lower > upper:
-            break
-        total = total + _even_theta_term(k, r, j, upper, lower)
-        j -= 1
-    return total
-
-
-def _even_theta_term(k: int, r: int, j: int, upper: int, lower: int) -> QPolynomial:
-    term = gaussian_binomial(upper, lower).shifted(j * (k * j + k - r))
-    return -term if j % 2 else term
 
 
 def _even_rhs(k: int, r: int, size: int) -> QPolynomial:
@@ -532,11 +490,32 @@ def _even_rhs(k: int, r: int, size: int) -> QPolynomial:
 
 
 def finitized_lhs(params: IdentityParams, size: int) -> QPolynomial:
-    """Alternating binomial side of the finitized identity."""
+    """Alternating binomial side of the finitized identity.
+
+    With (W, H) = ``finitized_box(params, size)`` and upper = W + H, this is
+    sum_j (-1)^j q^(j(Mj+M-2r)/2) [upper, (upper - k + r - Mj) // 2]: the
+    generating polynomial of rank-window partitions in a W x H box (Andrews,
+    Baxter, Bressoud, Burge, Forrester and Viennot, Europ. J. Combin. 8,
+    1987), one formula for both parities.
+    """
     _check_finitized_params(params, size)
-    if params.is_odd:
-        return _odd_lhs(params.half_modulus, params.residue, size)
-    return _even_lhs(params.half_modulus, params.residue, size)
+    upper = sum(finitized_box(params, size))
+    offset = upper - params.half_modulus + params.residue
+    total = QPolynomial()
+    j = 0
+    while (lower := (offset - params.modulus * j) // 2) >= 0:  # lower index falls
+        total = total + _theta_term(params, j, upper, lower)
+        j += 1
+    j = -1
+    while (lower := (offset - params.modulus * j) // 2) <= upper:  # lower index rises
+        total = total + _theta_term(params, j, upper, lower)
+        j -= 1
+    return total
+
+
+def _theta_term(params: IdentityParams, j: int, upper: int, lower: int) -> QPolynomial:
+    term = gaussian_binomial(upper, lower).shifted(_theta_exponent(params, j))
+    return -term if j % 2 else term
 
 
 def finitized_rhs(params: IdentityParams, size: int) -> QPolynomial:
@@ -550,5 +529,3 @@ def finitized_rhs(params: IdentityParams, size: int) -> QPolynomial:
 def _check_finitized_params(params: IdentityParams, size: int) -> None:
     if size < 0:
         raise ValueError("size must be nonnegative")
-    if not params.is_odd and params.half_modulus < 2:
-        raise ValueError("even finitization needs modulus >= 4")

@@ -8,9 +8,10 @@ canonical JSON.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from . import families, series
+from . import coloring, families, series
 from .coloring import ColoredPartition, IdentityParams, color_map, inverse_map
 
 __all__ = [
@@ -121,6 +122,7 @@ def check_bijection(params: IdentityParams, n_max: int) -> CheckRecord:
     series_legs = [("theta quotient", bosonic), ("multisum", fermionic)]
     if params.has_product_form:
         series_legs.insert(0, ("product", series.restricted_product(params, n_max)))
+    direct_buckets = families.colored_members_up_to(params, n_max)
     checked = 0
     for n in range(n_max + 1):
         members = families.rank_window_members(params, n)
@@ -133,7 +135,7 @@ def check_bijection(params: IdentityParams, n_max: int) -> CheckRecord:
             if inverse_map(member, params) != p:
                 return _fail("bijection", label, n_max, checked, f"n={n}: {p} fails round trip")
             encoded.append(member)
-        direct = families.colored_members(params, n)
+        direct = direct_buckets[n]
         checked += 1
         if sorted(encoded) != sorted(direct):
             return _fail(
@@ -178,26 +180,17 @@ def check_gordon(half_modulus: int, residue: int, n_max: int) -> CheckRecord:
 def finitized_top_ok(
     colored: ColoredPartition, params: IdentityParams, size: int
 ) -> bool:
-    """Largest-part bound selecting the members a finitized identity counts.
+    """Whether ``colored`` decodes to a member of the size-``size`` finitized box.
 
-    Size-parametrized form of the box law; an ill-formed box (negative side)
-    admits nothing, not even the empty colored partition.
+    The box law :func:`~colorpartitions.coloring.check_box_condition` on
+    ``series.finitized_box(params, size)``; it reads only the largest part.
+    An ill-formed box (negative side) admits nothing, not even the empty
+    colored partition.
     """
     max_part, max_length = series.finitized_box(params, size)
     if max_part < 0 or max_length < 0:
         return False
-    if not colored:
-        return True
-    top_size, top_color = colored[0]
-    k = params.half_modulus
-    if params.is_odd:
-        if (size + k - params.residue) % 2 == 0:
-            shift = 2 * top_color - k
-        else:
-            shift = 2 * top_color - k - 1
-        return (size - 1) - top_size >= max(shift, -shift - 1)
-    shift = 2 * top_color - k
-    return (2 * size + k - params.residue - 1) - top_size >= max(shift, -shift - 1)
+    return coloring.check_box_condition(colored, params, max_part, max_length)
 
 
 def check_finitized(
@@ -208,10 +201,21 @@ def check_finitized(
     For each size: the alternating-binomial side equals the multisum side
     coefficient-for-coefficient; the coefficients equal the box-bounded
     rank-window counts; and they equal the counts of colored members passing
-    the top-part bound.  ``n_max`` truncates the enumeration comparisons.
+    the top-part bound.  The colored family is enumerated once, for the
+    largest box; ``n_max`` bounds that enumeration's weight and truncates the
+    enumeration comparisons.
     """
     parity = "odd" if params.is_odd else "even"
     label = f"{parity} k={params.half_modulus} r={params.residue}"
+    # The box law reads only the largest part and bounds it by W + H - 1,
+    # which grows with the size: tallying members by (weight, largest part)
+    # up to the largest box serves every size.
+    largest_top = _colored_top(*series.finitized_box(params, size_max))
+    weight_max = _gap2_weight_bound(largest_top)
+    if n_max is not None:
+        weight_max = min(weight_max, max(n_max, 0))
+    buckets = families.colored_members_up_to(params, weight_max, max_size=largest_top)
+    heads = [Counter(member[:1] for member in bucket) for bucket in buckets]
     checked = 0
     for size in range(size_max + 1):
         lhs = series.finitized_lhs(params, size)
@@ -229,44 +233,35 @@ def check_finitized(
             )
         max_part, max_length = series.finitized_box(params, size)
         box = families.boxed_counts(params, max_part, max_length)
-        top = max(lhs.degree, len(box) - 1)
-        colored_top = 0
-        if max_part >= 0 and max_length >= 0:
-            colored_top = max_part + max_length - 1
-        buckets = families.colored_members_up_to(
-            params, _gap2_weight_bound(colored_top), max_size=colored_top
-        )
-        top = max(top, len(buckets) - 1)
+        colored_top = _colored_top(max_part, max_length)
+        top = max(lhs.degree, len(box) - 1, _gap2_weight_bound(colored_top))
         if n_max is not None:
             top = min(top, n_max)
         for n in range(top + 1):
             expected = lhs.coefficient(n)
             from_box = box[n] if n < len(box) else 0
             from_colored = sum(
-                1
-                for member in (buckets[n] if n < len(buckets) else [])
-                if finitized_top_ok(member, params, size)
+                count
+                for head, count in (heads[n].items() if n < len(heads) else ())
+                if finitized_top_ok(head, params, size)
             )
             checked += 2
-            if from_box != expected:
-                return _fail(
-                    "finitized",
-                    label,
-                    size_max,
-                    checked,
-                    f"size={size} n={n}: box count {from_box} vs coefficient {expected}",
-                    span_prefix="N",
-                )
-            if from_colored != expected:
-                return _fail(
-                    "finitized",
-                    label,
-                    size_max,
-                    checked,
-                    f"size={size} n={n}: top-part count {from_colored} vs coefficient {expected}",
-                    span_prefix="N",
-                )
+            for route, value in (("box count", from_box), ("top-part count", from_colored)):
+                if value != expected:
+                    return _fail(
+                        "finitized",
+                        label,
+                        size_max,
+                        checked,
+                        f"size={size} n={n}: {route} {value} vs coefficient {expected}",
+                        span_prefix="N",
+                    )
     return CheckRecord("finitized", label, f"N<={size_max}", checked, True)
+
+
+def _colored_top(max_part: int, max_length: int) -> int:
+    # Largest colored part a box admits; an ill-formed box admits none.
+    return max_part + max_length - 1 if min(max_part, max_length) >= 0 else 0
 
 
 def _gap2_weight_bound(max_size: int) -> int:

@@ -198,6 +198,20 @@ def test_error_exit_two(capsys):
     assert code == 2
     assert err.startswith("error:")
 
+    # negative bounds and selections matching no grid cell are usage errors,
+    # not failed verifications
+    for argv in (
+        ("verify", "counts", "--n-max", "-1"),
+        ("verify", "finitized", "--N-max", "-1"),
+        ("verify", "finitized", "--k", "2", "--r", "9"),
+        ("verify", "finitized", "--k", "0"),
+        ("verify", "counts", "--M", "5", "--r", "3"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:")
+
 
 def test_usage_error_exit_two(capsys):
     with pytest.raises(SystemExit) as info:

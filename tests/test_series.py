@@ -21,6 +21,7 @@ from colorpartitions import (
     partition_series,
     restricted_product,
 )
+from colorpartitions.families import boxed_counts
 from colorpartitions.series import (
     even_offset,
     first_difference,
@@ -71,6 +72,10 @@ def test_qpolynomial_normalizes_trailing_zeros():
     assert QPolynomial(()).coefficients == ()
     assert not QPolynomial((0, 0))
     assert QPolynomial((0, 3)).degree == 1
+    # coefficients are exact ints: nothing is coerced, bools included
+    for bad in ([0.5], [1, 2.0], ["3"], [True], [1, False]):
+        with pytest.raises(ValueError):
+            QPolynomial(bad)
 
 
 def test_qpolynomial_arithmetic():
@@ -102,6 +107,15 @@ def test_series_arithmetic_closes_over_min_order():
     assert (a * b).order == 1
     assert (a + b).order == 1
     assert (a * b).coefficients == (1, 0)
+
+
+def test_series_constructor_takes_exact_ints():
+    assert TruncatedSeries((1, 0, 0)).coefficients == (1, 0, 0)
+    with pytest.raises(ValueError):
+        TruncatedSeries([])
+    for bad in ([1.7, "3"], [1, 0.0], [False], [1, True]):
+        with pytest.raises(ValueError):
+            TruncatedSeries(bad)
 
 
 def test_partition_series_low_coefficients():
@@ -293,6 +307,19 @@ def test_finitized_identity_small_grid():
                     lhs = finitized_lhs(params, size)
                     rhs = finitized_rhs(params, size)
                     assert lhs == rhs, (m, r, size)
+
+
+def test_finitized_lhs_counts_its_box():
+    # the one alternating side is the box's generating polynomial, for both
+    # parities and every residue through k = 6 (the verify grid stops at 4)
+    for m in range(3, 14):
+        for r in range(1, m // 2 + 1):
+            params = IdentityParams(m, r)
+            for size in range(11):
+                c = boxed_counts(params, *finitized_box(params, size))
+                lhs = finitized_lhs(params, size)
+                assert lhs.degree < len(c), (m, r, size)
+                assert lhs.padded(len(c) - 1) == c, (m, r, size)
 
 
 def test_finitized_odd_k1_collapses_to_single_binomial_sum():

@@ -63,13 +63,15 @@ def test_bijection_pass():
 def test_bijection_detects_broken_enumerator(monkeypatch):
     from colorpartitions import families, verify
 
-    real = families.colored_members
+    real = families.colored_members_up_to
 
-    def lossy(params, n):
-        members = real(params, n)
-        return members[:-1] if n == 6 and members else members
+    def lossy(params, max_weight, max_size=None):
+        buckets = real(params, max_weight, max_size)
+        if len(buckets) > 6:
+            buckets[6] = buckets[6][:-1]
+        return buckets
 
-    monkeypatch.setattr(verify.families, "colored_members", lossy)
+    monkeypatch.setattr(verify.families, "colored_members_up_to", lossy)
     record = check_bijection(IdentityParams(7, 1), 10)
     assert not record.ok
     assert "n=6" in record.note
@@ -105,6 +107,40 @@ def test_finitized_pass_odd_and_even():
     even = check_finitized(IdentityParams(8, 3), 5)
     assert even.ok, even.note
     assert even.params == "even k=4 r=3"
+
+
+def test_finitized_detects_lossy_colored_enumeration(monkeypatch):
+    from colorpartitions import families, verify
+
+    real = families.colored_members_up_to
+
+    def lossy(params, max_weight, max_size=None):
+        buckets = real(params, max_weight, max_size)
+        if len(buckets) > 7:
+            buckets[7] = buckets[7][:-1]
+        return buckets
+
+    monkeypatch.setattr(verify.families, "colored_members_up_to", lossy)
+    record = check_finitized(IdentityParams(7, 2), 9)
+    assert not record.ok
+    assert "n=7: top-part count" in record.note
+
+
+def test_finitized_detects_wrong_box_count(monkeypatch):
+    from colorpartitions import families, verify
+
+    real = families.boxed_counts
+
+    def off_by_one(params, max_part, max_length, cap=None):
+        counts = real(params, max_part, max_length, cap)
+        if len(counts) > 5:
+            counts[5] += 1
+        return counts
+
+    monkeypatch.setattr(verify.families, "boxed_counts", off_by_one)
+    record = check_finitized(IdentityParams(8, 3), 5)
+    assert not record.ok
+    assert "n=5: box count" in record.note
 
 
 def test_finitized_size_zero_only():

@@ -130,8 +130,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
     params = IdentityParams(args.modulus, args.residue)
-    if args.order < 0:
-        raise ValueError("order must be nonnegative")
     builder = {
         "product": series.restricted_product,
         "bosonic": series.bosonic_sum,

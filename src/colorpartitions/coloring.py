@@ -137,14 +137,8 @@ def _same_parity_as_residue(length: int, params: IdentityParams) -> bool:
     return (length - params.residue) % 2 == 0
 
 
-def color_map(parts: Partition, params: IdentityParams) -> ColoredPartition:
-    """Encode a rank-window member as a colored partition of the same weight.
-
-    Part i is the i-th angle length; its color is (rank+r-1)/2 when the length
-    shares the residue's parity and (rank+r)/2 otherwise (both exact — a rank
-    and its angle length always have opposite parities).  Raises
-    RankWindowError if some rank leaves the window.
-    """
+def _window_ranks(parts: Partition, params: IdentityParams) -> tuple[int, ...]:
+    # Successive ranks, or RankWindowError at the first one outside the window.
     ranks = successive_ranks(parts)
     for i, rank in enumerate(ranks, start=1):
         if not params.rank_in_window(rank):
@@ -153,6 +147,18 @@ def color_map(parts: Partition, params: IdentityParams) -> ColoredPartition:
                 f"[{params.min_rank}, {params.max_rank}]",
                 index=i,
             )
+    return ranks
+
+
+def color_map(parts: Partition, params: IdentityParams) -> ColoredPartition:
+    """Encode a rank-window member as a colored partition of the same weight.
+
+    Part i is the i-th angle length; its color is (rank+r-1)/2 when the length
+    shares the residue's parity and (rank+r)/2 otherwise (both exact — a rank
+    and its angle length always have opposite parities).  Raises
+    RankWindowError if some rank leaves the window.
+    """
+    ranks = _window_ranks(parts, params)
     lengths = angle_lengths(angles(parts))
     encoded = []
     for length, rank in zip(lengths, ranks):
@@ -273,14 +279,7 @@ def alt_color_map(parts: Partition, params: IdentityParams) -> ColoredPartition:
     (5,5) and (4,4,2) map to ((6,1),(4,1)); unlike :func:`color_map` this
     encoding is not invertible.
     """
-    ranks = successive_ranks(parts)
-    for i, rank in enumerate(ranks, start=1):
-        if not params.rank_in_window(rank):
-            raise RankWindowError(
-                f"rank {rank} at position {i} outside "
-                f"[{params.min_rank}, {params.max_rank}]",
-                index=i,
-            )
+    ranks = _window_ranks(parts, params)
     lengths = angle_lengths(angles(parts))
     fold = params.half_modulus - params.residue
     encoded = []

@@ -9,7 +9,7 @@ built here; enumeration-based verification lives elsewhere.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .coloring import IdentityParams
 
@@ -236,8 +236,14 @@ def first_difference(a: Sequence[int], b: Sequence[int]) -> int | None:
     return None
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+
+
 def partition_series(order: int) -> TruncatedSeries:
     """Generating series of all partitions (product of all geometric factors)."""
+    _check_order(order)
     coeffs = [1] + [0] * order
     for n in range(1, order + 1):
         _divide_geometric(coeffs, n)
@@ -250,6 +256,7 @@ def restricted_product(params: IdentityParams, order: int) -> TruncatedSeries:
     For modulus 3, residue 1 every residue class is excluded and the series
     is the constant 1.
     """
+    _check_order(order)
     m = params.modulus
     excluded = {0, params.residue % m, (m - params.residue) % m}
     coeffs = [1] + [0] * order
@@ -268,6 +275,7 @@ def _theta_exponent(params: IdentityParams, j: int) -> int:
 
 def bosonic_sum(params: IdentityParams, order: int) -> TruncatedSeries:
     """Alternating theta series divided by the full partition product."""
+    _check_order(order)
     theta = [0] * (order + 1)
     theta[0] = 1
     j = 1
@@ -297,70 +305,63 @@ def _inverse_pochhammer(step: int, count: int, order: int) -> list[int]:
     return coeffs
 
 
-def fermionic_multisum(params: IdentityParams, order: int) -> TruncatedSeries:
-    """Quadratic multisum over weakly decreasing nonnegative exponent tuples.
+def _multisum_tuples(
+    length: int, fits: Callable[[tuple[int, ...]], bool], prefix: tuple[int, ...] = ()
+) -> Iterator[tuple[int, ...]]:
+    # Weakly decreasing nonnegative tuples (n_1, ..., n_length) whose every
+    # prefix passes ``fits``.  ``fits`` is monotone in the last value, so each
+    # position stops at its first rejection; length 0 yields the empty tuple.
+    if len(prefix) == length:
+        yield prefix
+        return
+    value = 0
+    while (not prefix or value <= prefix[-1]) and fits(prefix + (value,)):
+        yield from _multisum_tuples(length, fits, prefix + (value,))
+        value += 1
 
-    Each tuple contributes q^(sum of squares + tail linear part) divided by a
-    chain of difference factorials and a final factorial in base q or q^2
-    (odd/even modulus).  Tuples whose quadratic exponent alone exceeds the
-    order are pruned.
-    """
+
+def _multisum_exponent(values: tuple[int, ...], r: int) -> int:
+    # n_1^2 + ... + n_{k-1}^2 + n_r + ... + n_{k-1}
+    return sum(v * v for v in values) + sum(values[r - 1 :])
+
+
+def _chain_steps(
+    params: IdentityParams, values: tuple[int, ...]
+) -> Iterator[tuple[int, int, int]]:
+    # (j, n_j - n_{j+1}, base) for j = 1..k-1 with n_k = 0; the base is 2
+    # (q -> q^2) only at the last step of an even modulus.
     k = params.half_modulus
-    r = params.residue
-    base = 1 if params.is_odd else 2
+    padded = values + (0,)
+    for j in range(1, k):
+        base = 2 if j == k - 1 and not params.is_odd else 1
+        yield j, padded[j - 1] - padded[j], base
+
+
+def fermionic_multisum(params: IdentityParams, order: int) -> TruncatedSeries:
+    """Andrews-Gordon multisum over weakly decreasing nonnegative tuples.
+
+    Each tuple (n_1, ..., n_{k-1}) contributes q^(n_1^2 + ... + n_{k-1}^2 +
+    n_r + ... + n_{k-1}) divided by one factor per step of the chain shared
+    with :func:`finitized_rhs`: (q; q)_{n_j - n_{j+1}} for j = 1..k-1 with
+    n_k = 0, the last in base q^2 for an even modulus.  Tuples whose
+    quadratic exponent alone exceeds the order are pruned.
+    """
+    _check_order(order)
     acc = [0] * (order + 1)
-    values: list[int] = []
-    cache: dict[tuple[int, int], list[int]] = {}
-
-    def cached_inverse(step: int, count: int) -> list[int]:
-        key = (step, count)
-        if key not in cache:
-            cache[key] = _inverse_pochhammer(step, count, order)
-        return cache[key]
-
-    def term_exponent() -> int:
-        return sum(v * v for v in values) + sum(values[r - 1 :])
-
-    def emit() -> None:
-        exponent = term_exponent()
+    inverses: dict[tuple[int, int], list[int]] = {}
+    squares_fit = lambda prefix: sum(v * v for v in prefix) <= order
+    for values in _multisum_tuples(params.half_modulus - 1, squares_fit):
+        exponent = _multisum_exponent(values, params.residue)
         if exponent > order:
-            return
+            continue
         factor = [1] + [0] * (order - exponent)
-        for j in range(k - 2):
-            gap = values[j] - values[j + 1]
+        for _j, gap, base in _chain_steps(params, values):
             if gap:
-                factor = _convolve(factor, cached_inverse(1, gap), order - exponent)
-        if values and values[-1]:
-            factor = _convolve(factor, cached_inverse(base, values[-1]), order - exponent)
+                if (base, gap) not in inverses:
+                    inverses[base, gap] = _inverse_pochhammer(base, gap, order)
+                factor = _convolve(factor, inverses[base, gap], order - exponent)
         for i, c in enumerate(factor):
             acc[exponent + i] += c
-
-    def descend(position: int, ceiling: int, quadratic: int) -> None:
-        if position == k - 1:
-            emit()
-            return
-        value = 0
-        while True:
-            if value > ceiling or quadratic + value * value > order:
-                break
-            values.append(value)
-            descend(position + 1, value, quadratic + value * value)
-            values.pop()
-            value += 1
-
-    if k == 1:
-        acc[0] = 1
-        return TruncatedSeries(acc)
-
-    def outer() -> None:
-        value = 0
-        while value * value <= order:
-            values.append(value)
-            descend(1, value, value * value)
-            values.pop()
-            value += 1
-
-    outer()
     return TruncatedSeries(acc)
 
 
@@ -414,81 +415,6 @@ def finitized_box(params: IdentityParams, size: int) -> tuple[int, int]:
     return size + k - r, size
 
 
-def _odd_rhs(k: int, r: int, size: int) -> QPolynomial:
-    total = QPolynomial()
-    budget = size - k + r
-
-    def term(values: list[int]) -> QPolynomial:
-        padded = values + [0]  # terminal index is pinned to zero
-        exponent = sum(v * v for v in values) + sum(values[r - 1 :])
-        poly = QPolynomial.one().shifted(exponent)
-        prefix = 0
-        for j in range(1, k):
-            upper = size - 2 * prefix - padded[j - 1] - padded[j] - max(j - r + 1, 0)
-            poly = poly * gaussian_binomial(upper, padded[j - 1] - padded[j])
-            if not poly:
-                return poly
-            prefix += padded[j - 1]
-        return poly
-
-    values: list[int] = []
-
-    def descend(position: int, ceiling: int, used: int) -> None:
-        nonlocal total
-        if position == k - 1:
-            total = total + term(values)
-            return
-        for value in range(min(ceiling, (budget - 2 * used) // 2) + 1):
-            values.append(value)
-            descend(position + 1, value, used + value)
-            values.pop()
-
-    if k == 1:
-        return term([])
-    for value in range((budget // 2) + 1):
-        values.append(value)
-        descend(1, value, value)
-        values.pop()
-    return total
-
-
-def _even_rhs(k: int, r: int, size: int) -> QPolynomial:
-    total = QPolynomial()
-
-    def term(values: list[int]) -> QPolynomial:
-        padded = values + [0]
-        exponent = sum(v * v for v in values) + sum(values[r - 1 :])
-        poly = QPolynomial.one().shifted(exponent)
-        prefix = 0
-        for j in range(1, k - 1):
-            upper = 2 * size - 2 * prefix - padded[j - 1] - padded[j] + even_offset(k, r, j)
-            poly = poly * gaussian_binomial(upper, padded[j - 1] - padded[j])
-            if not poly:
-                return poly
-            prefix += padded[j - 1]
-        final_upper = size - sum(values[: k - 2])
-        poly = poly * gaussian_binomial(final_upper, values[-1], base=2)
-        return poly
-
-    values: list[int] = []
-
-    def descend(position: int, ceiling: int, used: int) -> None:
-        nonlocal total
-        if position == k - 1:
-            total = total + term(values)
-            return
-        for value in range(min(ceiling, size - used) + 1):
-            values.append(value)
-            descend(position + 1, value, used + value)
-            values.pop()
-
-    for value in range(size + 1):
-        values.append(value)
-        descend(1, value, value)
-        values.pop()
-    return total
-
-
 def finitized_lhs(params: IdentityParams, size: int) -> QPolynomial:
     """Alternating binomial side of the finitized identity.
 
@@ -498,7 +424,7 @@ def finitized_lhs(params: IdentityParams, size: int) -> QPolynomial:
     Baxter, Bressoud, Burge, Forrester and Viennot, Europ. J. Combin. 8,
     1987), one formula for both parities.
     """
-    _check_finitized_params(params, size)
+    _check_order(size)
     upper = sum(finitized_box(params, size))
     offset = upper - params.half_modulus + params.residue
     total = QPolynomial()
@@ -519,13 +445,44 @@ def _theta_term(params: IdentityParams, j: int, upper: int, lower: int) -> QPoly
 
 
 def finitized_rhs(params: IdentityParams, size: int) -> QPolynomial:
-    """Quadratic multisum side of the finitized identity."""
-    _check_finitized_params(params, size)
-    if params.is_odd:
-        return _odd_rhs(params.half_modulus, params.residue, size)
-    return _even_rhs(params.half_modulus, params.residue, size)
+    """Quadratic multisum side of the finitized identity.
 
+    The tuples (n_1, ..., n_{k-1}) and the exponent are those of
+    :func:`fermionic_multisum`; each step j = 1..k-1 of the same chain
+    (n_k = 0) contributes the Gaussian binomial [upper_j, n_j - n_{j+1}]
+    instead of an inverse factorial.  With P_j = n_1 + ... + n_{j-1}:
 
-def _check_finitized_params(params: IdentityParams, size: int) -> None:
-    if size < 0:
-        raise ValueError("size must be nonnegative")
+    - odd modulus (Andrews, PNAS 71, 1974): tuples with
+      2 (n_1 + ... + n_{k-1}) <= size - k + r, and
+      upper_j = size - 2 P_j - n_j - n_{j+1} - odd_offset(k, r, j);
+    - even modulus (Bressoud, Mem. AMS 227, 1980): tuples with
+      n_1 + ... + n_{k-1} <= size, upper_j = 2 size - 2 P_j - n_j - n_{j+1}
+      + even_offset(k, r, j) for j < k-1, and upper_{k-1} = size - P_{k-1}
+      in base q^2.
+
+    One formula for both parities: the parity picks only the tuple bound and
+    the upper index.
+    """
+    _check_order(size)
+    k = params.half_modulus
+    r = params.residue
+    weight, budget = (2, size - k + r) if params.is_odd else (1, size)
+    fits = lambda prefix: weight * sum(prefix) <= budget
+    total = QPolynomial()
+    for values in _multisum_tuples(k - 1, fits):
+        term = QPolynomial.one().shifted(_multisum_exponent(values, r))
+        before = 0  # P_j = n_1 + ... + n_{j-1}
+        for j, gap, base in _chain_steps(params, values):
+            pair = 2 * values[j - 1] - gap  # n_j + n_{j+1}
+            if base == 2:
+                upper = size - before
+            elif params.is_odd:
+                upper = size - 2 * before - pair - odd_offset(k, r, j)
+            else:
+                upper = 2 * size - 2 * before - pair + even_offset(k, r, j)
+            term = term * gaussian_binomial(upper, gap, base)
+            if not term:
+                break
+            before += values[j - 1]
+        total = total + term
+    return total

@@ -1,12 +1,14 @@
 """Command-line interface: golden outputs, formats, exit codes, config."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import colorpartitions
 from colorpartitions import cli
 from colorpartitions.render import canonical_json
 from colorpartitions.verify import CheckRecord, VerificationReport
@@ -206,6 +208,7 @@ def test_error_exit_two(capsys):
         ("verify", "finitized", "--k", "2", "--r", "9"),
         ("verify", "finitized", "--k", "0"),
         ("verify", "counts", "--M", "5", "--r", "3"),
+        ("coeffs", "bosonic", "7", "1", "-1"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -271,11 +274,15 @@ def test_bad_config_exit_two(tmp_path, capsys):
 
 
 def test_module_entry_point():
-    # python -m colorpartitions mirrors the console script
+    # python -m colorpartitions mirrors the console script; the child imports
+    # the same package as this test, installed or not
+    package_root = pathlib.Path(colorpartitions.__file__).parents[1]
+    search = [str(package_root), os.environ.get("PYTHONPATH", "")]
     result = subprocess.run(
         [sys.executable, "-m", "colorpartitions", "coeffs", "fermionic", "5", "2", "10"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search))},
     )
     assert result.returncode == 0
     assert result.stdout == "1 1 1 1 2 2 3 3 4 5 6\n"

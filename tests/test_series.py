@@ -276,7 +276,7 @@ def test_fermionic_double_sum_reduction():
 
 def test_three_forms_agree_on_grid():
     order = 20
-    for m in range(3, 10):
+    for m in range(3, 14):
         for r in range(1, m // 2 + 1):
             params = IdentityParams(m, r)
             bos = bosonic_sum(params, order)
@@ -297,7 +297,7 @@ def test_finitized_box_parameters():
 
 
 def test_finitized_identity_small_grid():
-    for k in (1, 2, 3):
+    for k in range(1, 7):
         for r in range(1, k + 1):
             for m in (2 * k + 1, 2 * k):
                 if m < 4:
@@ -343,6 +343,25 @@ def test_finitized_stabilizes_to_infinite_series():
 def test_finitized_rejects_bad_parameters():
     with pytest.raises(ValueError):
         finitized_lhs(IdentityParams(5, 2), -1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        partition_series,
+        lambda order: restricted_product(IdentityParams(7, 1), order),
+        lambda order: bosonic_sum(IdentityParams(7, 1), order),
+        lambda order: bosonic_sum(IdentityParams(8, 4), order),
+        lambda order: fermionic_multisum(IdentityParams(7, 1), order),
+        lambda order: finitized_lhs(IdentityParams(7, 1), order),
+        lambda order: finitized_rhs(IdentityParams(7, 1), order),
+        lambda order: finitized_rhs(IdentityParams(8, 3), order),
+    ],
+)
+def test_series_builders_reject_negative_order(build):
+    # every builder refuses a negative order the same way
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        build(-1)
 
 
 def test_first_difference():

@@ -170,6 +170,14 @@ def test_theorem_grid_rejects_unknown_scope():
         verify_identity_grid(scope="everything")
 
 
+def test_checks_reject_negative_bound():
+    # the series builders refuse the bound before any enumeration starts
+    with pytest.raises(ValueError):
+        check_bijection(IdentityParams(7, 1), -1)
+    with pytest.raises(ValueError):
+        check_product_counts(IdentityParams(8, 4), -1)
+
+
 def test_gordon_grid_default_pairs():
     report = verify_gordon_grid(n_max=12)
     assert report.passed

@@ -203,32 +203,55 @@ def check_conditions(colored: ColoredPartition, params: IdentityParams) -> Condi
     """
     validate_colored(colored)
     _require_colors_in_range(colored, params)
-    r = params.residue
     for i, (size, color) in enumerate(colored, start=1):
-        if _same_parity_as_residue(size, params):
-            bound = abs(2 * color - r + 1)
-        else:
-            bound = abs(2 * color - r)
-        if not size > bound:
+        if not _size_ok(size, color, params):
             return ConditionCheck(False, "i", i)
     for i, ((size_a, color_a), (size_b, color_b)) in enumerate(
         zip(colored, colored[1:]), start=1
     ):
-        spread = 2 * (color_a - color_b)
-        if (size_a - size_b) % 2 == 0:
-            required = 2 + abs(spread)
-        elif _same_parity_as_residue(size_b, params):
-            required = 2 + abs(spread - 1)
-        else:
-            required = 2 + abs(spread + 1)
-        if not size_a - size_b >= required:
+        if not _gap_ok(size_a, color_a, size_b, color_b, params):
             return ConditionCheck(False, "ii", i)
-    if not params.is_odd:
-        top = params.color_count
-        for i, (size, color) in enumerate(colored, start=1):
-            if color == top and _same_parity_as_residue(size, params):
-                return ConditionCheck(False, "iii", i)
+    for i, (size, color) in enumerate(colored, start=1):
+        if not _top_color_ok(size, color, params):
+            return ConditionCheck(False, "iii", i)
     return ConditionCheck(True)
+
+
+# Conditions (i)-(iii) on single parts and consecutive pairs.  The colored
+# stream, the head-count DP and check_conditions all call these; color_map
+# does not, so encoding rank-window members still exposes a predicate that
+# is too loose (the families differ) or too strict (the decode refuses).
+
+
+def _size_ok(size: int, color: int, params: IdentityParams) -> bool:
+    # (i): the part exceeds |rank| of the rank it encodes.
+    if _same_parity_as_residue(size, params):
+        return size > abs(2 * color - params.residue + 1)
+    return size > abs(2 * color - params.residue)
+
+
+def _gap_ok(
+    size_a: int, color_a: int, size_b: int, color_b: int, params: IdentityParams
+) -> bool:
+    # (ii): part b may follow part a; the gap is at least 2 plus the spread.
+    spread = 2 * (color_a - color_b)
+    if (size_a - size_b) % 2 == 0:
+        required = 2 + abs(spread)
+    elif _same_parity_as_residue(size_b, params):
+        required = 2 + abs(spread - 1)
+    else:
+        required = 2 + abs(spread + 1)
+    return size_a - size_b >= required
+
+
+def _top_color_ok(size: int, color: int, params: IdentityParams) -> bool:
+    # (iii): for an even modulus the top color excludes sizes sharing the
+    # residue's parity.
+    return (
+        params.is_odd
+        or color != params.color_count
+        or not _same_parity_as_residue(size, params)
+    )
 
 
 def inverse_map(colored: ColoredPartition, params: IdentityParams) -> Partition:

@@ -4,16 +4,26 @@ Six families share one interface: rank-window members, their colored
 encodings, box-bounded rank-window members, Gordon-condition partitions,
 gap-2 partitions, and partitions into residue-restricted parts.  Enumerators
 return materialized lists at fixed weight; per-weight fast counts go through
-the Frobenius-pair counting kernel instead.
+the Frobenius-pair counting kernel (rank windows) or a transfer matrix over
+heads (colored family) instead.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import kernels
-from .coloring import ColoredPartition, IdentityParams, check_conditions, color_map
+from .coloring import (
+    ColoredPartition,
+    IdentityParams,
+    _gap_ok,
+    _size_ok,
+    _top_color_ok,
+    check_conditions,
+    color_map,
+)
 from .partitions import Partition, partitions_of, successive_ranks
 
 __all__ = [
@@ -24,6 +34,7 @@ __all__ = [
     "rank_window_counts",
     "colored_members",
     "colored_members_up_to",
+    "colored_head_counts",
     "colored_members_via_encoding",
     "boxed_members",
     "boxed_counts",
@@ -59,40 +70,36 @@ def rank_window_counts(params: IdentityParams, max_weight: int) -> list[int]:
     )
 
 
+def _require_weight(max_weight: int) -> None:
+    if max_weight < 0:
+        raise ValueError(f"max_weight must be nonnegative, got {max_weight}")
+
+
+def _admissible_colors(params: IdentityParams, max_size: int) -> list[list[int]]:
+    # Colors a part of each size 0..max_size may carry under conditions (i)
+    # and (iii), ascending.
+    return [
+        [
+            color
+            for color in range(1, params.color_count + 1)
+            if _size_ok(size, color, params) and _top_color_ok(size, color, params)
+        ]
+        for size in range(max_size + 1)
+    ]
+
+
 def _colored_stream(params: IdentityParams, max_weight: int, max_size: int | None):
     # Descend over (size, color) parts; condition (ii) forces a gap of at
     # least 2, so feasibility prunes fast.  Yields (member, weight) pairs.
-    k = params.half_modulus
-    r = params.residue
-    top_color = params.color_count
-    even_modulus = not params.is_odd
-
-    def size_ok(size: int, color: int) -> bool:
-        if (size - r) % 2 == 0:
-            if even_modulus and color == top_color:
-                return False  # top color excluded on shared parity
-            return size > abs(2 * color - r + 1)
-        return size > abs(2 * color - r)
-
-    def gap_ok(size_a: int, color_a: int, size_b: int, color_b: int) -> bool:
-        spread = 2 * (color_a - color_b)
-        if (size_a - size_b) % 2 == 0:
-            required = 2 + abs(spread)
-        elif (size_b - r) % 2 == 0:
-            required = 2 + abs(spread - 1)
-        else:
-            required = 2 + abs(spread + 1)
-        return size_a - size_b >= required
-
+    start = max_weight if max_size is None else min(max_size, max_weight)
+    colors_of = _admissible_colors(params, start)
     stack: list[tuple[int, int]] = []
 
     def descend(size_bound: int, budget: int):
         prev = stack[-1] if stack else None
         for size in range(min(size_bound, budget), 0, -1):
-            for color in range(1, top_color + 1):
-                if not size_ok(size, color):
-                    continue
-                if prev is not None and not gap_ok(prev[0], prev[1], size, color):
+            for color in colors_of[size]:
+                if prev is not None and not _gap_ok(*prev, size, color, params):
                     continue
                 stack.append((size, color))
                 member = tuple(stack)
@@ -101,9 +108,43 @@ def _colored_stream(params: IdentityParams, max_weight: int, max_size: int | Non
                 stack.pop()
 
     yield (), 0
-    if top_color >= 1:
-        start = max_weight if max_size is None else min(max_size, max_weight)
-        yield from descend(start, max_weight)
+    yield from descend(start, max_weight)
+
+
+def colored_head_counts(
+    params: IdentityParams, max_weight: int, max_size: int | None = None
+) -> list[Counter]:
+    """Per-weight tallies of colored members by head, 0..max_weight.
+
+    Bucket w maps each head ``((size, color),)`` (``()`` for the empty member
+    at weight 0) to the number of condition-respecting colored partitions of
+    weight w it heads, with head size at most ``max_size``: the same tallies
+    as ``Counter(member[:1])`` over :func:`colored_members_up_to`'s buckets,
+    which serve as the oracle.  Counted by the transfer-matrix method over
+    heads (Stanley, Enumerative Combinatorics I, 4.7), smallest head first:
+    the members headed by (s, c) are (s, c) alone plus (s, c) prepended to
+    each member whose head may follow it under condition (ii).
+    """
+    _require_weight(max_weight)
+    start = max_weight if max_size is None else min(max_size, max_weight)
+    colors_of = _admissible_colors(params, start)
+    tallies = [Counter() for _ in range(max_weight + 1)]
+    tallies[0][()] = 1
+    # head -> counts[w] of members of weight w it heads, for w <= max_weight
+    headed: dict[tuple[int, int], list[int]] = {}
+    for size in range(1, start + 1):
+        for color in colors_of[size]:
+            counts = [0] * (max_weight + 1)
+            counts[size] = 1
+            for (size_b, color_b), tail in headed.items():
+                if _gap_ok(size, color, size_b, color_b, params):
+                    for w in range(size + size_b, max_weight + 1):
+                        counts[w] += tail[w - size]
+            headed[size, color] = counts
+            for w in range(size, max_weight + 1):
+                if counts[w]:
+                    tallies[w][((size, color),)] = counts[w]
+    return tallies
 
 
 def colored_members_up_to(
@@ -114,6 +155,7 @@ def colored_members_up_to(
     Generated directly from the membership conditions — independent of the
     rank-window encoding, which makes the two routes cross-checkable.
     """
+    _require_weight(max_weight)
     buckets: list[list[ColoredPartition]] = [[] for _ in range(max_weight + 1)]
     for member, w in _colored_stream(params, max_weight, max_size):
         buckets[w].append(member)

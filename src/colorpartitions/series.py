@@ -402,7 +402,8 @@ def even_offset(k: int, i: int, j: int) -> int:
     # matching the alternating-binomial side: unique over [-3, 3]^(k-2) for
     # k <= 4 (sizes <= 6), unique again at k = 5 and 6 where the plateau
     # first separates from a strictly decreasing row, and confirmed through
-    # k = 8 for every residue.
+    # k = 8 for every residue (tests/test_verify.py::
+    # test_finitized_identities_reach_k8, sizes <= 8).
     return min(k - max(i, 2), k - 1 - j)
 
 

@@ -8,7 +8,6 @@ canonical JSON.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from . import coloring, families, series
@@ -72,7 +71,7 @@ class VerificationReport:
 
 
 def check_product_counts(params: IdentityParams, n_max: int) -> CheckRecord:
-    """Rank-window member counts against the closed-form series coefficients.
+    """Rank-window member counts, from the counting kernel, against the closed form.
 
     The closed form is the avoided-residue product when the residue is
     strictly below half the modulus; at 2r = M (where that product
@@ -87,14 +86,14 @@ def check_product_counts(params: IdentityParams, n_max: int) -> CheckRecord:
         closed_form = series.bosonic_sum(params, n_max)
         form_name = "theta quotient"
         note = "2r = M: no product form, checked theta quotient"
+    counts = families.rank_window_counts(params, n_max)
     checked = 0
     ok = True
     for n in range(n_max + 1):
-        members = families.rank_window_members(params, n)
         checked += 1
-        if len(members) != closed_form[n]:
+        if counts[n] != closed_form[n]:
             ok = False
-            note = f"n={n}: {len(members)} members vs {form_name} coefficient {closed_form[n]}"
+            note = f"n={n}: {counts[n]} members vs {form_name} coefficient {closed_form[n]}"
             break
     return CheckRecord(
         "product_counts",
@@ -196,15 +195,20 @@ def finitized_top_ok(
 def check_finitized(
     params: IdentityParams, size_max: int, n_max: int | None = None
 ) -> CheckRecord:
-    """Polynomial identity plus two enumeration routes, for sizes 0..size_max.
+    """Polynomial identity plus two counting routes, for sizes 0..size_max.
 
     For each size: the alternating-binomial side equals the multisum side
     coefficient-for-coefficient; the coefficients equal the box-bounded
-    rank-window counts; and they equal the counts of colored members passing
-    the top-part bound.  The colored family is enumerated once, for the
-    largest box; ``n_max`` bounds that enumeration's weight and truncates the
-    enumeration comparisons.
+    rank-window counts (partition side); and they equal the counts of colored
+    members passing the top-part bound (colored side).  The colored side is a
+    head count under conditions (i)-(iii),
+    :func:`~colorpartitions.families.colored_head_counts`, taken once for the
+    largest box; the colored stream is its test oracle.  ``n_max`` bounds that
+    count's weight and truncates the per-weight comparisons.  A negative
+    ``size_max`` raises ValueError.
     """
+    if size_max < 0:
+        raise ValueError("order must be nonnegative")
     parity = "odd" if params.is_odd else "even"
     label = f"{parity} k={params.half_modulus} r={params.residue}"
     # The box law reads only the largest part and bounds it by W + H - 1,
@@ -214,8 +218,7 @@ def check_finitized(
     weight_max = _gap2_weight_bound(largest_top)
     if n_max is not None:
         weight_max = min(weight_max, max(n_max, 0))
-    buckets = families.colored_members_up_to(params, weight_max, max_size=largest_top)
-    heads = [Counter(member[:1] for member in bucket) for bucket in buckets]
+    heads = families.colored_head_counts(params, weight_max, max_size=largest_top)
     checked = 0
     for size in range(size_max + 1):
         lhs = series.finitized_lhs(params, size)

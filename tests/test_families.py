@@ -1,6 +1,10 @@
 """Family enumerators: counts vs series, dual generation, boxed refinements."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorpartitions import (
     FamilySpec,
@@ -19,7 +23,7 @@ from colorpartitions import (
     successive_ranks,
 )
 from colorpartitions.coloring import check_box_condition
-from colorpartitions.families import colored_members_up_to
+from colorpartitions.families import colored_head_counts, colored_members_up_to
 from colorpartitions.partitions import partitions_of
 from colorpartitions.series import bosonic_sum, restricted_product
 
@@ -108,6 +112,26 @@ def test_colored_members_frozen_rows():
 
 def test_colored_members_weight_zero():
     assert colored_members(P71, 0) == [()]
+
+
+def test_colored_routes_reject_negative_weight():
+    for route in (colored_members_up_to, colored_head_counts):
+        with pytest.raises(ValueError, match="nonnegative"):
+            route(P71, -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), modulus=st.integers(3, 13), max_size=st.integers(0, 15))
+def test_head_counts_match_stream(data, modulus, max_size):
+    # the transfer-matrix head tally against the enumerated stream's heads;
+    # weight 64 reaches the heaviest member with largest part 15
+    params = IdentityParams(modulus, data.draw(st.integers(1, modulus // 2)))
+    max_weight = data.draw(st.integers(0, 64))
+    oracle = [
+        Counter(member[:1] for member in bucket)
+        for bucket in colored_members_up_to(params, max_weight, max_size)
+    ]
+    assert colored_head_counts(params, max_weight, max_size) == oracle
 
 
 def test_gordon_members_match_product():

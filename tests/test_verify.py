@@ -46,6 +46,23 @@ def test_product_counts_pass():
     assert record.note == ""
 
 
+def test_product_counts_detects_wrong_kernel_count(monkeypatch):
+    from colorpartitions import families, verify
+
+    real = families.rank_window_counts
+
+    def off_by_one(params, max_weight):
+        counts = real(params, max_weight)
+        if len(counts) > 5:
+            counts[5] += 1
+        return counts
+
+    monkeypatch.setattr(verify.families, "rank_window_counts", off_by_one)
+    record = check_product_counts(IdentityParams(7, 1), 14)
+    assert not record.ok
+    assert "n=5" in record.note
+
+
 def test_product_counts_half_modulus_note():
     # no product form at 2r = M; the record says what was checked instead
     record = check_product_counts(IdentityParams(8, 4), 14)
@@ -112,15 +129,16 @@ def test_finitized_pass_odd_and_even():
 def test_finitized_detects_lossy_colored_enumeration(monkeypatch):
     from colorpartitions import families, verify
 
-    real = families.colored_members_up_to
+    real = families.colored_head_counts
 
     def lossy(params, max_weight, max_size=None):
-        buckets = real(params, max_weight, max_size)
-        if len(buckets) > 7:
-            buckets[7] = buckets[7][:-1]
-        return buckets
+        tallies = real(params, max_weight, max_size)
+        if len(tallies) > 7:
+            head = next(iter(tallies[7]))
+            tallies[7][head] -= 1
+        return tallies
 
-    monkeypatch.setattr(verify.families, "colored_members_up_to", lossy)
+    monkeypatch.setattr(verify.families, "colored_head_counts", lossy)
     record = check_finitized(IdentityParams(7, 2), 9)
     assert not record.ok
     assert "n=7: top-part count" in record.note
@@ -141,6 +159,15 @@ def test_finitized_detects_wrong_box_count(monkeypatch):
     record = check_finitized(IdentityParams(8, 3), 5)
     assert not record.ok
     assert "n=5: box count" in record.note
+
+
+def test_finitized_identities_reach_k8():
+    # both parities, every residue, k = 5..8: 52 cells
+    report = verify_finitized_grid(
+        halves=(5, 6, 7, 8), odd_size_max=8, even_size_max=8
+    )
+    assert report.passed, report.first_failure
+    assert len(report.records) == 52
 
 
 def test_finitized_size_zero_only():
@@ -171,11 +198,13 @@ def test_theorem_grid_rejects_unknown_scope():
 
 
 def test_checks_reject_negative_bound():
-    # the series builders refuse the bound before any enumeration starts
+    # every check refuses a negative bound before any counting starts
     with pytest.raises(ValueError):
         check_bijection(IdentityParams(7, 1), -1)
     with pytest.raises(ValueError):
         check_product_counts(IdentityParams(8, 4), -1)
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        check_finitized(IdentityParams(7, 2), -1)
 
 
 def test_gordon_grid_default_pairs():

@@ -112,7 +112,7 @@ def _colored_stream(params: IdentityParams, max_weight: int, max_size: int | Non
 
 
 def colored_head_counts(
-    params: IdentityParams, max_weight: int, max_size: int | None = None
+    params: IdentityParams, max_weight: int, max_size: int
 ) -> list[Counter]:
     """Per-weight tallies of colored members by head, 0..max_weight.
 
@@ -126,7 +126,7 @@ def colored_head_counts(
     each member whose head may follow it under condition (ii).
     """
     _require_weight(max_weight)
-    start = max_weight if max_size is None else min(max_size, max_weight)
+    start = min(max_size, max_weight)
     colors_of = _admissible_colors(params, start)
     tallies = [Counter() for _ in range(max_weight + 1)]
     tallies[0][()] = 1

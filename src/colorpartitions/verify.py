@@ -71,7 +71,7 @@ class VerificationReport:
 
 
 def check_product_counts(params: IdentityParams, n_max: int) -> CheckRecord:
-    """Rank-window member counts, from the counting kernel, against the closed form.
+    """Rank-window member counts against the closed-form series coefficients.
 
     The closed form is the avoided-residue product when the residue is
     strictly below half the modulus; at 2r = M (where that product
@@ -86,14 +86,14 @@ def check_product_counts(params: IdentityParams, n_max: int) -> CheckRecord:
         closed_form = series.bosonic_sum(params, n_max)
         form_name = "theta quotient"
         note = "2r = M: no product form, checked theta quotient"
-    counts = families.rank_window_counts(params, n_max)
     checked = 0
     ok = True
     for n in range(n_max + 1):
+        members = families.rank_window_members(params, n)
         checked += 1
-        if counts[n] != closed_form[n]:
+        if len(members) != closed_form[n]:
             ok = False
-            note = f"n={n}: {counts[n]} members vs {form_name} coefficient {closed_form[n]}"
+            note = f"n={n}: {len(members)} members vs {form_name} coefficient {closed_form[n]}"
             break
     return CheckRecord(
         "product_counts",

@@ -115,9 +115,10 @@ def test_colored_members_weight_zero():
 
 
 def test_colored_routes_reject_negative_weight():
-    for route in (colored_members_up_to, colored_head_counts):
-        with pytest.raises(ValueError, match="nonnegative"):
-            route(P71, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        colored_members_up_to(P71, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        colored_head_counts(P71, -1, 5)
 
 
 @settings(max_examples=200, deadline=None)

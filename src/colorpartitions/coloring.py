@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .partitions import (
     Angles,
     Partition,
+    _durfee_heights,
     angle_lengths,
     angles,
     from_angles,
@@ -142,12 +143,15 @@ def _window_ranks(parts: Partition, params: IdentityParams) -> tuple[int, ...]:
     ranks = successive_ranks(parts)
     for i, rank in enumerate(ranks, start=1):
         if not params.rank_in_window(rank):
-            raise RankWindowError(
-                f"rank {rank} at position {i} outside "
-                f"[{params.min_rank}, {params.max_rank}]",
-                index=i,
-            )
+            raise _outside_window(rank, i, params)
     return ranks
+
+
+def _outside_window(rank: int, index: int, params: IdentityParams) -> RankWindowError:
+    return RankWindowError(
+        f"rank {rank} at position {index} outside [{params.min_rank}, {params.max_rank}]",
+        index=index,
+    )
 
 
 def color_map(parts: Partition, params: IdentityParams) -> ColoredPartition:
@@ -158,14 +162,16 @@ def color_map(parts: Partition, params: IdentityParams) -> ColoredPartition:
     and its angle length always have opposite parities).  Raises
     RankWindowError if some rank leaves the window.
     """
-    ranks = _window_ranks(parts, params)
-    lengths = angle_lengths(angles(parts))
+    heights = _durfee_heights(parts)
+    lo, hi, r = params.min_rank, params.max_rank, params.residue
     encoded = []
-    for length, rank in zip(lengths, ranks):
-        if _same_parity_as_residue(length, params):
-            numerator = rank + params.residue - 1
-        else:
-            numerator = rank + params.residue
+    for i, height in enumerate(heights):
+        # Diagonal cell i: rank = row - column, angle length = row + column - 2i - 1.
+        rank = parts[i] - height
+        if not lo <= rank <= hi:
+            raise _outside_window(rank, i + 1, params)
+        length = parts[i] + height - 2 * i - 1
+        numerator = rank + r - 1 if (length - r) % 2 == 0 else rank + r
         half, remainder = divmod(numerator, 2)
         assert remainder == 0, "length and rank parities violate the angle parity law"
         encoded.append((length, half))

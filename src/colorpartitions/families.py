@@ -59,7 +59,7 @@ def rank_window_members(params: IdentityParams, n: int) -> list[Partition]:
     return [
         p
         for p, ranks in ranked_partitions(n)
-        if all(lo <= rank <= hi for rank in ranks)
+        if not ranks or (lo <= min(ranks) and max(ranks) <= hi)
     ]
 
 

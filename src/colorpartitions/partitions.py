@@ -92,15 +92,19 @@ def _conjugate_prefix(parts: Partition, d: int) -> list[int]:
     return heights
 
 
+def _durfee_heights(parts: Partition) -> list[int]:
+    # Column heights along the Durfee diagonal: one per diagonal cell.
+    return _conjugate_prefix(parts, durfee_size(parts))
+
+
 def successive_ranks(parts: Partition) -> tuple[int, ...]:
     """Row minus column lengths along the Durfee diagonal.
 
     Rank i is ``parts[i] - conjugate(parts)[i]`` for i below the Durfee size;
     the empty partition has no ranks.
     """
-    d = durfee_size(parts)
-    heights = _conjugate_prefix(parts, d)
-    return tuple(parts[i] - heights[i] for i in range(d))
+    heights = _durfee_heights(parts)
+    return tuple(parts[i] - heights[i] for i in range(len(heights)))
 
 
 def angles(parts: Partition) -> Angles:
@@ -109,9 +113,8 @@ def angles(parts: Partition) -> Angles:
     Both coordinate sequences are strictly decreasing and positive; the pair
     count equals the Durfee size.
     """
-    d = durfee_size(parts)
-    heights = _conjugate_prefix(parts, d)
-    return tuple((parts[i] - i, heights[i] - i) for i in range(d))
+    heights = _durfee_heights(parts)
+    return tuple((parts[i] - i, heights[i] - i) for i in range(len(heights)))
 
 
 def angle_lengths(decomposition: Angles) -> tuple[int, ...]:
@@ -137,10 +140,14 @@ def from_angles(decomposition: Angles) -> Partition:
     if d == 0:
         return ()
     rows = [widths[i] + i for i in range(d)]
-    # Rows below the Durfee square are read off the column heights.
+    # Rows below the Durfee square are read off the column heights, which do
+    # not increase: row i is the number of columns reaching it.
     column_heights = [heights[j] + j for j in range(d)]
+    reaching = d
     for i in range(d + 1, column_heights[0] + 1):
-        rows.append(sum(1 for h in column_heights if h >= i))
+        while column_heights[reaching - 1] < i:
+            reaching -= 1
+        rows.append(reaching)
     return tuple(rows)
 
 
@@ -177,15 +184,41 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     cap = n if max_part is None else min(max_part, n)
-    stack: list[int] = []
-
-    def descend(remaining: int, bound: int) -> Iterator[Partition]:
-        if remaining == 0:
-            yield tuple(stack)
-            return
-        for part in range(min(bound, remaining), 0, -1):
-            stack.append(part)
-            yield from descend(remaining - part, part)
-            stack.pop()
-
-    yield from descend(n, cap)
+    if n == 0:
+        yield ()
+        return
+    if cap < 1:
+        return
+    # Algorithm ZS1 (Zoghbi and Stojmenovic, 1998), started at the largest
+    # partition under the cap: parts[:length] is the current partition and
+    # every entry after index `last`, its last part above 1, is a 1.
+    full, rest = divmod(n, cap)
+    parts = [cap] * full + [1] * (n - full)
+    length = full
+    if rest:
+        parts[full] = rest
+        length += 1
+    last = full if rest > 1 else (full - 1 if cap > 1 else -1)
+    yield tuple(parts[:length])
+    while last >= 0:
+        if parts[last] == 2:
+            parts[last] = 1
+            last -= 1
+            length += 1
+        else:
+            # Lower the last part above 1 by one and refill the tail with as
+            # many copies of the lowered part as fit, then the remainder.
+            part = parts[last] - 1
+            spare = length - last
+            parts[last] = part
+            while spare >= part:
+                last += 1
+                parts[last] = part
+                spare -= part
+            length = last + 1
+            if spare:
+                length += 1
+                if spare > 1:
+                    last += 1
+                    parts[last] = spare
+        yield tuple(parts[:length])

@@ -9,6 +9,7 @@ built here; enumeration-based verification lives elsewhere.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 from .coloring import IdentityParams
@@ -140,7 +141,8 @@ class QPolynomial:
 
     def padded(self, order: int) -> list[int]:
         """Coefficients 0..order, zero-padded (and truncated) as needed."""
-        return [self.coefficient(i) for i in range(order + 1)]
+        head = list(self.coefficients[: max(order + 1, 0)])
+        return head + [0] * (order + 1 - len(head))
 
     def truncated(self, order: int) -> TruncatedSeries:
         return TruncatedSeries(self.padded(order))
@@ -157,10 +159,13 @@ class QPolynomial:
         return hash(self.coefficients)
 
     def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        size = max(len(self.coefficients), len(other.coefficients))
-        return QPolynomial(
-            [self.coefficient(i) + other.coefficient(i) for i in range(size)]
-        )
+        longer, shorter = self.coefficients, other.coefficients
+        if len(longer) < len(shorter):
+            longer, shorter = shorter, longer
+        total = list(longer)
+        for i, c in enumerate(shorter):
+            total[i] += c
+        return QPolynomial(total)
 
     def __neg__(self) -> "QPolynomial":
         return QPolynomial([-c for c in self.coefficients])
@@ -365,11 +370,14 @@ def fermionic_multisum(params: IdentityParams, order: int) -> TruncatedSeries:
     return TruncatedSeries(acc)
 
 
+@lru_cache(maxsize=None)
 def gaussian_binomial(a: int, b: int, base: int = 1) -> QPolynomial:
-    """Gaussian binomial coefficient [a, b] as an exact polynomial.
+    """Gaussian binomial coefficient [a, b] as an exact polynomial (cached).
 
     Zero when b < 0 or b > a or a < 0.  ``base`` substitutes q -> q**base
-    after expansion (used by the even-modulus finitized sum).
+    after expansion (used by the even-modulus finitized sum).  The finitized
+    sides of one verify run ask for the same few hundred coefficients
+    thousands of times.
     """
     if b < 0 or a < 0 or b > a:
         return QPolynomial()

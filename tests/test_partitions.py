@@ -133,6 +133,22 @@ def test_partitions_of_emits_reverse_lexicographic():
         assert emitted == sorted(emitted, reverse=True)
 
 
+def test_partitions_of_matches_capped_oracle():
+    def oracle(n, cap):
+        if n == 0:
+            return [()]
+        return [
+            (part,) + rest
+            for part in range(min(cap, n), 0, -1)
+            for rest in oracle(n - part, part)
+        ]
+
+    for n in range(16):
+        for cap in (None, -1, *range(n + 2)):
+            expected = oracle(n, n if cap is None else cap)
+            assert list(partitions_of(n, max_part=cap)) == expected
+
+
 def test_format_and_parse():
     assert format_partition((7, 5, 5, 5, 4, 4, 2)) == "(7,5,5,5,4,4,2)"
     assert format_partition(()) == "()"

@@ -300,16 +300,6 @@ def bosonic_sum(params: IdentityParams, order: int) -> TruncatedSeries:
     return TruncatedSeries(theta)
 
 
-def _inverse_pochhammer(step: int, count: int, order: int) -> list[int]:
-    # Series of 1 / product_{t=1..count} (1 - q^(step*t)), truncated.
-    coeffs = [1] + [0] * order
-    for t in range(1, count + 1):
-        if step * t > order:
-            break
-        _divide_geometric(coeffs, step * t)
-    return coeffs
-
-
 def _multisum_tuples(
     length: int, fits: Callable[[tuple[int, ...]], bool], prefix: tuple[int, ...] = ()
 ) -> Iterator[tuple[int, ...]]:
@@ -348,12 +338,14 @@ def fermionic_multisum(params: IdentityParams, order: int) -> TruncatedSeries:
     Each tuple (n_1, ..., n_{k-1}) contributes q^(n_1^2 + ... + n_{k-1}^2 +
     n_r + ... + n_{k-1}) divided by one factor per step of the chain shared
     with :func:`finitized_rhs`: (q; q)_{n_j - n_{j+1}} for j = 1..k-1 with
-    n_k = 0, the last in base q^2 for an even modulus.  Tuples whose
-    quadratic exponent alone exceeds the order are pruned.
+    n_k = 0, the last in base q^2 for an even modulus.  Each step's factor
+    1/(q^b; q^b)_gap is applied in place as ``gap`` prefix recurrences
+    (division by 1 - q^(b t) for t = 1..gap), as in
+    :func:`restricted_product`.  Tuples whose quadratic exponent alone
+    exceeds the order are pruned.
     """
     _check_order(order)
     acc = [0] * (order + 1)
-    inverses: dict[tuple[int, int], list[int]] = {}
     squares_fit = lambda prefix: sum(v * v for v in prefix) <= order
     for values in _multisum_tuples(params.half_modulus - 1, squares_fit):
         exponent = _multisum_exponent(values, params.residue)
@@ -361,10 +353,8 @@ def fermionic_multisum(params: IdentityParams, order: int) -> TruncatedSeries:
             continue
         factor = [1] + [0] * (order - exponent)
         for _j, gap, base in _chain_steps(params, values):
-            if gap:
-                if (base, gap) not in inverses:
-                    inverses[base, gap] = _inverse_pochhammer(base, gap, order)
-                factor = _convolve(factor, inverses[base, gap], order - exponent)
+            for t in range(1, gap + 1):
+                _divide_geometric(factor, base * t)
         for i, c in enumerate(factor):
             acc[exponent + i] += c
     return TruncatedSeries(acc)

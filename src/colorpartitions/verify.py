@@ -131,7 +131,13 @@ def check_bijection(params: IdentityParams, n_max: int) -> CheckRecord:
             checked += 1
             if sum(size for size, _ in member) != n:
                 return _fail("bijection", label, n_max, checked, f"n={n}: {p} changes weight")
-            if inverse_map(member, params) != p:
+            try:
+                decoded = inverse_map(member, params)
+            except ValueError as exc:
+                reason = str(exc).removeprefix("not decodable: ")
+                note = f"n={n}: {p} not decodable: {reason}"
+                return _fail("bijection", label, n_max, checked, note)
+            if decoded != p:
                 return _fail("bijection", label, n_max, checked, f"n={n}: {p} fails round trip")
             encoded.append(member)
         direct = direct_buckets[n]

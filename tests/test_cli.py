@@ -74,6 +74,14 @@ def test_coeffs_text(capsys):
     assert out == "1 1 1 1 2 2 3 3 4 5 6\n"
 
 
+@pytest.mark.parametrize("modulus,residue,order", [(13, 4, 170), (11, 5, 220), (8, 4, 300)])
+def test_coeffs_fermionic_golden(capsys, modulus, residue, order):
+    args = (str(modulus), str(residue), str(order))
+    code, out, _ = run_cli(capsys, "coeffs", "fermionic", *args)
+    assert code == 0
+    assert out == (GOLDEN / f"coeffs_fermionic_{'_'.join(args)}.txt").read_text()
+
+
 def test_coeffs_forms_agree(capsys):
     _, product, _ = run_cli(capsys, "coeffs", "product", "7", "3", "20")
     _, bosonic, _ = run_cli(capsys, "coeffs", "bosonic", "7", "3", "20")
@@ -172,6 +180,19 @@ def test_verify_failure_exit_one(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out
     assert "n=2: 1 members vs 2" in out
+
+
+def test_verify_undecodable_member_exit_one(capsys, monkeypatch):
+    real = cli.verify.color_map
+    shifted = lambda p, params: tuple(
+        (size, color + params.color_count) for size, color in real(p, params)
+    )
+    monkeypatch.setattr(cli.verify, "color_map", shifted)
+    code, out, _ = run_cli(
+        capsys, "verify", "bijection", "--M", "7", "--r", "1", "--n-max", "6"
+    )
+    assert code == 1
+    assert "not decodable" in out
 
 
 def test_verify_report_json(capsys):

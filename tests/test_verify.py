@@ -78,6 +78,21 @@ def test_bijection_detects_broken_enumerator(monkeypatch):
     assert "direct generation" in record.note
 
 
+def test_bijection_reports_undecodable_member(monkeypatch):
+    from colorpartitions import verify
+
+    real = verify.color_map
+    shifted = lambda p, params: tuple(  # every color lands past the palette
+        (size, color + params.color_count) for size, color in real(p, params)
+    )
+    monkeypatch.setattr(verify, "color_map", shifted)
+    record = check_bijection(IdentityParams(7, 1), 6)
+    assert not record.ok
+    assert record.note == (
+        "n=2: (2,) not decodable: color 3 at part 1 outside 1..2 for modulus 7"
+    )
+
+
 def test_gordon_pass():
     record = check_gordon(2, 2, 16)
     assert record.ok

@@ -107,7 +107,13 @@ def _apply_config(args: argparse.Namespace) -> None:
     if not isinstance(overrides, dict):
         raise ValueError("config file must hold a JSON object")
     for key in ("format", "output"):
-        if getattr(args, key, None) is None and key in overrides:
+        if key not in overrides:
+            continue
+        # open() takes an int (or bool) output as a file descriptor and closes
+        # it afterwards, so only strings are accepted.
+        if not isinstance(overrides[key], str):
+            raise ValueError(f"config {key!r} must be a string")
+        if getattr(args, key, None) is None:
             setattr(args, key, overrides[key])
 
 

@@ -1,10 +1,14 @@
 """Exact q-series and polynomials for the product, sum, and finitized sides.
 
-Everything is integer-exact: truncated series carry coefficients 0..order,
-polynomials are arbitrary-degree with trailing zeros stripped.  The three
+Everything is integer-exact and held in one coefficient type,
+:class:`TruncatedSeries`: a tuple of ints, degree 0 first.  The three
 infinite forms (restricted product, alternating theta over the partition
-series, quadratic multisum) and the two finitized polynomial identities are
-built here; enumeration-based verification lives elsewhere.
+series, quadratic multisum) carry coefficients 0..order; the two finitized
+polynomial identities and the Gaussian binomials are polynomials with
+trailing zeros stripped.  All arithmetic runs on plain lists inside the
+builders: in-place prefix recurrences for the geometric factors, a shifted
+signed add and one convolution for the finitized sides.  Enumeration-based
+verification lives elsewhere.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from .coloring import IdentityParams
 
 __all__ = [
     "TruncatedSeries",
-    "QPolynomial",
     "partition_series",
     "restricted_product",
     "bosonic_sum",
@@ -32,22 +35,37 @@ __all__ = [
 
 
 class TruncatedSeries:
-    """Power series with exact integer coefficients up to a fixed order."""
+    """Exact integer coefficients, degree 0 first, stored as given.
+
+    A truncated series holds coefficients 0..order; a polynomial holds its
+    coefficients up to its degree.  The empty tuple is the zero polynomial.
+    """
 
     __slots__ = ("coefficients",)
 
-    def __init__(self, coefficients: Sequence[int]):
-        if not coefficients:
-            raise ValueError("a truncated series needs at least the constant term")
-        self.coefficients = _int_tuple(coefficients)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([1] + [0] * order)
+    def __init__(self, coefficients: Sequence[int] = ()):
+        # Exact arithmetic only: no float, str or bool coefficient is coerced.
+        self.coefficients = tuple(coefficients)
+        for c in self.coefficients:
+            if type(c) is not int:
+                raise ValueError(f"coefficients must be ints, got {c!r}")
 
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1
+
+    @property
+    def degree(self) -> int:
+        """Index of the last nonzero coefficient (-1 for zero)."""
+        end = len(self.coefficients)
+        while end and self.coefficients[end - 1] == 0:
+            end -= 1
+        return end - 1
+
+    def padded(self, order: int) -> list[int]:
+        """Coefficients 0..order, zero-padded (and truncated) as needed."""
+        head = list(self.coefficients[: max(order + 1, 0)])
+        return head + [0] * (order + 1 - len(head))
 
     def __getitem__(self, degree: int) -> int:
         return self.coefficients[degree]
@@ -60,48 +78,15 @@ class TruncatedSeries:
     def __hash__(self) -> int:
         return hash(self.coefficients)
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coefficients[i] + other.coefficients[i] for i in range(order + 1)]
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coefficients])
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            _convolve(self.coefficients, other.coefficients, order)
-        )
-
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coefficients)!r})"
 
 
-def _int_tuple(coefficients: Sequence[int]) -> tuple[int, ...]:
-    # Exact arithmetic only: no float, str or bool coefficient is coerced.
-    coeffs = tuple(coefficients)
-    for c in coeffs:
-        if type(c) is not int:
-            raise ValueError(f"coefficients must be ints, got {c!r}")
-    return coeffs
-
-
-def _convolve(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if i > order:
-            break
-        if not ai:
-            continue
-        top = min(order - i, len(b) - 1)
-        for j in range(top + 1):
-            out[i + j] += ai * b[j]
-    return out
+def _polynomial(coefficients: list[int]) -> TruncatedSeries:
+    # A finitized side or Gaussian binomial: trailing zeros stripped.
+    while coefficients and coefficients[-1] == 0:
+        coefficients.pop()
+    return TruncatedSeries(coefficients)
 
 
 def _divide_geometric(coefficients: list[int], step: int) -> None:
@@ -110,122 +95,25 @@ def _divide_geometric(coefficients: list[int], step: int) -> None:
         coefficients[i] += coefficients[i - step]
 
 
-class QPolynomial:
-    """Polynomial in q with exact integer coefficients, degree-0 first.
+def _add_shifted(total: list[int], term: Sequence[int], shift: int, sign: int) -> None:
+    # total += sign * q^shift * term, growing total as needed (shift >= 0).
+    end = shift + len(term)
+    if end > len(total):
+        total.extend([0] * (end - len(total)))
+    for i, c in enumerate(term, shift):
+        total[i] += sign * c
 
-    Normalized: trailing zeros stripped, the zero polynomial is the empty
-    coefficient tuple (degree -1).
-    """
 
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: Sequence[int] = ()):
-        coeffs = _int_tuple(coefficients)
-        end = len(coeffs)
-        while end and coeffs[end - 1] == 0:
-            end -= 1
-        self.coefficients = coeffs[:end]
-
-    @classmethod
-    def one(cls) -> "QPolynomial":
-        return cls((1,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def coefficient(self, degree: int) -> int:
-        if 0 <= degree < len(self.coefficients):
-            return self.coefficients[degree]
-        return 0
-
-    def padded(self, order: int) -> list[int]:
-        """Coefficients 0..order, zero-padded (and truncated) as needed."""
-        head = list(self.coefficients[: max(order + 1, 0)])
-        return head + [0] * (order + 1 - len(head))
-
-    def truncated(self, order: int) -> TruncatedSeries:
-        return TruncatedSeries(self.padded(order))
-
-    def __bool__(self) -> bool:
-        return bool(self.coefficients)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self) -> int:
-        return hash(self.coefficients)
-
-    def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        longer, shorter = self.coefficients, other.coefficients
-        if len(longer) < len(shorter):
-            longer, shorter = shorter, longer
-        total = list(longer)
-        for i, c in enumerate(shorter):
-            total[i] += c
-        return QPolynomial(total)
-
-    def __neg__(self) -> "QPolynomial":
-        return QPolynomial([-c for c in self.coefficients])
-
-    def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "QPolynomial") -> "QPolynomial":
-        if not self or not other:
-            return QPolynomial()
-        out = [0] * (self.degree + other.degree + 1)
-        for i, ai in enumerate(self.coefficients):
-            if not ai:
-                continue
-            for j, bj in enumerate(other.coefficients):
-                out[i + j] += ai * bj
-        return QPolynomial(out)
-
-    def shifted(self, exponent: int) -> "QPolynomial":
-        """Multiply by q**exponent."""
-        if not self:
-            return self
-        if exponent < 0:
-            raise ValueError("negative shift")
-        return QPolynomial([0] * exponent + list(self.coefficients))
-
-    def times_one_minus(self, exponent: int) -> "QPolynomial":
-        """Multiply by (1 - q**exponent)."""
-        return self - self.shifted(exponent)
-
-    def divided_by_one_minus(self, exponent: int) -> "QPolynomial":
-        """Exact division by (1 - q**exponent); raises if a remainder is left."""
-        if exponent < 1:
-            raise ValueError("exponent must be positive")
-        if not self:
-            return self
-        if self.degree < exponent:
-            raise ValueError("inexact division")
-        out = [0] * (self.degree - exponent + 1)
-        for i in range(self.degree - exponent + 1):
-            below = out[i - exponent] if i >= exponent else 0
-            out[i] = self.coefficients[i] + below
-        quotient = QPolynomial(out)
-        if quotient.times_one_minus(exponent) != self:
-            raise ValueError("inexact division")
-        return quotient
-
-    def inflated(self, base: int) -> "QPolynomial":
-        """Substitute q -> q**base (spread coefficients ``base`` apart)."""
-        if base == 1 or not self:
-            return self
-        if base < 1:
-            raise ValueError("base must be positive")
-        out = [0] * (self.degree * base + 1)
-        for i, c in enumerate(self.coefficients):
-            out[i * base] = c
-        return QPolynomial(out)
-
-    def __repr__(self) -> str:
-        return f"QPolynomial({list(self.coefficients)!r})"
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    # Full polynomial product; the empty list is zero.
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for t, bj in enumerate(b, i):
+                out[t] += ai * bj
+    return out
 
 
 def first_difference(a: Sequence[int], b: Sequence[int]) -> int | None:
@@ -361,21 +249,40 @@ def fermionic_multisum(params: IdentityParams, order: int) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=None)
-def gaussian_binomial(a: int, b: int, base: int = 1) -> QPolynomial:
+def gaussian_binomial(a: int, b: int, base: int = 1) -> TruncatedSeries:
     """Gaussian binomial coefficient [a, b] as an exact polynomial (cached).
 
-    Zero when b < 0 or b > a or a < 0.  ``base`` substitutes q -> q**base
-    after expansion (used by the even-modulus finitized sum).  The finitized
-    sides of one verify run ask for the same few hundred coefficients
-    thousands of times.
+    Zero when b < 0 or b > a or a < 0.  Built on one list as the product of
+    (1 - q^(a-b+i)) / (1 - q^i) for i = 1..b (Andrews, *The Theory of
+    Partitions*, 1976, Thm 3.2): each numerator is multiplied in place and
+    each denominator divided out by a prefix recurrence.  A division is exact
+    exactly when the recurrence leaves the list's top i coefficients zero, and
+    anything else raises ValueError.  ``base`` substitutes q -> q**base after
+    expansion (used by the even-modulus finitized sum) and must be positive.
+    The finitized sides of one verify run ask for the same few hundred
+    coefficients thousands of times; cached results are shared, never mutated.
     """
+    if base < 1:
+        raise ValueError("base must be positive")
     if b < 0 or a < 0 or b > a:
-        return QPolynomial()
+        return TruncatedSeries()
+    if base > 1:
+        plain = gaussian_binomial(a, b).coefficients
+        spread = [0] * ((len(plain) - 1) * base + 1)
+        spread[::base] = plain
+        return TruncatedSeries(spread)
     b = min(b, a - b)
-    poly = QPolynomial.one()
+    # Room for the widest intermediate product, degree b(a-b) + b.
+    coeffs = [1] + [0] * (b * (a - b + 1))
+    top = len(coeffs) - 1
     for i in range(1, b + 1):
-        poly = poly.times_one_minus(a - b + i).divided_by_one_minus(i)
-    return poly.inflated(base)
+        step = a - b + i
+        for t in range(top, step - 1, -1):
+            coeffs[t] -= coeffs[t - step]
+        _divide_geometric(coeffs, i)
+        if any(coeffs[top - i + 1 :]):
+            raise ValueError(f"inexact division by 1 - q^{i}")
+    return _polynomial(coeffs)
 
 
 def odd_offset(k: int, i: int, j: int) -> int:
@@ -414,7 +321,7 @@ def finitized_box(params: IdentityParams, size: int) -> tuple[int, int]:
     return size + k - r, size
 
 
-def finitized_lhs(params: IdentityParams, size: int) -> QPolynomial:
+def finitized_lhs(params: IdentityParams, size: int) -> TruncatedSeries:
     """Alternating binomial side of the finitized identity.
 
     With (W, H) = ``finitized_box(params, size)`` and upper = W + H, this is
@@ -426,24 +333,26 @@ def finitized_lhs(params: IdentityParams, size: int) -> QPolynomial:
     _check_order(size)
     upper = sum(finitized_box(params, size))
     offset = upper - params.half_modulus + params.residue
-    total = QPolynomial()
+    total: list[int] = []
     j = 0
     while (lower := (offset - params.modulus * j) // 2) >= 0:  # lower index falls
-        total = total + _theta_term(params, j, upper, lower)
+        _add_theta_term(total, params, j, upper, lower)
         j += 1
     j = -1
     while (lower := (offset - params.modulus * j) // 2) <= upper:  # lower index rises
-        total = total + _theta_term(params, j, upper, lower)
+        _add_theta_term(total, params, j, upper, lower)
         j -= 1
-    return total
+    return _polynomial(total)
 
 
-def _theta_term(params: IdentityParams, j: int, upper: int, lower: int) -> QPolynomial:
-    term = gaussian_binomial(upper, lower).shifted(_theta_exponent(params, j))
-    return -term if j % 2 else term
+def _add_theta_term(
+    total: list[int], params: IdentityParams, j: int, upper: int, lower: int
+) -> None:
+    term = gaussian_binomial(upper, lower).coefficients
+    _add_shifted(total, term, _theta_exponent(params, j), -1 if j % 2 else 1)
 
 
-def finitized_rhs(params: IdentityParams, size: int) -> QPolynomial:
+def finitized_rhs(params: IdentityParams, size: int) -> TruncatedSeries:
     """Quadratic multisum side of the finitized identity.
 
     The tuples (n_1, ..., n_{k-1}) and the exponent are those of
@@ -467,9 +376,9 @@ def finitized_rhs(params: IdentityParams, size: int) -> QPolynomial:
     r = params.residue
     weight, budget = (2, size - k + r) if params.is_odd else (1, size)
     fits = lambda prefix: weight * sum(prefix) <= budget
-    total = QPolynomial()
+    total: list[int] = []
     for values in _multisum_tuples(k - 1, fits):
-        term = QPolynomial.one().shifted(_multisum_exponent(values, r))
+        term = [1]
         before = 0  # P_j = n_1 + ... + n_{j-1}
         for j, gap, base in _chain_steps(params, values):
             pair = 2 * values[j - 1] - gap  # n_j + n_{j+1}
@@ -479,9 +388,9 @@ def finitized_rhs(params: IdentityParams, size: int) -> QPolynomial:
                 upper = size - 2 * before - pair - odd_offset(k, r, j)
             else:
                 upper = 2 * size - 2 * before - pair + even_offset(k, r, j)
-            term = term * gaussian_binomial(upper, gap, base)
+            term = _convolve(term, gaussian_binomial(upper, gap, base).coefficients)
             if not term:
                 break
             before += values[j - 1]
-        total = total + term
-    return total
+        _add_shifted(total, term, _multisum_exponent(values, r), 1)
+    return _polynomial(total)

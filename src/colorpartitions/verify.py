@@ -246,8 +246,7 @@ def check_finitized(
         top = max(lhs.degree, len(box) - 1, _gap2_weight_bound(colored_top))
         if n_max is not None:
             top = min(top, n_max)
-        for n in range(top + 1):
-            expected = lhs.coefficient(n)
+        for n, expected in enumerate(lhs.padded(top)):
             from_box = box[n] if n < len(box) else 0
             from_colored = sum(
                 count

@@ -82,6 +82,13 @@ def test_coeffs_fermionic_golden(capsys, modulus, residue, order):
     assert out == (GOLDEN / f"coeffs_fermionic_{'_'.join(args)}.txt").read_text()
 
 
+def test_verify_finitized_golden(capsys):
+    # pins every cell's checked count, which follows the alternating side's degree
+    code, out, _ = run_cli(capsys, "verify", "finitized", "-f", "json")
+    assert code == 0
+    assert out == (GOLDEN / "verify_finitized.json").read_text()
+
+
 def test_coeffs_forms_agree(capsys):
     _, product, _ = run_cli(capsys, "coeffs", "product", "7", "3", "20")
     _, bosonic, _ = run_cli(capsys, "coeffs", "bosonic", "7", "3", "20")
@@ -292,6 +299,18 @@ def test_bad_config_exit_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "table", "7", "1", "4", "--config", str(config))
     assert code == 2
     assert "format" in err
+
+    # a non-string output would be opened as a file descriptor and closed
+    for value in (2, True, 1.5):
+        config.write_text(json.dumps({"output": value}))
+        code, out, err = run_cli(capsys, "table", "7", "1", "4", "--config", str(config))
+        assert code == 2, value
+        assert out == ""
+        assert "output" in err
+    os.fstat(1)
+    os.fstat(2)  # stdout and stderr are still open
+    print("still writable", file=sys.stderr)
+    assert capsys.readouterr().err == "still writable\n"
 
 
 def test_module_entry_point():

@@ -1,16 +1,18 @@
-"""q-series engine: arithmetic, closed forms, and the finitized identities.
+"""q-series engine: the coefficient type, closed forms, and the finitized identities.
 
 The Gaussian-binomial oracle is the Pascal-style recurrence
 gauss(a, b) = gauss(a-1, b-1) + q^b * gauss(a-1, b), which never touches the
-library's multiply/divide path.
+library's multiply/divide path.  The identities below combine coefficient
+tuples with the local helpers, not with library arithmetic.
 """
+
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
 from colorpartitions import (
     IdentityParams,
-    QPolynomial,
     TruncatedSeries,
     bosonic_sum,
     fermionic_multisum,
@@ -29,91 +31,69 @@ from colorpartitions.series import (
 )
 
 
+def shifted_sum(left, right, shift):
+    """left + q^shift * right on coefficient tuples, trailing zeros stripped."""
+    shifted = (0,) * shift + tuple(right)
+    size = max(len(left), len(shifted))
+    out = [
+        (left[t] if t < len(left) else 0) + (shifted[t] if t < len(shifted) else 0)
+        for t in range(size)
+    ]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def truncated_product(left, right, order):
+    """Product of two coefficient sequences, coefficients 0..order."""
+    out = [0] * (order + 1)
+    for i, a in enumerate(left[: order + 1]):
+        for j, b in enumerate(right[: order + 1 - i]):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def inflate(coefficients, base):
+    """Substitute q -> q^base in a coefficient tuple."""
+    out = [0] * ((len(coefficients) - 1) * base + 1) if coefficients else []
+    out[::base] = coefficients
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def pascal_gauss(a, b):
     """Recurrence oracle for the Gaussian binomial, as a coefficient tuple."""
     if b < 0 or b > a:
         return ()
-    table = {(0, 0): (1,)}
-
-    def get(i, j):
-        if j < 0 or j > i:
-            return ()
-        if (i, j) not in table:
-            left = get(i - 1, j - 1)
-            right = get(i - 1, j)
-            shifted = (0,) * j + right
-            size = max(len(left), len(shifted))
-            table[(i, j)] = tuple(
-                (left[t] if t < len(left) else 0) + (shifted[t] if t < len(shifted) else 0)
-                for t in range(size)
-            )
-        return table[(i, j)]
-
-    out = get(a, b)
-    while out and out[-1] == 0:
-        out = out[:-1]
-    return out
+    if a == 0:
+        return (1,)
+    return shifted_sum(pascal_gauss(a - 1, b - 1), pascal_gauss(a - 1, b), b)
 
 
 def geometric_factor(m, order):
-    """The polynomial 1 - q^m as a truncated series."""
+    """The polynomial 1 - q^m as coefficients 0..order."""
     coeffs = [0] * (order + 1)
     coeffs[0] = 1
     if m <= order:
         coeffs[m] = -1
-    return TruncatedSeries(coeffs)
-
-
-# ---------------------------------------------------------------- QPolynomial
-
-
-def test_qpolynomial_normalizes_trailing_zeros():
-    assert QPolynomial((1, 0, 0)).coefficients == (1,)
-    assert QPolynomial(()).coefficients == ()
-    assert not QPolynomial((0, 0))
-    assert QPolynomial((0, 3)).degree == 1
-    # coefficients are exact ints: nothing is coerced, bools included
-    for bad in ([0.5], [1, 2.0], ["3"], [True], [1, False]):
-        with pytest.raises(ValueError):
-            QPolynomial(bad)
-
-
-def test_qpolynomial_arithmetic():
-    p = QPolynomial((1, 1))
-    q = QPolynomial((1, -1))
-    assert (p * q).coefficients == (1, 0, -1)
-    assert (p + q).coefficients == (2,)
-    assert (p - p).coefficients == ()
-    assert p.shifted(2).coefficients == (0, 0, 1, 1)
-
-
-def test_qpolynomial_division_round_trip():
-    p = QPolynomial((1, 2, 1))
-    assert p.times_one_minus(3).divided_by_one_minus(3) == p
-    with pytest.raises(ValueError):
-        QPolynomial((1, 1)).divided_by_one_minus(2)  # not divisible
-
-
-def test_qpolynomial_inflated():
-    assert QPolynomial((1, 2, 3)).inflated(2).coefficients == (1, 0, 2, 0, 3)
+    return tuple(coeffs)
 
 
 # ------------------------------------------------------------ TruncatedSeries
 
 
-def test_series_arithmetic_closes_over_min_order():
-    a = TruncatedSeries([1, 1, 1])
-    b = TruncatedSeries([1, -1])
-    assert (a * b).order == 1
-    assert (a + b).order == 1
-    assert (a * b).coefficients == (1, 0)
-
-
 def test_series_constructor_takes_exact_ints():
+    # coefficients are stored as given; the empty tuple is the zero polynomial
     assert TruncatedSeries((1, 0, 0)).coefficients == (1, 0, 0)
-    with pytest.raises(ValueError):
-        TruncatedSeries([])
-    for bad in ([1.7, "3"], [1, 0.0], [False], [1, True]):
+    assert TruncatedSeries((1, 0, 0)).degree == 0
+    assert TruncatedSeries((0, 3)).degree == 1
+    assert TruncatedSeries(()).coefficients == ()
+    assert TruncatedSeries().degree == -1
+    assert TruncatedSeries((0, 0)).degree == -1
+    assert TruncatedSeries(()).padded(2) == [0, 0, 0]
+    assert TruncatedSeries((1, 2, 3)).padded(1) == [1, 2]
+    # coefficients are exact ints: nothing is coerced, bools included
+    for bad in ([0.5], [1, 2.0], ["3"], [1.7, "3"], [1, 0.0], [True], [False], [1, True]):
         with pytest.raises(ValueError):
             TruncatedSeries(bad)
 
@@ -136,9 +116,19 @@ def test_gauss_frozen_values():
 
 
 def test_gauss_matches_recurrence_oracle():
-    for a in range(9):
+    for a in range(31):
         for b in range(-1, a + 2):
-            assert gaussian_binomial(a, b).coefficients == pascal_gauss(a, b)
+            expected = pascal_gauss(a, b)
+            for base in (1, 2, 3):
+                coeffs = gaussian_binomial(a, b, base).coefficients
+                assert coeffs[::base] == expected, (a, b, base)
+                assert not any(c for i, c in enumerate(coeffs) if i % base), (a, b, base)
+
+
+def test_gauss_rejects_nonpositive_base():
+    for base in (0, -1):
+        with pytest.raises(ValueError, match="base"):
+            gaussian_binomial(4, 2, base)
 
 
 def test_gauss_symmetry_and_degree():
@@ -159,7 +149,9 @@ def test_gauss_at_one_is_binomial():
 
 def test_gauss_base_inflation():
     assert gaussian_binomial(2, 1, base=2).coefficients == (1, 0, 1)
-    assert gaussian_binomial(4, 2, base=2) == gaussian_binomial(4, 2).inflated(2)
+    assert gaussian_binomial(4, 2, base=2).coefficients == inflate(
+        gaussian_binomial(4, 2).coefficients, 2
+    )
 
 
 # ------------------------------------------------------------- offset tables
@@ -220,16 +212,16 @@ def test_restricted_product_completion():
         excluded = sorted({0, r % m, (m - r) % m})
         # product over included classes times product over excluded classes
         # equals the unrestricted partition series
-        complement = TruncatedSeries([1] + [0] * order)
+        complement = (1,) + (0,) * order
         for j in range(1, order + 1):
             if j % m in excluded:
-                complement = complement * _geometric_inverse(j, order)
-        assert (series * complement).coefficients == partition_series(order).coefficients
+                complement = truncated_product(complement, _geometric_inverse(j, order), order)
+        product = truncated_product(series.coefficients, complement, order)
+        assert product == partition_series(order).coefficients
 
 
 def _geometric_inverse(m, order):
-    coeffs = [1 if i % m == 0 else 0 for i in range(order + 1)]
-    return TruncatedSeries(coeffs)
+    return tuple(1 if i % m == 0 else 0 for i in range(order + 1))
 
 
 def test_bosonic_equals_product_where_product_form_exists():
@@ -251,11 +243,11 @@ def test_bosonic_at_half_modulus_keeps_theta_factor():
     order = 24
     for m in (4, 6, 8):
         params = IdentityParams(m, m // 2)
-        expected = restricted_product(params, order)
+        expected = restricted_product(params, order).coefficients
         for n in range(order + 1):
             if n % m == m // 2:
-                expected = expected * geometric_factor(n, order)
-        assert bosonic_sum(params, order).coefficients == expected.coefficients
+                expected = truncated_product(expected, geometric_factor(n, order), order)
+        assert bosonic_sum(params, order).coefficients == expected
 
 
 def test_fermionic_trivial_and_small():
@@ -375,6 +367,8 @@ def test_first_difference():
 @given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10))
 def test_gauss_pascal_identity(a, b):
     # gauss(a+1, b+1) = gauss(a, b) + q^(b+1) gauss(a, b+1)
-    lhs = gaussian_binomial(a + 1, b + 1)
-    rhs = gaussian_binomial(a, b) + gaussian_binomial(a, b + 1).shifted(b + 1)
+    lhs = gaussian_binomial(a + 1, b + 1).coefficients
+    rhs = shifted_sum(
+        gaussian_binomial(a, b).coefficients, gaussian_binomial(a, b + 1).coefficients, b + 1
+    )
     assert lhs == rhs

@@ -3,16 +3,16 @@
 Six families share one interface: rank-window members, their colored
 encodings, box-bounded rank-window members, Gordon-condition partitions,
 gap-2 partitions, and partitions into residue-restricted parts.  Enumerators
-return materialized lists at fixed weight; per-weight fast counts go through
-the Frobenius-pair counting kernel (rank windows) or a transfer matrix over
-heads (colored family) instead.
+return materialized lists at fixed weight, or per-weight buckets; rank-window
+members come from a descent over Frobenius pair chains, whose cost follows
+the output.  Per-weight fast counts go through the Frobenius-pair counting
+kernel (rank windows) or a transfer matrix over heads (colored family).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import kernels
 from .coloring import (
@@ -24,13 +24,14 @@ from .coloring import (
     check_conditions,
     color_map,
 )
-from .partitions import Partition, partitions_of, successive_ranks
+from .partitions import Partition, _rows_from_pairs, partitions_of, successive_ranks
 
 __all__ = [
     "FamilySpec",
     "enumerate_family",
     "ranked_partitions",
     "rank_window_members",
+    "rank_window_members_up_to",
     "rank_window_counts",
     "colored_members",
     "colored_members_up_to",
@@ -44,23 +45,98 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
 def ranked_partitions(n: int) -> tuple[tuple[Partition, tuple[int, ...]], ...]:
-    """All partitions of n paired with their successive ranks (cached).
+    """All partitions of n paired with their successive ranks.
 
-    The cache lets a grid of modulus/residue cells share one enumeration pass.
+    The filter route to the rank-window family, kept as the test oracle for
+    the pair-chain descent; its cost grows like p(n).
     """
     return tuple((p, successive_ranks(p)) for p in partitions_of(n))
 
 
 def rank_window_members(params: IdentityParams, n: int) -> list[Partition]:
-    """Partitions of n with every successive rank inside the window."""
+    """Partitions of n with every successive rank inside the window.
+
+    Reverse-lexicographic order, as :func:`ranked_partitions` filtered.
+    """
+    _require_weight(n, "n")
+    return _window_chains(params, n, exact=True)[n]
+
+
+def rank_window_members_up_to(
+    params: IdentityParams, max_weight: int
+) -> list[list[Partition]]:
+    """Rank-window members bucketed by weight 0..max_weight.
+
+    Bucket n equals ``rank_window_members(params, n)``; one descent serves
+    every weight, so each member is built once.
+    """
+    _require_weight(max_weight)
+    return _window_chains(params, max_weight, exact=False)
+
+
+def _window_chains(
+    params: IdentityParams,
+    top: int,
+    exact: bool,
+    max_part: int | None = None,
+    max_length: int | None = None,
+) -> list[list[Partition]]:
+    # Rank-window members by weight 0..top, each bucket reverse-lexicographic:
+    # a depth-first descent over Frobenius pair chains (w_1, h_1) > (w_2, h_2)
+    # > ..., both coordinates strictly decreasing, ranks w - h in the window,
+    # weight sum(w + h - 1) -- the chains kernels.count_rank_bounded_partitions
+    # counts.  Every chain is a member.  A box bounds only the first pair.
+    # With ``exact`` only weight-top members are built, and a pair is entered
+    # only if the chains strictly below it can make up the rest of the weight.
     lo, hi = params.min_rank, params.max_rank
-    return [
-        p
-        for p, ranks in ranked_partitions(n)
-        if not ranks or (lo <= min(ranks) and max(ranks) <= hi)
-    ]
+    full = (1 << (top + 1)) - 1
+    # pairs[w]: the admissible (h, below) of width w, tallest first, where
+    # below is the bitset of weights of the chains strictly below (w, h), bit
+    # 0 the empty chain.  Swept as the kernel sweeps, with | for +.
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
+    column = [0] * (top + 1)  # column[h]: weights of chains headed by (w' < w, h)
+    for w in range(1, top + 1):
+        h_lo = max(1, w - hi)
+        h_hi = min(w - lo, top + 1 - w)
+        run = 0  # weights of chains headed by any (w' < w, h' < h)
+        for h in range(1, h_hi + 1):
+            below = 1 | run
+            run |= column[h]
+            if h >= h_lo:
+                pairs[w].append((h, below))
+                column[h] |= (below << (w + h - 1)) & full
+        pairs[w].reverse()
+
+    buckets: list[list[Partition]] = [[] for _ in range(top + 1)]
+    if top == 0 or not exact:
+        buckets[0].append(())
+    widths: list[int] = []
+    heights: list[int] = []
+
+    def descend(w_bound: int, h_bound: int, budget: int) -> None:
+        for w in range(min(w_bound, budget, h_bound + hi), 0, -1):
+            for h, below in pairs[w]:
+                rest = budget - w - h + 1
+                if h > h_bound or rest < 0 or (exact and not below >> rest & 1):
+                    continue
+                widths.append(w)
+                heights.append(h)
+                if not (exact and rest):
+                    buckets[top - rest].append(_rows_from_pairs(widths, heights))
+                if rest:
+                    descend(w - 1, h - 1, rest)
+                widths.pop()
+                heights.pop()
+
+    descend(
+        top if max_part is None else min(max_part, top),
+        top if max_length is None else min(max_length, top),
+        top,
+    )
+    for bucket in buckets:
+        bucket.sort(reverse=True)
+    return buckets
 
 
 def rank_window_counts(params: IdentityParams, max_weight: int) -> list[int]:
@@ -70,9 +146,12 @@ def rank_window_counts(params: IdentityParams, max_weight: int) -> list[int]:
     )
 
 
-def _require_weight(max_weight: int) -> None:
-    if max_weight < 0:
-        raise ValueError(f"max_weight must be nonnegative, got {max_weight}")
+def _require_weight(value: int, name: str = "max_weight") -> None:
+    # Exact ints only: a bool would otherwise count as weight 0 or 1.
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 def _admissible_colors(params: IdentityParams, max_size: int) -> list[list[int]]:
@@ -171,16 +250,10 @@ def boxed_members(
     params: IdentityParams, n: int, max_part: int, max_length: int
 ) -> list[Partition]:
     """Rank-window members of n fitting max_length rows by max_part columns."""
+    _require_weight(n, "n")
     if max_part < 0 or max_length < 0:
         return []
-    lo, hi = params.min_rank, params.max_rank
-    members = []
-    for p in partitions_of(n, max_part=max_part):
-        if len(p) > max_length:
-            continue
-        if all(lo <= rank <= hi for rank in successive_ranks(p)):
-            members.append(p)
-    return members
+    return _window_chains(params, n, True, max_part, max_length)[n]
 
 
 def boxed_counts(
@@ -204,6 +277,7 @@ def gordon_members(half_modulus: int, residue: int, n: int) -> list[Partition]:
     Conditions: parts k-1 apart differ by at least 2 (k the half-modulus, so
     no value repeats k or more times), and fewer than ``residue`` ones.
     """
+    _require_weight(n, "n")
     k = half_modulus
     members = []
     for p in partitions_of(n):
@@ -225,6 +299,7 @@ def _first_one_index(p: Partition) -> int:
 
 def gap2_members(n: int, min_part: int = 1) -> list[Partition]:
     """Partitions of n whose parts decrease by at least 2, parts >= min_part."""
+    _require_weight(n, "n")
     members = []
     for p in partitions_of(n):
         if p and p[-1] < min_part:
@@ -237,6 +312,7 @@ def gap2_members(n: int, min_part: int = 1) -> list[Partition]:
 
 def product_parts_members(params: IdentityParams, n: int) -> list[Partition]:
     """Partitions of n into parts avoiding residues 0 and +-r mod the modulus."""
+    _require_weight(n, "n")
     m = params.modulus
     excluded = {0, params.residue % m, (m - params.residue) % m}
     return [

@@ -128,7 +128,6 @@ def from_angles(decomposition: Angles) -> Partition:
     Inverse of :func:`angles`: requires strictly decreasing positive widths
     and strictly decreasing positive heights.
     """
-    d = len(decomposition)
     widths = [x for x, _ in decomposition]
     heights = [y for _, y in decomposition]
     for seq, label in ((widths, "widths"), (heights, "heights")):
@@ -137,6 +136,13 @@ def from_angles(decomposition: Angles) -> Partition:
                 raise ValueError(f"angle {label} must be positive integers, got {value!r}")
             if i + 1 < len(seq) and seq[i + 1] >= value:
                 raise ValueError(f"angle {label} must be strictly decreasing: {seq}")
+    return _rows_from_pairs(widths, heights)
+
+
+def _rows_from_pairs(widths: list[int], heights: list[int]) -> Partition:
+    # from_angles without the checks: the caller guarantees equally long,
+    # strictly decreasing positive widths and heights.
+    d = len(widths)
     if d == 0:
         return ()
     rows = [widths[i] + i for i in range(d)]

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from . import coloring, families, series
 from .coloring import ColoredPartition, IdentityParams, color_map, inverse_map
+from .partitions import Partition
 
 __all__ = [
     "CheckRecord",
@@ -78,6 +79,14 @@ def check_product_counts(params: IdentityParams, n_max: int) -> CheckRecord:
     over-counts) it is the theta quotient instead, and the record notes the
     substitution.
     """
+    return _product_counts_record(
+        params, n_max, families.rank_window_members_up_to(params, n_max)
+    )
+
+
+def _product_counts_record(
+    params: IdentityParams, n_max: int, members_by_weight: list[list[Partition]]
+) -> CheckRecord:
     if params.has_product_form:
         closed_form = series.restricted_product(params, n_max)
         form_name = "product"
@@ -89,7 +98,7 @@ def check_product_counts(params: IdentityParams, n_max: int) -> CheckRecord:
     checked = 0
     ok = True
     for n in range(n_max + 1):
-        members = families.rank_window_members(params, n)
+        members = members_by_weight[n]
         checked += 1
         if len(members) != closed_form[n]:
             ok = False
@@ -115,6 +124,14 @@ def check_bijection(params: IdentityParams, n_max: int) -> CheckRecord:
     coefficients alike (the product leg drops out at 2r = M, where no product
     form exists).
     """
+    return _bijection_record(
+        params, n_max, families.rank_window_members_up_to(params, n_max)
+    )
+
+
+def _bijection_record(
+    params: IdentityParams, n_max: int, members_by_weight: list[list[Partition]]
+) -> CheckRecord:
     label = f"M={params.modulus} r={params.residue}"
     bosonic = series.bosonic_sum(params, n_max)
     fermionic = series.fermionic_multisum(params, n_max)
@@ -124,7 +141,7 @@ def check_bijection(params: IdentityParams, n_max: int) -> CheckRecord:
     direct_buckets = families.colored_members_up_to(params, n_max)
     checked = 0
     for n in range(n_max + 1):
-        members = families.rank_window_members(params, n)
+        members = members_by_weight[n]
         encoded: list[ColoredPartition] = []
         for p in members:
             member = color_map(p, params)
@@ -311,10 +328,12 @@ def verify_identity_grid(
         )
         for residue in cell_residues:
             params = IdentityParams(modulus, residue)
+            # One descent per cell serves both records.
+            members = families.rank_window_members_up_to(params, n_max)
             if scope in ("product_counts", "both"):
-                records.append(check_product_counts(params, n_max))
+                records.append(_product_counts_record(params, n_max, members))
             if scope in ("bijection", "both"):
-                records.append(check_bijection(params, n_max))
+                records.append(_bijection_record(params, n_max, members))
     return VerificationReport(f"{scope} grid", tuple(records))
 
 

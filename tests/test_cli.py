@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, formats, exit codes, config."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -14,6 +15,7 @@ from colorpartitions.render import canonical_json
 from colorpartitions.verify import CheckRecord, VerificationReport
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+REFERENCE = pathlib.Path(__file__).parents[1] / "perfbench" / "reference.json"
 
 
 def run_cli(capsys, *argv):
@@ -28,6 +30,17 @@ def test_table_golden_odd_modulus(capsys):
     assert err == ""
     assert out == (GOLDEN / "table_7_1_10.txt").read_text()
     assert len(out.splitlines()) == 8
+
+
+def test_tables_match_benchmark_reference_digests(capsys):
+    # the benchmark's 20 full-size tables (n = 38 and 40), digest for digest
+    reference = json.loads(REFERENCE.read_text())
+    keys = sorted(key for key in reference if key.startswith("cli table "))
+    assert len(keys) == 20
+    for key in keys:
+        code, out, _ = run_cli(capsys, *key.split()[1:])
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (digest, code) == (reference[key]["sha256"], reference[key]["exit"]), key
 
 
 def test_table_golden_even_modulus(capsys):

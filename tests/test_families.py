@@ -23,7 +23,12 @@ from colorpartitions import (
     successive_ranks,
 )
 from colorpartitions.coloring import check_box_condition
-from colorpartitions.families import colored_head_counts, colored_members_up_to
+from colorpartitions.families import (
+    colored_head_counts,
+    colored_members_up_to,
+    rank_window_members_up_to,
+    ranked_partitions,
+)
 from colorpartitions.partitions import partitions_of
 from colorpartitions.series import bosonic_sum, restricted_product
 
@@ -114,11 +119,33 @@ def test_colored_members_weight_zero():
     assert colored_members(P71, 0) == [()]
 
 
+WEIGHTED_ROUTES = (
+    lambda w: rank_window_members(P71, w),
+    lambda w: rank_window_members_up_to(P71, w),
+    lambda w: boxed_members(P71, w, 4, 4),
+    lambda w: colored_members(P71, w),
+    lambda w: colored_members_up_to(P71, w),
+    lambda w: colored_head_counts(P71, w, 5),
+    lambda w: colored_members_via_encoding(P71, w),
+    lambda w: gordon_members(3, 1, w),
+    lambda w: gap2_members(w),
+    lambda w: product_parts_members(P71, w),
+)
+
+
 def test_colored_routes_reject_negative_weight():
-    with pytest.raises(ValueError, match="nonnegative"):
-        colored_members_up_to(P71, -1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        colored_head_counts(P71, -1, 5)
+    # every weighted enumerator, the rank-window ones included
+    for route in WEIGHTED_ROUTES:
+        with pytest.raises(ValueError, match="nonnegative"):
+            route(-1)
+
+
+def test_weighted_routes_reject_non_int_weight():
+    # integers only: a bool would otherwise count as weight 0 or 1
+    for route in WEIGHTED_ROUTES:
+        for bad in (True, False, 2.0, "3"):
+            with pytest.raises(ValueError, match="must be an int"):
+                route(bad)
 
 
 @settings(max_examples=200, deadline=None)
@@ -133,6 +160,37 @@ def test_head_counts_match_stream(data, modulus, max_size):
         for bucket in colored_members_up_to(params, max_weight, max_size)
     ]
     assert colored_head_counts(params, max_weight, max_size) == oracle
+
+
+def _window_filter(params, n):
+    lo, hi = params.min_rank, params.max_rank
+    return [
+        p
+        for p, ranks in ranked_partitions(n)
+        if not ranks or (lo <= min(ranks) and max(ranks) <= hi)
+    ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), modulus=st.integers(3, 13), n=st.integers(0, 40))
+def test_chain_descent_matches_filter(data, modulus, n):
+    # the pair-chain descent against filtering every partition of n: same
+    # members in the same (reverse-lexicographic) order, exact weight, as a
+    # bucket of a heavier descent, and inside a box
+    params = IdentityParams(modulus, data.draw(st.integers(1, modulus // 2)))
+    expected = _window_filter(params, n)
+    assert rank_window_members(params, n) == expected
+    top = data.draw(st.integers(n, 40))
+    assert rank_window_members_up_to(params, top)[n] == expected
+    max_part = data.draw(st.integers(0, n + 1))
+    max_length = data.draw(st.integers(0, n + 1))
+    members = set(expected)
+    boxed = [
+        p
+        for p in partitions_of(n, max_part=max_part)
+        if len(p) <= max_length and p in members
+    ]
+    assert boxed_members(params, n, max_part, max_length) == boxed
 
 
 def test_gordon_members_match_product():

@@ -78,6 +78,30 @@ def test_bijection_detects_broken_enumerator(monkeypatch):
     assert "direct generation" in record.note
 
 
+def test_product_counts_detects_lossy_window_enumeration(monkeypatch):
+    from colorpartitions import families, verify
+
+    real = families.rank_window_members_up_to
+
+    def lossy(params, max_weight):
+        buckets = real(params, max_weight)
+        buckets[6] = buckets[6][:-1]
+        return buckets
+
+    monkeypatch.setattr(verify.families, "rank_window_members_up_to", lossy)
+    # the grid shares one enumeration per cell between both records
+    report = verify_identity_grid(moduli=(7,), residues=(1,), n_max=10)
+    assert [(r.scope, r.ok) for r in report.records] == [
+        ("product_counts", False),
+        ("bijection", False),
+    ]
+    counts, bijection = report.records
+    assert counts.note.startswith("n=6: ")
+    assert "direct generation" in bijection.note
+    assert check_product_counts(IdentityParams(7, 1), 10) == counts
+    assert check_bijection(IdentityParams(7, 1), 10) == bijection
+
+
 def test_bijection_reports_undecodable_member(monkeypatch):
     from colorpartitions import verify
 

@@ -18,6 +18,15 @@ from .partitions import parse_partition
 
 FORMATS = ("text", "csv", "json")
 
+# The verify flags each scope reads, by destination; any other is refused.
+_SCOPE_FLAGS = {
+    "all": ("n_max",),
+    "counts": ("M", "r", "n_max"),
+    "bijection": ("M", "r", "n_max"),
+    "gordon": ("k", "r", "n_max"),
+    "finitized": ("k", "r", "parity", "N_max", "n_max"),
+}
+
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -78,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify_cmd.add_argument(
         "--N-max",
-        dest="size_max",
         type=int,
         default=None,
         help="finitization size bound (default 12 odd / 10 even)",
@@ -152,7 +160,11 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    for flag, bound in (("--n-max", args.n_max), ("--N-max", args.size_max)):
+    for dest in ("M", "r", "k", "n_max", "N_max", "parity"):
+        if getattr(args, dest) is not None and dest not in _SCOPE_FLAGS[args.scope]:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"verify {args.scope} does not read {flag}")
+    for flag, bound in (("--n-max", args.n_max), ("--N-max", args.N_max)):
         if bound is not None and bound < 0:
             raise ValueError(f"{flag} must be nonnegative")
     n_max = args.n_max
@@ -162,7 +174,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report = verify.verify_identity_grid(
             moduli,
             residues,
-            n_max if n_max is not None else 30,
+            n_max if n_max is not None else verify.DEFAULT_N_MAX,
             scope="product_counts" if args.scope == "counts" else "bijection",
         )
     elif args.scope == "gordon":
@@ -173,14 +185,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             pairs = [(k, args.r) for k, r in verify.DEFAULT_GORDON_PAIRS if r == args.r]
         else:
             pairs = verify.DEFAULT_GORDON_PAIRS
-        report = verify.verify_gordon_grid(pairs, n_max if n_max is not None else 25)
+        report = verify.verify_gordon_grid(
+            pairs, n_max if n_max is not None else verify.DEFAULT_GORDON_N_MAX
+        )
     elif args.scope == "finitized":
         halves = [args.k] if args.k is not None else verify.DEFAULT_FINITIZED_HALVES
         parities = (args.parity,) if args.parity else ("odd", "even")
-        odd_size = args.size_max if args.size_max is not None else verify.DEFAULT_ODD_SIZE_MAX
-        even_size = (
-            args.size_max if args.size_max is not None else verify.DEFAULT_EVEN_SIZE_MAX
-        )
+        odd_size = args.N_max if args.N_max is not None else verify.DEFAULT_ODD_SIZE_MAX
+        even_size = args.N_max if args.N_max is not None else verify.DEFAULT_EVEN_SIZE_MAX
         report = verify.verify_finitized_grid(
             halves,
             parities,
@@ -190,7 +202,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             residues=[args.r] if args.r is not None else None,
         )
     else:
-        report = verify.verify_all(n_max=n_max if n_max is not None else 30)
+        report = verify.verify_all(
+            n_max=n_max if n_max is not None else verify.DEFAULT_N_MAX
+        )
     if not report.records:
         raise ValueError("the selection matches no grid cell")
     _emit(render.render_report(report, args.format), args.output)

@@ -224,16 +224,14 @@ def check_conditions(colored: ColoredPartition, params: IdentityParams) -> Condi
 
 
 # Conditions (i)-(iii) on single parts and consecutive pairs.  The colored
-# stream, the head-count DP and check_conditions all call these; color_map
+# enumeration, the head-count DP and check_conditions all call these; color_map
 # does not, so encoding rank-window members still exposes a predicate that
 # is too loose (the families differ) or too strict (the decode refuses).
 
 
 def _size_ok(size: int, color: int, params: IdentityParams) -> bool:
     # (i): the part exceeds |rank| of the rank it encodes.
-    if _same_parity_as_residue(size, params):
-        return size > abs(2 * color - params.residue + 1)
-    return size > abs(2 * color - params.residue)
+    return size > abs(rank_from_color(size, color, params))
 
 
 def _gap_ok(
@@ -270,15 +268,10 @@ def inverse_map(colored: ColoredPartition, params: IdentityParams) -> Partition:
         raise ValueError(
             f"not decodable: condition ({check.violation}) fails at part {check.index}"
         )
-    r = params.residue
     decomposition = []
     for size, color in colored:
-        if _same_parity_as_residue(size, params):
-            numerator = -r + 2 * color + size + 2
-        else:
-            numerator = -r + 2 * color + size + 1
-        width, remainder = divmod(numerator, 2)
-        assert remainder == 0
+        # width - height = rank and width + height - 1 = size
+        width = (size + 1 + rank_from_color(size, color, params)) // 2
         decomposition.append((width, size - width + 1))
     return from_angles(tuple(decomposition))
 

@@ -11,7 +11,6 @@ kernel (rank windows) or a transfer matrix over heads (colored family).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from . import kernels
@@ -60,7 +59,7 @@ def rank_window_members(params: IdentityParams, n: int) -> list[Partition]:
     Reverse-lexicographic order, as :func:`ranked_partitions` filtered.
     """
     _require_weight(n, "n")
-    return _window_chains(params, n, exact=True)[n]
+    return _window_chains(params, n, True, n, n)[n]
 
 
 def rank_window_members_up_to(
@@ -72,71 +71,60 @@ def rank_window_members_up_to(
     every weight, so each member is built once.
     """
     _require_weight(max_weight)
-    return _window_chains(params, max_weight, exact=False)
+    return _window_chains(params, max_weight, False, max_weight, max_weight)
 
 
 def _window_chains(
-    params: IdentityParams,
-    top: int,
-    exact: bool,
-    max_part: int | None = None,
-    max_length: int | None = None,
+    params: IdentityParams, top: int, exact: bool, max_part: int, max_length: int
 ) -> list[list[Partition]]:
     # Rank-window members by weight 0..top, each bucket reverse-lexicographic:
-    # a depth-first descent over Frobenius pair chains (w_1, h_1) > (w_2, h_2)
-    # > ..., both coordinates strictly decreasing, ranks w - h in the window,
-    # weight sum(w + h - 1) -- the chains kernels.count_rank_bounded_partitions
-    # counts.  Every chain is a member.  A box bounds only the first pair.
-    # With ``exact`` only weight-top members are built, and a pair is entered
-    # only if the chains strictly below it can make up the rest of the weight.
-    lo, hi = params.min_rank, params.max_rank
-    full = (1 << (top + 1)) - 1
-    # pairs[w]: the admissible (h, below) of width w, tallest first, where
-    # below is the bitset of weights of the chains strictly below (w, h), bit
-    # 0 the empty chain.  Swept as the kernel sweeps, with | for +.
-    pairs: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
-    column = [0] * (top + 1)  # column[h]: weights of chains headed by (w' < w, h)
-    for w in range(1, top + 1):
-        h_lo = max(1, w - hi)
-        h_hi = min(w - lo, top + 1 - w)
-        run = 0  # weights of chains headed by any (w' < w, h' < h)
-        for h in range(1, h_hi + 1):
-            below = 1 | run
-            run |= column[h]
-            if h >= h_lo:
-                pairs[w].append((h, below))
-                column[h] |= (below << (w + h - 1)) & full
-        pairs[w].reverse()
+    # a descent over Frobenius pair chains (w_1, h_1) > (w_2, h_2) > ..., both
+    # coordinates strictly decreasing, ranks w - h in the window, weight
+    # sum(w + h - 1) -- the chains kernels.count_rank_bounded_partitions
+    # counts, whose sweep hands over the admissible pairs of the box and the
+    # series f(w, h) of the chains each heads.  A box bounds only the first
+    # pair.  With ``exact`` only weight-top members are built, and a pair is
+    # entered at budget b only if f(w, h)[b] != 0.
+    hi = params.max_rank
+    pairs = kernels._pair_sweep(max_part, max_length, params.min_rank, hi, top)[1]
 
-    buckets: list[list[Partition]] = [[] for _ in range(top + 1)]
-    if top == 0 or not exact:
-        buckets[0].append(())
-    widths: list[int] = []
-    heights: list[int] = []
+    def children(head, budget):
+        # the pairs strictly below head, or every pair of the box at the root
+        w_head, h_head = head or (len(pairs), top + 1)
+        for w in range(min(w_head - 1, budget, h_head - 1 + hi), 0, -1):
+            for h, chains in pairs[w]:
+                if h >= h_head or w + h - 1 > budget:
+                    break
+                if not exact or (budget < len(chains) and chains[budget]):
+                    yield (w, h), budget - w - h + 1
 
-    def descend(w_bound: int, h_bound: int, budget: int) -> None:
-        for w in range(min(w_bound, budget, h_bound + hi), 0, -1):
-            for h, below in pairs[w]:
-                rest = budget - w - h + 1
-                if h > h_bound or rest < 0 or (exact and not below >> rest & 1):
-                    continue
-                widths.append(w)
-                heights.append(h)
-                if not (exact and rest):
-                    buckets[top - rest].append(_rows_from_pairs(widths, heights))
-                if rest:
-                    descend(w - 1, h - 1, rest)
-                widths.pop()
-                heights.pop()
-
-    descend(
-        top if max_part is None else min(max_part, top),
-        top if max_length is None else min(max_length, top),
-        top,
-    )
+    buckets = _chain_buckets(top, exact, children, _rows_from_pairs)
     for bucket in buckets:
         bucket.sort(reverse=True)
     return buckets
+
+
+def _chain_buckets(top, exact, children, build) -> list[list]:
+    # Depth-first descent over chains of nodes, bucketing build(chain) by
+    # weight 0..top in pre-order; children(head, budget) yields each node that
+    # may follow ``head`` (None at the root) with the budget left after it.
+    # With ``exact`` only weight-top chains are built.  The recursion is a
+    # module function, so no closure holds the buckets in a reference cycle.
+    buckets: list[list] = [[] for _ in range(top + 1)]
+    if top == 0 or not exact:
+        buckets[0].append(())
+    _descend(children, build, exact, buckets, [], None, top)
+    return buckets
+
+
+def _descend(children, build, exact, buckets, chain, head, budget) -> None:
+    for node, rest in children(head, budget):
+        chain.append(node)
+        if not (exact and rest):
+            buckets[len(buckets) - 1 - rest].append(build(chain))
+        if rest:
+            _descend(children, build, exact, buckets, chain, node, rest)
+        chain.pop()
 
 
 def rank_window_counts(params: IdentityParams, max_weight: int) -> list[int]:
@@ -167,63 +155,36 @@ def _admissible_colors(params: IdentityParams, max_size: int) -> list[list[int]]
     ]
 
 
-def _colored_stream(params: IdentityParams, max_weight: int, max_size: int | None):
-    # Descend over (size, color) parts; condition (ii) forces a gap of at
-    # least 2, so feasibility prunes fast.  Yields (member, weight) pairs.
-    start = max_weight if max_size is None else min(max_size, max_weight)
-    colors_of = _admissible_colors(params, start)
-    stack: list[tuple[int, int]] = []
-
-    def descend(size_bound: int, budget: int):
-        prev = stack[-1] if stack else None
-        for size in range(min(size_bound, budget), 0, -1):
-            for color in colors_of[size]:
-                if prev is not None and not _gap_ok(*prev, size, color, params):
-                    continue
-                stack.append((size, color))
-                member = tuple(stack)
-                yield member, max_weight - budget + size
-                yield from descend(size - 2, budget - size)
-                stack.pop()
-
-    yield (), 0
-    yield from descend(start, max_weight)
-
-
 def colored_head_counts(
     params: IdentityParams, max_weight: int, max_size: int
-) -> list[Counter]:
-    """Per-weight tallies of colored members by head, 0..max_weight.
+) -> dict[ColoredPartition, list[int]]:
+    """Weight series of the colored members each head heads, 0..max_weight.
 
-    Bucket w maps each head ``((size, color),)`` (``()`` for the empty member
-    at weight 0) to the number of condition-respecting colored partitions of
-    weight w it heads, with head size at most ``max_size``: the same tallies
-    as ``Counter(member[:1])`` over :func:`colored_members_up_to`'s buckets,
-    which serve as the oracle.  Counted by the transfer-matrix method over
-    heads (Stanley, Enumerative Combinatorics I, 4.7), smallest head first:
-    the members headed by (s, c) are (s, c) alone plus (s, c) prepended to
-    each member whose head may follow it under condition (ii).
+    Maps each head ``((size, color),)`` with size at most ``max_size`` (and
+    ``()``, heading only the empty member) to ``counts`` with ``counts[w]``
+    the number of condition-respecting colored partitions of weight w whose
+    head it is: the same series as tallying ``member[:1]`` over
+    :func:`colored_members_up_to`'s buckets, which serve as the oracle.
+    Counted by the transfer-matrix method over heads (Stanley, Enumerative
+    Combinatorics I, 4.7), smallest head first: the members headed by (s, c)
+    are (s, c) prepended to the empty member and to each member whose head
+    may follow it under condition (ii), so their series is the sum of those
+    heads' series shifted by s.
     """
     _require_weight(max_weight)
     start = min(max_size, max_weight)
     colors_of = _admissible_colors(params, start)
-    tallies = [Counter() for _ in range(max_weight + 1)]
-    tallies[0][()] = 1
-    # head -> counts[w] of members of weight w it heads, for w <= max_weight
-    headed: dict[tuple[int, int], list[int]] = {}
+    headed: dict[ColoredPartition, list[int]] = {(): [1] + [0] * max_weight}
     for size in range(1, start + 1):
         for color in colors_of[size]:
-            counts = [0] * (max_weight + 1)
-            counts[size] = 1
-            for (size_b, color_b), tail in headed.items():
-                if _gap_ok(size, color, size_b, color_b, params):
-                    for w in range(size + size_b, max_weight + 1):
-                        counts[w] += tail[w - size]
-            headed[size, color] = counts
-            for w in range(size, max_weight + 1):
-                if counts[w]:
-                    tallies[w][((size, color),)] = counts[w]
-    return tallies
+            tails = [
+                tail
+                for head, tail in headed.items()
+                if not head or _gap_ok(size, color, *head[0], params)
+            ]
+            counts = [0] * size + list(map(sum, zip(*tails)))
+            headed[(size, color),] = counts[: max_weight + 1]
+    return headed
 
 
 def colored_members_up_to(
@@ -232,13 +193,24 @@ def colored_members_up_to(
     """Condition-respecting colored partitions bucketed by weight 0..max_weight.
 
     Generated directly from the membership conditions — independent of the
-    rank-window encoding, which makes the two routes cross-checkable.
+    rank-window encoding, which makes the two routes cross-checkable.  A
+    descent over (size, color) parts, largest first; condition (ii) forces a
+    gap of at least 2, so the budget prunes fast.  ``max_size`` bounds the
+    largest part.
     """
     _require_weight(max_weight)
-    buckets: list[list[ColoredPartition]] = [[] for _ in range(max_weight + 1)]
-    for member, w in _colored_stream(params, max_weight, max_size):
-        buckets[w].append(member)
-    return buckets
+    start = max_weight if max_size is None else min(max_size, max_weight)
+    colors_of = _admissible_colors(params, start)
+
+    def children(head, budget):
+        # the parts that may follow head, or every admissible part at the root
+        size_bound = start if head is None else head[0] - 2
+        for size in range(min(size_bound, budget), 0, -1):
+            for color in colors_of[size]:
+                if head is None or _gap_ok(*head, size, color, params):
+                    yield (size, color), budget - size
+
+    return _chain_buckets(max_weight, False, children, tuple)
 
 
 def colored_members(params: IdentityParams, n: int) -> list[ColoredPartition]:

@@ -14,7 +14,8 @@ So with f(w, h) the series of admissible chains headed by (w, h),
 when rank_lo <= w - h <= rank_hi and 0 otherwise, and the box count is
 1 + sum of f over the box, truncated at the top weight.  Counts are exact
 Python ints at every size; ``_pure`` is the brute-force oracle the tests
-compare against.
+compare against.  The per-pair series f(w, h) also steer the member descent
+in ``families``: a pair heads a chain of weight b exactly when f(w, h)[b] != 0.
 """
 
 from __future__ import annotations
@@ -36,6 +37,13 @@ def count_rank_bounded_partitions(
     parts, each at most ``max_part``, whose successive ranks all lie in
     [rank_lo, rank_hi].
     """
+    return _pair_sweep(max_part, max_length, rank_lo, rank_hi, cap)[0]
+
+
+def _pair_sweep(max_part, max_length, rank_lo, rank_hi, cap=None):
+    # The counts above, plus pairs[w] = [(h, f(w, h)), ...] for each width
+    # w = 0..min(max_part, W), admissible pairs only, in ascending h; every
+    # series f(w, h) has length W+1.
     if max_part < 0 or max_length < 0:
         raise ValueError("box sides must be nonnegative")
     box = max_part * max_length
@@ -47,22 +55,29 @@ def count_rank_bounded_partitions(
     # below[h] = sum of f(w', h) over the rows w' already done; h is 1-based.
     heights = min(max_length, top)
     below = [zero] * (heights + 1)
+    pairs: list[list[tuple[int, list[int]]]] = [[]]
+    # settled = sum of below[h] over h < h_lo: h_lo never falls as w grows,
+    # so those columns take no more pairs and each joins the sum once.
+    settled, h_settled = zero, 1
     for w in range(1, min(max_part, top) + 1):
         h_lo = max(1, w - rank_hi)
         h_hi = min(heights, w - rank_lo, top + 1 - w)
+        pairs.append([])
         if h_lo > h_hi:
             continue
+        for h in range(h_settled, h_lo):
+            settled = list(map(int.__add__, settled, below[h]))
+        h_settled = h_lo
         # run = sum of f(w', h') over w' < w and h' < h, kept as h climbs.
-        run = zero
-        for h in range(1, h_lo):
-            run = list(map(int.__add__, run, below[h]))
+        run = settled
         for h in range(h_lo, h_hi + 1):
             shift = w + h - 1
             # f has no constant term, so run[0] == 0 and the 1 takes its place.
             cell = [0] * shift + [1] + run[1 : size - shift]
             run = list(map(int.__add__, run, below[h]))
             below[h] = list(map(int.__add__, below[h], cell))
+            pairs[w].append((h, cell))
     total = [1] + [0] * top
     for column in below[1:]:
         total = list(map(int.__add__, total, column))
-    return total
+    return total, pairs

@@ -136,19 +136,19 @@ def from_angles(decomposition: Angles) -> Partition:
                 raise ValueError(f"angle {label} must be positive integers, got {value!r}")
             if i + 1 < len(seq) and seq[i + 1] >= value:
                 raise ValueError(f"angle {label} must be strictly decreasing: {seq}")
-    return _rows_from_pairs(widths, heights)
+    return _rows_from_pairs(decomposition)
 
 
-def _rows_from_pairs(widths: list[int], heights: list[int]) -> Partition:
-    # from_angles without the checks: the caller guarantees equally long,
-    # strictly decreasing positive widths and heights.
-    d = len(widths)
+def _rows_from_pairs(pairs) -> Partition:
+    # from_angles without the checks: the caller guarantees (width, height)
+    # pairs with strictly decreasing positive widths and heights.
+    d = len(pairs)
     if d == 0:
         return ()
-    rows = [widths[i] + i for i in range(d)]
+    rows = [width + i for i, (width, _) in enumerate(pairs)]
     # Rows below the Durfee square are read off the column heights, which do
     # not increase: row i is the number of columns reaching it.
-    column_heights = [heights[j] + j for j in range(d)]
+    column_heights = [height + j for j, (_, height) in enumerate(pairs)]
     reaching = d
     for i in range(d + 1, column_heights[0] + 1):
         while column_heights[reaching - 1] < i:

@@ -34,6 +34,8 @@ __all__ = [
 DEFAULT_MODULI = range(4, 10)
 DEFAULT_GORDON_PAIRS = ((2, 1), (2, 2), (3, 1), (3, 2), (3, 3))
 DEFAULT_FINITIZED_HALVES = (2, 3, 4)
+DEFAULT_N_MAX = 30
+DEFAULT_GORDON_N_MAX = 25
 DEFAULT_ODD_SIZE_MAX = 12
 DEFAULT_EVEN_SIZE_MAX = 10
 
@@ -226,7 +228,8 @@ def check_finitized(
     members passing the top-part bound (colored side).  The colored side is a
     head count under conditions (i)-(iii),
     :func:`~colorpartitions.families.colored_head_counts`, taken once for the
-    largest box; the colored stream is its test oracle.  ``n_max`` bounds that
+    largest box, whose per-head series are summed over the heads each size
+    admits; the colored enumeration is its test oracle.  ``n_max`` bounds that
     count's weight and truncates the per-weight comparisons.  A negative
     ``size_max`` raises ValueError.
     """
@@ -235,13 +238,13 @@ def check_finitized(
     parity = "odd" if params.is_odd else "even"
     label = f"{parity} k={params.half_modulus} r={params.residue}"
     # The box law reads only the largest part and bounds it by W + H - 1,
-    # which grows with the size: tallying members by (weight, largest part)
-    # up to the largest box serves every size.
+    # which grows with the size: the weight series of the members each head
+    # heads, up to the largest box, serve every size.
     largest_top = _colored_top(*series.finitized_box(params, size_max))
     weight_max = _gap2_weight_bound(largest_top)
     if n_max is not None:
         weight_max = min(weight_max, max(n_max, 0))
-    heads = families.colored_head_counts(params, weight_max, max_size=largest_top)
+    headed = families.colored_head_counts(params, weight_max, max_size=largest_top)
     checked = 0
     for size in range(size_max + 1):
         lhs = series.finitized_lhs(params, size)
@@ -259,17 +262,19 @@ def check_finitized(
             )
         max_part, max_length = series.finitized_box(params, size)
         box = families.boxed_counts(params, max_part, max_length)
+        admitted = [
+            counts
+            for head, counts in headed.items()
+            if finitized_top_ok(head, params, size)
+        ]
+        colored = list(map(sum, zip(*admitted)))
         colored_top = _colored_top(max_part, max_length)
         top = max(lhs.degree, len(box) - 1, _gap2_weight_bound(colored_top))
         if n_max is not None:
             top = min(top, n_max)
         for n, expected in enumerate(lhs.padded(top)):
             from_box = box[n] if n < len(box) else 0
-            from_colored = sum(
-                count
-                for head, count in (heads[n].items() if n < len(heads) else ())
-                if finitized_top_ok(head, params, size)
-            )
+            from_colored = colored[n] if n < len(colored) else 0
             checked += 2
             for route, value in (("box count", from_box), ("top-part count", from_colored)):
                 if value != expected:
@@ -310,7 +315,7 @@ def _valid_residues(modulus: int):
 def verify_identity_grid(
     moduli=DEFAULT_MODULI,
     residues=None,
-    n_max: int = 30,
+    n_max: int = DEFAULT_N_MAX,
     scope: str = "both",
 ) -> VerificationReport:
     """Count and/or bijection checks over a modulus grid.
@@ -338,7 +343,7 @@ def verify_identity_grid(
 
 
 def verify_gordon_grid(
-    pairs=DEFAULT_GORDON_PAIRS, n_max: int = 25
+    pairs=DEFAULT_GORDON_PAIRS, n_max: int = DEFAULT_GORDON_N_MAX
 ) -> VerificationReport:
     records = tuple(check_gordon(k, r, n_max) for k, r in pairs)
     return VerificationReport("gordon grid", records)
@@ -369,8 +374,8 @@ def verify_finitized_grid(
 
 
 def verify_all(
-    n_max: int = 30,
-    gordon_n_max: int = 25,
+    n_max: int = DEFAULT_N_MAX,
+    gordon_n_max: int = DEFAULT_GORDON_N_MAX,
     odd_size_max: int = DEFAULT_ODD_SIZE_MAX,
     even_size_max: int = DEFAULT_EVEN_SIZE_MAX,
 ) -> VerificationReport:

@@ -250,6 +250,11 @@ def test_error_exit_two(capsys):
         ("verify", "finitized", "--k", "0"),
         ("verify", "counts", "--M", "5", "--r", "3"),
         ("coeffs", "bosonic", "7", "1", "-1"),
+        # flags the scope does not read
+        ("verify", "all", "--M", "7"),
+        ("verify", "all", "--N-max", "2"),
+        ("verify", "counts", "--k", "3", "--N-max", "4"),
+        ("verify", "gordon", "--M", "9"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv

@@ -1,6 +1,6 @@
 """Family enumerators: counts vs series, dual generation, boxed refinements."""
 
-from collections import Counter
+import gc
 
 import pytest
 from hypothesis import given, settings
@@ -151,14 +151,14 @@ def test_weighted_routes_reject_non_int_weight():
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), modulus=st.integers(3, 13), max_size=st.integers(0, 15))
 def test_head_counts_match_stream(data, modulus, max_size):
-    # the transfer-matrix head tally against the enumerated stream's heads;
+    # the transfer-matrix head series against the enumerated members' heads;
     # weight 64 reaches the heaviest member with largest part 15
     params = IdentityParams(modulus, data.draw(st.integers(1, modulus // 2)))
     max_weight = data.draw(st.integers(0, 64))
-    oracle = [
-        Counter(member[:1] for member in bucket)
-        for bucket in colored_members_up_to(params, max_weight, max_size)
-    ]
+    oracle = {}
+    for w, bucket in enumerate(colored_members_up_to(params, max_weight, max_size)):
+        for member in bucket:
+            oracle.setdefault(member[:1], [0] * (max_weight + 1))[w] += 1
     assert colored_head_counts(params, max_weight, max_size) == oracle
 
 
@@ -191,6 +191,23 @@ def test_chain_descent_matches_filter(data, modulus, n):
         if len(p) <= max_length and p in members
     ]
     assert boxed_members(params, n, max_part, max_length) == boxed
+
+
+def test_descents_leave_no_reference_cycles():
+    # every member list is freed by reference counting alone
+    gc.disable()
+    try:
+        gc.collect()
+        for route in (
+            lambda: rank_window_members(P71, 20),
+            lambda: rank_window_members_up_to(IdentityParams(9, 1), 30),
+            lambda: boxed_members(P71, 20, 8, 8),
+            lambda: colored_members_up_to(P71, 30),
+        ):
+            assert route()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_gordon_members_match_product():

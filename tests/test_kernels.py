@@ -96,6 +96,16 @@ def test_dispatched_counts_match_pure():
         assert kernels.count_rank_bounded_partitions(u, v, lo, hi) == pure_counts(
             u, v, lo, hi
         )
+    # capped windows M=7 r=1, M=8 r=3, M=9 r=4 and the 24x18 box of M=5 r=2
+    for u, v, lo, hi, cap in (
+        (30, 30, 1, 4, 30),
+        (40, 40, -1, 3, 40),
+        (45, 45, -2, 3, 45),
+        (24, 18, 0, 1, 42),
+    ):
+        assert kernels.count_rank_bounded_partitions(
+            u, v, lo, hi, cap
+        ) == pure_counts(u, v, lo, hi, cap)
 
 
 def test_counts_agree_with_unrestricted_partitions():

@@ -154,11 +154,11 @@ def test_finitized_detects_lossy_colored_enumeration(monkeypatch):
     real = families.colored_head_counts
 
     def lossy(params, max_weight, max_size):
-        tallies = real(params, max_weight, max_size)
-        if len(tallies) > 7:
-            head = next(iter(tallies[7]))
-            tallies[7][head] -= 1
-        return tallies
+        headed = real(params, max_weight, max_size)
+        if max_weight >= 7:
+            counts = next(counts for counts in headed.values() if counts[7])
+            counts[7] -= 1
+        return headed
 
     monkeypatch.setattr(verify.families, "colored_head_counts", lossy)
     record = check_finitized(IdentityParams(7, 2), 9)

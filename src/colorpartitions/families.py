@@ -82,11 +82,14 @@ def _window_chains(
     # coordinates strictly decreasing, ranks w - h in the window, weight
     # sum(w + h - 1) -- the chains kernels.count_rank_bounded_partitions
     # counts, whose sweep hands over the admissible pairs of the box and the
-    # series f(w, h) of the chains each heads.  A box bounds only the first
-    # pair.  With ``exact`` only weight-top members are built, and a pair is
-    # entered at budget b only if f(w, h)[b] != 0.
+    # packed series f(w, h) of the chains each heads.  A box bounds only the
+    # first pair.  With ``exact`` only weight-top members are built, and a
+    # pair is entered at budget b only if limb b of f(w, h) is nonzero.
     hi = params.max_rank
-    pairs = kernels._pair_sweep(max_part, max_length, params.min_rank, hi, top)[1]
+    _, _, bits, pairs = kernels._pair_sweep(
+        max_part, max_length, params.min_rank, hi, top
+    )
+    limb = (1 << bits) - 1
 
     def children(head, budget):
         # the pairs strictly below head, or every pair of the box at the root
@@ -95,7 +98,7 @@ def _window_chains(
             for h, chains in pairs[w]:
                 if h >= h_head or w + h - 1 > budget:
                     break
-                if not exact or (budget < len(chains) and chains[budget]):
+                if not exact or (chains >> (bits * budget)) & limb:
                     yield (w, h), budget - w - h + 1
 
     buckets = _chain_buckets(top, exact, children, _rows_from_pairs)
@@ -223,7 +226,8 @@ def boxed_members(
 ) -> list[Partition]:
     """Rank-window members of n fitting max_length rows by max_part columns."""
     _require_weight(n, "n")
-    if max_part < 0 or max_length < 0:
+    # a non-int side falls through to the kernel, which refuses it
+    if type(max_part) is type(max_length) is int and min(max_part, max_length) < 0:
         return []
     return _window_chains(params, n, True, max_part, max_length)[n]
 
@@ -236,7 +240,8 @@ def boxed_counts(
     A box with a negative side admits nothing (not even the empty partition):
     the result is the single count [0].
     """
-    if max_part < 0 or max_length < 0:
+    # a non-int side falls through to the kernel, which refuses it
+    if type(max_part) is type(max_length) is int and min(max_part, max_length) < 0:
         return [0]
     return kernels.count_rank_bounded_partitions(
         max_part, max_length, params.min_rank, params.max_rank, cap=cap

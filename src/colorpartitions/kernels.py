@@ -12,13 +12,25 @@ So with f(w, h) the series of admissible chains headed by (w, h),
     f(w, h) = q^(w+h-1) * (1 + sum_{w' < w, h' < h} f(w', h'))
 
 when rank_lo <= w - h <= rank_hi and 0 otherwise, and the box count is
-1 + sum of f over the box, truncated at the top weight.  Counts are exact
-Python ints at every size; ``_pure`` is the brute-force oracle the tests
-compare against.  The per-pair series f(w, h) also steer the member descent
-in ``families``: a pair heads a chain of weight b exactly when f(w, h)[b] != 0.
+1 + sum of f over the box, truncated at the top weight.
+
+Every series is packed into one Python int (Kronecker substitution q = 2^B):
+coefficient t sits in bits [t*B, (t+1)*B), so adding two series is one int
+addition and multiplying by q^s is a shift by s*B bits.  No limb ever carries
+into the next: each coefficient of every series and partial sum the sweep
+forms counts distinct partitions of weight t <= top, so it is at most
+p(t) <= p(top) < exp(pi * sqrt(2 * top / 3)) (Apostol, Introduction to
+Analytic Number Theory, Thm 14.5) < 2^(3.71 * sqrt(top)) <= 2^B with the
+integer width ``_limb_bits(top)``.  The counts are unpacked once, at the end,
+as exact Python ints at every size; ``_pure`` is the brute-force oracle the
+tests compare against.  The per-pair series f(w, h) also steer the member
+descent in ``families``: a pair heads a chain of weight b exactly when limb b
+of f(w, h), ``(f >> (B * b)) & (2^B - 1)``, is nonzero.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 __all__ = ["count_rank_bounded_partitions"]
 
@@ -35,30 +47,49 @@ def count_rank_bounded_partitions(
     Returns ``counts`` of length W+1 with W = min(max_part * max_length, cap):
     ``counts[w]`` is the number of partitions of w with at most ``max_length``
     parts, each at most ``max_part``, whose successive ranks all lie in
-    [rank_lo, rank_hi].
+    [rank_lo, rank_hi].  Every argument must be an int (``cap`` may be None).
     """
-    return _pair_sweep(max_part, max_length, rank_lo, rank_hi, cap)[0]
+    total, top, bits, _ = _pair_sweep(max_part, max_length, rank_lo, rank_hi, cap)
+    limb = (1 << bits) - 1
+    return [(total >> (bits * t)) & limb for t in range(top + 1)]
+
+
+def _limb_bits(top: int) -> int:
+    # An integer B with p(t) < 2^B for every t <= top: log2 p(top) is below
+    # pi * sqrt(2/3) / ln 2 * sqrt(top) = 3.7007... * sqrt(top).
+    return 371 * (isqrt(top) + 1) // 100 + 1
 
 
 def _pair_sweep(max_part, max_length, rank_lo, rank_hi, cap=None):
-    # The counts above, plus pairs[w] = [(h, f(w, h)), ...] for each width
-    # w = 0..min(max_part, W), admissible pairs only, in ascending h; every
-    # series f(w, h) has length W+1.
+    # (total, top, B, pairs): the packed box series 1 + sum of f, its top
+    # weight, the limb width B, and pairs[w] = [(h, f(w, h)), ...] for each
+    # width w = 0..min(max_part, top), admissible pairs only, in ascending h;
+    # every series is packed in limbs 0..top.
+    # Exact ints only: the shifts need them, and a bool would count as 0 or 1.
+    for name, value in (
+        ("max_part", max_part),
+        ("max_length", max_length),
+        ("rank_lo", rank_lo),
+        ("rank_hi", rank_hi),
+        ("cap", 0 if cap is None else cap),
+    ):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if max_part < 0 or max_length < 0:
         raise ValueError("box sides must be nonnegative")
     box = max_part * max_length
     top = box if cap is None else min(cap, box)
     if top < 0:
         raise ValueError("cap must be nonnegative")
-    size = top + 1
-    zero = [0] * size
+    bits = _limb_bits(top)
+    mask = (1 << (bits * (top + 1))) - 1
     # below[h] = sum of f(w', h) over the rows w' already done; h is 1-based.
     heights = min(max_length, top)
-    below = [zero] * (heights + 1)
-    pairs: list[list[tuple[int, list[int]]]] = [[]]
+    below = [0] * (heights + 1)
+    pairs: list[list[tuple[int, int]]] = [[]]
     # settled = sum of below[h] over h < h_lo: h_lo never falls as w grows,
     # so those columns take no more pairs and each joins the sum once.
-    settled, h_settled = zero, 1
+    settled, h_settled = 0, 1
     for w in range(1, min(max_part, top) + 1):
         h_lo = max(1, w - rank_hi)
         h_hi = min(heights, w - rank_lo, top + 1 - w)
@@ -66,18 +97,14 @@ def _pair_sweep(max_part, max_length, rank_lo, rank_hi, cap=None):
         if h_lo > h_hi:
             continue
         for h in range(h_settled, h_lo):
-            settled = list(map(int.__add__, settled, below[h]))
+            settled += below[h]
         h_settled = h_lo
         # run = sum of f(w', h') over w' < w and h' < h, kept as h climbs.
         run = settled
         for h in range(h_lo, h_hi + 1):
-            shift = w + h - 1
-            # f has no constant term, so run[0] == 0 and the 1 takes its place.
-            cell = [0] * shift + [1] + run[1 : size - shift]
-            run = list(map(int.__add__, run, below[h]))
-            below[h] = list(map(int.__add__, below[h], cell))
+            # q^(w+h-1) * (1 + run), truncated past the top weight
+            cell = ((run + 1) << (bits * (w + h - 1))) & mask
+            run += below[h]
+            below[h] += cell
             pairs[w].append((h, cell))
-    total = [1] + [0] * top
-    for column in below[1:]:
-        total = list(map(int.__add__, total, column))
-    return total, pairs
+    return 1 + sum(below), top, bits, pairs

@@ -98,6 +98,17 @@ def test_counts_match_series_coefficients():
             assert counts == restricted_product(params, 16).coefficients
 
 
+def test_counts_match_series_at_weight_200():
+    # reach: the kernel against both closed forms for every M = 4..12
+    for m in range(4, 13):
+        for r in range(1, m // 2 + 1):
+            params = IdentityParams(m, r)
+            counts = tuple(rank_window_counts(params, 200))
+            assert counts == bosonic_sum(params, 200).coefficients, params
+            if params.has_product_form:
+                assert counts == restricted_product(params, 200).coefficients
+
+
 def test_colored_members_match_encoded_route():
     # direct generation from the membership conditions vs the image of the
     # rank-window encoding: identical sets at every weight
@@ -122,6 +133,7 @@ def test_colored_members_weight_zero():
 WEIGHTED_ROUTES = (
     lambda w: rank_window_members(P71, w),
     lambda w: rank_window_members_up_to(P71, w),
+    lambda w: rank_window_counts(P71, w),
     lambda w: boxed_members(P71, w, 4, 4),
     lambda w: colored_members(P71, w),
     lambda w: colored_members_up_to(P71, w),
@@ -283,6 +295,15 @@ def test_boxed_counts_stabilize():
 def test_boxed_counts_negative_box():
     assert boxed_counts(P71, -1, 4) == [0]
     assert boxed_members(P71, 3, 2, -1) == []
+
+
+def test_boxed_routes_reject_non_int_sides():
+    for bad in (True, 2.0, "3"):
+        for sides in ((bad, 2), (3, bad), (bad, -1)):
+            with pytest.raises(ValueError, match="must be an int"):
+                boxed_counts(P71, *sides)
+            with pytest.raises(ValueError, match="must be an int"):
+                boxed_members(P71, 3, *sides)
 
 
 def test_boxed_counts_match_members():

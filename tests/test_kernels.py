@@ -48,6 +48,24 @@ def test_kernel_rejects_bad_arguments():
         kernels.count_rank_bounded_partitions(3, 3, 0, 1, cap=-2)
 
 
+def test_kernel_rejects_non_int_arguments():
+    # integers only, in every position: a bool would count as a 0 or 1 side
+    good = (3, 3, 0, 1, 4)
+    for position in range(5):
+        for bad in (True, 2.0, "3"):
+            arguments = list(good)
+            arguments[position] = bad
+            with pytest.raises(ValueError, match="must be an int"):
+                kernels.count_rank_bounded_partitions(*arguments)
+
+
+def test_limb_width_bounds_partition_numbers():
+    # the packed sweep is exact only while no limb carries: p(t) < 2^B(t)
+    numbers = partition_series(1000).coefficients
+    for t, p_t in enumerate(numbers):
+        assert p_t < 1 << kernels._limb_bits(t), t
+
+
 def test_inverted_window_counts_nothing():
     counts = pure_counts(6, 6, 3, 1, 12)
     assert counts[0] == 1
@@ -86,9 +104,10 @@ def test_weights_past_400_are_exact():
 
 
 def test_open_window_counts_every_partition():
-    # a size brute force cannot reach: every partition of n <= 120
-    counts = kernels.count_rank_bounded_partitions(120, 120, -120, 120, cap=120)
-    assert counts == list(partition_series(120).coefficients)
+    # a size brute force cannot reach, and the tight case for the limb width:
+    # every coefficient is p(n), for every n <= 300
+    counts = kernels.count_rank_bounded_partitions(300, 300, -300, 300, cap=300)
+    assert counts == list(partition_series(300).coefficients)
 
 
 def test_dispatched_counts_match_pure():

@@ -4,8 +4,10 @@ The package ties four strands together: partition mechanics (conjugates,
 Durfee squares, ranks, diagonal angles), the reversible encoding of
 rank-window members as colored partitions, exact q-series for the product /
 theta-quotient / multisum forms with their finitized polynomial analogues,
-and a verification harness that checks all of them against brute-force
-enumeration over parameter grids.
+and a verification harness that checks each identity over parameter grids by
+independent routes: the closed-form series against the rank-window members,
+the kernel's box counts and the colored family counted by head, with
+brute-force enumeration kept as the test oracle of each fast route.
 """
 
 from .coloring import (

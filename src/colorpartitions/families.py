@@ -255,36 +255,21 @@ def gordon_members(half_modulus: int, residue: int, n: int) -> list[Partition]:
     no value repeats k or more times), and fewer than ``residue`` ones.
     """
     _require_weight(n, "n")
-    k = half_modulus
-    members = []
-    for p in partitions_of(n):
-        if p and p[-1] == 1 and (len(p) - _first_one_index(p)) >= residue:
-            continue
-        if any(p[j] - p[j + k - 1] < 2 for j in range(len(p) - k + 1)):
-            continue
-        members.append(p)
-    return members
-
-
-def _first_one_index(p: Partition) -> int:
-    # index of the first trailing 1 (parts are non-increasing)
-    i = len(p)
-    while i > 0 and p[i - 1] == 1:
-        i -= 1
-    return i
+    return [
+        p
+        for p in partitions_of(n)
+        if p.count(1) < residue and all(a - b >= 2 for a, b in zip(p, p[half_modulus - 1 :]))
+    ]
 
 
 def gap2_members(n: int, min_part: int = 1) -> list[Partition]:
     """Partitions of n whose parts decrease by at least 2, parts >= min_part."""
     _require_weight(n, "n")
-    members = []
-    for p in partitions_of(n):
-        if p and p[-1] < min_part:
-            continue
-        if any(p[j] - p[j + 1] < 2 for j in range(len(p) - 1)):
-            continue
-        members.append(p)
-    return members
+    return [
+        p
+        for p in partitions_of(n)
+        if (not p or p[-1] >= min_part) and all(a - b >= 2 for a, b in zip(p, p[1:]))
+    ]
 
 
 def product_parts_members(params: IdentityParams, n: int) -> list[Partition]:

@@ -187,6 +187,8 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     ``max_part`` additionally caps the largest part.  Reverse-lexicographic
     means ``(4) > (3,1) > (2,2) > (2,1,1) > (1,1,1,1)``.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     cap = n if max_part is None else min(max_part, n)

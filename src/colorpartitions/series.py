@@ -130,6 +130,9 @@ def first_difference(a: Sequence[int], b: Sequence[int]) -> int | None:
 
 
 def _check_order(order: int) -> None:
+    # Exact ints only: a bool would otherwise truncate at order 0 or 1.
+    if type(order) is not int:
+        raise ValueError(f"order must be an int, got {order!r}")
     if order < 0:
         raise ValueError("order must be nonnegative")
 
@@ -248,7 +251,7 @@ def fermionic_multisum(params: IdentityParams, order: int) -> TruncatedSeries:
     return TruncatedSeries(acc)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gaussian_binomial(a: int, b: int, base: int = 1) -> TruncatedSeries:
     """Gaussian binomial coefficient [a, b] as an exact polynomial (cached).
 
@@ -261,7 +264,11 @@ def gaussian_binomial(a: int, b: int, base: int = 1) -> TruncatedSeries:
     expansion (used by the even-modulus finitized sum) and must be positive.
     The finitized sides of one verify run ask for the same few hundred
     coefficients thousands of times; cached results are shared, never mutated.
+    Every argument must be an int.
     """
+    for name, value in (("a", a), ("b", b), ("base", base)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if base < 1:
         raise ValueError("base must be positive")
     if b < 0 or a < 0 or b > a:

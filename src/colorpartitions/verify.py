@@ -9,6 +9,7 @@ canonical JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from . import coloring, families, series
 from .coloring import ColoredPartition, IdentityParams, color_map, inverse_map
@@ -97,34 +98,35 @@ def _product_counts_record(
         closed_form = series.bosonic_sum(params, n_max)
         form_name = "theta quotient"
         note = "2r = M: no product form, checked theta quotient"
-    checked = 0
-    ok = True
-    for n in range(n_max + 1):
-        members = members_by_weight[n]
-        checked += 1
-        if len(members) != closed_form[n]:
-            ok = False
-            note = f"n={n}: {len(members)} members vs {form_name} coefficient {closed_form[n]}"
-            break
-    return CheckRecord(
-        "product_counts",
-        f"M={params.modulus} r={params.residue}",
-        f"n<={n_max}",
-        checked,
-        ok,
-        note,
-    )
+    counts = map(len, members_by_weight)
+    label = f"M={params.modulus} r={params.residue}"
+    return _count_record("product_counts", label, n_max, counts, form_name, closed_form, note)
+
+
+def _count_record(
+    scope: str, label: str, n_max: int, counts: Iterable[int],
+    form_name: str, closed_form: series.TruncatedSeries, note: str = "",
+) -> CheckRecord:
+    # Member counts at weights 0..n_max against one closed form's coefficients;
+    # ``counts`` may be lazy, and the record stops at the first mismatch.
+    for n, count in enumerate(counts):
+        if count != closed_form[n]:
+            note = f"n={n}: {count} members vs {form_name} coefficient {closed_form[n]}"
+            return _fail(scope, label, n_max, n + 1, note)
+    return CheckRecord(scope, label, f"n<={n_max}", n_max + 1, True, note)
 
 
 def check_bijection(params: IdentityParams, n_max: int) -> CheckRecord:
     """Full encode/decode consistency plus the four-way count equality.
 
-    Per weight: every rank-window member encodes to a condition-respecting
-    colored partition of the same weight and decodes back to itself; the
-    encoded set equals the directly generated colored family; and the member
-    count equals the restricted-product, theta-quotient, and multisum
-    coefficients alike (the product leg drops out at 2r = M, where no product
-    form exists).
+    Per weight: every rank-window member encodes to a colored partition of
+    the same weight that passes conditions (i)-(iii) and decodes back to
+    itself, so the encoding is an injection into the colored family; the
+    member count equals that family's count, taken by head with
+    :func:`~colorpartitions.families.colored_head_counts`, so the injection
+    is onto; and the member count equals the restricted-product,
+    theta-quotient, and multisum coefficients alike (the product leg drops
+    out at 2r = M, where no product form exists).
     """
     return _bijection_record(
         params, n_max, families.rank_window_members_up_to(params, n_max)
@@ -140,11 +142,10 @@ def _bijection_record(
     series_legs = [("theta quotient", bosonic), ("multisum", fermionic)]
     if params.has_product_form:
         series_legs.insert(0, ("product", series.restricted_product(params, n_max)))
-    direct_buckets = families.colored_members_up_to(params, n_max)
+    colored = list(map(sum, zip(*families.colored_head_counts(params, n_max, n_max).values())))
     checked = 0
     for n in range(n_max + 1):
         members = members_by_weight[n]
-        encoded: list[ColoredPartition] = []
         for p in members:
             member = color_map(p, params)
             checked += 1
@@ -158,19 +159,14 @@ def _bijection_record(
                 return _fail("bijection", label, n_max, checked, note)
             if decoded != p:
                 return _fail("bijection", label, n_max, checked, f"n={n}: {p} fails round trip")
-            encoded.append(member)
-        direct = direct_buckets[n]
-        checked += 1
-        if sorted(encoded) != sorted(direct):
-            return _fail(
-                "bijection",
-                label,
-                n_max,
-                checked,
-                f"n={n}: encoded family differs from direct generation "
-                f"({len(encoded)} vs {len(direct)} members)",
-            )
+        # The distinct members encode injectively (each decodes back to itself) into
+        # the colored family of weight n, so the encoding is onto iff the counts agree.
         count = len(members)
+        checked += 1
+        if count != colored[n]:
+            note = f"n={n}: encoded family differs from direct generation "
+            note += f"({count} vs {colored[n]} members)"
+            return _fail("bijection", label, n_max, checked, note)
         for name, form in series_legs:
             value = form[n]
             checked += 1
@@ -183,22 +179,10 @@ def _bijection_record(
 
 def check_gordon(half_modulus: int, residue: int, n_max: int) -> CheckRecord:
     """Gordon-condition member counts against the restricted product."""
-    params = IdentityParams(2 * half_modulus + 1, residue)
-    product = series.restricted_product(params, n_max)
+    product = series.restricted_product(IdentityParams(2 * half_modulus + 1, residue), n_max)
+    counts = (len(families.gordon_members(half_modulus, residue, n)) for n in range(n_max + 1))
     label = f"k={half_modulus} r={residue}"
-    checked = 0
-    for n in range(n_max + 1):
-        members = families.gordon_members(half_modulus, residue, n)
-        checked += 1
-        if len(members) != product[n]:
-            return _fail(
-                "gordon",
-                label,
-                n_max,
-                checked,
-                f"n={n}: {len(members)} members vs product coefficient {product[n]}",
-            )
-    return CheckRecord("gordon", label, f"n<={n_max}", checked, True)
+    return _count_record("gordon", label, n_max, counts, "product", product)
 
 
 def finitized_top_ok(
@@ -230,11 +214,10 @@ def check_finitized(
     :func:`~colorpartitions.families.colored_head_counts`, taken once for the
     largest box, whose per-head series are summed over the heads each size
     admits; the colored enumeration is its test oracle.  ``n_max`` bounds that
-    count's weight and truncates the per-weight comparisons.  A negative
-    ``size_max`` raises ValueError.
+    count's weight and truncates the per-weight comparisons.  A ``size_max``
+    that is not a nonnegative int raises ValueError.
     """
-    if size_max < 0:
-        raise ValueError("order must be nonnegative")
+    series._check_order(size_max)
     parity = "odd" if params.is_odd else "even"
     label = f"{parity} k={params.half_modulus} r={params.residue}"
     # The box law reads only the largest part and bounds it by W + H - 1,

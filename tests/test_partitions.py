@@ -127,6 +127,13 @@ def test_partitions_of_max_part():
     assert list(partitions_of(0)) == [()]
 
 
+def test_partitions_of_rejects_non_int_weight():
+    # a bool would otherwise yield (True,) as a partition of 1
+    for n in (True, 2.0, "3"):
+        with pytest.raises(ValueError, match="n must be an int"):
+            list(partitions_of(n))
+
+
 def test_partitions_of_emits_reverse_lexicographic():
     for n in (5, 8):
         emitted = list(partitions_of(n))

@@ -138,6 +138,14 @@ def test_gauss_rejects_nonpositive_base():
             gaussian_binomial(4, 2, base)
 
 
+def test_gauss_rejects_non_int_arguments():
+    gaussian_binomial(1, 1)  # a cached (1, 1) must not answer (True, 1)
+    for bad in (True, 2.0, "3"):
+        for args, name in (((bad, 1), "a"), ((2, bad), "b"), ((2, 1, bad), "base")):
+            with pytest.raises(ValueError, match=f"{name} must be an int"):
+                gaussian_binomial(*args)
+
+
 def test_gauss_symmetry_and_degree():
     for a in range(1, 9):
         for b in range(a + 1):
@@ -360,9 +368,13 @@ def test_finitized_rejects_bad_parameters():
     ],
 )
 def test_series_builders_reject_negative_order(build):
-    # every builder refuses a negative order the same way
+    # every builder refuses a negative order, and any order that is not an
+    # int (a bool would truncate at order 0 or 1), the same way
     with pytest.raises(ValueError, match="order must be nonnegative"):
         build(-1)
+    for order in (True, 2.0, "3"):
+        with pytest.raises(ValueError, match="order must be an int"):
+            build(order)
 
 
 def test_first_difference():

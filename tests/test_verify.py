@@ -60,22 +60,37 @@ def test_bijection_pass():
         assert record.checked > 13
 
 
-def test_bijection_detects_broken_enumerator(monkeypatch):
+@pytest.mark.parametrize("delta", [-1, 1], ids=["lossy", "surplus"])
+def test_bijection_detects_broken_enumerator(monkeypatch, delta):
+    # Each member is checked to encode injectively; a colored count one short
+    # (the encoding is not onto) or one over (the encoding misses a member)
+    # must fail the count equality at that weight.
     from colorpartitions import families, verify
 
-    real = families.colored_members_up_to
+    real = families.colored_head_counts
 
-    def lossy(params, max_weight, max_size=None):
-        buckets = real(params, max_weight, max_size)
-        if len(buckets) > 6:
-            buckets[6] = buckets[6][:-1]
-        return buckets
+    def broken(params, max_weight, max_size):
+        headed = real(params, max_weight, max_size)
+        counts = next(c for c in headed.values() if len(c) > 6 and c[6])
+        counts[6] += delta
+        return headed
 
-    monkeypatch.setattr(verify.families, "colored_members_up_to", lossy)
+    monkeypatch.setattr(verify.families, "colored_head_counts", broken)
     record = check_bijection(IdentityParams(7, 1), 10)
     assert not record.ok
     assert "n=6" in record.note
     assert "direct generation" in record.note
+
+
+def test_verify_never_enumerates_the_colored_family(monkeypatch):
+    # the colored side is counted by head; its enumerator is a test oracle only
+    from colorpartitions import families
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify enumerated the colored family")
+
+    monkeypatch.setattr(families, "colored_members_up_to", refuse)
+    assert verify_all(n_max=10).passed
 
 
 def test_product_counts_detects_lossy_window_enumeration(monkeypatch):
@@ -227,6 +242,16 @@ def test_checks_reject_negative_bound():
         check_product_counts(IdentityParams(8, 4), -1)
     with pytest.raises(ValueError, match="order must be nonnegative"):
         check_finitized(IdentityParams(7, 2), -1)
+    # and a bound that is not an int (a bool would count as 0 or 1)
+    for bound in (True, 2.0, "3"):
+        for check in (
+            lambda b: check_bijection(IdentityParams(7, 1), b),
+            lambda b: check_product_counts(IdentityParams(8, 4), b),
+            lambda b: check_finitized(IdentityParams(7, 2), b),
+            lambda b: check_gordon(2, 1, b),
+        ):
+            with pytest.raises(ValueError, match="must be an int"):
+                check(bound)
 
 
 def test_gordon_grid_default_pairs():

@@ -211,44 +211,58 @@ def _multisum_exponent(values: tuple[int, ...], r: int) -> int:
     return sum(v * v for v in values) + sum(values[r - 1 :])
 
 
+def _step_base(params: IdentityParams, j: int) -> int:
+    # Base of step j's factor: 2 (q -> q^2) only at the last step j = k-1 of
+    # an even modulus, 1 everywhere else.
+    return 2 if j == params.half_modulus - 1 and not params.is_odd else 1
+
+
 def _chain_steps(
     params: IdentityParams, values: tuple[int, ...]
 ) -> Iterator[tuple[int, int, int]]:
-    # (j, n_j - n_{j+1}, base) for j = 1..k-1 with n_k = 0; the base is 2
-    # (q -> q^2) only at the last step of an even modulus.
-    k = params.half_modulus
+    # (j, n_j - n_{j+1}, base) for j = 1..k-1 with n_k = 0.
     padded = values + (0,)
-    for j in range(1, k):
-        base = 2 if j == k - 1 and not params.is_odd else 1
-        yield j, padded[j - 1] - padded[j], base
+    for j in range(1, params.half_modulus):
+        yield j, padded[j - 1] - padded[j], _step_base(params, j)
 
 
 def fermionic_multisum(params: IdentityParams, order: int) -> TruncatedSeries:
     """Andrews-Gordon multisum over weakly decreasing nonnegative tuples.
 
-    Each tuple (n_1, ..., n_{k-1}) contributes q^(n_1^2 + ... + n_{k-1}^2 +
-    n_r + ... + n_{k-1}) divided by one factor per step of the chain shared
-    with :func:`finitized_rhs`: (q; q)_{n_j - n_{j+1}} for j = 1..k-1 with
-    n_k = 0, the last in base q^2 for an even modulus.  Each step's factor
-    1/(q^b; q^b)_gap is applied in place as ``gap`` prefix recurrences
-    (division by 1 - q^(b t) for t = 1..gap), as in
-    :func:`restricted_product`.  Tuples whose quadratic exponent alone
-    exceeds the order are pruned.
+    The sum runs over tuples n_1 >= ... >= n_{k-1} >= n_k = 0 of
+    q^(n_1^2 + ... + n_{k-1}^2 + n_r + ... + n_{k-1}) / prod_j (q^b; q^b)_{n_j -
+    n_{j+1}}, with b = 2 only at the last step j = k-1 of an even modulus.  It
+    is taken in k-1 nested levels, from n_{k-1} up to n_1.  Level j holds one
+    series per value N of n_j,
+
+        B_j(N) = q^(N^2 + [j >= r] N) sum_{N' <= N} B_{j+1}(N') / (q^b; q^b)_{N-N'},
+
+    with B_k = 1 at N' = 0, and the multisum is sum_N B_1(N); B_1(N) is the
+    part with n_1 = N.  Each inner sum is one Horner pass: starting from
+    B_{j+1}(0), divide in place by 1 - q^(b (N-N'+1)) (a prefix recurrence,
+    as in :func:`restricted_product`) and add B_{j+1}(N'), for N' = 1..N.
+    The n_1, ..., n_{j-1} above level j add at least (j-1) N^2 to the
+    exponent, so B_j(N) is kept only to degree order - (j-1) N^2, and values
+    N whose own exponent already passes that are dropped.
     """
     _check_order(order)
-    acc = [0] * (order + 1)
-    squares_fit = lambda prefix: sum(v * v for v in prefix) <= order
-    for values in _multisum_tuples(params.half_modulus - 1, squares_fit):
-        exponent = _multisum_exponent(values, params.residue)
-        if exponent > order:
-            continue
-        factor = [1] + [0] * (order - exponent)
-        for _j, gap, base in _chain_steps(params, values):
-            for t in range(1, gap + 1):
-                _divide_geometric(factor, base * t)
-        for i, c in enumerate(factor):
-            acc[exponent + i] += c
-    return TruncatedSeries(acc)
+    below = [[1] + [0] * order]  # B_k
+    for j in range(params.half_modulus - 1, 0, -1):
+        base = _step_base(params, j)
+        linear = 1 if j >= params.residue else 0
+        level = []
+        n = 0
+        while j * n * n + linear * n <= order:
+            exponent = n * n + linear * n
+            acc = below[0][: order + 1 - (j - 1) * n * n - exponent]
+            for m in range(1, n + 1):
+                _divide_geometric(acc, base * (n - m + 1))
+                if m < len(below):  # a missing B_{j+1}(m) is zero to this order
+                    acc = [a + c for a, c in zip(acc, below[m])]
+            level.append([0] * exponent + acc)
+            n += 1
+        below = level
+    return TruncatedSeries([sum(column) for column in zip(*below)])
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -362,10 +376,12 @@ def _add_theta_term(
 def finitized_rhs(params: IdentityParams, size: int) -> TruncatedSeries:
     """Quadratic multisum side of the finitized identity.
 
-    The tuples (n_1, ..., n_{k-1}) and the exponent are those of
-    :func:`fermionic_multisum`; each step j = 1..k-1 of the same chain
-    (n_k = 0) contributes the Gaussian binomial [upper_j, n_j - n_{j+1}]
-    instead of an inverse factorial.  With P_j = n_1 + ... + n_{j-1}:
+    A sum over weakly decreasing nonnegative tuples (n_1, ..., n_{k-1}), with
+    n_k = 0.  Each tuple contributes q^(n_1^2 + ... + n_{k-1}^2 + n_r + ... +
+    n_{k-1}) times one Gaussian binomial [upper_j, n_j - n_{j+1}] per step
+    j = 1..k-1, where :func:`fermionic_multisum` has 1/(q; q)_{n_j - n_{j+1}}.
+    The upper indices depend on the prefix sums P_j = n_1 + ... + n_{j-1}, so
+    this sum does not nest by levels and is taken tuple by tuple:
 
     - odd modulus (Andrews, PNAS 71, 1974): tuples with
       2 (n_1 + ... + n_{k-1}) <= size - k + r, and

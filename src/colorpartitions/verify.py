@@ -215,9 +215,11 @@ def check_finitized(
     largest box, whose per-head series are summed over the heads each size
     admits; the colored enumeration is its test oracle.  ``n_max`` bounds that
     count's weight and truncates the per-weight comparisons.  A ``size_max``
-    that is not a nonnegative int raises ValueError.
+    or ``n_max`` that is not a nonnegative int raises ValueError.
     """
     series._check_order(size_max)
+    if n_max is not None:
+        families._require_weight(n_max, "n_max")
     parity = "odd" if params.is_odd else "even"
     label = f"{parity} k={params.half_modulus} r={params.residue}"
     # The box law reads only the largest part and bounds it by W + H - 1,
@@ -226,7 +228,7 @@ def check_finitized(
     largest_top = _colored_top(*series.finitized_box(params, size_max))
     weight_max = _gap2_weight_bound(largest_top)
     if n_max is not None:
-        weight_max = min(weight_max, max(n_max, 0))
+        weight_max = min(weight_max, n_max)
     headed = families.colored_head_counts(params, weight_max, max_size=largest_top)
     checked = 0
     for size in range(size_max + 1):

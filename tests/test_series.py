@@ -25,6 +25,8 @@ from colorpartitions import (
 )
 from colorpartitions.families import boxed_counts
 from colorpartitions.series import (
+    _chain_steps,
+    _multisum_tuples,
     even_offset,
     first_difference,
     odd_offset,
@@ -281,11 +283,49 @@ def test_fermionic_double_sum_reduction():
     )
 
 
-def test_three_forms_agree_on_grid():
-    # The multisum's prefix recurrences against the theta quotient, which
-    # shares no code with them beyond the geometric division.
-    order = 120
+def multisum_by_tuples(params, order):
+    """Definition-level multisum: one term per tuple, one factor per step.
+
+    Each weakly decreasing tuple (n_1, ..., n_{k-1}) with square sum <= order
+    contributes q^(n_1^2 + ... + n_{k-1}^2 + n_r + ... + n_{k-1}) times
+    1/(q^b; q^b)_gap for each step of the chain, multiplied out as truncated
+    series products.
+    """
+    total = [0] * (order + 1)
+    squares_fit = lambda prefix: sum(v * v for v in prefix) <= order
+    for values in _multisum_tuples(params.half_modulus - 1, squares_fit):
+        exponent = sum(v * v for v in values) + sum(values[params.residue - 1 :])
+        if exponent > order:
+            continue
+        term = (1,) + (0,) * (order - exponent)
+        for _j, gap, base in _chain_steps(params, values):
+            for t in range(1, gap + 1):
+                inverse = _geometric_inverse(base * t, order - exponent)
+                term = truncated_product(term, inverse, order - exponent)
+        for i, c in enumerate(term, exponent):
+            total[i] += c
+    return tuple(total)
+
+
+def test_multisum_levels_match_tuple_oracle():
+    # The nested Horner levels against the per-tuple definition, for every
+    # residue through M = 15: M = 3 (no index), every 2r = M cell and the
+    # even moduli's base-2 last step.  Truncating the order-61 oracle gives
+    # the oracle at each lower order.
     for m in range(3, 16):
+        for r in range(1, m // 2 + 1):
+            params = IdentityParams(m, r)
+            oracle = multisum_by_tuples(params, 61)
+            for order in (0, 1, 5, 30, 61):
+                levels = fermionic_multisum(params, order).coefficients
+                assert levels == oracle[: order + 1], (m, r, order)
+
+
+def test_three_forms_agree_on_grid():
+    # The multisum's nested Horner levels against the theta quotient, which
+    # shares no code with them beyond the geometric division.
+    order = 150
+    for m in range(3, 22):
         for r in range(1, m // 2 + 1):
             params = IdentityParams(m, r)
             bos = bosonic_sum(params, order)

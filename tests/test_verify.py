@@ -254,6 +254,18 @@ def test_checks_reject_negative_bound():
                 check(bound)
 
 
+def test_finitized_validates_n_max():
+    # n_max is refused under its own name unless it is a nonnegative int: a
+    # negative bound would compare no weight and a fractional one a truncated
+    # range, and a passing record would hide that
+    params = IdentityParams(7, 1)
+    for n_max in (-1, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="n_max"):
+            check_finitized(params, 3, n_max=n_max)
+    assert check_finitized(params, 3, n_max=None).ok
+    assert check_finitized(params, 3, n_max=0).ok
+
+
 def test_gordon_grid_default_pairs():
     report = verify_gordon_grid(n_max=12)
     assert report.passed

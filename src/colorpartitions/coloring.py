@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import (
-    Angles,
     Partition,
-    _durfee_heights,
     angle_lengths,
     angles,
     from_angles,
@@ -108,15 +106,23 @@ class IdentityParams:
 
 
 def validate_colored(colored: ColoredPartition) -> None:
-    """Structural check: positive sizes, non-increasing, ties sorted by color.
+    """Structural check: int pairs, positive sizes, non-increasing, ties by color.
 
-    Raises ValueError on violation.  Color values are not range-checked here
+    Raises ValueError on violation; every part's types and size are checked
+    before the order.  A size or color must be an int exactly (a bool, a
+    float or a string is refused).  Color values are not range-checked here
     (the alternative coloring legitimately emits 0).
     """
-    for size, _color in colored:
+    for i, (size, color) in enumerate(colored, start=1):
+        if type(size) is not int or type(color) is not int:
+            raise ValueError(
+                f"colored part {i} must be an (int size, int color) pair, "
+                f"got {(size, color)!r}"
+            )
         if size < 1:
             raise ValueError(f"colored part sizes must be positive, got {size}")
-    for (size_a, color_a), (size_b, color_b) in zip(colored, colored[1:]):
+    for i in range(1, len(colored)):
+        (size_a, color_a), (size_b, color_b) = colored[i - 1], colored[i]
         if size_a < size_b:
             raise ValueError(f"colored part sizes must be non-increasing: {colored}")
         if size_a == size_b and color_a > color_b:
@@ -126,16 +132,12 @@ def validate_colored(colored: ColoredPartition) -> None:
 
 
 def _require_colors_in_range(colored: ColoredPartition, params: IdentityParams) -> None:
+    count = params.color_count
     for i, (_size, color) in enumerate(colored, start=1):
-        if not 1 <= color <= params.color_count:
+        if not 1 <= color <= count:
             raise ValueError(
-                f"color {color} at part {i} outside 1..{params.color_count} "
-                f"for modulus {params.modulus}"
+                f"color {color} at part {i} outside 1..{count} for modulus {params.modulus}"
             )
-
-
-def _same_parity_as_residue(length: int, params: IdentityParams) -> bool:
-    return (length - params.residue) % 2 == 0
 
 
 def _window_ranks(parts: Partition, params: IdentityParams) -> tuple[int, ...]:
@@ -160,17 +162,24 @@ def color_map(parts: Partition, params: IdentityParams) -> ColoredPartition:
     Part i is the i-th angle length; its color is (rank+r-1)/2 when the length
     shares the residue's parity and (rank+r)/2 otherwise (both exact — a rank
     and its angle length always have opposite parities).  Raises
-    RankWindowError if some rank leaves the window.
+    RankWindowError at the first rank that leaves the window.
+
+    One walk down the Durfee diagonal: a pointer moved up from the last row
+    finds each column height inside the loop over its row.
     """
-    heights = _durfee_heights(parts)
     lo, hi, r = params.min_rank, params.max_rank, params.residue
     encoded = []
-    for i, height in enumerate(heights):
+    height = len(parts)
+    for i, row in enumerate(parts):
+        if row <= i:
+            break
+        while parts[height - 1] <= i:
+            height -= 1
         # Diagonal cell i: rank = row - column, angle length = row + column - 2i - 1.
-        rank = parts[i] - height
+        rank = row - height
         if not lo <= rank <= hi:
             raise _outside_window(rank, i + 1, params)
-        length = parts[i] + height - 2 * i - 1
+        length = row + height - 2 * i - 1
         numerator = rank + r - 1 if (length - r) % 2 == 0 else rank + r
         half, remainder = divmod(numerator, 2)
         assert remainder == 0, "length and rank parities violate the angle parity law"
@@ -180,9 +189,10 @@ def color_map(parts: Partition, params: IdentityParams) -> ColoredPartition:
 
 def rank_from_color(length: int, color: int, params: IdentityParams) -> int:
     """Rank encoded by a colored part: 2c-r+1 on shared parity, else 2c-r."""
-    if _same_parity_as_residue(length, params):
-        return 2 * color - params.residue + 1
-    return 2 * color - params.residue
+    r = params.residue
+    if (length - r) % 2 == 0:
+        return 2 * color - r + 1
+    return 2 * color - r
 
 
 @dataclass(frozen=True)
@@ -195,6 +205,10 @@ class ConditionCheck:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+# Every passing check is this one instance; it is frozen, so sharing is safe.
+_PASSED = ConditionCheck(True)
 
 
 def check_conditions(colored: ColoredPartition, params: IdentityParams) -> ConditionCheck:
@@ -212,21 +226,24 @@ def check_conditions(colored: ColoredPartition, params: IdentityParams) -> Condi
     for i, (size, color) in enumerate(colored, start=1):
         if not _size_ok(size, color, params):
             return ConditionCheck(False, "i", i)
-    for i, ((size_a, color_a), (size_b, color_b)) in enumerate(
-        zip(colored, colored[1:]), start=1
-    ):
+    for i in range(1, len(colored)):
+        size_a, color_a = colored[i - 1]
+        size_b, color_b = colored[i]
         if not _gap_ok(size_a, color_a, size_b, color_b, params):
             return ConditionCheck(False, "ii", i)
-    for i, (size, color) in enumerate(colored, start=1):
-        if not _top_color_ok(size, color, params):
-            return ConditionCheck(False, "iii", i)
-    return ConditionCheck(True)
+    if not params.is_odd:  # (iii) holds at every part of an odd modulus
+        for i, (size, color) in enumerate(colored, start=1):
+            if not _top_color_ok(size, color, params):
+                return ConditionCheck(False, "iii", i)
+    return _PASSED
 
 
-# Conditions (i)-(iii) on single parts and consecutive pairs.  The colored
-# enumeration, the head-count DP and check_conditions all call these; color_map
-# does not, so encoding rank-window members still exposes a predicate that
-# is too loose (the families differ) or too strict (the decode refuses).
+# Conditions (i)-(iii) on single parts and consecutive pairs, each defined
+# once here.  The colored enumeration, the head-count DP and check_conditions
+# all call these; color_map does not, so encoding rank-window members still
+# exposes a predicate that is too loose (the families differ) or too strict
+# (the decode refuses).  "Sharing the residue's parity" is (x - r) % 2 == 0,
+# tested in place by rank_from_color, (ii) and (iii).
 
 
 def _size_ok(size: int, color: int, params: IdentityParams) -> bool:
@@ -241,7 +258,7 @@ def _gap_ok(
     spread = 2 * (color_a - color_b)
     if (size_a - size_b) % 2 == 0:
         required = 2 + abs(spread)
-    elif _same_parity_as_residue(size_b, params):
+    elif (size_b - params.residue) % 2 == 0:
         required = 2 + abs(spread - 1)
     else:
         required = 2 + abs(spread + 1)
@@ -254,7 +271,7 @@ def _top_color_ok(size: int, color: int, params: IdentityParams) -> bool:
     return (
         params.is_odd
         or color != params.color_count
-        or not _same_parity_as_residue(size, params)
+        or (size - params.residue) % 2 != 0
     )
 
 
@@ -273,7 +290,7 @@ def inverse_map(colored: ColoredPartition, params: IdentityParams) -> Partition:
         # width - height = rank and width + height - 1 = size
         width = (size + 1 + rank_from_color(size, color, params)) // 2
         decomposition.append((width, size - width + 1))
-    return from_angles(tuple(decomposition))
+    return from_angles(decomposition)
 
 
 def check_box_condition(

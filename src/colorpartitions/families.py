@@ -137,10 +137,14 @@ def rank_window_counts(params: IdentityParams, max_weight: int) -> list[int]:
     )
 
 
-def _require_weight(value: int, name: str = "max_weight") -> None:
-    # Exact ints only: a bool would otherwise count as weight 0 or 1.
+def _require_int(value: int, name: str) -> None:
+    # Exact ints only: a bool would otherwise count as 0 or 1.
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def _require_weight(value: int, name: str = "max_weight") -> None:
+    _require_int(value, name)
     if value < 0:
         raise ValueError(f"{name} must be nonnegative, got {value}")
 
@@ -172,9 +176,11 @@ def colored_head_counts(
     Combinatorics I, 4.7), smallest head first: the members headed by (s, c)
     are (s, c) prepended to the empty member and to each member whose head
     may follow it under condition (ii), so their series is the sum of those
-    heads' series shifted by s.
+    heads' series shifted by s.  ``max_size`` must be an int; at or below 0
+    only ``()`` is a head.
     """
     _require_weight(max_weight)
+    _require_int(max_size, "max_size")
     start = min(max_size, max_weight)
     colors_of = _admissible_colors(params, start)
     headed: dict[ColoredPartition, list[int]] = {(): [1] + [0] * max_weight}
@@ -198,10 +204,12 @@ def colored_members_up_to(
     Generated directly from the membership conditions — independent of the
     rank-window encoding, which makes the two routes cross-checkable.  A
     descent over (size, color) parts, largest first; condition (ii) forces a
-    gap of at least 2, so the budget prunes fast.  ``max_size`` bounds the
-    largest part.
+    gap of at least 2, so the budget prunes fast.  ``max_size``, an int or
+    None, bounds the largest part.
     """
     _require_weight(max_weight)
+    if max_size is not None:
+        _require_int(max_size, "max_size")
     start = max_weight if max_size is None else min(max_size, max_weight)
     colors_of = _admissible_colors(params, start)
 

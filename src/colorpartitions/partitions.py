@@ -80,21 +80,19 @@ def durfee_size(parts: Partition) -> int:
     return d
 
 
-def _conjugate_prefix(parts: Partition, d: int) -> list[int]:
-    # First d column heights only; a single backwards pointer walk keeps the
-    # cost at O(#parts + d) for the rank/angle helpers.
+def _durfee_heights(parts: Partition) -> list[int]:
+    # Column heights along the Durfee diagonal, one per diagonal cell, in one
+    # walk: row i (0-based) is on the diagonal while parts[i] > i, and a
+    # pointer moved up from the last row finds the height of column i + 1.
     heights = []
     ptr = len(parts)
-    for i in range(1, d + 1):
-        while ptr > 0 and parts[ptr - 1] < i:
+    for i, part in enumerate(parts):
+        if part <= i:
+            break
+        while parts[ptr - 1] <= i:
             ptr -= 1
         heights.append(ptr)
     return heights
-
-
-def _durfee_heights(parts: Partition) -> list[int]:
-    # Column heights along the Durfee diagonal: one per diagonal cell.
-    return _conjugate_prefix(parts, durfee_size(parts))
 
 
 def successive_ranks(parts: Partition) -> tuple[int, ...]:
@@ -128,32 +126,42 @@ def from_angles(decomposition: Angles) -> Partition:
     Inverse of :func:`angles`: requires strictly decreasing positive widths
     and strictly decreasing positive heights.
     """
-    widths = [x for x, _ in decomposition]
-    heights = [y for _, y in decomposition]
-    for seq, label in ((widths, "widths"), (heights, "heights")):
-        for i, value in enumerate(seq):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"angle {label} must be positive integers, got {value!r}")
-            if i + 1 < len(seq) and seq[i + 1] >= value:
+    for label, side in (("widths", 0), ("heights", 1)):
+        previous = None
+        for pair in decomposition:
+            value = pair[side]
+            if previous is not None and value >= previous:
+                seq = [other[side] for other in decomposition]
                 raise ValueError(f"angle {label} must be strictly decreasing: {seq}")
+            # exact ints pass at once; int subclasses other than bool pass too
+            if (
+                type(value) is not int
+                and (isinstance(value, bool) or not isinstance(value, int))
+                or value < 1
+            ):
+                raise ValueError(f"angle {label} must be positive integers, got {value!r}")
+            previous = value
     return _rows_from_pairs(decomposition)
 
 
 def _rows_from_pairs(pairs) -> Partition:
-    # from_angles without the checks: the caller guarantees (width, height)
-    # pairs with strictly decreasing positive widths and heights.
-    d = len(pairs)
-    if d == 0:
-        return ()
-    rows = [width + i for i, (width, _) in enumerate(pairs)]
-    # Rows below the Durfee square are read off the column heights, which do
-    # not increase: row i is the number of columns reaching it.
-    column_heights = [height + j for j, (_, height) in enumerate(pairs)]
-    reaching = d
-    for i in range(d + 1, column_heights[0] + 1):
-        while column_heights[reaching - 1] < i:
-            reaching -= 1
-        rows.append(reaching)
+    # from_angles without the checks: the caller guarantees a sequence of
+    # (width, height) pairs with strictly decreasing positive widths and
+    # heights.  Row i (0-based) of the Durfee square has width_i + i cells
+    # and column j has height_j + j.  Column lengths grow from the last
+    # column to the first, so the rows below the square come as one run per
+    # column: the rows that column j reaches and column j + 1 does not (the
+    # square does not, for the last column) have j + 1 cells.
+    rows = []
+    d = 0
+    for width, _ in pairs:
+        rows.append(width + d)
+        d += 1
+    reached = d
+    for j in range(d - 1, -1, -1):
+        bottom = pairs[j][1] + j
+        rows += [j + 1] * (bottom - reached)
+        reached = bottom
     return tuple(rows)
 
 

@@ -6,6 +6,7 @@ from colorpartitions import (
     IdentityParams,
     RankWindowError,
     alt_color_map,
+    angles,
     check_box_condition,
     check_conditions,
     color_map,
@@ -17,7 +18,7 @@ from colorpartitions import (
 )
 from colorpartitions.coloring import validate_colored
 from colorpartitions.families import colored_members, rank_window_members
-from colorpartitions.partitions import partitions_of
+from colorpartitions.partitions import _rows_from_pairs, partitions_of
 from colorpartitions.series import finitized_box
 from colorpartitions.verify import finitized_top_ok
 
@@ -95,12 +96,76 @@ def test_check_conditions_rejects_malformed():
         check_conditions(((3, 5),), P71)  # color out of range
 
 
+def test_non_int_colored_parts_are_refused():
+    # a bool, a float or a string size or color names the offending part,
+    # not a value derived from it, and raises ValueError, not TypeError
+    params = IdentityParams(5, 1)
+    for colored in (((3, True),), ((3.5, 1),), (("3", 1),)):
+        with pytest.raises(ValueError, match=r"colored part 1 must be an \(int size"):
+            inverse_map(colored, params)
+    with pytest.raises(ValueError, match=r"got \(3, 1\.0\)"):
+        check_conditions(((3, 1.0),), params)
+    with pytest.raises(ValueError, match="colored part 2"):
+        validate_colored(((4, 1), (2, False)))
+    # the alternative coloring's color 0 is still an int
+    validate_colored(alt_color_map((6, 4), P71))
+
+
+def test_condition_errors_keep_their_precedence():
+    # every size is checked before the order, every color before (i)-(iii)
+    with pytest.raises(ValueError) as info:
+        check_conditions(((2, 1), (3, 1), (0, 1)), P83)
+    assert str(info.value) == "colored part sizes must be positive, got 0"
+    with pytest.raises(ValueError) as info:
+        check_conditions(((9, 3), (3, 9)), P83)
+    assert str(info.value) == "color 9 at part 2 outside 1..3 for modulus 8"
+
+
 def test_validate_colored_structure():
     validate_colored(((4, 2), (4, 3), (1, 1)))
     with pytest.raises(ValueError):
         validate_colored(((4, 3), (4, 2),))  # equal sizes, colors decreasing
     with pytest.raises(ValueError):
         validate_colored(((0, 1),))
+
+
+def _color_map_oracle(parts, params):
+    # color_map's docstring formula on angles() and successive_ranks(),
+    # refusing at the first rank outside the window
+    ranks = successive_ranks(parts)
+    for i, rank in enumerate(ranks, start=1):
+        if not params.rank_in_window(rank):
+            raise RankWindowError("outside the window", index=i)
+    r = params.residue
+    encoded = []
+    for (width, height), rank in zip(angles(parts), ranks):
+        length = width + height - 1
+        numerator = rank + r - 1 if (length - r) % 2 == 0 else rank + r
+        assert numerator % 2 == 0
+        encoded.append((length, numerator // 2))
+    return tuple(encoded)
+
+
+def _outcome(encode, parts, params):
+    try:
+        return encode(parts, params)
+    except RankWindowError as exc:
+        return ("refused at", exc.index)
+
+
+def test_color_map_matches_formula_oracle():
+    # every partition of n <= 18, every (M, r) with M = 3..11: the one-walk
+    # encoding equals the formula where the window holds and refuses at the
+    # same rank where it does not; the rows rebuilt from the angles agree
+    members = [p for n in range(19) for p in partitions_of(n)]
+    for p in members:
+        assert _rows_from_pairs(angles(p)) == p
+    for modulus in range(3, 12):
+        for residue in range(1, modulus // 2 + 1):
+            params = IdentityParams(modulus, residue)
+            for p in members:
+                expected = _outcome(_color_map_oracle, p, params)
+                assert _outcome(color_map, p, params) == expected, (p, params)
 
 
 def test_rank_from_color_inverts_coloring():

@@ -160,6 +160,22 @@ def test_weighted_routes_reject_non_int_weight():
                 route(bad)
 
 
+def test_colored_routes_reject_non_int_max_size():
+    # a float size bound is refused, not left to range(); a bool is not 1
+    for route in (
+        lambda m: colored_head_counts(P71, 6, m),
+        lambda m: colored_members_up_to(P71, 6, m),
+    ):
+        for bad in (2.5, True, "3"):
+            with pytest.raises(ValueError, match="max_size must be an int"):
+                route(bad)
+    # None (no bound), 0 and negative bounds keep their meaning
+    assert colored_members_up_to(P71, 6, None) == colored_members_up_to(P71, 6)
+    for bound in (0, -2):
+        assert colored_head_counts(P71, 6, bound) == {(): [1, 0, 0, 0, 0, 0, 0]}
+        assert colored_members_up_to(P71, 6, bound) == [[()]] + [[] for _ in range(6)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), modulus=st.integers(3, 13), max_size=st.integers(0, 15))
 def test_head_counts_match_stream(data, modulus, max_size):

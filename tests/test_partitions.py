@@ -244,3 +244,17 @@ def test_from_angles_rejects_bad_input():
         from_angles(((2, 2), (2, 1)))  # widths not strictly decreasing
     with pytest.raises(ValueError):
         from_angles(((3, 0),))  # nonpositive height
+
+
+def test_from_angles_error_precedence():
+    # the order check between two widths runs before the second width's type
+    # check, and the widths are checked before the heights
+    with pytest.raises(ValueError) as info:
+        from_angles(((1, 1), (2.5, 1)))
+    assert str(info.value) == "angle widths must be strictly decreasing: [1, 2.5]"
+    with pytest.raises(ValueError) as info:
+        from_angles(((3, 1), (2.5, 3)))
+    assert str(info.value) == "angle widths must be positive integers, got 2.5"
+    with pytest.raises(ValueError, match="angle heights must be positive integers, got True"):
+        from_angles(((2, True),))
+    assert from_angles([(3, 3), (1, 1)]) == from_angles(((3, 3), (1, 1))) == (3, 2, 1)

@@ -131,15 +131,6 @@ def validate_colored(colored: ColoredPartition) -> None:
             )
 
 
-def _require_colors_in_range(colored: ColoredPartition, params: IdentityParams) -> None:
-    count = params.color_count
-    for i, (_size, color) in enumerate(colored, start=1):
-        if not 1 <= color <= count:
-            raise ValueError(
-                f"color {color} at part {i} outside 1..{count} for modulus {params.modulus}"
-            )
-
-
 def _window_ranks(parts: Partition, params: IdentityParams) -> tuple[int, ...]:
     # Successive ranks, or RankWindowError at the first one outside the window.
     ranks = successive_ranks(parts)
@@ -219,22 +210,36 @@ def check_conditions(colored: ColoredPartition, params: IdentityParams) -> Condi
     (iii) for even modulus, the top color forbids sizes sharing the residue parity.
 
     Structural defects and out-of-range colors raise ValueError instead of
-    returning a failed check.
+    returning a failed check; a color out of range anywhere outranks every
+    violation.  One pass over the parts tests all three conditions and keeps
+    the first failing index of each; a failure of (i) is reported before one
+    of (ii), and (ii) before (iii), wherever each occurs.
     """
     validate_colored(colored)
-    _require_colors_in_range(colored, params)
+    count = params.color_count
+    top = _restricted_color(params)
+    residue = params.residue
+    failed_i = failed_ii = failed_iii = 0  # 1-based, so 0 means none yet
+    prev_size = prev_color = 0
     for i, (size, color) in enumerate(colored, start=1):
-        if not _size_ok(size, color, params):
-            return ConditionCheck(False, "i", i)
-    for i in range(1, len(colored)):
-        size_a, color_a = colored[i - 1]
-        size_b, color_b = colored[i]
-        if not _gap_ok(size_a, color_a, size_b, color_b, params):
-            return ConditionCheck(False, "ii", i)
-    if not params.is_odd:  # (iii) holds at every part of an odd modulus
-        for i, (size, color) in enumerate(colored, start=1):
-            if not _top_color_ok(size, color, params):
-                return ConditionCheck(False, "iii", i)
+        if not 1 <= color <= count:
+            raise ValueError(
+                f"color {color} at part {i} outside 1..{count} for modulus {params.modulus}"
+            )
+        if not (failed_i or _size_ok(size, color, params)):
+            failed_i = i
+        if i > 1 and not (failed_ii or _gap_ok(prev_size, prev_color, size, color, params)):
+            failed_ii = i - 1
+        # (iii) holds at every part of an odd modulus
+        if top is not None and not (failed_iii or _top_color_ok(size, color, top, residue)):
+            failed_iii = i
+        prev_size, prev_color = size, color
+    if failed_i:
+        return ConditionCheck(False, "i", failed_i)
+    if failed_ii:
+        return ConditionCheck(False, "ii", failed_ii)
+    if failed_iii:
+        return ConditionCheck(False, "iii", failed_iii)
     return _PASSED
 
 
@@ -265,14 +270,16 @@ def _gap_ok(
     return size_a - size_b >= required
 
 
-def _top_color_ok(size: int, color: int, params: IdentityParams) -> bool:
-    # (iii): for an even modulus the top color excludes sizes sharing the
-    # residue's parity.
-    return (
-        params.is_odd
-        or color != params.color_count
-        or (size - params.residue) % 2 != 0
-    )
+def _restricted_color(params: IdentityParams) -> int | None:
+    # The color condition (iii) restricts: the top color of an even modulus,
+    # none for an odd one.
+    return None if params.is_odd else params.color_count
+
+
+def _top_color_ok(size: int, color: int, top: int | None, residue: int) -> bool:
+    # (iii): the restricted color ``top`` (see _restricted_color) excludes
+    # sizes sharing the residue's parity.
+    return color != top or (size - residue) % 2 != 0
 
 
 def inverse_map(colored: ColoredPartition, params: IdentityParams) -> Partition:

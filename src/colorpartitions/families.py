@@ -5,19 +5,26 @@ encodings, box-bounded rank-window members, Gordon-condition partitions,
 gap-2 partitions, and partitions into residue-restricted parts.  Enumerators
 return materialized lists at fixed weight, or per-weight buckets; rank-window
 members come from a descent over Frobenius pair chains, whose cost follows
-the output.  Per-weight fast counts go through the Frobenius-pair counting
-kernel (rank windows) or a transfer matrix over heads (colored family).
+the output.  Moduli that share a residue share one descent: their windows
+share a lower end, so each family is the widest one cut at its top rank.
+Per-weight fast counts go through the Frobenius-pair counting kernel (rank
+windows) or a transfer matrix over heads with one running sum per (color,
+size-parity) class (colored family).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from operator import add
+from typing import Iterable, Iterator
 
 from . import kernels
 from .coloring import (
     ColoredPartition,
     IdentityParams,
     _gap_ok,
+    _restricted_color,
     _size_ok,
     _top_color_ok,
     check_conditions,
@@ -31,6 +38,7 @@ __all__ = [
     "ranked_partitions",
     "rank_window_members",
     "rank_window_members_up_to",
+    "rank_window_members_by_modulus",
     "rank_window_counts",
     "colored_members",
     "colored_members_up_to",
@@ -74,17 +82,73 @@ def rank_window_members_up_to(
     return _window_chains(params, max_weight, False, max_weight, max_weight)
 
 
+def rank_window_members_by_modulus(
+    residue: int, moduli: Iterable[int], max_weight: int
+) -> Iterator[tuple[IdentityParams, list[list[Partition]]]]:
+    """Rank-window members of several moduli sharing one residue, one descent.
+
+    Yields ``(params, buckets)`` for each distinct modulus, ascending, with
+    ``buckets`` equal to ``rank_window_members_up_to(params, max_weight)``.
+    The window [2 - r, M - r - 2] has a lower end that depends on r alone, so
+    each modulus's family is the widest modulus's family cut at its largest
+    successive rank: one pair-chain descent at the widest modulus files each
+    member under its top rank (the largest w - h over its chain), and each
+    modulus merges, bucket by bucket and in order, the members filed at top
+    ranks up to M - r - 2.  Every modulus and ``max_weight`` are checked
+    before the descent; the buckets of one modulus are built as the next is
+    asked for.
+    """
+    _require_weight(max_weight)
+    cells = [IdentityParams(modulus, residue) for modulus in sorted(set(moduli))]
+    if not cells:
+        return iter(())
+    widest = cells[-1]
+    low = widest.min_rank
+    # by_top[n][t - low]: the weight-n members of top rank t, reverse-lexicographic
+    by_top = [[[] for _ in range(low, widest.max_rank + 1)] for _ in range(max_weight + 1)]
+
+    def file(chain, rest):
+        top = max([w - h for w, h in chain])
+        by_top[max_weight - rest][top - low].append(_rows_from_pairs(chain))
+
+    children = _window_children(widest, max_weight, False, max_weight, max_weight)
+    _descend(children, file, False, [], None, max_weight)
+    for runs in by_top:
+        for run in runs:
+            run.sort(reverse=True)
+    # A member is a prefix of no other of its weight, so merging the runs in
+    # sorted order gives each modulus its buckets in the single-cell order.
+    return (
+        (params, [[()]] + [
+            sorted(itertools.chain.from_iterable(runs[: params.max_rank - low + 1]), reverse=True)
+            for runs in by_top[1:]
+        ])
+        for params in cells
+    )
+
+
 def _window_chains(
     params: IdentityParams, top: int, exact: bool, max_part: int, max_length: int
 ) -> list[list[Partition]]:
-    # Rank-window members by weight 0..top, each bucket reverse-lexicographic:
-    # a descent over Frobenius pair chains (w_1, h_1) > (w_2, h_2) > ..., both
-    # coordinates strictly decreasing, ranks w - h in the window, weight
-    # sum(w + h - 1) -- the chains kernels.count_rank_bounded_partitions
-    # counts, whose sweep hands over the admissible pairs of the box and the
-    # packed series f(w, h) of the chains each heads.  A box bounds only the
-    # first pair.  With ``exact`` only weight-top members are built, and a
-    # pair is entered at budget b only if limb b of f(w, h) is nonzero.
+    # Rank-window members by weight 0..top, each bucket reverse-lexicographic.
+    children = _window_children(params, top, exact, max_part, max_length)
+    buckets = _chain_buckets(top, exact, children, _rows_from_pairs)
+    for bucket in buckets:
+        bucket.sort(reverse=True)
+    return buckets
+
+
+def _window_children(
+    params: IdentityParams, top: int, exact: bool, max_part: int, max_length: int
+):
+    # The children function of a descent over Frobenius pair chains
+    # (w_1, h_1) > (w_2, h_2) > ..., both coordinates strictly decreasing,
+    # ranks w - h in the window, weight sum(w + h - 1) -- the chains
+    # kernels.count_rank_bounded_partitions counts, whose sweep hands over
+    # the admissible pairs of the box and the packed series f(w, h) of the
+    # chains each heads.  A box bounds only the first pair.  With ``exact``
+    # a pair is entered at budget b only if limb b of f(w, h) is nonzero, so
+    # every branch reaches a chain of weight exactly top.
     hi = params.max_rank
     _, _, bits, pairs = kernels._pair_sweep(
         max_part, max_length, params.min_rank, hi, top
@@ -101,32 +165,35 @@ def _window_chains(
                 if not exact or (chains >> (bits * budget)) & limb:
                     yield (w, h), budget - w - h + 1
 
-    buckets = _chain_buckets(top, exact, children, _rows_from_pairs)
-    for bucket in buckets:
-        bucket.sort(reverse=True)
-    return buckets
+    return children
 
 
 def _chain_buckets(top, exact, children, build) -> list[list]:
-    # Depth-first descent over chains of nodes, bucketing build(chain) by
-    # weight 0..top in pre-order; children(head, budget) yields each node that
-    # may follow ``head`` (None at the root) with the budget left after it.
-    # With ``exact`` only weight-top chains are built.  The recursion is a
-    # module function, so no closure holds the buckets in a reference cycle.
+    # build(chain) of every chain of the descent, bucketed by weight 0..top in
+    # pre-order; with ``exact`` only weight-top chains are built.
     buckets: list[list] = [[] for _ in range(top + 1)]
     if top == 0 or not exact:
         buckets[0].append(())
-    _descend(children, build, exact, buckets, [], None, top)
+    _descend(
+        children, lambda chain, rest: buckets[top - rest].append(build(chain)),
+        exact, [], None, top,
+    )
     return buckets
 
 
-def _descend(children, build, exact, buckets, chain, head, budget) -> None:
+def _descend(children, file, exact, chain, head, budget) -> None:
+    # Depth-first descent over chains of nodes, in pre-order: children(head,
+    # budget) yields each node that may follow ``head`` (None at the root)
+    # with the budget left after it, and file(chain, rest) takes each chain
+    # (with ``exact``, only those that spend the whole budget).  The recursion
+    # is a module function, so no closure holds its output in a reference
+    # cycle.
     for node, rest in children(head, budget):
         chain.append(node)
         if not (exact and rest):
-            buckets[len(buckets) - 1 - rest].append(build(chain))
+            file(chain, rest)
         if rest:
-            _descend(children, build, exact, buckets, chain, node, rest)
+            _descend(children, file, exact, chain, node, rest)
         chain.pop()
 
 
@@ -152,11 +219,13 @@ def _require_weight(value: int, name: str = "max_weight") -> None:
 def _admissible_colors(params: IdentityParams, max_size: int) -> list[list[int]]:
     # Colors a part of each size 0..max_size may carry under conditions (i)
     # and (iii), ascending.
+    top = _restricted_color(params)
     return [
         [
             color
             for color in range(1, params.color_count + 1)
-            if _size_ok(size, color, params) and _top_color_ok(size, color, params)
+            if _size_ok(size, color, params)
+            and _top_color_ok(size, color, top, params.residue)
         ]
         for size in range(max_size + 1)
     ]
@@ -176,23 +245,37 @@ def colored_head_counts(
     Combinatorics I, 4.7), smallest head first: the members headed by (s, c)
     are (s, c) prepended to the empty member and to each member whose head
     may follow it under condition (ii), so their series is the sum of those
-    heads' series shifted by s.  ``max_size`` must be an int; at or below 0
-    only ``()`` is a head.
+    heads' series shifted by s.  Within one (color, size-parity) class of
+    the following head, condition (ii) asks a fixed gap, so the heads that
+    may follow (s, c) are those of the class up to a cut in size: one
+    running sum per class, read at each class's cut, stands for all of them.
+    ``max_size`` must be an int; at or below 0 only ``()`` is a head.
     """
     _require_weight(max_weight)
     _require_int(max_size, "max_size")
     start = min(max_size, max_weight)
     colors_of = _admissible_colors(params, start)
-    headed: dict[ColoredPartition, list[int]] = {(): [1] + [0] * max_weight}
+    colors = range(1, params.color_count + 1)
+    zero = [0] * (max_weight + 1)
+    empty = [1] + zero[1:]
+    headed: dict[ColoredPartition, list[int]] = {(): empty}
+    # running[c][s]: the summed series of the heads (s', c), s' <= s, s' = s mod 2
+    running = [[zero] * (start + 1) for _ in range(params.color_count + 1)]
     for size in range(1, start + 1):
         for color in colors_of[size]:
-            tails = [
-                tail
-                for head, tail in headed.items()
-                if not head or _gap_ok(size, color, *head[0], params)
-            ]
+            tails = [empty]
+            for tail_color in colors:
+                for cut in (size - 2, size - 3):  # (ii) asks a gap of at least 2
+                    while cut > 0 and not _gap_ok(size, color, cut, tail_color, params):
+                        cut -= 2
+                    if cut > 0:
+                        tails.append(running[tail_color][cut])
             counts = [0] * size + list(map(sum, zip(*tails)))
             headed[(size, color),] = counts[: max_weight + 1]
+        for color in colors:
+            below = running[color][size - 2] if size > 1 else zero
+            counts = headed.get(((size, color),))
+            running[color][size] = below if counts is None else list(map(add, below, counts))
     return headed
 
 

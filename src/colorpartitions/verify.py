@@ -80,8 +80,9 @@ def check_product_counts(params: IdentityParams, n_max: int) -> CheckRecord:
     The closed form is the avoided-residue product when the residue is
     strictly below half the modulus; at 2r = M (where that product
     over-counts) it is the theta quotient instead, and the record notes the
-    substitution.
+    substitution.  ``n_max`` must be a nonnegative int.
     """
+    families._require_weight(n_max, "n_max")
     return _product_counts_record(
         params, n_max, families.rank_window_members_up_to(params, n_max)
     )
@@ -126,8 +127,10 @@ def check_bijection(params: IdentityParams, n_max: int) -> CheckRecord:
     :func:`~colorpartitions.families.colored_head_counts`, so the injection
     is onto; and the member count equals the restricted-product,
     theta-quotient, and multisum coefficients alike (the product leg drops
-    out at 2r = M, where no product form exists).
+    out at 2r = M, where no product form exists).  ``n_max`` must be a
+    nonnegative int.
     """
+    families._require_weight(n_max, "n_max")
     return _bijection_record(
         params, n_max, families.rank_window_members_up_to(params, n_max)
     )
@@ -179,6 +182,7 @@ def _bijection_record(
 
 def check_gordon(half_modulus: int, residue: int, n_max: int) -> CheckRecord:
     """Gordon-condition member counts against the restricted product."""
+    families._require_weight(n_max, "n_max")
     product = series.restricted_product(IdentityParams(2 * half_modulus + 1, residue), n_max)
     counts = (len(families.gordon_members(half_modulus, residue, n)) for n in range(n_max + 1))
     label = f"k={half_modulus} r={residue}"
@@ -305,31 +309,48 @@ def verify_identity_grid(
 ) -> VerificationReport:
     """Count and/or bijection checks over a modulus grid.
 
-    scope: "product_counts", "bijection", or "both".
+    scope: "product_counts", "bijection", or "both".  Records come in the
+    caller's order: moduli as given (repeats included), and within each the
+    residues as given, or ascending by default.  The work runs residue by
+    residue: one pair-chain descent per residue, at the widest modulus the
+    grid asks for with it, hands each modulus its members
+    (:func:`~colorpartitions.families.rank_window_members_by_modulus`), and
+    both records of a cell share them; one residue's family is alive at a
+    time.  ``n_max`` must be a nonnegative int.
     """
     if scope not in ("product_counts", "bijection", "both"):
         raise ValueError(f"unknown scope {scope!r}")
-    records = []
-    for modulus in moduli:
-        cell_residues = (
+    families._require_weight(n_max, "n_max")
+    cells = [
+        IdentityParams(modulus, residue)
+        for modulus in moduli
+        for residue in (
             [r for r in residues if 2 * r <= modulus]
             if residues is not None
             else _valid_residues(modulus)
         )
-        for residue in cell_residues:
-            params = IdentityParams(modulus, residue)
-            # One descent per cell serves both records.
-            members = families.rank_window_members_up_to(params, n_max)
+    ]
+    records_of: dict[IdentityParams, list[CheckRecord]] = {}
+    for residue in sorted({params.residue for params in cells}):
+        moduli_of_residue = {params.modulus for params in cells if params.residue == residue}
+        for params, members in families.rank_window_members_by_modulus(
+            residue, moduli_of_residue, n_max
+        ):
+            records_of[params] = records = []
             if scope in ("product_counts", "both"):
                 records.append(_product_counts_record(params, n_max, members))
             if scope in ("bijection", "both"):
                 records.append(_bijection_record(params, n_max, members))
-    return VerificationReport(f"{scope} grid", tuple(records))
+            del members  # so no cell's members outlive it into the next descent
+    return VerificationReport(
+        f"{scope} grid", tuple(record for params in cells for record in records_of[params])
+    )
 
 
 def verify_gordon_grid(
     pairs=DEFAULT_GORDON_PAIRS, n_max: int = DEFAULT_GORDON_N_MAX
 ) -> VerificationReport:
+    families._require_weight(n_max, "n_max")
     records = tuple(check_gordon(k, r, n_max) for k, r in pairs)
     return VerificationReport("gordon grid", records)
 

@@ -1,6 +1,8 @@
 """Colored-partition encoding: frozen examples, round trips, box law."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorpartitions import (
     IdentityParams,
@@ -16,7 +18,7 @@ from colorpartitions import (
     successive_ranks,
     weight,
 )
-from colorpartitions.coloring import validate_colored
+from colorpartitions.coloring import ConditionCheck, _gap_ok, _size_ok, validate_colored
 from colorpartitions.families import colored_members, rank_window_members
 from colorpartitions.partitions import _rows_from_pairs, partitions_of
 from colorpartitions.series import finitized_box
@@ -119,6 +121,69 @@ def test_condition_errors_keep_their_precedence():
     with pytest.raises(ValueError) as info:
         check_conditions(((9, 3), (3, 9)), P83)
     assert str(info.value) == "color 9 at part 2 outside 1..3 for modulus 8"
+
+
+def _conditions_oracle(colored, params):
+    # One loop per check, in precedence order: structure, color range, (i),
+    # (ii), then (iii) for an even modulus.
+    validate_colored(colored)
+    count = params.color_count
+    for i, (_size, color) in enumerate(colored, start=1):
+        if not 1 <= color <= count:
+            raise ValueError(
+                f"color {color} at part {i} outside 1..{count} for modulus {params.modulus}"
+            )
+    for i, (size, color) in enumerate(colored, start=1):
+        if not _size_ok(size, color, params):
+            return ConditionCheck(False, "i", i)
+    for i in range(1, len(colored)):
+        if not _gap_ok(*colored[i - 1], *colored[i], params):
+            return ConditionCheck(False, "ii", i)
+    if not params.is_odd:
+        for i, (size, color) in enumerate(colored, start=1):
+            if color == params.color_count and (size - params.residue) % 2 == 0:
+                return ConditionCheck(False, "iii", i)
+    return ConditionCheck(True)
+
+
+def _condition_outcome(check, colored, params):
+    try:
+        return check(colored, params)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), modulus=st.integers(3, 11), ordered=st.booleans())
+def test_one_pass_conditions_match_loop_per_condition(data, modulus, ordered):
+    # the same ConditionCheck, or the same ValueError message, as one loop
+    # per condition; ordered tuples get past the structural check
+    params = IdentityParams(modulus, data.draw(st.integers(1, modulus // 2)))
+    part = st.tuples(st.integers(0, 10), st.integers(0, params.half_modulus + 1))
+    colored = data.draw(st.lists(part, max_size=4))
+    if ordered:
+        colored.sort(key=lambda p: (-p[0], p[1]))
+    colored = tuple(colored)
+    assert _condition_outcome(check_conditions, colored, params) == _condition_outcome(
+        _conditions_oracle, colored, params
+    )
+
+
+def test_first_condition_outranks_earlier_gap_failure():
+    # (ii) fails at part 1 ((3,1) then (2,1) needs a gap of 3), (i) at part 3
+    colored = ((3, 1), (2, 1), (1, 1))
+    assert not _gap_ok(3, 1, 2, 1, P71)
+    assert _size_ok(3, 1, P71) and _size_ok(2, 1, P71) and not _size_ok(1, 1, P71)
+    assert check_conditions(colored, P71) == ConditionCheck(False, "i", 3)
+    assert _conditions_oracle(colored, P71) == ConditionCheck(False, "i", 3)
+
+
+def test_color_range_error_outranks_earlier_violation():
+    # (1,1) fails (i) at part 1; the color 3 of the last part is out of range
+    assert check_conditions(((1, 1),), P71) == ConditionCheck(False, "i", 1)
+    with pytest.raises(ValueError) as info:
+        check_conditions(((1, 1), (1, 3)), P71)
+    assert str(info.value) == "color 3 at part 2 outside 1..2 for modulus 7"
 
 
 def test_validate_colored_structure():

@@ -22,10 +22,12 @@ from colorpartitions import (
     rank_window_members,
     successive_ranks,
 )
-from colorpartitions.coloring import check_box_condition
+from colorpartitions.coloring import _gap_ok, check_box_condition
 from colorpartitions.families import (
+    _admissible_colors,
     colored_head_counts,
     colored_members_up_to,
+    rank_window_members_by_modulus,
     rank_window_members_up_to,
     ranked_partitions,
 )
@@ -81,6 +83,25 @@ def test_degenerate_window_is_empty():
     assert rank_window_members(p31, 0) == [()]
 
 
+def test_shared_descent_matches_per_modulus_descents():
+    # one descent at the widest modulus of a residue, its members merged per
+    # modulus up to that window's top rank, against one descent per modulus:
+    # bucket for bucket, in order;
+    # the moduli come out distinct and ascending, whatever order they go in
+    for r in range(1, 7):
+        moduli = range(max(3, 2 * r), 14)
+        shared = list(rank_window_members_by_modulus(r, [*reversed(moduli), 13], 22))
+        assert [params for params, _ in shared] == [IdentityParams(m, r) for m in moduli]
+        for params, buckets in shared:
+            assert buckets == rank_window_members_up_to(params, 22), params
+    assert list(rank_window_members_by_modulus(1, (), 5)) == []
+
+
+def test_shared_descent_checks_every_modulus_first():
+    with pytest.raises(ValueError, match="residue must satisfy"):
+        rank_window_members_by_modulus(3, (9, 5), 4)
+
+
 def test_rank_window_counts_match_members():
     for params in (P71, P83, P52):
         counts = rank_window_counts(params, 18)
@@ -133,6 +154,7 @@ def test_colored_members_weight_zero():
 WEIGHTED_ROUTES = (
     lambda w: rank_window_members(P71, w),
     lambda w: rank_window_members_up_to(P71, w),
+    lambda w: rank_window_members_by_modulus(1, (5, 7), w),
     lambda w: rank_window_counts(P71, w),
     lambda w: boxed_members(P71, w, 4, 4),
     lambda w: colored_members(P71, w),
@@ -190,6 +212,34 @@ def test_head_counts_match_stream(data, modulus, max_size):
     assert colored_head_counts(params, max_weight, max_size) == oracle
 
 
+def _head_counts_oracle(params, max_weight, max_size):
+    # The head transfer matrix summing, for each head, every earlier head's
+    # series that condition (ii) lets follow it: no running sums per class.
+    start = min(max_size, max_weight)
+    colors_of = _admissible_colors(params, start)
+    headed = {(): [1] + [0] * max_weight}
+    for size in range(1, start + 1):
+        for color in colors_of[size]:
+            tails = [
+                tail
+                for head, tail in headed.items()
+                if not head or _gap_ok(size, color, *head[0], params)
+            ]
+            counts = [0] * size + list(map(sum, zip(*tails)))
+            headed[(size, color),] = counts[: max_weight + 1]
+    return headed
+
+
+def test_running_head_sums_match_all_tails_at_weight_60():
+    # past the member oracle's reach: every cell M = 3..13, tall and short heads
+    for m in range(3, 14):
+        for r in range(1, m // 2 + 1):
+            params = IdentityParams(m, r)
+            for max_size in (60, 7):
+                expected = _head_counts_oracle(params, 60, max_size)
+                assert colored_head_counts(params, 60, max_size) == expected, (params, max_size)
+
+
 def _window_filter(params, n):
     lo, hi = params.min_rank, params.max_rank
     return [
@@ -229,6 +279,7 @@ def test_descents_leave_no_reference_cycles():
         for route in (
             lambda: rank_window_members(P71, 20),
             lambda: rank_window_members_up_to(IdentityParams(9, 1), 30),
+            lambda: list(rank_window_members_by_modulus(1, (5, 9), 30)),
             lambda: boxed_members(P71, 20, 8, 8),
             lambda: colored_members_up_to(P71, 30),
         ):

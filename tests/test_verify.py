@@ -96,14 +96,23 @@ def test_verify_never_enumerates_the_colored_family(monkeypatch):
 def test_product_counts_detects_lossy_window_enumeration(monkeypatch):
     from colorpartitions import families, verify
 
-    real = families.rank_window_members_up_to
-
-    def lossy(params, max_weight):
-        buckets = real(params, max_weight)
+    def drop_one(buckets):
         buckets[6] = buckets[6][:-1]
         return buckets
 
-    monkeypatch.setattr(verify.families, "rank_window_members_up_to", lossy)
+    real_shared = families.rank_window_members_by_modulus
+    real_single = families.rank_window_members_up_to
+
+    def lossy_shared(residue, moduli, max_weight):
+        for params, buckets in real_shared(residue, moduli, max_weight):
+            yield params, drop_one(buckets)
+
+    def lossy_single(params, max_weight):
+        return drop_one(real_single(params, max_weight))
+
+    # the grid's route (one descent per residue) and the single-cell route
+    monkeypatch.setattr(verify.families, "rank_window_members_by_modulus", lossy_shared)
+    monkeypatch.setattr(verify.families, "rank_window_members_up_to", lossy_single)
     # the grid shares one enumeration per cell between both records
     report = verify_identity_grid(moduli=(7,), residues=(1,), n_max=10)
     assert [(r.scope, r.ok) for r in report.records] == [
@@ -229,17 +238,44 @@ def test_theorem_grid_residue_filter():
     assert [r.params for r in report.records] == ["M=8 r=3"]
 
 
+def test_theorem_grid_order_matches_per_cell_checks():
+    # one descent per residue, yet the records keep the caller's order:
+    # moduli as given, repeats included, then residues as given
+    report = verify_identity_grid(moduli=(9, 5, 9), residues=(2, 1), n_max=8)
+    expected = []
+    for modulus in (9, 5, 9):
+        for residue in (2, 1):
+            params = IdentityParams(modulus, residue)
+            expected.append(check_product_counts(params, 8))
+            expected.append(check_bijection(params, 8))
+    assert [(r.scope, r.params, r.checked, r.ok) for r in report.records] == [
+        (r.scope, r.params, r.checked, r.ok) for r in expected
+    ]
+    assert report.records == tuple(expected)
+
+
 def test_theorem_grid_rejects_unknown_scope():
     with pytest.raises(ValueError):
         verify_identity_grid(scope="everything")
 
 
 def test_checks_reject_negative_bound():
-    # every check refuses a negative bound before any counting starts
-    with pytest.raises(ValueError):
-        check_bijection(IdentityParams(7, 1), -1)
-    with pytest.raises(ValueError):
-        check_product_counts(IdentityParams(8, 4), -1)
+    # every check refuses a negative bound before any counting starts, under
+    # the name the caller passed
+    for check in (
+        lambda: check_bijection(IdentityParams(7, 1), -1),
+        lambda: check_product_counts(IdentityParams(7, 1), -1),
+        lambda: check_product_counts(IdentityParams(8, 4), -1),
+        lambda: check_gordon(2, 1, -1),
+        lambda: verify_identity_grid(n_max=-1),
+        lambda: verify_identity_grid(moduli=(), n_max=-1),
+        lambda: verify_gordon_grid(n_max=-1),
+        lambda: verify_gordon_grid(pairs=(), n_max=-1),
+    ):
+        with pytest.raises(ValueError, match="n_max must be nonnegative"):
+            check()
+    with pytest.raises(ValueError, match="n_max must be an int"):
+        check_bijection(IdentityParams(7, 1), 2.5)
     with pytest.raises(ValueError, match="order must be nonnegative"):
         check_finitized(IdentityParams(7, 2), -1)
     # and a bound that is not an int (a bool would count as 0 or 1)

@@ -10,13 +10,14 @@ checked here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .partitions import (
     Partition,
+    _rows_from_pairs,
     angle_lengths,
     angles,
-    from_angles,
     successive_ranks,
 )
 
@@ -211,44 +212,57 @@ def check_conditions(colored: ColoredPartition, params: IdentityParams) -> Condi
 
     Structural defects and out-of-range colors raise ValueError instead of
     returning a failed check; a color out of range anywhere outranks every
-    violation.  One pass over the parts tests all three conditions and keeps
-    the first failing index of each; a failure of (i) is reported before one
-    of (ii), and (ii) before (iii), wherever each occurs.
+    violation, and a failure of (i) is reported before one of (ii), and (ii)
+    before (iii), wherever each occurs.  One pass tests (i) and (ii) and finds
+    the top rank the colors encode; the color range and (iii) hold exactly
+    when it is at most M - r - 2, and only a failure walks the parts again.
     """
+    failed_i, failed_ii, top = _residue_conditions(colored, params)
+    failed_iii = 0
+    if top > params.max_rank:  # a color out of range, or else (iii) fails
+        count = params.color_count
+        for i, (size, color) in enumerate(colored, start=1):
+            if not 1 <= color <= count:
+                raise ValueError(
+                    f"color {color} at part {i} outside 1..{count} for modulus {params.modulus}"
+                )
+            if not failed_iii and rank_from_color(size, color, params) > params.max_rank:
+                failed_iii = i
+    for violation, index in (("i", failed_i), ("ii", failed_ii), ("iii", failed_iii)):
+        if index:
+            return ConditionCheck(False, violation, index)
+    return _PASSED
+
+
+def _residue_conditions(
+    colored: ColoredPartition, params: IdentityParams
+) -> tuple[int, int, float]:
+    # The structure check, then one pass reading params.residue alone: the
+    # first part failing (i) and the first failing (ii) (0 for none), and the
+    # top rank the colors encode (infinite for a color below 1).  Color c
+    # encodes 2c - r + 1 on a part sharing the residue's parity, else 2c - r,
+    # so colors lie in 1..floor(M/2) - 1 and pass (iii) exactly when that rank
+    # is at most M - r - 2 (at M = 2k, color k - 1 shared encodes M - r - 1).
     validate_colored(colored)
-    count = params.color_count
-    top = _restricted_color(params)
-    residue = params.residue
-    failed_i = failed_ii = failed_iii = 0  # 1-based, so 0 means none yet
+    failed_i = failed_ii = 0
+    top = 1 - params.residue
     prev_size = prev_color = 0
     for i, (size, color) in enumerate(colored, start=1):
-        if not 1 <= color <= count:
-            raise ValueError(
-                f"color {color} at part {i} outside 1..{count} for modulus {params.modulus}"
-            )
         if not (failed_i or _size_ok(size, color, params)):
             failed_i = i
         if i > 1 and not (failed_ii or _gap_ok(prev_size, prev_color, size, color, params)):
             failed_ii = i - 1
-        # (iii) holds at every part of an odd modulus
-        if top is not None and not (failed_iii or _top_color_ok(size, color, top, residue)):
-            failed_iii = i
+        top = max(top, rank_from_color(size, color, params) if color >= 1 else math.inf)
         prev_size, prev_color = size, color
-    if failed_i:
-        return ConditionCheck(False, "i", failed_i)
-    if failed_ii:
-        return ConditionCheck(False, "ii", failed_ii)
-    if failed_iii:
-        return ConditionCheck(False, "iii", failed_iii)
-    return _PASSED
+    return failed_i, failed_ii, top
 
 
-# Conditions (i)-(iii) on single parts and consecutive pairs, each defined
-# once here.  The colored enumeration, the head-count DP and check_conditions
-# all call these; color_map does not, so encoding rank-window members still
-# exposes a predicate that is too loose (the families differ) or too strict
-# (the decode refuses).  "Sharing the residue's parity" is (x - r) % 2 == 0,
-# tested in place by rank_from_color, (ii) and (iii).
+# Conditions (i) and (ii), each defined once here; (iii) with the color range
+# is the rank bound of _residue_conditions.  The colored enumeration, the
+# head-count DP and check_conditions all use these; color_map does not, so
+# encoding rank-window members still exposes a predicate that is too loose
+# (the families differ) or too strict (the decode refuses).  "Sharing the
+# residue's parity" is (x - r) % 2 == 0, tested by rank_from_color and (ii).
 
 
 def _size_ok(size: int, color: int, params: IdentityParams) -> bool:
@@ -270,18 +284,6 @@ def _gap_ok(
     return size_a - size_b >= required
 
 
-def _restricted_color(params: IdentityParams) -> int | None:
-    # The color condition (iii) restricts: the top color of an even modulus,
-    # none for an odd one.
-    return None if params.is_odd else params.color_count
-
-
-def _top_color_ok(size: int, color: int, top: int | None, residue: int) -> bool:
-    # (iii): the restricted color ``top`` (see _restricted_color) excludes
-    # sizes sharing the residue's parity.
-    return color != top or (size - residue) % 2 != 0
-
-
 def inverse_map(colored: ColoredPartition, params: IdentityParams) -> Partition:
     """Decode a colored partition back to its rank-window member.
 
@@ -292,12 +294,18 @@ def inverse_map(colored: ColoredPartition, params: IdentityParams) -> Partition:
         raise ValueError(
             f"not decodable: condition ({check.violation}) fails at part {check.index}"
         )
-    decomposition = []
+    return _decode(colored, params.residue)
+
+
+def _decode(colored: ColoredPartition, residue: int) -> Partition:
+    # width - height = rank and width + height - 1 = size give width
+    # color + (size - r) // 2 + 1 on either parity; (i)-(iii) make widths and
+    # heights strictly decreasing and positive, as from_angles would check.
+    pairs = []
     for size, color in colored:
-        # width - height = rank and width + height - 1 = size
-        width = (size + 1 + rank_from_color(size, color, params)) // 2
-        decomposition.append((width, size - width + 1))
-    return from_angles(decomposition)
+        width = color + (size - residue) // 2 + 1
+        pairs.append((width, size - width + 1))
+    return _rows_from_pairs(pairs)
 
 
 def check_box_condition(

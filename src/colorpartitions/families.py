@@ -6,7 +6,8 @@ gap-2 partitions, and partitions into residue-restricted parts.  Enumerators
 return materialized lists at fixed weight, or per-weight buckets; rank-window
 members come from a descent over Frobenius pair chains, whose cost follows
 the output.  Moduli that share a residue share one descent: their windows
-share a lower end, so each family is the widest one cut at its top rank.
+share a lower end, so it files each member under its top rank and each
+family is the widest one cut there (:func:`rank_window_members_by_top`).
 Per-weight fast counts go through the Frobenius-pair counting kernel (rank
 windows) or a transfer matrix over heads with one running sum per (color,
 size-parity) class (colored family).
@@ -14,21 +15,18 @@ size-parity) class (colored family).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import add
-from typing import Iterable, Iterator
 
 from . import kernels
 from .coloring import (
     ColoredPartition,
     IdentityParams,
     _gap_ok,
-    _restricted_color,
     _size_ok,
-    _top_color_ok,
     check_conditions,
     color_map,
+    rank_from_color,
 )
 from .partitions import Partition, _rows_from_pairs, partitions_of, successive_ranks
 
@@ -37,8 +35,7 @@ __all__ = [
     "enumerate_family",
     "ranked_partitions",
     "rank_window_members",
-    "rank_window_members_up_to",
-    "rank_window_members_by_modulus",
+    "rank_window_members_by_top",
     "rank_window_counts",
     "colored_members",
     "colored_members_up_to",
@@ -67,75 +64,41 @@ def rank_window_members(params: IdentityParams, n: int) -> list[Partition]:
     Reverse-lexicographic order, as :func:`ranked_partitions` filtered.
     """
     _require_weight(n, "n")
-    return _window_chains(params, n, True, n, n)[n]
+    return _window_chains(params, n, n, n)
 
 
-def rank_window_members_up_to(
+def rank_window_members_by_top(
     params: IdentityParams, max_weight: int
-) -> list[list[Partition]]:
-    """Rank-window members bucketed by weight 0..max_weight.
+) -> list[list[list[Partition]]]:
+    """Rank-window members of weight 0..max_weight, filed by top rank.
 
-    Bucket n equals ``rank_window_members(params, n)``; one descent serves
-    every weight, so each member is built once.
+    ``buckets[n][t + r - 1]`` holds, in descent order, the weight-n members
+    whose largest successive rank is t, and ``buckets[n][0]`` the empty
+    partition.  The windows [2 - r, M - r - 2] of one residue share their
+    lower end, so the first M' - 2 runs of each bucket are the members at a
+    modulus M' <= M: one descent serves every weight and every such modulus.
     """
     _require_weight(max_weight)
-    return _window_chains(params, max_weight, False, max_weight, max_weight)
-
-
-def rank_window_members_by_modulus(
-    residue: int, moduli: Iterable[int], max_weight: int
-) -> Iterator[tuple[IdentityParams, list[list[Partition]]]]:
-    """Rank-window members of several moduli sharing one residue, one descent.
-
-    Yields ``(params, buckets)`` for each distinct modulus, ascending, with
-    ``buckets`` equal to ``rank_window_members_up_to(params, max_weight)``.
-    The window [2 - r, M - r - 2] has a lower end that depends on r alone, so
-    each modulus's family is the widest modulus's family cut at its largest
-    successive rank: one pair-chain descent at the widest modulus files each
-    member under its top rank (the largest w - h over its chain), and each
-    modulus merges, bucket by bucket and in order, the members filed at top
-    ranks up to M - r - 2.  Every modulus and ``max_weight`` are checked
-    before the descent; the buckets of one modulus are built as the next is
-    asked for.
-    """
-    _require_weight(max_weight)
-    cells = [IdentityParams(modulus, residue) for modulus in sorted(set(moduli))]
-    if not cells:
-        return iter(())
-    widest = cells[-1]
-    low = widest.min_rank
-    # by_top[n][t - low]: the weight-n members of top rank t, reverse-lexicographic
-    by_top = [[[] for _ in range(low, widest.max_rank + 1)] for _ in range(max_weight + 1)]
+    buckets = [[[] for _ in range(params.modulus - 2)] for _ in range(max_weight + 1)]
+    buckets[0][0].append(())
 
     def file(chain, rest):
         top = max([w - h for w, h in chain])
-        by_top[max_weight - rest][top - low].append(_rows_from_pairs(chain))
+        buckets[max_weight - rest][top + params.residue - 1].append(_rows_from_pairs(chain))
 
-    children = _window_children(widest, max_weight, False, max_weight, max_weight)
+    children = _window_children(params, max_weight, False, max_weight, max_weight)
     _descend(children, file, False, [], None, max_weight)
-    for runs in by_top:
-        for run in runs:
-            run.sort(reverse=True)
-    # A member is a prefix of no other of its weight, so merging the runs in
-    # sorted order gives each modulus its buckets in the single-cell order.
-    return (
-        (params, [[()]] + [
-            sorted(itertools.chain.from_iterable(runs[: params.max_rank - low + 1]), reverse=True)
-            for runs in by_top[1:]
-        ])
-        for params in cells
-    )
+    return buckets
 
 
 def _window_chains(
-    params: IdentityParams, top: int, exact: bool, max_part: int, max_length: int
-) -> list[list[Partition]]:
-    # Rank-window members by weight 0..top, each bucket reverse-lexicographic.
-    children = _window_children(params, top, exact, max_part, max_length)
-    buckets = _chain_buckets(top, exact, children, _rows_from_pairs)
-    for bucket in buckets:
-        bucket.sort(reverse=True)
-    return buckets
+    params: IdentityParams, n: int, max_part: int, max_length: int
+) -> list[Partition]:
+    # Rank-window members of weight exactly n, reverse-lexicographic.
+    members = [] if n else [()]
+    children = _window_children(params, n, True, max_part, max_length)
+    _descend(children, lambda chain, _: members.append(_rows_from_pairs(chain)), True, [], None, n)
+    return sorted(members, reverse=True)
 
 
 def _window_children(
@@ -166,19 +129,6 @@ def _window_children(
                     yield (w, h), budget - w - h + 1
 
     return children
-
-
-def _chain_buckets(top, exact, children, build) -> list[list]:
-    # build(chain) of every chain of the descent, bucketed by weight 0..top in
-    # pre-order; with ``exact`` only weight-top chains are built.
-    buckets: list[list] = [[] for _ in range(top + 1)]
-    if top == 0 or not exact:
-        buckets[0].append(())
-    _descend(
-        children, lambda chain, rest: buckets[top - rest].append(build(chain)),
-        exact, [], None, top,
-    )
-    return buckets
 
 
 def _descend(children, file, exact, chain, head, budget) -> None:
@@ -218,14 +168,13 @@ def _require_weight(value: int, name: str = "max_weight") -> None:
 
 def _admissible_colors(params: IdentityParams, max_size: int) -> list[list[int]]:
     # Colors a part of each size 0..max_size may carry under conditions (i)
-    # and (iii), ascending.
-    top = _restricted_color(params)
+    # and (iii), ascending; (iii) bounds the rank the part encodes by M - r - 2.
     return [
         [
             color
             for color in range(1, params.color_count + 1)
             if _size_ok(size, color, params)
-            and _top_color_ok(size, color, top, params.residue)
+            and rank_from_color(size, color, params) <= params.max_rank
         ]
         for size in range(max_size + 1)
     ]
@@ -304,7 +253,12 @@ def colored_members_up_to(
                 if head is None or _gap_ok(*head, size, color, params):
                     yield (size, color), budget - size
 
-    return _chain_buckets(max_weight, False, children, tuple)
+    def file(chain, rest):
+        buckets[max_weight - rest].append(tuple(chain))
+
+    buckets: list[list[ColoredPartition]] = [[()]] + [[] for _ in range(max_weight)]
+    _descend(children, file, False, [], None, max_weight)
+    return buckets
 
 
 def colored_members(params: IdentityParams, n: int) -> list[ColoredPartition]:
@@ -320,7 +274,7 @@ def boxed_members(
     # a non-int side falls through to the kernel, which refuses it
     if type(max_part) is type(max_length) is int and min(max_part, max_length) < 0:
         return []
-    return _window_chains(params, n, True, max_part, max_length)[n]
+    return _window_chains(params, n, max_part, max_length)
 
 
 def boxed_counts(

@@ -8,7 +8,9 @@ canonical JSON.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from typing import Iterable
 
 from . import coloring, families, series
@@ -83,25 +85,7 @@ def check_product_counts(params: IdentityParams, n_max: int) -> CheckRecord:
     substitution.  ``n_max`` must be a nonnegative int.
     """
     families._require_weight(n_max, "n_max")
-    return _product_counts_record(
-        params, n_max, families.rank_window_members_up_to(params, n_max)
-    )
-
-
-def _product_counts_record(
-    params: IdentityParams, n_max: int, members_by_weight: list[list[Partition]]
-) -> CheckRecord:
-    if params.has_product_form:
-        closed_form = series.restricted_product(params, n_max)
-        form_name = "product"
-        note = ""
-    else:
-        closed_form = series.bosonic_sum(params, n_max)
-        form_name = "theta quotient"
-        note = "2r = M: no product form, checked theta quotient"
-    counts = map(len, members_by_weight)
-    label = f"M={params.modulus} r={params.residue}"
-    return _count_record("product_counts", label, n_max, counts, form_name, closed_form, note)
+    return _residue_records([params], n_max, ("product_counts",))[params][0]
 
 
 def _count_record(
@@ -131,53 +115,119 @@ def check_bijection(params: IdentityParams, n_max: int) -> CheckRecord:
     nonnegative int.
     """
     families._require_weight(n_max, "n_max")
-    return _bijection_record(
-        params, n_max, families.rank_window_members_up_to(params, n_max)
-    )
+    return _residue_records([params], n_max, ("bijection",))[params][0]
 
 
-def _bijection_record(
-    params: IdentityParams, n_max: int, members_by_weight: list[list[Partition]]
-) -> CheckRecord:
-    label = f"M={params.modulus} r={params.residue}"
-    bosonic = series.bosonic_sum(params, n_max)
-    fermionic = series.fermionic_multisum(params, n_max)
-    series_legs = [("theta quotient", bosonic), ("multisum", fermionic)]
-    if params.has_product_form:
-        series_legs.insert(0, ("product", series.restricted_product(params, n_max)))
+def _residue_records(
+    cells: list[IdentityParams], n_max: int, scopes: tuple[str, ...]
+) -> dict[IdentityParams, list[CheckRecord]]:
+    """The records of distinct cells sharing one residue, in ``scopes`` order.
+
+    Cell M's weight-n members are the first M - 2 runs of bucket n of one
+    descent at the widest modulus (:func:`families.rank_window_members_by_top`).
+    A bijection record is the one the public ``color_map`` and ``inverse_map``
+    give on every (cell, member) pair, from one round trip per member:
+    ``color_map(p, (M, r))`` reads M only in its window check, the decode
+    reads r only, and of ``check_conditions`` only the color range and (iii)
+    read M, and they hold exactly when the top rank the colors encode is at
+    most M - r - 2.  So each member is encoded and checked once, at the
+    widest cell; each cell compares that rank (infinite on any other failure)
+    with its M - r - 2 and words a failure through the public round trip at
+    its own params.  One weight's round trips are alive at a time.
+    """
+    widest = max(cells, key=attrgetter("modulus"))
+    r = widest.residue
+    buckets = families.rank_window_members_by_top(widest, n_max)
+    records_of: dict[IdentityParams, list[CheckRecord]] = {params: [] for params in cells}
+    for params in cells if "product_counts" in scopes else ():
+        if params.has_product_form:
+            form_name, closed_form, note = "product", series.restricted_product(params, n_max), ""
+        else:
+            form_name, closed_form = "theta quotient", series.bosonic_sum(params, n_max)
+            note = "2r = M: no product form, checked theta quotient"
+        counts = (sum(map(len, runs[: params.modulus - 2])) for runs in buckets)
+        label = f"M={params.modulus} r={r}"
+        records_of[params].append(
+            _count_record("product_counts", label, n_max, counts, form_name, closed_form, note)
+        )
+    if "bijection" not in scopes:
+        return records_of
+    legs_of = {params: _count_legs(params, n_max) for params in cells}
+    checked = dict.fromkeys(cells, 0)
+    notes: dict[IdentityParams, str] = {}
+    for n, runs in enumerate(buckets):
+        open_cells = [params for params in cells if params not in notes]
+        if not open_cells:
+            break
+        cut = max(params.modulus for params in open_cells) - 2
+        limits = [[_round_trip_limit(p, n, widest) for p in run] for run in runs[:cut]]
+        for params in open_cells:
+            hi, held = params.max_rank, runs[: params.modulus - 2]
+            failing = (
+                p for run, run_limits in zip(held, limits)
+                for p, limit in zip(run, run_limits) if limit > hi
+            )
+            # the first failure in reverse-lexicographic order, at its position
+            for p in sorted(failing, reverse=True):
+                if note := _round_trip_note(p, n, params):
+                    checked[params] += sum(q >= p for run in held for q in run)
+                    notes[params] = note
+                    break
+            else:
+                count = sum(map(len, held))
+                checked[params] += count
+                for form, template in legs_of[params]:
+                    checked[params] += 1
+                    if count != form[n]:
+                        notes[params] = template.format(n=n, count=count, value=form[n])
+                        break
+    for params in cells:
+        label, note = f"M={params.modulus} r={r}", notes.get(params, "")
+        record = CheckRecord("bijection", label, f"n<={n_max}", checked[params], not note, note)
+        records_of[params].append(record)
+    return records_of
+
+
+def _count_legs(params: IdentityParams, n_max: int) -> list[tuple[list[int], str]]:
+    # The counts each weight's members must equal, with the note a mismatch
+    # gives: the colored family's by head (the members encode injectively
+    # into it, so the encoding is onto iff the counts agree), then the series.
     colored = list(map(sum, zip(*families.colored_head_counts(params, n_max, n_max).values())))
-    checked = 0
-    for n in range(n_max + 1):
-        members = members_by_weight[n]
-        for p in members:
-            member = color_map(p, params)
-            checked += 1
-            if sum(size for size, _ in member) != n:
-                return _fail("bijection", label, n_max, checked, f"n={n}: {p} changes weight")
-            try:
-                decoded = inverse_map(member, params)
-            except ValueError as exc:
-                reason = str(exc).removeprefix("not decodable: ")
-                note = f"n={n}: {p} not decodable: {reason}"
-                return _fail("bijection", label, n_max, checked, note)
-            if decoded != p:
-                return _fail("bijection", label, n_max, checked, f"n={n}: {p} fails round trip")
-        # The distinct members encode injectively (each decodes back to itself) into
-        # the colored family of weight n, so the encoding is onto iff the counts agree.
-        count = len(members)
-        checked += 1
-        if count != colored[n]:
-            note = f"n={n}: encoded family differs from direct generation "
-            note += f"({count} vs {colored[n]} members)"
-            return _fail("bijection", label, n_max, checked, note)
-        for name, form in series_legs:
-            value = form[n]
-            checked += 1
-            if count != value:
-                return _fail(
-                    "bijection", label, n_max, checked, f"n={n}: {count} members vs {name} {value}"
-                )
-    return CheckRecord("bijection", label, f"n<={n_max}", checked, True)
+    legs = [("theta quotient", series.bosonic_sum(params, n_max))]
+    legs.append(("multisum", series.fermionic_multisum(params, n_max)))
+    if params.has_product_form:
+        legs.insert(0, ("product", series.restricted_product(params, n_max)))
+    note = "n={n}: encoded family differs from direct generation ({count} vs {value} members)"
+    return [(colored, note)] + [
+        (form, f"n={{n}}: {{count}} members vs {name} {{value}}") for name, form in legs
+    ]
+
+
+def _round_trip_limit(p: Partition, n: int, widest: IdentityParams) -> float:
+    # The top rank of p's encoding if its weight, structure, (i), (ii) and
+    # decode pass, else infinity: p passes at a cell iff this is <= M - r - 2.
+    member = color_map(p, widest)
+    try:
+        failed_i, failed_ii, top = coloring._residue_conditions(member, widest)
+    except ValueError:
+        return math.inf
+    if failed_i or failed_ii or sum(map(itemgetter(0), member)) != n:
+        return math.inf
+    return top if coloring._decode(member, widest.residue) == p else math.inf
+
+
+def _round_trip_note(p: Partition, n: int, params: IdentityParams) -> str | None:
+    # Why p fails the public round trip at params, or None if it passes.
+    member = color_map(p, params)
+    if sum(size for size, _ in member) != n:
+        return f"n={n}: {p} changes weight"
+    try:
+        decoded = inverse_map(member, params)
+    except ValueError as exc:
+        return f"n={n}: {p} not decodable: {str(exc).removeprefix('not decodable: ')}"
+    if decoded != p:
+        return f"n={n}: {p} fails round trip"
+    return None
 
 
 def check_gordon(half_modulus: int, residue: int, n_max: int) -> CheckRecord:
@@ -297,10 +347,6 @@ def _fail(
     return CheckRecord(scope, label, f"{span_prefix}<={bound}", checked, False, note)
 
 
-def _valid_residues(modulus: int):
-    return range(1, modulus // 2 + 1)
-
-
 def verify_identity_grid(
     moduli=DEFAULT_MODULI,
     residues=None,
@@ -312,36 +358,28 @@ def verify_identity_grid(
     scope: "product_counts", "bijection", or "both".  Records come in the
     caller's order: moduli as given (repeats included), and within each the
     residues as given, or ascending by default.  The work runs residue by
-    residue: one pair-chain descent per residue, at the widest modulus the
-    grid asks for with it, hands each modulus its members
-    (:func:`~colorpartitions.families.rank_window_members_by_modulus`), and
-    both records of a cell share them; one residue's family is alive at a
-    time.  ``n_max`` must be a nonnegative int.
+    residue (see :func:`_residue_records`).  Every modulus and residue must
+    be an int and ``n_max`` a nonnegative int, each checked before any work.
     """
     if scope not in ("product_counts", "bijection", "both"):
         raise ValueError(f"unknown scope {scope!r}")
     families._require_weight(n_max, "n_max")
+    moduli = tuple(moduli)
+    residues = None if residues is None else tuple(residues)
+    for name, values in (("modulus", moduli), ("residue", residues or ())):
+        for value in values:
+            families._require_int(value, name)
     cells = [
         IdentityParams(modulus, residue)
         for modulus in moduli
-        for residue in (
-            [r for r in residues if 2 * r <= modulus]
-            if residues is not None
-            else _valid_residues(modulus)
-        )
+        for residue in (range(1, modulus // 2 + 1) if residues is None else residues)
+        if 2 * residue <= modulus
     ]
+    scopes = ("product_counts", "bijection") if scope == "both" else (scope,)
     records_of: dict[IdentityParams, list[CheckRecord]] = {}
     for residue in sorted({params.residue for params in cells}):
-        moduli_of_residue = {params.modulus for params in cells if params.residue == residue}
-        for params, members in families.rank_window_members_by_modulus(
-            residue, moduli_of_residue, n_max
-        ):
-            records_of[params] = records = []
-            if scope in ("product_counts", "both"):
-                records.append(_product_counts_record(params, n_max, members))
-            if scope in ("bijection", "both"):
-                records.append(_bijection_record(params, n_max, members))
-            del members  # so no cell's members outlive it into the next descent
+        distinct = [params for params in dict.fromkeys(cells) if params.residue == residue]
+        records_of.update(_residue_records(distinct, n_max, scopes))
     return VerificationReport(
         f"{scope} grid", tuple(record for params in cells for record in records_of[params])
     )

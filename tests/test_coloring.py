@@ -13,6 +13,7 @@ from colorpartitions import (
     check_conditions,
     color_map,
     format_colored,
+    from_angles,
     inverse_map,
     rank_from_color,
     successive_ranks,
@@ -257,6 +258,60 @@ def test_round_trip_small_grid():
             assert sorted(encoded) == sorted(direct)
             for c in direct:
                 assert color_map(inverse_map(c, params), params) == c
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), modulus=st.integers(3, 13), n=st.integers(0, 24))
+def test_passing_conditions_give_decreasing_angles(data, modulus, n):
+    # a colored partition passing (i)-(iii) decodes through angles whose
+    # widths and heights are strictly decreasing and positive, so the
+    # unchecked rebuild agrees with from_angles
+    params = IdentityParams(modulus, data.draw(st.integers(1, modulus // 2)))
+    members = colored_members(params, n)
+    if not members:
+        return
+    colored = data.draw(st.sampled_from(members))
+    assert check_conditions(colored, params)
+    pairs = []
+    for size, color in colored:
+        width = (size + 1 + rank_from_color(size, color, params)) // 2
+        pairs.append((width, size - width + 1))
+    for side in (0, 1):
+        values = [pair[side] for pair in pairs]
+        assert all(value >= 1 for value in values)
+        assert all(a > b for a, b in zip(values, values[1:]))
+    assert inverse_map(colored, params) == from_angles(pairs)
+
+
+def _passes(colored, params):
+    try:
+        return bool(check_conditions(colored, params))
+    except ValueError:  # a color out of range
+        return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), wide=st.integers(3, 13), n=st.integers(0, 20))
+def test_encoding_reads_the_modulus_only_through_its_window(data, wide, n):
+    # for M <= M' of one residue and p in the window at M': the encoding and
+    # decode at M agree with those at M' wherever M's window holds p, and it
+    # holds p exactly when the encoding passes the color range and (iii) at M
+    residue = data.draw(st.integers(1, wide // 2))
+    widest = IdentityParams(wide, residue)
+    params = IdentityParams(data.draw(st.integers(max(3, 2 * residue), wide)), residue)
+    members = rank_window_members(widest, n)
+    if not members:
+        return
+    p = data.draw(st.sampled_from(members))
+    colored = color_map(p, widest)
+    in_window = all(params.rank_in_window(rank) for rank in successive_ranks(p))
+    assert _passes(colored, params) == in_window
+    if in_window:
+        assert color_map(p, params) == colored
+        assert inverse_map(colored, params) == inverse_map(colored, widest) == p
+    else:
+        with pytest.raises(RankWindowError):
+            color_map(p, params)
 
 
 def enumerate_boxed(params, n, max_width, max_height):

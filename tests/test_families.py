@@ -1,6 +1,7 @@
 """Family enumerators: counts vs series, dual generation, boxed refinements."""
 
 import gc
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -27,8 +28,7 @@ from colorpartitions.families import (
     _admissible_colors,
     colored_head_counts,
     colored_members_up_to,
-    rank_window_members_by_modulus,
-    rank_window_members_up_to,
+    rank_window_members_by_top,
     ranked_partitions,
 )
 from colorpartitions.partitions import partitions_of
@@ -83,23 +83,33 @@ def test_degenerate_window_is_empty():
     assert rank_window_members(p31, 0) == [()]
 
 
+def rank_window_members_up_to(params, max_weight):
+    # oracle: rank-window members bucketed by weight, one exact-weight
+    # descent per weight
+    return [rank_window_members(params, n) for n in range(max_weight + 1)]
+
+
 def test_shared_descent_matches_per_modulus_descents():
-    # one descent at the widest modulus of a residue, its members merged per
-    # modulus up to that window's top rank, against one descent per modulus:
-    # bucket for bucket, in order;
-    # the moduli come out distinct and ascending, whatever order they go in
+    # one descent at the widest modulus of a residue, cut per modulus at its
+    # top rank (the first M - 2 runs), against one descent per modulus:
+    # bucket for bucket, each run holding exactly its top rank
     for r in range(1, 7):
-        moduli = range(max(3, 2 * r), 14)
-        shared = list(rank_window_members_by_modulus(r, [*reversed(moduli), 13], 22))
-        assert [params for params, _ in shared] == [IdentityParams(m, r) for m in moduli]
-        for params, buckets in shared:
-            assert buckets == rank_window_members_up_to(params, 22), params
-    assert list(rank_window_members_by_modulus(1, (), 5)) == []
-
-
-def test_shared_descent_checks_every_modulus_first():
-    with pytest.raises(ValueError, match="residue must satisfy"):
-        rank_window_members_by_modulus(3, (9, 5), 4)
+        widest = IdentityParams(13, r)
+        buckets = rank_window_members_by_top(widest, 22)
+        assert len(buckets) == 23
+        for runs in buckets:
+            assert len(runs) == 11
+            for index, run in enumerate(runs):
+                tops = {max(successive_ranks(p), default=1 - r) for p in run}
+                assert tops <= {index + 1 - r}
+        for modulus in range(max(3, 2 * r), 14):
+            params = IdentityParams(modulus, r)
+            cut = [
+                sorted(itertools.chain.from_iterable(runs[: modulus - 2]), reverse=True)
+                for runs in buckets
+            ]
+            assert cut == rank_window_members_up_to(params, 22), params
+    assert rank_window_members_by_top(IdentityParams(3, 1), 4) == [[[()]], [[]], [[]], [[]], [[]]]
 
 
 def test_rank_window_counts_match_members():
@@ -153,8 +163,7 @@ def test_colored_members_weight_zero():
 
 WEIGHTED_ROUTES = (
     lambda w: rank_window_members(P71, w),
-    lambda w: rank_window_members_up_to(P71, w),
-    lambda w: rank_window_members_by_modulus(1, (5, 7), w),
+    lambda w: rank_window_members_by_top(P71, w),
     lambda w: rank_window_counts(P71, w),
     lambda w: boxed_members(P71, w, 4, 4),
     lambda w: colored_members(P71, w),
@@ -259,7 +268,8 @@ def test_chain_descent_matches_filter(data, modulus, n):
     expected = _window_filter(params, n)
     assert rank_window_members(params, n) == expected
     top = data.draw(st.integers(n, 40))
-    assert rank_window_members_up_to(params, top)[n] == expected
+    runs = rank_window_members_by_top(params, top)[n]
+    assert sorted(itertools.chain(*runs), reverse=True) == expected
     max_part = data.draw(st.integers(0, n + 1))
     max_length = data.draw(st.integers(0, n + 1))
     members = set(expected)
@@ -278,8 +288,7 @@ def test_descents_leave_no_reference_cycles():
         gc.collect()
         for route in (
             lambda: rank_window_members(P71, 20),
-            lambda: rank_window_members_up_to(IdentityParams(9, 1), 30),
-            lambda: list(rank_window_members_by_modulus(1, (5, 9), 30)),
+            lambda: rank_window_members_by_top(IdentityParams(9, 1), 30),
             lambda: boxed_members(P71, 20, 8, 8),
             lambda: colored_members_up_to(P71, 30),
         ):

@@ -1,8 +1,13 @@
 """Verification harness: records, reports, grids, failure reporting."""
 
+import sys
+
 import pytest
 
 from colorpartitions import IdentityParams
+from colorpartitions.families import colored_head_counts, rank_window_members
+from colorpartitions.partitions import _rows_from_pairs
+from colorpartitions.series import bosonic_sum, fermionic_multisum, restricted_product
 from colorpartitions.verify import (
     CheckRecord,
     VerificationReport,
@@ -96,23 +101,15 @@ def test_verify_never_enumerates_the_colored_family(monkeypatch):
 def test_product_counts_detects_lossy_window_enumeration(monkeypatch):
     from colorpartitions import families, verify
 
-    def drop_one(buckets):
-        buckets[6] = buckets[6][:-1]
+    real = families.rank_window_members_by_top
+
+    def lossy(params, max_weight):
+        buckets = real(params, max_weight)
+        next(run for run in buckets[6] if run).pop()
         return buckets
 
-    real_shared = families.rank_window_members_by_modulus
-    real_single = families.rank_window_members_up_to
-
-    def lossy_shared(residue, moduli, max_weight):
-        for params, buckets in real_shared(residue, moduli, max_weight):
-            yield params, drop_one(buckets)
-
-    def lossy_single(params, max_weight):
-        return drop_one(real_single(params, max_weight))
-
-    # the grid's route (one descent per residue) and the single-cell route
-    monkeypatch.setattr(verify.families, "rank_window_members_by_modulus", lossy_shared)
-    monkeypatch.setattr(verify.families, "rank_window_members_up_to", lossy_single)
+    # the one descent the grid and the single-cell checks share
+    monkeypatch.setattr(verify.families, "rank_window_members_by_top", lossy)
     # the grid shares one enumeration per cell between both records
     report = verify_identity_grid(moduli=(7,), residues=(1,), n_max=10)
     assert [(r.scope, r.ok) for r in report.records] == [
@@ -124,6 +121,146 @@ def test_product_counts_detects_lossy_window_enumeration(monkeypatch):
     assert "direct generation" in bijection.note
     assert check_product_counts(IdentityParams(7, 1), 10) == counts
     assert check_bijection(IdentityParams(7, 1), 10) == bijection
+
+
+def _product_counts_oracle(params, n_max):
+    # member counts of one exact-weight descent per weight against the
+    # closed form, stopping at the first mismatch
+    label = f"M={params.modulus} r={params.residue}"
+    if params.has_product_form:
+        form_name, closed_form, note = "product", restricted_product(params, n_max), ""
+    else:
+        form_name, closed_form = "theta quotient", bosonic_sum(params, n_max)
+        note = "2r = M: no product form, checked theta quotient"
+    for n in range(n_max + 1):
+        count = len(rank_window_members(params, n))
+        if count != closed_form[n]:
+            note = f"n={n}: {count} members vs {form_name} coefficient {closed_form[n]}"
+            return CheckRecord("product_counts", label, f"n<={n_max}", n + 1, False, note)
+    return CheckRecord("product_counts", label, f"n<={n_max}", n_max + 1, True, note)
+
+
+def _bijection_oracle(params, n_max):
+    # The per-cell loop: the public color_map and inverse_map on every
+    # member of the cell, looked up at call time so patches reach them.
+    from colorpartitions import coloring
+
+    label = f"M={params.modulus} r={params.residue}"
+    legs = [("theta quotient", bosonic_sum(params, n_max))]
+    legs.append(("multisum", fermionic_multisum(params, n_max)))
+    if params.has_product_form:
+        legs.insert(0, ("product", restricted_product(params, n_max)))
+    headed = colored_head_counts(params, n_max, n_max)
+    colored = list(map(sum, zip(*headed.values())))
+
+    def fail(checked, note):
+        return CheckRecord("bijection", label, f"n<={n_max}", checked, False, note)
+
+    checked = 0
+    for n in range(n_max + 1):
+        members = rank_window_members(params, n)
+        for p in members:
+            member = coloring.color_map(p, params)
+            checked += 1
+            if sum(size for size, _ in member) != n:
+                return fail(checked, f"n={n}: {p} changes weight")
+            try:
+                decoded = coloring.inverse_map(member, params)
+            except ValueError as exc:
+                reason = str(exc).removeprefix("not decodable: ")
+                return fail(checked, f"n={n}: {p} not decodable: {reason}")
+            if decoded != p:
+                return fail(checked, f"n={n}: {p} fails round trip")
+        count = len(members)
+        checked += 1
+        if count != colored[n]:
+            note = f"n={n}: encoded family differs from direct generation "
+            return fail(checked, note + f"({count} vs {colored[n]} members)")
+        for name, form in legs:
+            checked += 1
+            if count != form[n]:
+                return fail(checked, f"n={n}: {count} members vs {name} {form[n]}")
+    return CheckRecord("bijection", label, f"n<={n_max}", checked, True)
+
+
+def _patch_everywhere(monkeypatch, name, replacement):
+    # every binding of ``name`` in the package's modules
+    from colorpartitions import coloring
+
+    real = getattr(coloring, name)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("colorpartitions") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, replacement)
+
+
+def _colors_plus_one(monkeypatch, min_size=1):
+    from colorpartitions import coloring
+
+    real = coloring.color_map
+
+    def shifted(p, params):
+        return tuple((size, color + (size >= min_size)) for size, color in real(p, params))
+
+    _patch_everywhere(monkeypatch, "color_map", shifted)
+
+
+def _decode_with(width_shift):
+    def decode(colored, residue):
+        pairs = []
+        for size, color in colored:
+            width = color + (size - residue) // 2 + 1 + width_shift(size)
+            pairs.append((width, size - width + 1))
+        return _rows_from_pairs(pairs)
+
+    return decode
+
+
+def _width_off_by_one(monkeypatch):
+    _patch_everywhere(monkeypatch, "_decode", _decode_with(lambda size: size >= 7))
+
+
+def _big_colors_plus_one_both_ways(monkeypatch):
+    # the decode undoes the shift, so members pass (i), (ii) and the round
+    # trip, and fail only the color range or (iii), the checks that read M
+    _colors_plus_one(monkeypatch, min_size=7)
+    _patch_everywhere(monkeypatch, "_decode", _decode_with(lambda size: -(size >= 7)))
+
+
+@pytest.mark.parametrize(
+    "mutant", [None, _colors_plus_one, _width_off_by_one, _big_colors_plus_one_both_ways]
+)
+def test_grid_records_match_the_per_cell_loop(monkeypatch, mutant):
+    # one round trip per member per residue gives every record, failures
+    # worded at the cell's own params included, the per-cell loop gives,
+    # also under mutants that ignore the modulus
+    if mutant is not None:
+        mutant(monkeypatch)
+    report = verify_identity_grid(moduli=(5, 6, 7, 8, 9), n_max=14)
+    expected = []
+    for modulus in (5, 6, 7, 8, 9):
+        for residue in range(1, modulus // 2 + 1):
+            params = IdentityParams(modulus, residue)
+            expected += [_product_counts_oracle(params, 14), _bijection_oracle(params, 14)]
+    assert report.records == tuple(expected)
+    assert report.passed == (mutant is None)
+
+
+def test_grid_refuses_non_int_modulus_or_residue_before_any_work(monkeypatch):
+    from colorpartitions import verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the descent ran")
+
+    monkeypatch.setattr(verify.families, "rank_window_members_by_top", refuse)
+    for moduli in ((5, 7.0), (True,), ("7",)):
+        with pytest.raises(ValueError, match=r"modulus must be an int, got "):
+            verify_identity_grid(moduli=moduli)
+    for residues in ((1, 1.5), (False,)):
+        with pytest.raises(ValueError, match=r"residue must be an int, got "):
+            verify_identity_grid(moduli=(9,), residues=residues)
+    # and a cell that is no identity, among valid ones, before the descent
+    with pytest.raises(ValueError, match="modulus must be >= 3"):
+        verify_identity_grid(moduli=(9, 2))
 
 
 def test_bijection_reports_undecodable_member(monkeypatch):

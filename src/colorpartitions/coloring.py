@@ -248,11 +248,12 @@ def _residue_conditions(
     top = 1 - params.residue
     prev_size = prev_color = 0
     for i, (size, color) in enumerate(colored, start=1):
-        if not (failed_i or _size_ok(size, color, params)):
+        rank = rank_from_color(size, color, params)
+        if not (failed_i or _size_ok(size, rank)):
             failed_i = i
         if i > 1 and not (failed_ii or _gap_ok(prev_size, prev_color, size, color, params)):
             failed_ii = i - 1
-        top = max(top, rank_from_color(size, color, params) if color >= 1 else math.inf)
+        top = max(top, rank if color >= 1 else math.inf)
         prev_size, prev_color = size, color
     return failed_i, failed_ii, top
 
@@ -265,9 +266,9 @@ def _residue_conditions(
 # residue's parity" is (x - r) % 2 == 0, tested by rank_from_color and (ii).
 
 
-def _size_ok(size: int, color: int, params: IdentityParams) -> bool:
-    # (i): the part exceeds |rank| of the rank it encodes.
-    return size > abs(rank_from_color(size, color, params))
+def _size_ok(size: int, rank: int) -> bool:
+    # (i): the part exceeds |rank| of the rank it encodes (rank_from_color).
+    return size > abs(rank)
 
 
 def _gap_ok(
@@ -298,14 +299,17 @@ def inverse_map(colored: ColoredPartition, params: IdentityParams) -> Partition:
 
 
 def _decode(colored: ColoredPartition, residue: int) -> Partition:
-    # width - height = rank and width + height - 1 = size give width
-    # color + (size - r) // 2 + 1 on either parity; (i)-(iii) make widths and
-    # heights strictly decreasing and positive, as from_angles would check.
-    pairs = []
-    for size, color in colored:
-        width = color + (size - residue) // 2 + 1
-        pairs.append((width, size - width + 1))
-    return _rows_from_pairs(pairs)
+    # (i)-(iii) make the decoded widths and heights strictly decreasing and
+    # positive, as from_angles would check.
+    return _rows_from_pairs([_decode_part(size, color, residue) for size, color in colored])
+
+
+def _decode_part(size: int, color: int, residue: int) -> tuple[int, int]:
+    # The (width, height) pair of one colored part: width - height = rank and
+    # width + height - 1 = size give width color + (size - r) // 2 + 1 on
+    # either parity.
+    width = color + (size - residue) // 2 + 1
+    return width, size - width + 1
 
 
 def check_box_condition(

@@ -5,17 +5,20 @@ encodings, box-bounded rank-window members, Gordon-condition partitions,
 gap-2 partitions, and partitions into residue-restricted parts.  Enumerators
 return materialized lists at fixed weight, or per-weight buckets; rank-window
 members come from a descent over Frobenius pair chains, whose cost follows
-the output.  Moduli that share a residue share one descent: their windows
-share a lower end, so it files each member under its top rank and each
-family is the widest one cut there (:func:`rank_window_members_by_top`).
+the output.  The descent is a walk over chains in pre-order; the filing of
+one residue's members by top rank, which serves every modulus of that
+residue at once, lives in the verification harness, its only caller
+(``verify._members_by_top``).
 Per-weight fast counts go through the Frobenius-pair counting kernel (rank
-windows) or a transfer matrix over heads with one running sum per (color,
-size-parity) class (colored family).
+windows), a transfer matrix over heads with one running sum per (color,
+size-parity) class (colored family), or one over part frequencies
+(Gordon's family).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import add
 
 from . import kernels
@@ -35,7 +38,6 @@ __all__ = [
     "enumerate_family",
     "ranked_partitions",
     "rank_window_members",
-    "rank_window_members_by_top",
     "rank_window_counts",
     "colored_members",
     "colored_members_up_to",
@@ -44,6 +46,7 @@ __all__ = [
     "boxed_members",
     "boxed_counts",
     "gordon_members",
+    "frequency_counts",
     "gap2_members",
     "product_parts_members",
 ]
@@ -65,30 +68,6 @@ def rank_window_members(params: IdentityParams, n: int) -> list[Partition]:
     """
     _require_weight(n, "n")
     return _window_chains(params, n, n, n)
-
-
-def rank_window_members_by_top(
-    params: IdentityParams, max_weight: int
-) -> list[list[list[Partition]]]:
-    """Rank-window members of weight 0..max_weight, filed by top rank.
-
-    ``buckets[n][t + r - 1]`` holds, in descent order, the weight-n members
-    whose largest successive rank is t, and ``buckets[n][0]`` the empty
-    partition.  The windows [2 - r, M - r - 2] of one residue share their
-    lower end, so the first M' - 2 runs of each bucket are the members at a
-    modulus M' <= M: one descent serves every weight and every such modulus.
-    """
-    _require_weight(max_weight)
-    buckets = [[[] for _ in range(params.modulus - 2)] for _ in range(max_weight + 1)]
-    buckets[0][0].append(())
-
-    def file(chain, rest):
-        top = max([w - h for w, h in chain])
-        buckets[max_weight - rest][top + params.residue - 1].append(_rows_from_pairs(chain))
-
-    children = _window_children(params, max_weight, False, max_weight, max_weight)
-    _descend(children, file, False, [], None, max_weight)
-    return buckets
 
 
 def _window_chains(
@@ -173,8 +152,8 @@ def _admissible_colors(params: IdentityParams, max_size: int) -> list[list[int]]
         [
             color
             for color in range(1, params.color_count + 1)
-            if _size_ok(size, color, params)
-            and rank_from_color(size, color, params) <= params.max_rank
+            if _size_ok(size, rank := rank_from_color(size, color, params))
+            and rank <= params.max_rank
         ]
         for size in range(max_size + 1)
     ]
@@ -297,7 +276,9 @@ def gordon_members(half_modulus: int, residue: int, n: int) -> list[Partition]:
     """Partitions of n with bounded repetition depth and few ones.
 
     Conditions: parts k-1 apart differ by at least 2 (k the half-modulus, so
-    no value repeats k or more times), and fewer than ``residue`` ones.
+    no value repeats k or more times), and fewer than ``residue`` ones.  The
+    filter over every partition of n, kept as the test oracle of
+    :func:`frequency_counts`.
     """
     _require_weight(n, "n")
     return [
@@ -305,6 +286,33 @@ def gordon_members(half_modulus: int, residue: int, n: int) -> list[Partition]:
         for p in partitions_of(n)
         if p.count(1) < residue and all(a - b >= 2 for a, b in zip(p, p[half_modulus - 1 :]))
     ]
+
+
+def frequency_counts(params: IdentityParams, max_weight: int) -> list[int]:
+    """Per-weight counts of Gordon's partitions at an odd modulus M = 2k + 1.
+
+    With f_i the number of times the part i occurs, Gordon's condition is
+    f_1 <= r - 1 and f_i + f_(i+1) <= k - 1 (Gordon, Amer. J. Math. 83,
+    1961): the family :func:`gordon_members` filters, counted here by a
+    transfer matrix over part values 1..max_weight whose state is the
+    frequency of the current value.  The partitions into parts at most i
+    with f_i = f are those into parts below i with f_(i-1) <= k - 1 - f,
+    shifted by i * f: one prefix sum over the previous states serves every
+    f.  An even modulus raises ValueError.
+    """
+    if not params.is_odd:
+        raise ValueError(f"Gordon's condition needs an odd modulus, got {params.modulus}")
+    _require_weight(max_weight)
+    k, r = params.half_modulus, params.residue
+    states = [[1] + [0] * max_weight]  # parts below 1: the empty partition, f_0 = 0
+    for i in range(1, max_weight + 1):
+        below = list(accumulate(states, lambda a, b: list(map(add, a, b))))
+        cap = min((r if i == 1 else k) - 1, max_weight // i)
+        states = [
+            [0] * (i * f) + below[min(k - 1 - f, len(below) - 1)][: max_weight + 1 - i * f]
+            for f in range(cap + 1)
+        ]
+    return list(map(sum, zip(*states)))
 
 
 def gap2_members(n: int, min_part: int = 1) -> list[Partition]:

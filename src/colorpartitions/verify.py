@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Iterable
 
 from . import coloring, families, series
 from .coloring import ColoredPartition, IdentityParams, color_map, inverse_map
-from .partitions import Partition
+from .partitions import Partition, _rows_from_pairs
 
 __all__ = [
     "CheckRecord",
@@ -124,27 +125,41 @@ def _residue_records(
     """The records of distinct cells sharing one residue, in ``scopes`` order.
 
     Cell M's weight-n members are the first M - 2 runs of bucket n of one
-    descent at the widest modulus (:func:`families.rank_window_members_by_top`).
-    A bijection record is the one the public ``color_map`` and ``inverse_map``
-    give on every (cell, member) pair, from one round trip per member:
+    descent at the widest modulus (:func:`_members_by_top`).  A bijection
+    record is the one the public ``color_map`` and ``inverse_map`` give on
+    every (cell, member) pair, from one round trip per member:
     ``color_map(p, (M, r))`` reads M only in its window check, the decode
     reads r only, and of ``check_conditions`` only the color range and (iii)
     read M, and they hold exactly when the top rank the colors encode is at
     most M - r - 2.  So each member is encoded and checked once, at the
-    widest cell; each cell compares that rank (infinite on any other failure)
-    with its M - r - 2 and words a failure through the public round trip at
-    its own params.  One weight's round trips are alive at a time.
+    widest cell, to a limit: that rank, or infinity on any other failure.
+    Each cell compares the limit with its M - r - 2 and words a failure
+    through the public round trip at its own params.
+
+    The limits come from the descent, one check per chain node.  A member's
+    chain is its parent's chain plus one pair (w, h), and the parent is
+    filed just before it.  Say the parent's encoding E' was certified: its
+    parts are exact ints with colors at least 1, pass (i) and (ii), have
+    sizes w' + h' - 1 for the pairs of the parent's chain (so they strictly
+    decrease and sum to its weight), and decode part by part to those pairs.
+    If the member encodes to E' plus one part (s, c) of exact ints with
+    c >= 1 that follows E'[-1] under (ii), passes (i), has s = w + h - 1
+    and decodes to (w, h), then the member's encoding passes the same
+    checks (its decoded pairs are its chain, so its decode is the member
+    itself), and its limit is the larger of the parent's and the rank
+    (s, c) encodes.  The empty member, certified by the full check, starts
+    the induction.  Any other member takes the full check
+    (:func:`_round_trip_limit`) and certifies no child, so every limit is
+    the one the full check gives.
     """
     widest = max(cells, key=attrgetter("modulus"))
     r = widest.residue
-    buckets = families.rank_window_members_by_top(widest, n_max)
+    buckets, suspects = _members_by_top(widest, n_max)
+    forms_of = {params: _closed_forms(params, n_max, scopes) for params in cells}
     records_of: dict[IdentityParams, list[CheckRecord]] = {params: [] for params in cells}
     for params in cells if "product_counts" in scopes else ():
-        if params.has_product_form:
-            form_name, closed_form, note = "product", series.restricted_product(params, n_max), ""
-        else:
-            form_name, closed_form = "theta quotient", series.bosonic_sum(params, n_max)
-            note = "2r = M: no product form, checked theta quotient"
+        form_name, closed_form = forms_of[params][0]
+        note = "" if params.has_product_form else "2r = M: no product form, checked theta quotient"
         counts = (sum(map(len, runs[: params.modulus - 2])) for runs in buckets)
         label = f"M={params.modulus} r={r}"
         records_of[params].append(
@@ -152,21 +167,16 @@ def _residue_records(
         )
     if "bijection" not in scopes:
         return records_of
-    legs_of = {params: _count_legs(params, n_max) for params in cells}
+    legs_of = {params: _count_legs(params, n_max, forms_of[params]) for params in cells}
     checked = dict.fromkeys(cells, 0)
     notes: dict[IdentityParams, str] = {}
     for n, runs in enumerate(buckets):
-        open_cells = [params for params in cells if params not in notes]
-        if not open_cells:
-            break
-        cut = max(params.modulus for params in open_cells) - 2
-        limits = [[_round_trip_limit(p, n, widest) for p in run] for run in runs[:cut]]
-        for params in open_cells:
-            hi, held = params.max_rank, runs[: params.modulus - 2]
-            failing = (
-                p for run, run_limits in zip(held, limits)
-                for p, limit in zip(run, run_limits) if limit > hi
-            )
+        for params in cells:
+            if params in notes:
+                continue
+            cut, hi = params.modulus - 2, params.max_rank
+            held = runs[:cut]
+            failing = (p for p, index, limit in suspects[n] if index < cut and limit > hi)
             # the first failure in reverse-lexicographic order, at its position
             for p in sorted(failing, reverse=True):
                 if note := _round_trip_note(p, n, params):
@@ -188,18 +198,104 @@ def _residue_records(
     return records_of
 
 
-def _count_legs(params: IdentityParams, n_max: int) -> list[tuple[list[int], str]]:
+def _members_by_top(
+    widest: IdentityParams, max_weight: int
+) -> tuple[list[list[list[Partition]]], list[list[tuple[Partition, int, float]]]]:
+    """Rank-window members of weight 0..max_weight, filed by top rank.
+
+    ``buckets[n][t + r - 1]`` holds, in descent order, the weight-n members
+    whose largest successive rank is t, and ``buckets[n][0]`` the empty
+    partition.  The windows [2 - r, M - r - 2] of one residue share their
+    lower end, so the first M' - 2 runs of each bucket are the members at a
+    modulus M' <= M: one descent serves every weight and every such modulus.
+    ``suspects[n]`` lists, as (member, run index, limit), the weight-n
+    members whose round-trip limit at ``widest`` exceeds their top rank;
+    any other member passes at every modulus whose window holds it.
+    """
+    families._require_weight(max_weight)
+    r = widest.residue
+    buckets = [[[] for _ in range(widest.modulus - 2)] for _ in range(max_weight + 1)]
+    buckets[0][0].append(())
+    suspects: list[list[tuple[Partition, int, float]]] = [[] for _ in range(max_weight + 1)]
+    root = _round_trip_limit((), 0, widest)
+    if root > 1 - r:
+        suspects[0].append(((), 0, root))
+    # per depth, the top rank of the chain last filed there and its certified
+    # (encoding, limit), or None; pre-order makes depth d - 1 a node's parent
+    tops = [1 - r] * (max_weight + 1)
+    seeds = [((), root) if root < math.inf else None] * (max_weight + 1)
+
+    def file(pairs, rest):
+        n, depth, pair = max_weight - rest, len(pairs), pairs[-1]
+        tops[depth] = top = max(tops[depth - 1], pair[0] - pair[1])
+        p = _rows_from_pairs(pairs)
+        buckets[n][top + r - 1].append(p)
+        member = color_map(p, widest)
+        seed = seeds[depth - 1]
+        limit = None if seed is None else _extended_limit(seed, member, pair, widest)
+        if limit is None:
+            seeds[depth] = None
+            limit = _round_trip_limit(p, n, widest)
+        else:
+            seeds[depth] = member, limit
+        if limit > top:
+            suspects[n].append((p, top + r - 1, limit))
+
+    children = families._window_children(widest, max_weight, False, max_weight, max_weight)
+    families._descend(children, file, False, [], None, max_weight)
+    return buckets, suspects
+
+
+def _extended_limit(
+    seed: tuple[ColoredPartition, float], member: ColoredPartition,
+    pair: tuple[int, int], widest: IdentityParams,
+) -> float | None:
+    # The limit of ``member`` if it is the certified encoding of ``seed``
+    # plus one part that passes every check against that encoding's last
+    # part and decodes to ``pair``, else None.  The order rule needs no
+    # test: every certified part has size w + h - 1 for its pair, and the
+    # pairs of a chain strictly decrease, so the sizes do too.
+    encoding, limit = seed
+    if len(member) != len(encoding) + 1 or member[:-1] != encoding:
+        return None
+    # two exact ints per part: tuple equality lets 3.0 or True pass for one
+    if list(map(type, chain.from_iterable(member))) != [int] * (2 * len(member)):
+        return None
+    size, color = member[-1]
+    rank = coloring.rank_from_color(size, color, widest)
+    if color < 1 or not coloring._size_ok(size, rank) or size != pair[0] + pair[1] - 1:
+        return None
+    if encoding and not coloring._gap_ok(*encoding[-1], size, color, widest):
+        return None
+    if coloring._decode_part(size, color, widest.residue) != pair:
+        return None
+    return max(limit, rank)
+
+
+def _closed_forms(
+    params: IdentityParams, n_max: int, scopes: tuple[str, ...]
+) -> list[tuple[str, series.TruncatedSeries]]:
+    # The series the records read, each built once: the count record reads
+    # the first (the product, or the theta quotient at 2r = M, where the
+    # product over-counts), the bijection record every one.
+    builders = [("theta quotient", series.bosonic_sum), ("multisum", series.fermionic_multisum)]
+    if params.has_product_form:
+        builders.insert(0, ("product", series.restricted_product))
+    if "bijection" not in scopes:
+        del builders[1:]
+    return [(name, build(params, n_max)) for name, build in builders]
+
+
+def _count_legs(
+    params: IdentityParams, n_max: int, forms: list[tuple[str, series.TruncatedSeries]]
+) -> list[tuple[list[int], str]]:
     # The counts each weight's members must equal, with the note a mismatch
     # gives: the colored family's by head (the members encode injectively
     # into it, so the encoding is onto iff the counts agree), then the series.
     colored = list(map(sum, zip(*families.colored_head_counts(params, n_max, n_max).values())))
-    legs = [("theta quotient", series.bosonic_sum(params, n_max))]
-    legs.append(("multisum", series.fermionic_multisum(params, n_max)))
-    if params.has_product_form:
-        legs.insert(0, ("product", series.restricted_product(params, n_max)))
     note = "n={n}: encoded family differs from direct generation ({count} vs {value} members)"
     return [(colored, note)] + [
-        (form, f"n={{n}}: {{count}} members vs {name} {{value}}") for name, form in legs
+        (form, f"n={{n}}: {{count}} members vs {name} {{value}}") for name, form in forms
     ]
 
 
@@ -231,10 +327,17 @@ def _round_trip_note(p: Partition, n: int, params: IdentityParams) -> str | None
 
 
 def check_gordon(half_modulus: int, residue: int, n_max: int) -> CheckRecord:
-    """Gordon-condition member counts against the restricted product."""
+    """Gordon-condition partition counts against the restricted product.
+
+    The counts come from the frequency transfer matrix
+    :func:`~colorpartitions.families.frequency_counts`; the filter over
+    every partition, :func:`~colorpartitions.families.gordon_members`, is
+    its test oracle.
+    """
     families._require_weight(n_max, "n_max")
-    product = series.restricted_product(IdentityParams(2 * half_modulus + 1, residue), n_max)
-    counts = (len(families.gordon_members(half_modulus, residue, n)) for n in range(n_max + 1))
+    params = IdentityParams(2 * half_modulus + 1, residue)
+    product = series.restricted_product(params, n_max)
+    counts = families.frequency_counts(params, n_max)
     label = f"k={half_modulus} r={residue}"
     return _count_record("gordon", label, n_max, counts, "product", product)
 

@@ -19,8 +19,14 @@ from colorpartitions import (
     successive_ranks,
     weight,
 )
-from colorpartitions.coloring import ConditionCheck, _gap_ok, _size_ok, validate_colored
-from colorpartitions.families import colored_members, rank_window_members
+from colorpartitions.coloring import (
+    ConditionCheck,
+    _decode_part,
+    _gap_ok,
+    _size_ok,
+    validate_colored,
+)
+from colorpartitions.families import colored_members, colored_members_up_to, rank_window_members
 from colorpartitions.partitions import _rows_from_pairs, partitions_of
 from colorpartitions.series import finitized_box
 from colorpartitions.verify import finitized_top_ok
@@ -135,7 +141,7 @@ def _conditions_oracle(colored, params):
                 f"color {color} at part {i} outside 1..{count} for modulus {params.modulus}"
             )
     for i, (size, color) in enumerate(colored, start=1):
-        if not _size_ok(size, color, params):
+        if not _size_ok(size, rank_from_color(size, color, params)):
             return ConditionCheck(False, "i", i)
     for i in range(1, len(colored)):
         if not _gap_ok(*colored[i - 1], *colored[i], params):
@@ -174,7 +180,8 @@ def test_first_condition_outranks_earlier_gap_failure():
     # (ii) fails at part 1 ((3,1) then (2,1) needs a gap of 3), (i) at part 3
     colored = ((3, 1), (2, 1), (1, 1))
     assert not _gap_ok(3, 1, 2, 1, P71)
-    assert _size_ok(3, 1, P71) and _size_ok(2, 1, P71) and not _size_ok(1, 1, P71)
+    size_ok = lambda size, color: _size_ok(size, rank_from_color(size, color, P71))
+    assert size_ok(3, 1) and size_ok(2, 1) and not size_ok(1, 1)
     assert check_conditions(colored, P71) == ConditionCheck(False, "i", 3)
     assert _conditions_oracle(colored, P71) == ConditionCheck(False, "i", 3)
 
@@ -281,6 +288,35 @@ def test_passing_conditions_give_decreasing_angles(data, modulus, n):
         assert all(value >= 1 for value in values)
         assert all(a > b for a, b in zip(values, values[1:]))
     assert inverse_map(colored, params) == from_angles(pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), modulus=st.integers(3, 13), n=st.integers(1, 24))
+def test_encoding_extends_the_parent_chain(data, modulus, n):
+    # a member's Frobenius chain is its parent's chain plus one pair: its
+    # encoding is the parent's plus one part, which decodes to that pair
+    params = IdentityParams(modulus, data.draw(st.integers(1, modulus // 2)))
+    members = rank_window_members(params, n)
+    if not members:
+        return
+    p = data.draw(st.sampled_from(members))
+    chain = angles(p)
+    colored = color_map(p, params)
+    assert colored[:-1] == color_map(_rows_from_pairs(chain[:-1]), params)
+    assert _decode_part(*colored[-1], params.residue) == chain[-1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), modulus=st.integers(3, 13), max_weight=st.integers(0, 24))
+def test_decoded_pairs_pass_from_angles(data, modulus, max_weight):
+    # every colored member passing (i)-(iii) decodes part by part to pairs
+    # with strictly decreasing positive widths and heights, so the unchecked
+    # rebuild in the decode agrees with from_angles
+    params = IdentityParams(modulus, data.draw(st.integers(1, modulus // 2)))
+    for bucket in colored_members_up_to(params, max_weight):
+        for colored in bucket:
+            pairs = [_decode_part(size, color, params.residue) for size, color in colored]
+            assert from_angles(pairs) == inverse_map(colored, params)
 
 
 def _passes(colored, params):

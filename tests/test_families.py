@@ -28,11 +28,12 @@ from colorpartitions.families import (
     _admissible_colors,
     colored_head_counts,
     colored_members_up_to,
-    rank_window_members_by_top,
+    frequency_counts,
     ranked_partitions,
 )
 from colorpartitions.partitions import partitions_of
 from colorpartitions.series import bosonic_sum, restricted_product
+from colorpartitions.verify import _members_by_top
 
 P71 = IdentityParams(7, 1)
 P83 = IdentityParams(8, 3)
@@ -87,6 +88,13 @@ def rank_window_members_up_to(params, max_weight):
     # oracle: rank-window members bucketed by weight, one exact-weight
     # descent per weight
     return [rank_window_members(params, n) for n in range(max_weight + 1)]
+
+
+def rank_window_members_by_top(params, max_weight):
+    # the library's filing by top rank (which lives in verify, its caller)
+    buckets, suspects = _members_by_top(params, max_weight)
+    assert suspects == [[] for _ in buckets]  # every round trip passes
+    return buckets
 
 
 def test_shared_descent_matches_per_modulus_descents():
@@ -171,6 +179,7 @@ WEIGHTED_ROUTES = (
     lambda w: colored_head_counts(P71, w, 5),
     lambda w: colored_members_via_encoding(P71, w),
     lambda w: gordon_members(3, 1, w),
+    lambda w: frequency_counts(P71, w),
     lambda w: gap2_members(w),
     lambda w: product_parts_members(P71, w),
 )
@@ -305,6 +314,29 @@ def test_gordon_members_match_product():
         product = restricted_product(params, 18)
         for n in range(19):
             assert len(gordon_members(k, r, n)) == product[n], (k, r, n)
+
+
+def test_frequency_counts_match_gordon_filter():
+    # the frequency transfer matrix against the filter over every partition:
+    # k = 1..5, every residue, n <= 20
+    for k in range(1, 6):
+        for r in range(1, k + 1):
+            expected = [len(gordon_members(k, r, n)) for n in range(21)]
+            assert frequency_counts(IdentityParams(2 * k + 1, r), 20) == expected, (k, r)
+    assert frequency_counts(P71, 0) == [1]
+
+
+def test_frequency_counts_match_product_far_out():
+    # Gordon's theorem at weights no filter reaches in reasonable time
+    for k, r in ((2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (6, 4)):
+        params = IdentityParams(2 * k + 1, r)
+        assert frequency_counts(params, 60) == restricted_product(params, 60).padded(60)
+
+
+def test_frequency_counts_refuse_even_modulus():
+    # Bressoud's parity condition at an even modulus is not counted here
+    with pytest.raises(ValueError, match="odd modulus"):
+        frequency_counts(P83, 10)
 
 
 def test_gordon_ones_cap():

@@ -6,7 +6,6 @@ import pytest
 
 from colorpartitions import IdentityParams
 from colorpartitions.families import colored_head_counts, rank_window_members
-from colorpartitions.partitions import _rows_from_pairs
 from colorpartitions.series import bosonic_sum, fermionic_multisum, restricted_product
 from colorpartitions.verify import (
     CheckRecord,
@@ -99,17 +98,17 @@ def test_verify_never_enumerates_the_colored_family(monkeypatch):
 
 
 def test_product_counts_detects_lossy_window_enumeration(monkeypatch):
-    from colorpartitions import families, verify
+    from colorpartitions import verify
 
-    real = families.rank_window_members_by_top
+    real = verify._members_by_top
 
     def lossy(params, max_weight):
-        buckets = real(params, max_weight)
+        buckets, suspects = real(params, max_weight)
         next(run for run in buckets[6] if run).pop()
-        return buckets
+        return buckets, suspects
 
-    # the one descent the grid and the single-cell checks share
-    monkeypatch.setattr(verify.families, "rank_window_members_by_top", lossy)
+    # the one filing the grid and the single-cell checks share
+    monkeypatch.setattr(verify, "_members_by_top", lossy)
     # the grid shares one enumeration per cell between both records
     report = verify_identity_grid(moduli=(7,), residues=(1,), n_max=10)
     assert [(r.scope, r.ok) for r in report.records] == [
@@ -205,34 +204,120 @@ def _colors_plus_one(monkeypatch, min_size=1):
 
 
 def _decode_with(width_shift):
-    def decode(colored, residue):
-        pairs = []
-        for size, color in colored:
-            width = color + (size - residue) // 2 + 1 + width_shift(size)
-            pairs.append((width, size - width + 1))
-        return _rows_from_pairs(pairs)
+    def decode_part(size, color, residue):
+        width = color + (size - residue) // 2 + 1 + width_shift(size)
+        return width, size - width + 1
 
-    return decode
+    return decode_part
 
 
 def _width_off_by_one(monkeypatch):
-    _patch_everywhere(monkeypatch, "_decode", _decode_with(lambda size: size >= 7))
+    _patch_everywhere(monkeypatch, "_decode_part", _decode_with(lambda size: size >= 7))
 
 
 def _big_colors_plus_one_both_ways(monkeypatch):
     # the decode undoes the shift, so members pass (i), (ii) and the round
     # trip, and fail only the color range or (iii), the checks that read M
     _colors_plus_one(monkeypatch, min_size=7)
-    _patch_everywhere(monkeypatch, "_decode", _decode_with(lambda size: -(size >= 7)))
+    _patch_everywhere(monkeypatch, "_decode_part", _decode_with(lambda size: -(size >= 7)))
+
+
+def _big_colors_minus_one_both_ways(monkeypatch):
+    # colors 1 become 0 at size >= 7 and the decode undoes the shift, so
+    # only the color floor sees them
+    from colorpartitions import coloring
+
+    real = coloring.color_map
+    shifted = lambda p, params: tuple(
+        (size, color - (size >= 7)) for size, color in real(p, params)
+    )
+    _patch_everywhere(monkeypatch, "color_map", shifted)
+    _patch_everywhere(monkeypatch, "_decode_part", _decode_with(lambda size: size >= 7))
+
+
+def _not_prefix_consistent(monkeypatch):
+    # encodings of two or more parts and weight >= 9 carry a wrong first
+    # color while their last part is right: they no longer extend their
+    # parent's encoding, which is right, and fail only the full check
+    from colorpartitions import coloring
+
+    real = coloring.color_map
+
+    def shifted(p, params):
+        member = real(p, params)
+        if len(member) < 2 or sum(p) < 9:
+            return member
+        (size, color), *rest = member
+        return ((size, color + 1), *rest)
+
+    _patch_everywhere(monkeypatch, "color_map", shifted)
+
+
+def _big_sizes_plus_two_both_ways(monkeypatch):
+    # the decode undoes the shift, so only the weight check sees it
+    from colorpartitions import coloring
+
+    real, decode = coloring.color_map, coloring._decode_part
+    shifted = lambda p, params: tuple(
+        (size + 2 * (size >= 7), color) for size, color in real(p, params)
+    )
+    _patch_everywhere(monkeypatch, "color_map", shifted)
+    unshifted = lambda size, color, r: decode(size - 2 * (size >= 9), color, r)
+    _patch_everywhere(monkeypatch, "_decode_part", unshifted)
+
+
+def _size_ok_too_strict(monkeypatch):
+    # (i) refuses the parts of size 7, in the decode and the head count alike
+    _patch_everywhere(monkeypatch, "_size_ok", lambda size, rank: size > abs(rank) and size != 7)
+
+
+def _gap_ok_too_strict(monkeypatch):
+    # (ii) refuses a part of size 3 after any other
+    from colorpartitions import coloring
+
+    real = coloring._gap_ok
+    stricter = lambda size_a, color_a, size_b, color_b, params: size_b != 3 and real(
+        size_a, color_a, size_b, color_b, params
+    )
+    _patch_everywhere(monkeypatch, "_gap_ok", stricter)
+
+
+def _float_sizes_before_the_last(monkeypatch):
+    # equal as tuples to the right encoding, so only a type check on every
+    # part, the parent's included, tells them apart
+    from colorpartitions import coloring
+
+    real = coloring.color_map
+
+    def floated(p, params):
+        member = real(p, params)
+        if sum(p) < 9:
+            return member
+        return tuple((float(size), color) for size, color in member[:-1]) + member[-1:]
+
+    _patch_everywhere(monkeypatch, "color_map", floated)
 
 
 @pytest.mark.parametrize(
-    "mutant", [None, _colors_plus_one, _width_off_by_one, _big_colors_plus_one_both_ways]
+    "mutant",
+    [
+        None,
+        _colors_plus_one,
+        _width_off_by_one,
+        _big_colors_plus_one_both_ways,
+        _big_colors_minus_one_both_ways,
+        _not_prefix_consistent,
+        _float_sizes_before_the_last,
+        _big_sizes_plus_two_both_ways,
+        _size_ok_too_strict,
+        _gap_ok_too_strict,
+    ],
 )
 def test_grid_records_match_the_per_cell_loop(monkeypatch, mutant):
-    # one round trip per member per residue gives every record, failures
-    # worded at the cell's own params included, the per-cell loop gives,
-    # also under mutants that ignore the modulus
+    # one round trip per member per residue, checked one chain node at a
+    # time, gives every record, failures worded at the cell's own params
+    # included, the per-cell loop gives, also under mutants that ignore the
+    # modulus or break the extension of the parent's encoding
     if mutant is not None:
         mutant(monkeypatch)
     report = verify_identity_grid(moduli=(5, 6, 7, 8, 9), n_max=14)
@@ -251,7 +336,7 @@ def test_grid_refuses_non_int_modulus_or_residue_before_any_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the descent ran")
 
-    monkeypatch.setattr(verify.families, "rank_window_members_by_top", refuse)
+    monkeypatch.setattr(verify, "_members_by_top", refuse)
     for moduli in ((5, 7.0), (True,), ("7",)):
         with pytest.raises(ValueError, match=r"modulus must be an int, got "):
             verify_identity_grid(moduli=moduli)
@@ -287,13 +372,15 @@ def test_gordon_pass():
 def test_gordon_detects_missing_member(monkeypatch):
     from colorpartitions import families, verify
 
-    real = families.gordon_members
+    real = families.frequency_counts
 
-    def lossy(k, r, n):
-        members = real(k, r, n)
-        return members[1:] if n == 5 else members
+    def lossy(params, max_weight):
+        counts = real(params, max_weight)
+        counts[5] -= 1
+        return counts
 
-    monkeypatch.setattr(verify.families, "gordon_members", lossy)
+    # the frequency transfer matrix is the route check_gordon counts by
+    monkeypatch.setattr(verify.families, "frequency_counts", lossy)
     record = check_gordon(2, 1, 10)
     assert not record.ok
     assert "n=5" in record.note

@@ -14,7 +14,8 @@ verification lives elsewhere.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from itertools import zip_longest
+from typing import Sequence
 
 from .coloring import IdentityParams
 
@@ -191,39 +192,10 @@ def bosonic_sum(params: IdentityParams, order: int) -> TruncatedSeries:
     return TruncatedSeries(theta)
 
 
-def _multisum_tuples(
-    length: int, fits: Callable[[tuple[int, ...]], bool], prefix: tuple[int, ...] = ()
-) -> Iterator[tuple[int, ...]]:
-    # Weakly decreasing nonnegative tuples (n_1, ..., n_length) whose every
-    # prefix passes ``fits``.  ``fits`` is monotone in the last value, so each
-    # position stops at its first rejection; length 0 yields the empty tuple.
-    if len(prefix) == length:
-        yield prefix
-        return
-    value = 0
-    while (not prefix or value <= prefix[-1]) and fits(prefix + (value,)):
-        yield from _multisum_tuples(length, fits, prefix + (value,))
-        value += 1
-
-
-def _multisum_exponent(values: tuple[int, ...], r: int) -> int:
-    # n_1^2 + ... + n_{k-1}^2 + n_r + ... + n_{k-1}
-    return sum(v * v for v in values) + sum(values[r - 1 :])
-
-
 def _step_base(params: IdentityParams, j: int) -> int:
     # Base of step j's factor: 2 (q -> q^2) only at the last step j = k-1 of
     # an even modulus, 1 everywhere else.
     return 2 if j == params.half_modulus - 1 and not params.is_odd else 1
-
-
-def _chain_steps(
-    params: IdentityParams, values: tuple[int, ...]
-) -> Iterator[tuple[int, int, int]]:
-    # (j, n_j - n_{j+1}, base) for j = 1..k-1 with n_k = 0.
-    padded = values + (0,)
-    for j in range(1, params.half_modulus):
-        yield j, padded[j - 1] - padded[j], _step_base(params, j)
 
 
 def fermionic_multisum(params: IdentityParams, order: int) -> TruncatedSeries:
@@ -380,8 +352,7 @@ def finitized_rhs(params: IdentityParams, size: int) -> TruncatedSeries:
     n_k = 0.  Each tuple contributes q^(n_1^2 + ... + n_{k-1}^2 + n_r + ... +
     n_{k-1}) times one Gaussian binomial [upper_j, n_j - n_{j+1}] per step
     j = 1..k-1, where :func:`fermionic_multisum` has 1/(q; q)_{n_j - n_{j+1}}.
-    The upper indices depend on the prefix sums P_j = n_1 + ... + n_{j-1}, so
-    this sum does not nest by levels and is taken tuple by tuple:
+    With the prefix sums P_j = n_1 + ... + n_{j-1}:
 
     - odd modulus (Andrews, PNAS 71, 1974): tuples with
       2 (n_1 + ... + n_{k-1}) <= size - k + r, and
@@ -392,28 +363,40 @@ def finitized_rhs(params: IdentityParams, size: int) -> TruncatedSeries:
       in base q^2.
 
     One formula for both parities: the parity picks only the tuple bound and
-    the upper index.
+    the upper index.  Step j reads only n_j, n_{j+1} and P_j, so prefixes
+    ending in the same state (n_j, P_{j+1}) share their future, and the sum
+    is taken in levels j = 1..k, as :func:`fermionic_multisum` is, with one
+    polynomial per state summing the terms of its prefixes:
+
+        C_j(N, P + N) = q^(N^2 + [j >= r] N) sum_{N' >= N} C_{j-1}(N', P) [upper_{j-1}, N' - N]
+
+    from C_0 = 1, with no binomial into level 1 and N = 0 only at level k.
     """
     _check_order(size)
-    k = params.half_modulus
-    r = params.residue
-    weight, budget = (2, size - k + r) if params.is_odd else (1, size)
-    fits = lambda prefix: weight * sum(prefix) <= budget
-    total: list[int] = []
-    for values in _multisum_tuples(k - 1, fits):
-        term = [1]
-        before = 0  # P_j = n_1 + ... + n_{j-1}
-        for j, gap, base in _chain_steps(params, values):
-            pair = 2 * values[j - 1] - gap  # n_j + n_{j+1}
-            if base == 2:
-                upper = size - before
-            elif params.is_odd:
-                upper = size - 2 * before - pair - odd_offset(k, r, j)
-            else:
-                upper = 2 * size - 2 * before - pair + even_offset(k, r, j)
-            term = _convolve(term, gaussian_binomial(upper, gap, base).coefficients)
-            if not term:
-                break
-            before += values[j - 1]
-        _add_shifted(total, term, _multisum_exponent(values, r), 1)
-    return _polynomial(total)
+    k, r = params.half_modulus, params.residue
+    cap = (size - k + r) // 2 if params.is_odd else size  # n_1 + ... + n_{k-1} <= cap
+    states = {(cap, 0): [1]}  # (n_{j-1}, P_j): the summed terms of its prefixes
+    for j in range(1, k + 1):
+        level: dict[tuple[int, int], list[int]] = {}
+        for (prev, prefix), poly in states.items():
+            before = prefix - prev  # P_{j-1}
+            for n in range(1 if j == k else min(prev, cap - prefix) + 1):
+                term = poly
+                if j > 1:  # step j - 1: [upper_{j-1}, n_{j-1} - n_j]
+                    base = _step_base(params, j - 1)
+                    if base == 2:
+                        upper = size - before
+                    elif params.is_odd:
+                        upper = size - 2 * before - prev - n - odd_offset(k, r, j - 1)
+                    else:
+                        upper = 2 * size - 2 * before - prev - n + even_offset(k, r, j - 1)
+                    term = _convolve(poly, gaussian_binomial(upper, prev - n, base).coefficients)
+                    if not term:
+                        continue
+                shift, key = n * n + (n if j >= r else 0), (n, prefix + n)
+                if key in level:
+                    _add_shifted(level[key], term, shift, 1)
+                else:
+                    level[key] = [0] * shift + term
+        states = level
+    return _polynomial(list(map(sum, zip_longest(*states.values(), fillvalue=0))))

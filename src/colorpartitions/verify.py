@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterable
 
 from . import coloring, families, series
@@ -132,9 +132,9 @@ def _residue_records(
     reads r only, and of ``check_conditions`` only the color range and (iii)
     read M, and they hold exactly when the top rank the colors encode is at
     most M - r - 2.  So each member is encoded and checked once, at the
-    widest cell, to a limit: that rank, or infinity on any other failure.
-    Each cell compares the limit with its M - r - 2 and words a failure
-    through the public round trip at its own params.
+    widest cell, to a limit: that rank, or infinity if it is not certified.
+    Each cell compares the limit with its M - r - 2 and rechecks and words a
+    failure through the public round trip at its own params.
 
     The limits come from the descent, one check per chain node.  A member's
     chain is its parent's chain plus one pair (w, h), and the parent is
@@ -147,10 +147,10 @@ def _residue_records(
     and decodes to (w, h), then the member's encoding passes the same
     checks (its decoded pairs are its chain, so its decode is the member
     itself), and its limit is the larger of the parent's and the rank
-    (s, c) encodes.  The empty member, certified by the full check, starts
-    the induction.  Any other member takes the full check
-    (:func:`_round_trip_limit`) and certifies no child, so every limit is
-    the one the full check gives.
+    (s, c) encodes.  The empty member, certified if it encodes to (),
+    starts the induction.  Any other member is a suspect, rechecked by the
+    public round trip at every cell that holds it, and certifies no child,
+    so every record is the public round trip's; correct code has none.
     """
     widest = max(cells, key=attrgetter("modulus"))
     r = widest.residue
@@ -209,15 +209,15 @@ def _members_by_top(
     lower end, so the first M' - 2 runs of each bucket are the members at a
     modulus M' <= M: one descent serves every weight and every such modulus.
     ``suspects[n]`` lists, as (member, run index, limit), the weight-n
-    members whose round-trip limit at ``widest`` exceeds their top rank;
-    any other member passes at every modulus whose window holds it.
+    members whose limit at ``widest`` (infinity if uncertified) exceeds
+    their top rank; any other member passes at every modulus that holds it.
     """
     families._require_weight(max_weight)
     r = widest.residue
     buckets = [[[] for _ in range(widest.modulus - 2)] for _ in range(max_weight + 1)]
     buckets[0][0].append(())
     suspects: list[list[tuple[Partition, int, float]]] = [[] for _ in range(max_weight + 1)]
-    root = _round_trip_limit((), 0, widest)
+    root = 1 - r if color_map((), widest) == () else math.inf
     if root > 1 - r:
         suspects[0].append(((), 0, root))
     # per depth, the top rank of the chain last filed there and its certified
@@ -232,12 +232,8 @@ def _members_by_top(
         buckets[n][top + r - 1].append(p)
         member = color_map(p, widest)
         seed = seeds[depth - 1]
-        limit = None if seed is None else _extended_limit(seed, member, pair, widest)
-        if limit is None:
-            seeds[depth] = None
-            limit = _round_trip_limit(p, n, widest)
-        else:
-            seeds[depth] = member, limit
+        limit = math.inf if seed is None else _extended_limit(seed, member, pair, widest)
+        seeds[depth] = (member, limit) if limit < math.inf else None
         if limit > top:
             suspects[n].append((p, top + r - 1, limit))
 
@@ -249,26 +245,26 @@ def _members_by_top(
 def _extended_limit(
     seed: tuple[ColoredPartition, float], member: ColoredPartition,
     pair: tuple[int, int], widest: IdentityParams,
-) -> float | None:
+) -> float:
     # The limit of ``member`` if it is the certified encoding of ``seed``
     # plus one part that passes every check against that encoding's last
-    # part and decodes to ``pair``, else None.  The order rule needs no
+    # part and decodes to ``pair``, else infinity.  The order rule needs no
     # test: every certified part has size w + h - 1 for its pair, and the
     # pairs of a chain strictly decrease, so the sizes do too.
     encoding, limit = seed
     if len(member) != len(encoding) + 1 or member[:-1] != encoding:
-        return None
+        return math.inf
     # two exact ints per part: tuple equality lets 3.0 or True pass for one
     if list(map(type, chain.from_iterable(member))) != [int] * (2 * len(member)):
-        return None
+        return math.inf
     size, color = member[-1]
     rank = coloring.rank_from_color(size, color, widest)
     if color < 1 or not coloring._size_ok(size, rank) or size != pair[0] + pair[1] - 1:
-        return None
+        return math.inf
     if encoding and not coloring._gap_ok(*encoding[-1], size, color, widest):
-        return None
+        return math.inf
     if coloring._decode_part(size, color, widest.residue) != pair:
-        return None
+        return math.inf
     return max(limit, rank)
 
 
@@ -297,19 +293,6 @@ def _count_legs(
     return [(colored, note)] + [
         (form, f"n={{n}}: {{count}} members vs {name} {{value}}") for name, form in forms
     ]
-
-
-def _round_trip_limit(p: Partition, n: int, widest: IdentityParams) -> float:
-    # The top rank of p's encoding if its weight, structure, (i), (ii) and
-    # decode pass, else infinity: p passes at a cell iff this is <= M - r - 2.
-    member = color_map(p, widest)
-    try:
-        failed_i, failed_ii, top = coloring._residue_conditions(member, widest)
-    except ValueError:
-        return math.inf
-    if failed_i or failed_ii or sum(map(itemgetter(0), member)) != n:
-        return math.inf
-    return top if coloring._decode(member, widest.residue) == p else math.inf
 
 
 def _round_trip_note(p: Partition, n: int, params: IdentityParams) -> str | None:
@@ -506,17 +489,14 @@ def verify_finitized_grid(
 ) -> VerificationReport:
     records = []
     for parity in parities:
+        size_max = odd_size_max if parity == "odd" else even_size_max
         for half in halves:
             modulus = 2 * half + 1 if parity == "odd" else 2 * half
-            size_max = odd_size_max if parity == "odd" else even_size_max
-            cell_residues = (
-                [r for r in residues if r <= half]
-                if residues is not None
-                else range(1, half + 1)
-            )
-            for residue in cell_residues:
-                params = IdentityParams(modulus, residue)
-                records.append(check_finitized(params, size_max, n_max))
+            # no residue above the half has a cell, and modulus 2 has none
+            for residue in range(1, half + 1) if residues is None else residues:
+                if residue <= half and modulus > 2:
+                    params = IdentityParams(modulus, residue)
+                    records.append(check_finitized(params, size_max, n_max))
     return VerificationReport("finitized grid", tuple(records))
 
 

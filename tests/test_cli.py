@@ -189,6 +189,20 @@ def test_verify_finitized_cell(capsys):
     assert "even k=3 r=2" in out
 
 
+def test_verify_finitized_half_one(capsys):
+    # k = 1 has one odd cell (M = 3) and no even one: modulus 2 is no cell,
+    # as residues above the half are no cells
+    code, out, err = run_cli(capsys, "verify", "finitized", "--k", "1")
+    assert code == 0
+    assert err == ""
+    assert "odd k=1 r=1" in out
+    assert "even" not in out
+    code, out, err = run_cli(capsys, "verify", "finitized", "--k", "1", "--parity", "even")
+    assert code == 2
+    assert out == ""
+    assert err == "error: the selection matches no grid cell\n"
+
+
 def test_verify_failure_exit_one(capsys, monkeypatch):
     # exit-code contract: a failed identity turns into exit status 1
     broken = VerificationReport(

@@ -24,13 +24,7 @@ from colorpartitions import (
     restricted_product,
 )
 from colorpartitions.families import boxed_counts
-from colorpartitions.series import (
-    _chain_steps,
-    _multisum_tuples,
-    even_offset,
-    first_difference,
-    odd_offset,
-)
+from colorpartitions.series import even_offset, first_difference, odd_offset
 
 
 def shifted_sum(left, right, shift):
@@ -283,6 +277,33 @@ def test_fermionic_double_sum_reduction():
     )
 
 
+def multisum_tuples(length, fits, prefix=()):
+    """Weakly decreasing nonnegative tuples of ``length`` values, one at a time.
+
+    Every prefix must pass ``fits``, which is monotone in the last value, so
+    each position stops at its first rejection; length 0 yields ().
+    """
+    if len(prefix) == length:
+        yield prefix
+        return
+    value = 0
+    while (not prefix or value <= prefix[-1]) and fits(prefix + (value,)):
+        yield from multisum_tuples(length, fits, prefix + (value,))
+        value += 1
+
+
+def chain_steps(params, values):
+    """(j, n_j - n_{j+1}, base) for j = 1..k-1 with n_k = 0.
+
+    The base is 2 (q -> q^2) only at the last step of an even modulus.
+    """
+    k = params.half_modulus
+    padded = values + (0,)
+    for j in range(1, k):
+        base = 2 if j == k - 1 and not params.is_odd else 1
+        yield j, padded[j - 1] - padded[j], base
+
+
 def multisum_by_tuples(params, order):
     """Definition-level multisum: one term per tuple, one factor per step.
 
@@ -293,12 +314,12 @@ def multisum_by_tuples(params, order):
     """
     total = [0] * (order + 1)
     squares_fit = lambda prefix: sum(v * v for v in prefix) <= order
-    for values in _multisum_tuples(params.half_modulus - 1, squares_fit):
+    for values in multisum_tuples(params.half_modulus - 1, squares_fit):
         exponent = sum(v * v for v in values) + sum(values[params.residue - 1 :])
         if exponent > order:
             continue
         term = (1,) + (0,) * (order - exponent)
-        for _j, gap, base in _chain_steps(params, values):
+        for _j, gap, base in chain_steps(params, values):
             for t in range(1, gap + 1):
                 inverse = _geometric_inverse(base * t, order - exponent)
                 term = truncated_product(term, inverse, order - exponent)
@@ -356,6 +377,51 @@ def test_finitized_identity_small_grid():
                     lhs = finitized_lhs(params, size)
                     rhs = finitized_rhs(params, size)
                     assert lhs == rhs, (m, r, size)
+
+
+def finitized_rhs_by_tuples(params, size):
+    """Definition-level finitized sum side: one term per tuple, one factor per step.
+
+    Each weakly decreasing tuple (n_1, ..., n_{k-1}) under the parity's bound
+    contributes q^(n_1^2 + ... + n_{k-1}^2 + n_r + ... + n_{k-1}) times the
+    Gaussian binomial [upper_j, n_j - n_{j+1}] of each step, with the upper
+    index read from the prefix sum P_j = n_1 + ... + n_{j-1}.
+    """
+    k, r = params.half_modulus, params.residue
+    weight, budget = (2, size - k + r) if params.is_odd else (1, size)
+    total = ()
+    for values in multisum_tuples(k - 1, lambda prefix: weight * sum(prefix) <= budget):
+        term = (1,)
+        for j, gap, base in chain_steps(params, values):
+            before = sum(values[: j - 1])
+            pair = 2 * values[j - 1] - gap  # n_j + n_{j+1}
+            if base == 2:
+                upper = size - before
+            elif params.is_odd:
+                upper = size - 2 * before - pair - odd_offset(k, r, j)
+            else:
+                upper = 2 * size - 2 * before - pair + even_offset(k, r, j)
+            factor = inflate(pascal_gauss(upper, gap), base)
+            term = truncated_product(term, factor, len(term) + len(factor) - 2)
+        exponent = sum(v * v for v in values) + sum(values[r - 1 :])
+        total = shifted_sum(total, term, exponent)
+    return total
+
+
+def test_finitized_levels_match_tuple_oracle():
+    # The levels over (n_j, P_{j+1}) states against the per-tuple definition
+    # on 465 cells: M = 3..13, every residue, sizes <= 12 (<= 8 once M >= 11),
+    # the odd k = 1 cell and every negative odd budget among them.
+    cells = 0
+    for m in range(3, 14):
+        for r in range(1, m // 2 + 1):
+            params = IdentityParams(m, r)
+            for size in range(13 if m < 11 else 9):
+                assert finitized_rhs(params, size).coefficients == finitized_rhs_by_tuples(
+                    params, size
+                ), (m, r, size)
+                cells += 1
+    assert cells == 465
 
 
 def test_finitized_lhs_counts_its_box():

@@ -238,7 +238,7 @@ def _big_colors_minus_one_both_ways(monkeypatch):
 def _not_prefix_consistent(monkeypatch):
     # encodings of two or more parts and weight >= 9 carry a wrong first
     # color while their last part is right: they no longer extend their
-    # parent's encoding, which is right, and fail only the full check
+    # parent's encoding, which is right, and fail only the public round trip
     from colorpartitions import coloring
 
     real = coloring.color_map

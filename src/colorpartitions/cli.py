@@ -12,11 +12,15 @@ import argparse
 import json
 import sys
 
-from . import render, series, verify
+from . import families, render, series, verify
 from .coloring import IdentityParams
 from .partitions import parse_partition
 
 FORMATS = ("text", "csv", "json")
+
+# The most rows ``table`` builds (about 460 bytes of tuples each, so about
+# 230 MB before any text); a larger request exits 2 before any descent.
+TABLE_ROW_LIMIT = 500_000
 
 # The verify flags each scope reads, by destination; any other is refused.
 _SCOPE_FLAGS = {
@@ -137,6 +141,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
     params = IdentityParams(args.modulus, args.residue)
     if args.weight < 0:
         raise ValueError("weight must be nonnegative")
+    count = families.rank_window_counts(params, args.weight)[args.weight]
+    if count > TABLE_ROW_LIMIT:
+        raise ValueError(
+            f"table {params.modulus} {params.residue} {args.weight} has {count:,} rows, "
+            f"over the limit of {TABLE_ROW_LIMIT:,}"
+        )
     rows = render.bijection_rows(params, args.weight)
     _emit(render.render_table(params, args.weight, rows, args.format), args.output)
     return 0

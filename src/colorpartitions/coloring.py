@@ -304,6 +304,16 @@ def _decode(colored: ColoredPartition, residue: int) -> Partition:
     return _rows_from_pairs([_decode_part(size, color, residue) for size, color in colored])
 
 
+def _encode_part(width: int, height: int, residue: int) -> tuple[int, int]:
+    # The colored part of one angle, color_map's formula for one diagonal
+    # cell; _decode_part inverts it.
+    rank, length = width - height, width + height - 1
+    numerator = rank + residue - 1 if (length - residue) % 2 == 0 else rank + residue
+    half, remainder = divmod(numerator, 2)
+    assert remainder == 0, "length and rank parities violate the angle parity law"
+    return length, half
+
+
 def _decode_part(size: int, color: int, residue: int) -> tuple[int, int]:
     # The (width, height) pair of one colored part: width - height = rank and
     # width + height - 1 = size give width color + (size - r) // 2 + 1 on
@@ -349,4 +359,4 @@ def alt_color_map(parts: Partition, params: IdentityParams) -> ColoredPartition:
 
 def format_colored(colored: ColoredPartition) -> str:
     """Render like ``(9_2,1_1)``; the empty colored partition is ``()``."""
-    return "(" + ",".join(f"{size}_{color}" for size, color in colored) + ")"
+    return "(" + ",".join([f"{size}_{color}" for size, color in colored]) + ")"

@@ -5,10 +5,11 @@ encodings, box-bounded rank-window members, Gordon-condition partitions,
 gap-2 partitions, and partitions into residue-restricted parts.  Enumerators
 return materialized lists at fixed weight, or per-weight buckets; rank-window
 members come from a descent over Frobenius pair chains, whose cost follows
-the output.  The descent is a walk over chains in pre-order; the filing of
-one residue's members by top rank, which serves every modulus of that
-residue at once, lives in the verification harness, its only caller
-(``verify._members_by_top``).
+the output.  The descent is a walk over chains in pre-order, and two callers
+file every node of it, not only the finished members: the verification
+harness files one residue's members by top rank, which serves every modulus
+of that residue at once (``verify._members_by_top``), and the table extends
+each chain's ranks and encoding from its parent's (``render.bijection_rows``).
 Per-weight fast counts go through the Frobenius-pair counting kernel (rank
 windows), a transfer matrix over heads with one running sum per (color,
 size-parity) class (colored family), or one over part frequencies

@@ -167,7 +167,7 @@ def _rows_from_pairs(pairs) -> Partition:
 
 def format_partition(parts: Partition) -> str:
     """Render like ``(7,5,5,5,4,4,2)``; the empty partition is ``()``."""
-    return "(" + ",".join(str(p) for p in parts) + ")"
+    return "(" + ",".join(map(str, parts)) + ")"
 
 
 def parse_partition(text: str) -> Partition:

@@ -11,12 +11,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+from math import isqrt
+from operator import itemgetter
 from typing import Sequence
 
 from . import families
-from .coloring import ColoredPartition, IdentityParams, color_map, format_colored
+from .coloring import ColoredPartition, IdentityParams, _encode_part, format_colored
 from .partitions import (
     Partition,
+    _rows_from_pairs,
     angle_lengths,
     angles,
     conjugate,
@@ -51,25 +54,57 @@ def decimal_strings(values: Sequence[int]) -> list[str]:
 
 
 def format_ranks(ranks: Sequence[int]) -> str:
-    return "[" + ",".join(str(r) for r in ranks) + "]"
+    return "[" + ",".join(map(str, ranks)) + "]"
 
 
 def bijection_rows(params: IdentityParams, n: int) -> list[TableRow]:
-    """Member/ranks/encoding triples in canonical (reverse-lexicographic) order."""
-    rows = []
-    for p in families.rank_window_members(params, n):
-        rows.append((p, successive_ranks(p), color_map(p, params)))
+    """Member/ranks/encoding triples in canonical (reverse-lexicographic) order.
+
+    One descent over Frobenius pair chains (the rank-window members'): a
+    chain's ranks and encoding are its parent's plus the entry of its last
+    pair (w, h), the rank w - h and the colored part ``_encode_part`` gives,
+    so no member is walked again to recover its pairs.
+    """
+    families._require_weight(n, "n")
+    r = params.residue
+    rows = [] if n else [((), (), ())]
+    # the ranks and encoding of the chain filed last at each depth
+    ranks_at = [()] * (isqrt(n) + 1)
+    colored_at = ranks_at[:]
+
+    def file(chain, rest):
+        depth = len(chain)
+        w, h = chain[-1]
+        ranks = ranks_at[depth] = ranks_at[depth - 1] + (w - h,)
+        colored = colored_at[depth] = colored_at[depth - 1] + (_encode_part(w, h, r),)
+        if not rest:
+            rows.append((_rows_from_pairs(chain), ranks, colored))
+
+    children = families._window_children(params, n, True, n, n)
+    families._descend(children, file, False, [], None, n)
+    rows.sort(key=itemgetter(0), reverse=True)
     return rows
+
+
+class _PartLabels(dict):
+    # colored part -> its label in format_colored, built on first use
+    def __missing__(self, part):
+        label = self[part] = f"{part[0]}_{part[1]}"
+        return label
 
 
 def render_table(
     params: IdentityParams, n: int, rows: list[TableRow], fmt: str
 ) -> str:
     if fmt == "text":
-        return "".join(
-            f"{format_partition(p)} {format_ranks(ranks)} {format_colored(colored)}\n"
+        # format_partition, format_ranks and format_colored inline; each
+        # distinct colored part is labelled once
+        label = _PartLabels().__getitem__
+        return "".join([
+            f"({','.join(map(str, p))}) [{','.join(map(str, ranks))}] "
+            f"({','.join(map(label, colored))})\n"
             for p, ranks, colored in rows
-        )
+        ])
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

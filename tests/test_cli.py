@@ -11,6 +11,7 @@ import pytest
 
 import colorpartitions
 from colorpartitions import cli
+from colorpartitions.coloring import IdentityParams
 from colorpartitions.render import canonical_json
 from colorpartitions.verify import CheckRecord, VerificationReport
 
@@ -56,6 +57,34 @@ def test_table_weight_zero(capsys):
     code, out, _ = run_cli(capsys, "table", "7", "1", "0")
     assert code == 0
     assert out == "() [] ()\n"
+
+
+@pytest.mark.parametrize(
+    "modulus, residue, weight, count",
+    [(5, 1, 200, "22,958,885"), (7, 1, 100, "772,293")],
+)
+def test_table_refuses_a_request_past_its_row_limit_before_any_work(
+    capsys, monkeypatch, modulus, residue, weight, count
+):
+    def no_descent(*args):
+        raise AssertionError("the descent ran")
+
+    monkeypatch.setattr(cli.families, "_descend", no_descent)
+    code, out, err = run_cli(capsys, "table", str(modulus), str(residue), str(weight))
+    assert (code, out) == (2, "")
+    assert f"has {count} rows" in err and "limit of 500,000" in err
+
+
+def test_table_row_limit_admits_the_documented_tables():
+    # every benchmark table (n = 38, 40; at most about 9k rows), table 5 1 80
+    # and table 12 6 60 stay under the limit
+    counts = cli.families.rank_window_counts
+    assert counts(IdentityParams(5, 1), 80)[80] == 9_894
+    assert counts(IdentityParams(12, 6), 60)[60] == 230_089 <= cli.TABLE_ROW_LIMIT
+    reference = json.loads(REFERENCE.read_text())
+    for key in (key for key in reference if key.startswith("cli table ")):
+        modulus, residue, weight = map(int, key.split()[2:])
+        assert counts(IdentityParams(modulus, residue), weight)[weight] <= 10_000
 
 
 def test_table_csv(capsys):

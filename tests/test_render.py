@@ -1,0 +1,80 @@
+"""Table rows: the pair-chain build against the per-member route, and formats."""
+
+import csv
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from colorpartitions import (
+    IdentityParams,
+    color_map,
+    format_colored,
+    format_partition,
+    rank_window_counts,
+    rank_window_members,
+    successive_ranks,
+)
+from colorpartitions import cli
+from colorpartitions.coloring import _decode_part, _encode_part
+from colorpartitions.render import bijection_rows, format_ranks, render_table
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), modulus=st.integers(3, 12), n=st.integers(0, 16))
+def test_bijection_rows_match_the_per_member_route(data, modulus, n):
+    params = IdentityParams(modulus, data.draw(st.integers(1, modulus // 2)))
+    expected = [
+        (p, successive_ranks(p), color_map(p, params))
+        for p in rank_window_members(params, n)
+    ]
+    assert bijection_rows(params, n) == expected
+    r = params.residue
+    for width in range(1, n + 1):
+        for height in range(1, n + 2 - width):
+            if params.rank_in_window(width - height):
+                part = _encode_part(width, height, r)
+                assert part[0] == width + height - 1
+                assert _decode_part(*part, r) == (width, height)
+
+
+@pytest.mark.parametrize("n", [3.0, -1, True])
+def test_bijection_rows_refuse_a_bad_weight_by_name(n):
+    with pytest.raises(ValueError, match="n must"):
+        bijection_rows(IdentityParams(7, 1), n)
+
+
+def _text_row(p, ranks, colored):
+    return format_partition(p) + " " + format_ranks(ranks) + " " + format_colored(colored)
+
+
+PARTS = st.lists(st.integers(1, 120), max_size=6).map(lambda xs: tuple(sorted(xs, reverse=True)))
+RANKS = st.lists(st.integers(-12, 12), max_size=4).map(tuple)
+COLORED = st.lists(st.tuples(st.integers(1, 120), st.integers(0, 6)), max_size=4).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(PARTS, RANKS, COLORED), max_size=8))
+def test_inline_text_rows_match_the_format_helpers(rows):
+    expected = "".join(_text_row(*row) + "\n" for row in rows)
+    assert render_table(IdentityParams(7, 1), 0, rows, "text") == expected
+
+
+def test_every_format_shows_the_same_rows(capsys):
+    def table(fmt):
+        assert cli.main(["table", "10", "5", "38", "-f", fmt]) == 0
+        return capsys.readouterr().out
+
+    text = table("text").splitlines()
+    assert len(text) == rank_window_counts(IdentityParams(10, 5), 38)[38] == 6_499
+    rows = list(csv.reader(io.StringIO(table("csv"))))
+    assert rows[0] == ["partition", "ranks", "colored"]
+    assert [" ".join(fields) for fields in rows[1:]] == text
+    payload = json.loads(table("json"))
+    assert (payload["modulus"], payload["residue"], payload["weight"]) == (10, 5, 38)
+    assert [
+        _text_row(tuple(row["partition"]), row["ranks"], tuple(map(tuple, row["colored"])))
+        for row in payload["rows"]
+    ] == text

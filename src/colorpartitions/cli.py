@@ -22,6 +22,17 @@ FORMATS = ("text", "csv", "json")
 # 230 MB before any text); a larger request exits 2 before any descent.
 TABLE_ROW_LIMIT = 500_000
 
+# The heaviest weight ``table`` accepts; past it the request exits 2 before
+# the row count, whose pair DP alone would grow to seconds and gigabytes.
+# No table of 1 to TABLE_ROW_LIMIT rows lies past it: the map
+# (w_1, h_1) -> (w_1 + 1, h_1 + 1) keeps every rank and adds 2 to the
+# weight, so a window's count never falls from n to n + 2; every window
+# with M >= 5 contains [1, 2] (r = 1) or [0, 1] (r >= 2); and at weights
+# 251 and 252 those two windows, [0, 0] (M = 4, r = 2) and, at the even
+# weight, [1, 1] (M = 4, r = 1) all count over 500,000.  So a table past
+# the limit has no rows (M = 3, or M = 4, r = 1 at odd n) or too many.
+TABLE_WEIGHT_LIMIT = 250
+
 # The verify flags each scope reads, by destination; any other is refused.
 _SCOPE_FLAGS = {
     "all": ("n_max",),
@@ -141,6 +152,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
     params = IdentityParams(args.modulus, args.residue)
     if args.weight < 0:
         raise ValueError("weight must be nonnegative")
+    if args.weight > TABLE_WEIGHT_LIMIT:
+        raise ValueError(
+            f"table weight {args.weight} is over the limit of {TABLE_WEIGHT_LIMIT}: "
+            f"past it a table has no rows or more than {TABLE_ROW_LIMIT:,}"
+        )
     count = families.rank_window_counts(params, args.weight)[args.weight]
     if count > TABLE_ROW_LIMIT:
         raise ValueError(

@@ -13,13 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .partitions import (
-    Partition,
-    _rows_from_pairs,
-    angle_lengths,
-    angles,
-    successive_ranks,
-)
+from .partitions import Partition, _rows_from_pairs, angles
 
 ColoredPartition = tuple[tuple[int, int], ...]
 
@@ -132,15 +126,6 @@ def validate_colored(colored: ColoredPartition) -> None:
             )
 
 
-def _window_ranks(parts: Partition, params: IdentityParams) -> tuple[int, ...]:
-    # Successive ranks, or RankWindowError at the first one outside the window.
-    ranks = successive_ranks(parts)
-    for i, rank in enumerate(ranks, start=1):
-        if not params.rank_in_window(rank):
-            raise _outside_window(rank, i, params)
-    return ranks
-
-
 def _outside_window(rank: int, index: int, params: IdentityParams) -> RankWindowError:
     return RankWindowError(
         f"rank {rank} at position {index} outside [{params.min_rank}, {params.max_rank}]",
@@ -217,7 +202,22 @@ def check_conditions(colored: ColoredPartition, params: IdentityParams) -> Condi
     the top rank the colors encode; the color range and (iii) hold exactly
     when it is at most M - r - 2, and only a failure walks the parts again.
     """
-    failed_i, failed_ii, top = _residue_conditions(colored, params)
+    validate_colored(colored)
+    failed_i = failed_ii = 0
+    # top: the largest rank the colors encode, infinite for a color below 1.
+    # Color c encodes 2c - r + 1 on a part sharing the residue's parity, else
+    # 2c - r; at M = 2k, color k - 1 on such a part encodes M - r - 1, which
+    # is what (iii) forbids.
+    top = 1 - params.residue
+    prev_size = prev_color = 0
+    for i, (size, color) in enumerate(colored, start=1):
+        rank = rank_from_color(size, color, params)
+        if not (failed_i or _size_ok(size, rank)):
+            failed_i = i
+        if i > 1 and not (failed_ii or _gap_ok(prev_size, prev_color, size, color, params)):
+            failed_ii = i - 1
+        top = max(top, rank if color >= 1 else math.inf)
+        prev_size, prev_color = size, color
     failed_iii = 0
     if top > params.max_rank:  # a color out of range, or else (iii) fails
         count = params.color_count
@@ -234,32 +234,8 @@ def check_conditions(colored: ColoredPartition, params: IdentityParams) -> Condi
     return _PASSED
 
 
-def _residue_conditions(
-    colored: ColoredPartition, params: IdentityParams
-) -> tuple[int, int, float]:
-    # The structure check, then one pass reading params.residue alone: the
-    # first part failing (i) and the first failing (ii) (0 for none), and the
-    # top rank the colors encode (infinite for a color below 1).  Color c
-    # encodes 2c - r + 1 on a part sharing the residue's parity, else 2c - r,
-    # so colors lie in 1..floor(M/2) - 1 and pass (iii) exactly when that rank
-    # is at most M - r - 2 (at M = 2k, color k - 1 shared encodes M - r - 1).
-    validate_colored(colored)
-    failed_i = failed_ii = 0
-    top = 1 - params.residue
-    prev_size = prev_color = 0
-    for i, (size, color) in enumerate(colored, start=1):
-        rank = rank_from_color(size, color, params)
-        if not (failed_i or _size_ok(size, rank)):
-            failed_i = i
-        if i > 1 and not (failed_ii or _gap_ok(prev_size, prev_color, size, color, params)):
-            failed_ii = i - 1
-        top = max(top, rank if color >= 1 else math.inf)
-        prev_size, prev_color = size, color
-    return failed_i, failed_ii, top
-
-
 # Conditions (i) and (ii), each defined once here; (iii) with the color range
-# is the rank bound of _residue_conditions.  The colored enumeration, the
+# is the rank bound of check_conditions.  The colored enumeration, the
 # head-count DP and check_conditions all use these; color_map does not, so
 # encoding rank-window members still exposes a predicate that is too loose
 # (the families differ) or too strict (the decode refuses).  "Sharing the
@@ -295,13 +271,10 @@ def inverse_map(colored: ColoredPartition, params: IdentityParams) -> Partition:
         raise ValueError(
             f"not decodable: condition ({check.violation}) fails at part {check.index}"
         )
-    return _decode(colored, params.residue)
-
-
-def _decode(colored: ColoredPartition, residue: int) -> Partition:
     # (i)-(iii) make the decoded widths and heights strictly decreasing and
     # positive, as from_angles would check.
-    return _rows_from_pairs([_decode_part(size, color, residue) for size, color in colored])
+    r = params.residue
+    return _rows_from_pairs([_decode_part(size, color, r) for size, color in colored])
 
 
 def _encode_part(width: int, height: int, residue: int) -> tuple[int, int]:
@@ -347,13 +320,15 @@ def alt_color_map(parts: Partition, params: IdentityParams) -> ColoredPartition:
     (5,5) and (4,4,2) map to ((6,1),(4,1)); unlike :func:`color_map` this
     encoding is not invertible.
     """
-    ranks = _window_ranks(parts, params)
-    lengths = angle_lengths(angles(parts))
     fold = params.half_modulus - params.residue
     encoded = []
-    for length, rank in zip(lengths, ranks):
+    # angle i has rank width - height and length width + height - 1
+    for i, (width, height) in enumerate(angles(parts), start=1):
+        rank = width - height
+        if not params.rank_in_window(rank):
+            raise _outside_window(rank, i, params)
         color = rank - fold if rank > fold else fold - rank
-        encoded.append((length, color))
+        encoded.append((width + height - 1, color))
     return tuple(encoded)
 
 

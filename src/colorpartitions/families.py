@@ -5,11 +5,12 @@ encodings, box-bounded rank-window members, Gordon-condition partitions,
 gap-2 partitions, and partitions into residue-restricted parts.  Enumerators
 return materialized lists at fixed weight, or per-weight buckets; rank-window
 members come from a descent over Frobenius pair chains, whose cost follows
-the output.  The descent is a walk over chains in pre-order, and two callers
-file every node of it, not only the finished members: the verification
-harness files one residue's members by top rank, which serves every modulus
-of that residue at once (``verify._members_by_top``), and the table extends
-each chain's ranks and encoding from its parent's (``render.bijection_rows``).
+the output.  The descent hands each node the value filed for its parent
+chain, and two walks file every node of it, not only the finished members:
+the verification harness files one residue's members by top rank, which
+serves every modulus of that residue at once (``verify._members_by_top``),
+and the exact-weight walk behind the member lists and the table extends
+each chain's ranks and encoding from its parent's (``_window_rows``).
 Per-weight fast counts go through the Frobenius-pair counting kernel (rank
 windows), a transfer matrix over heads with one running sum per (color,
 size-parity) class (colored family), or one over part frequencies
@@ -20,12 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add
+from operator import add, itemgetter
 
 from . import kernels
 from .coloring import (
     ColoredPartition,
     IdentityParams,
+    _encode_part,
     _gap_ok,
     _size_ok,
     check_conditions,
@@ -68,17 +70,34 @@ def rank_window_members(params: IdentityParams, n: int) -> list[Partition]:
     Reverse-lexicographic order, as :func:`ranked_partitions` filtered.
     """
     _require_weight(n, "n")
-    return _window_chains(params, n, n, n)
+    return [p for p, _, _ in _window_rows(params, n, n, n)]
 
 
-def _window_chains(
+def _window_rows(
     params: IdentityParams, n: int, max_part: int, max_length: int
-) -> list[Partition]:
-    # Rank-window members of weight exactly n, reverse-lexicographic.
-    members = [] if n else [()]
+) -> list[tuple[Partition, tuple[int, ...], ColoredPartition]]:
+    # The rank-window members of weight exactly n in the box, each with its
+    # ranks and encoding, in reverse-lexicographic order.  One descent over
+    # Frobenius pair chains: a node's chain, ranks and encoding are its
+    # parent's plus the entry of its last pair (w, h), the rank w - h and the
+    # colored part _encode_part gives, so no member is walked again to
+    # recover its pairs.
+    r = params.residue
+    rows = [] if n else [((), (), ())]
+
+    def file(parent, pair, rest):
+        pairs, ranks, colored = parent
+        w, h = pair
+        pairs, ranks = pairs + (pair,), ranks + (w - h,)
+        colored += (_encode_part(w, h, r),)
+        if not rest:
+            rows.append((_rows_from_pairs(pairs), ranks, colored))
+        return pairs, ranks, colored
+
     children = _window_children(params, n, True, max_part, max_length)
-    _descend(children, lambda chain, _: members.append(_rows_from_pairs(chain)), True, [], None, n)
-    return sorted(members, reverse=True)
+    _descend(children, file, ((), (), ()), None, n)
+    rows.sort(key=itemgetter(0), reverse=True)
+    return rows
 
 
 def _window_children(
@@ -111,20 +130,18 @@ def _window_children(
     return children
 
 
-def _descend(children, file, exact, chain, head, budget) -> None:
-    # Depth-first descent over chains of nodes, in pre-order: children(head,
-    # budget) yields each node that may follow ``head`` (None at the root)
-    # with the budget left after it, and file(chain, rest) takes each chain
-    # (with ``exact``, only those that spend the whole budget).  The recursion
-    # is a module function, so no closure holds its output in a reference
-    # cycle.
+def _descend(children, file, parent, head, budget) -> None:
+    # Depth-first descent over chains of nodes: children(head, budget) yields
+    # each node that may follow ``head`` (None at the root) with the budget
+    # left after it, and file(parent, node, rest) takes each node with the
+    # value returned for its parent (``parent`` itself for the root's
+    # children) and returns the value the node's own children receive.  A
+    # node with nothing left to spend is not descended.  The recursion is a
+    # module function, so no closure holds its output in a reference cycle.
     for node, rest in children(head, budget):
-        chain.append(node)
-        if not (exact and rest):
-            file(chain, rest)
+        value = file(parent, node, rest)
         if rest:
-            _descend(children, file, exact, chain, node, rest)
-        chain.pop()
+            _descend(children, file, value, node, rest)
 
 
 def rank_window_counts(params: IdentityParams, max_weight: int) -> list[int]:
@@ -233,11 +250,13 @@ def colored_members_up_to(
                 if head is None or _gap_ok(*head, size, color, params):
                     yield (size, color), budget - size
 
-    def file(chain, rest):
-        buckets[max_weight - rest].append(tuple(chain))
+    def file(chain, part, rest):
+        chain += (part,)
+        buckets[max_weight - rest].append(chain)
+        return chain
 
     buckets: list[list[ColoredPartition]] = [[()]] + [[] for _ in range(max_weight)]
-    _descend(children, file, False, [], None, max_weight)
+    _descend(children, file, (), None, max_weight)
     return buckets
 
 
@@ -254,7 +273,7 @@ def boxed_members(
     # a non-int side falls through to the kernel, which refuses it
     if type(max_part) is type(max_length) is int and min(max_part, max_length) < 0:
         return []
-    return _window_chains(params, n, max_part, max_length)
+    return [p for p, _, _ in _window_rows(params, n, max_part, max_length)]
 
 
 def boxed_counts(

@@ -36,13 +36,14 @@ def as_partition(parts: Iterable[int]) -> Partition:
     """Normalize ``parts`` into a partition tuple.
 
     Parts are sorted into non-increasing order (a lossless normalization);
-    non-integers and values < 1 are rejected with ValueError.
+    non-integers and values < 1 are rejected with ValueError, each part
+    checked before the sort compares any two.
     """
-    normalized = tuple(sorted(parts, reverse=True))
-    for p in normalized:
+    parts = tuple(parts)
+    for p in parts:
         if not isinstance(p, int) or isinstance(p, bool) or p < 1:
             raise ValueError(f"parts must be positive integers, got {p!r}")
-    return normalized
+    return tuple(sorted(parts, reverse=True))
 
 
 def weight(parts: Partition) -> int:

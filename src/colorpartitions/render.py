@@ -11,15 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from math import isqrt
-from operator import itemgetter
 from typing import Sequence
 
 from . import families
-from .coloring import ColoredPartition, IdentityParams, _encode_part, format_colored
+from .coloring import ColoredPartition, IdentityParams, format_colored
 from .partitions import (
     Partition,
-    _rows_from_pairs,
     angle_lengths,
     angles,
     conjugate,
@@ -60,30 +57,11 @@ def format_ranks(ranks: Sequence[int]) -> str:
 def bijection_rows(params: IdentityParams, n: int) -> list[TableRow]:
     """Member/ranks/encoding triples in canonical (reverse-lexicographic) order.
 
-    One descent over Frobenius pair chains (the rank-window members'): a
-    chain's ranks and encoding are its parent's plus the entry of its last
-    pair (w, h), the rank w - h and the colored part ``_encode_part`` gives,
-    so no member is walked again to recover its pairs.
+    One descent over Frobenius pair chains (the rank-window members'), in
+    which a chain's ranks and encoding are its parent's plus one entry each.
     """
     families._require_weight(n, "n")
-    r = params.residue
-    rows = [] if n else [((), (), ())]
-    # the ranks and encoding of the chain filed last at each depth
-    ranks_at = [()] * (isqrt(n) + 1)
-    colored_at = ranks_at[:]
-
-    def file(chain, rest):
-        depth = len(chain)
-        w, h = chain[-1]
-        ranks = ranks_at[depth] = ranks_at[depth - 1] + (w - h,)
-        colored = colored_at[depth] = colored_at[depth - 1] + (_encode_part(w, h, r),)
-        if not rest:
-            rows.append((_rows_from_pairs(chain), ranks, colored))
-
-    children = families._window_children(params, n, True, n, n)
-    families._descend(children, file, False, [], None, n)
-    rows.sort(key=itemgetter(0), reverse=True)
-    return rows
+    return families._window_rows(params, n, n, n)
 
 
 class _PartLabels(dict):

@@ -137,11 +137,13 @@ def _residue_records(
     failure through the public round trip at its own params.
 
     The limits come from the descent, one check per chain node.  A member's
-    chain is its parent's chain plus one pair (w, h), and the parent is
-    filed just before it.  Say the parent's encoding E' was certified: its
-    parts are exact ints with colors at least 1, pass (i) and (ii), have
-    sizes w' + h' - 1 for the pairs of the parent's chain (so they strictly
-    decrease and sum to its weight), and decode part by part to those pairs.
+    chain is its parent's chain plus one pair (w, h), and the descent hands
+    the member the value filed for its parent: that chain, its top rank and
+    its certified encoding, if any.  Say the parent's encoding E' was
+    certified: its parts are exact ints with colors at least 1, pass (i)
+    and (ii), have sizes w' + h' - 1 for the pairs of the parent's chain (so
+    they strictly decrease and sum to its weight), and decode part by part
+    to those pairs.
     If the member encodes to E' plus one part (s, c) of exact ints with
     c >= 1 that follows E'[-1] under (ii), passes (i), has s = w + h - 1
     and decodes to (w, h), then the member's encoding passes the same
@@ -217,28 +219,28 @@ def _members_by_top(
     buckets = [[[] for _ in range(widest.modulus - 2)] for _ in range(max_weight + 1)]
     buckets[0][0].append(())
     suspects: list[list[tuple[Partition, int, float]]] = [[] for _ in range(max_weight + 1)]
-    root = 1 - r if color_map((), widest) == () else math.inf
-    if root > 1 - r:
-        suspects[0].append(((), 0, root))
-    # per depth, the top rank of the chain last filed there and its certified
-    # (encoding, limit), or None; pre-order makes depth d - 1 a node's parent
-    tops = [1 - r] * (max_weight + 1)
-    seeds = [((), root) if root < math.inf else None] * (max_weight + 1)
+    # the empty member's certified (encoding, limit), or None
+    root = ((), 1 - r) if color_map((), widest) == () else None
+    if root is None:
+        suspects[0].append(((), 0, math.inf))
 
-    def file(pairs, rest):
-        n, depth, pair = max_weight - rest, len(pairs), pairs[-1]
-        tops[depth] = top = max(tops[depth - 1], pair[0] - pair[1])
+    def file(parent, pair, rest):
+        # a node's value: its pairs, its top rank and its certified
+        # (encoding, limit), or None
+        pairs, top, seed = parent
+        pairs += (pair,)
+        top = max(top, pair[0] - pair[1])
         p = _rows_from_pairs(pairs)
+        n = max_weight - rest
         buckets[n][top + r - 1].append(p)
         member = color_map(p, widest)
-        seed = seeds[depth - 1]
         limit = math.inf if seed is None else _extended_limit(seed, member, pair, widest)
-        seeds[depth] = (member, limit) if limit < math.inf else None
         if limit > top:
             suspects[n].append((p, top + r - 1, limit))
+        return pairs, top, (member, limit) if limit < math.inf else None
 
     children = families._window_children(widest, max_weight, False, max_weight, max_weight)
-    families._descend(children, file, False, [], None, max_weight)
+    families._descend(children, file, ((), 1 - r, root), None, max_weight)
     return buckets, suspects
 
 

@@ -75,6 +75,33 @@ def test_table_refuses_a_request_past_its_row_limit_before_any_work(
     assert f"has {count} rows" in err and "limit of 500,000" in err
 
 
+def test_table_refuses_a_weight_past_its_weight_limit_before_the_count(capsys, monkeypatch):
+    def no_count(*args):
+        raise AssertionError("the row count ran")
+
+    monkeypatch.setattr(cli.families, "rank_window_counts", no_count)
+    for weight in (cli.TABLE_WEIGHT_LIMIT + 1, 8000):
+        code, out, err = run_cli(capsys, "table", "12", "6", str(weight))
+        assert (code, out) == (2, "")
+        assert f"weight {weight} is over the limit of {cli.TABLE_WEIGHT_LIMIT}" in err
+
+
+def test_table_weight_limit_refuses_only_tables_without_rows_or_past_the_row_limit():
+    # a count never falls from n to n + 2, and every window holds one of
+    # these four (M >= 5: [1, 2] or [0, 1]), so two weights past the limit
+    # decide every weight past it
+    counts = cli.families.rank_window_counts
+    odd, even = cli.TABLE_WEIGHT_LIMIT + 1, cli.TABLE_WEIGHT_LIMIT + 2
+    for modulus, residue in ((4, 1), (4, 2), (5, 1), (5, 2)):
+        series = counts(IdentityParams(modulus, residue), even)
+        assert series[even] > cli.TABLE_ROW_LIMIT
+        if (modulus, residue) == (4, 1):  # [1, 1] holds chains of even weight only
+            assert series[odd] == 0
+        else:
+            assert series[odd] > cli.TABLE_ROW_LIMIT
+    assert counts(IdentityParams(3, 1), even)[1:] == [0] * even
+
+
 def test_table_row_limit_admits_the_documented_tables():
     # every benchmark table (n = 38, 40; at most about 9k rows), table 5 1 80
     # and table 12 6 60 stay under the limit

@@ -26,6 +26,7 @@ from colorpartitions import (
 from colorpartitions.coloring import _gap_ok, check_box_condition
 from colorpartitions.families import (
     _admissible_colors,
+    _descend,
     colored_head_counts,
     colored_members_up_to,
     frequency_counts,
@@ -288,6 +289,33 @@ def test_chain_descent_matches_filter(data, modulus, n):
         if len(p) <= max_length and p in members
     ]
     assert boxed_members(params, n, max_part, max_length) == boxed
+
+
+def test_descend_hands_each_node_its_parents_value():
+    # toy chains: the sequences of steps 1 and 2, each node the whole
+    # sequence so far, spending its last step
+    heads = []
+
+    def children(head, budget):
+        heads.append((head, budget))
+        for step in (1, 2):
+            if step <= budget:
+                yield (head or ()) + (step,), budget - step
+
+    root, value_of, filed = object(), {}, []
+
+    def file(parent, node, rest):
+        filed.append((parent, node, rest))
+        value = value_of[node] = object()
+        return value
+
+    _descend(children, file, root, None, 5)
+    assert len(value_of) == len(filed) == 1 + 2 + 3 + 5 + 8  # every sum 1..5
+    for parent, node, rest in filed:
+        assert parent is (value_of[node[:-1]] if len(node) > 1 else root)
+        assert rest == 5 - sum(node)
+    # the root and each node with budget left are descended, no other
+    assert heads == [(None, 5)] + [(node, rest) for _, node, rest in filed if rest]
 
 
 def test_descents_leave_no_reference_cycles():

@@ -102,6 +102,10 @@ def test_as_partition_sorts_and_validates():
         as_partition((2.5, 1))
     with pytest.raises(ValueError):
         as_partition((True, 1))
+    # each part is checked before the sort compares it with another
+    for parts in ([None, 1], ["a", 1], (1, "a", 2)):
+        with pytest.raises(ValueError):
+            as_partition(parts)
 
 
 def test_weight():

@@ -22,10 +22,11 @@ forms counts distinct partitions of weight t <= top, so it is at most
 p(t) <= p(top) < exp(pi * sqrt(2 * top / 3)) (Apostol, Introduction to
 Analytic Number Theory, Thm 14.5) < 2^(3.71 * sqrt(top)) <= 2^B with the
 integer width ``_limb_bits(top)``.  The counts are unpacked once, at the end,
-as exact Python ints at every size; ``_pure`` is the brute-force oracle the
-tests compare against.  The per-pair series f(w, h) also steer the member
-descent in ``families``: a pair heads a chain of weight b exactly when limb b
-of f(w, h), ``(f >> (B * b)) & (2^B - 1)``, is nonzero.
+as exact Python ints at every size; a brute-force descent in
+``tests/test_kernels.py`` is the oracle they are compared against.  The
+per-pair series f(w, h) also steer the member descent in ``families``: a
+pair heads a chain of weight b exactly when limb b of f(w, h),
+``(f >> (B * b)) & (2^B - 1)``, is nonzero.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ canonical JSON.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
@@ -94,12 +93,13 @@ def _count_record(
     form_name: str, closed_form: series.TruncatedSeries, note: str = "",
 ) -> CheckRecord:
     # Member counts at weights 0..n_max against one closed form's coefficients;
-    # ``counts`` may be lazy, and the record stops at the first mismatch.
+    # the record stops at the first mismatch.
+    span = f"n<={n_max}"
     for n, count in enumerate(counts):
         if count != closed_form[n]:
             note = f"n={n}: {count} members vs {form_name} coefficient {closed_form[n]}"
-            return _fail(scope, label, n_max, n + 1, note)
-    return CheckRecord(scope, label, f"n<={n_max}", n_max + 1, True, note)
+            return CheckRecord(scope, label, span, n + 1, False, note)
+    return CheckRecord(scope, label, span, n_max + 1, True, note)
 
 
 def check_bijection(params: IdentityParams, n_max: int) -> CheckRecord:
@@ -125,84 +125,64 @@ def _residue_records(
     """The records of distinct cells sharing one residue, in ``scopes`` order.
 
     Cell M's weight-n members are the first M - 2 runs of bucket n of one
-    descent at the widest modulus (:func:`_members_by_top`).  A bijection
-    record is the one the public ``color_map`` and ``inverse_map`` give on
-    every (cell, member) pair, from one round trip per member:
-    ``color_map(p, (M, r))`` reads M only in its window check, the decode
-    reads r only, and of ``check_conditions`` only the color range and (iii)
-    read M, and they hold exactly when the top rank the colors encode is at
-    most M - r - 2.  So each member is encoded and checked once, at the
-    widest cell, to a limit: that rank, or infinity if it is not certified.
-    Each cell compares the limit with its M - r - 2 and rechecks and words a
-    failure through the public round trip at its own params.
-
-    The limits come from the descent, one check per chain node.  A member's
-    chain is its parent's chain plus one pair (w, h), and the descent hands
-    the member the value filed for its parent: that chain, its top rank and
-    its certified encoding, if any.  Say the parent's encoding E' was
-    certified: its parts are exact ints with colors at least 1, pass (i)
-    and (ii), have sizes w' + h' - 1 for the pairs of the parent's chain (so
-    they strictly decrease and sum to its weight), and decode part by part
-    to those pairs.
-    If the member encodes to E' plus one part (s, c) of exact ints with
-    c >= 1 that follows E'[-1] under (ii), passes (i), has s = w + h - 1
-    and decodes to (w, h), then the member's encoding passes the same
-    checks (its decoded pairs are its chain, so its decode is the member
-    itself), and its limit is the larger of the parent's and the rank
-    (s, c) encodes.  The empty member, certified if it encodes to (),
-    starts the induction.  Any other member is a suspect, rechecked by the
-    public round trip at every cell that holds it, and certifies no child,
-    so every record is the public round trip's; correct code has none.
+    descent at the widest modulus (:func:`_members_by_top`), which also
+    certifies each member's round trip at every modulus that holds it.  A
+    bijection record is the one the public ``color_map`` and ``inverse_map``
+    give on every (cell, member) pair: each cell puts only the suspects it
+    holds through that round trip, at its own params.
     """
     widest = max(cells, key=attrgetter("modulus"))
-    r = widest.residue
     buckets, suspects = _members_by_top(widest, n_max)
-    forms_of = {params: _closed_forms(params, n_max, scopes) for params in cells}
-    records_of: dict[IdentityParams, list[CheckRecord]] = {params: [] for params in cells}
-    for params in cells if "product_counts" in scopes else ():
-        form_name, closed_form = forms_of[params][0]
-        note = "" if params.has_product_form else "2r = M: no product form, checked theta quotient"
-        counts = (sum(map(len, runs[: params.modulus - 2])) for runs in buckets)
-        label = f"M={params.modulus} r={r}"
-        records_of[params].append(
-            _count_record("product_counts", label, n_max, counts, form_name, closed_form, note)
-        )
-    if "bijection" not in scopes:
-        return records_of
-    legs_of = {params: _count_legs(params, n_max, forms_of[params]) for params in cells}
-    checked = dict.fromkeys(cells, 0)
-    notes: dict[IdentityParams, str] = {}
-    for n, runs in enumerate(buckets):
-        for params in cells:
-            if params in notes:
-                continue
-            cut, hi = params.modulus - 2, params.max_rank
-            held = runs[:cut]
-            failing = (p for p, index, limit in suspects[n] if index < cut and limit > hi)
-            # the first failure in reverse-lexicographic order, at its position
-            for p in sorted(failing, reverse=True):
-                if note := _round_trip_note(p, n, params):
-                    checked[params] += sum(q >= p for run in held for q in run)
-                    notes[params] = note
-                    break
-            else:
-                count = sum(map(len, held))
-                checked[params] += count
-                for form, template in legs_of[params]:
-                    checked[params] += 1
-                    if count != form[n]:
-                        notes[params] = template.format(n=n, count=count, value=form[n])
-                        break
+    records_of: dict[IdentityParams, list[CheckRecord]] = {}
     for params in cells:
-        label, note = f"M={params.modulus} r={r}", notes.get(params, "")
-        record = CheckRecord("bijection", label, f"n<={n_max}", checked[params], not note, note)
-        records_of[params].append(record)
+        label = f"M={params.modulus} r={params.residue}"
+        forms = _closed_forms(params, n_max, scopes)
+        counts = [sum(map(len, runs[: params.modulus - 2])) for runs in buckets]
+        records_of[params] = records = []
+        if "product_counts" in scopes:
+            note = "2r = M: no product form, checked theta quotient"
+            note = "" if params.has_product_form else note
+            records.append(_count_record("product_counts", label, n_max, counts, *forms[0], note))
+        if "bijection" in scopes:
+            record = _bijection_record(params, label, n_max, buckets, suspects, counts, forms)
+            records.append(record)
     return records_of
+
+
+def _bijection_record(
+    params: IdentityParams, label: str, n_max: int,
+    buckets: list[list[list[Partition]]], suspects: list[list[tuple[Partition, int]]],
+    counts: list[int], forms: list[tuple[str, series.TruncatedSeries]],
+) -> CheckRecord:
+    # Weight by weight: the round trip of the cell's suspects, then its member
+    # count against the colored family's by head (the members encode
+    # injectively into it, so the encoding is onto iff the counts agree) and
+    # every series.  The record stops at the first failure, counted at its
+    # position in the per-cell loop's reverse-lexicographic order.
+    span, cut = f"n<={n_max}", params.modulus - 2
+    colored = list(map(sum, zip(*families.colored_head_counts(params, n_max, n_max).values())))
+    onto = "n={n}: encoded family differs from direct generation ({count} vs {value} members)"
+    legs = [(colored, onto)] + [
+        (form, f"n={{n}}: {{count}} members vs {name} {{value}}") for name, form in forms
+    ]
+    checked = 0
+    for n, runs in enumerate(buckets):
+        for p in sorted((p for p, index in suspects[n] if index < cut), reverse=True):
+            if note := _round_trip_note(p, n, params):
+                checked += sum(q >= p for run in runs[:cut] for q in run)
+                return CheckRecord("bijection", label, span, checked, False, note)
+        checked += counts[n]
+        for form, template in legs:
+            checked += 1
+            if counts[n] != form[n]:
+                note = template.format(n=n, count=counts[n], value=form[n])
+                return CheckRecord("bijection", label, span, checked, False, note)
+    return CheckRecord("bijection", label, span, checked, True)
 
 
 def _members_by_top(
     widest: IdentityParams, max_weight: int
-) -> tuple[list[list[list[Partition]]], list[list[tuple[Partition, int, float]]]]:
+) -> tuple[list[list[list[Partition]]], list[list[tuple[Partition, int]]]]:
     """Rank-window members of weight 0..max_weight, filed by top rank.
 
     ``buckets[n][t + r - 1]`` holds, in descent order, the weight-n members
@@ -210,64 +190,76 @@ def _members_by_top(
     partition.  The windows [2 - r, M - r - 2] of one residue share their
     lower end, so the first M' - 2 runs of each bucket are the members at a
     modulus M' <= M: one descent serves every weight and every such modulus.
-    ``suspects[n]`` lists, as (member, run index, limit), the weight-n
-    members whose limit at ``widest`` (infinity if uncertified) exceeds
-    their top rank; any other member passes at every modulus that holds it.
+
+    ``suspects[n]`` lists, as (member, run index), the weight-n members
+    whose ``color_map`` output at ``widest`` is not certified; any other
+    member passes the public round trip at every modulus M' that holds it.
+    The encoding reads M only in its window check, the decode reads r only,
+    and of ``check_conditions`` only the color range and (iii) read M; they
+    hold when every rank the colors encode is at most M' - r - 2.  The empty
+    member is certified if it encodes to ().  Any other member extends its
+    parent's chain by one pair (w, h) and is certified if its parent is and
+    it encodes to the parent's encoding plus one part that :func:`_extends`
+    accepts: exact ints, color at least 1, (i), (ii) after the parent's last
+    part, size w + h - 1 (sizes then strictly decrease along the chain, and
+    sum to the weight), a decode to (w, h), and an encoded rank at most the
+    member's top rank, itself at most M' - r - 2.  By induction the decoded
+    pairs are the chain, so the decode is the member.  A suspect certifies
+    no child; correct code has none.
     """
     families._require_weight(max_weight)
     r = widest.residue
     buckets = [[[] for _ in range(widest.modulus - 2)] for _ in range(max_weight + 1)]
     buckets[0][0].append(())
-    suspects: list[list[tuple[Partition, int, float]]] = [[] for _ in range(max_weight + 1)]
-    # the empty member's certified (encoding, limit), or None
-    root = ((), 1 - r) if color_map((), widest) == () else None
+    suspects: list[list[tuple[Partition, int]]] = [[] for _ in range(max_weight + 1)]
+    # the empty member's certified encoding, or None
+    root = () if color_map((), widest) == () else None
     if root is None:
-        suspects[0].append(((), 0, math.inf))
+        suspects[0].append(((), 0))
 
     def file(parent, pair, rest):
-        # a node's value: its pairs, its top rank and its certified
-        # (encoding, limit), or None
-        pairs, top, seed = parent
+        # a node's value: its pairs, its top rank and its certified encoding,
+        # or None
+        pairs, top, encoding = parent
         pairs += (pair,)
         top = max(top, pair[0] - pair[1])
         p = _rows_from_pairs(pairs)
         n = max_weight - rest
         buckets[n][top + r - 1].append(p)
         member = color_map(p, widest)
-        limit = math.inf if seed is None else _extended_limit(seed, member, pair, widest)
-        if limit > top:
-            suspects[n].append((p, top + r - 1, limit))
-        return pairs, top, (member, limit) if limit < math.inf else None
+        if encoding is None or not _extends(encoding, member, pair, top, widest):
+            suspects[n].append((p, top + r - 1))
+            member = None
+        return pairs, top, member
 
     children = families._window_children(widest, max_weight, False, max_weight, max_weight)
     families._descend(children, file, ((), 1 - r, root), None, max_weight)
     return buckets, suspects
 
 
-def _extended_limit(
-    seed: tuple[ColoredPartition, float], member: ColoredPartition,
-    pair: tuple[int, int], widest: IdentityParams,
-) -> float:
-    # The limit of ``member`` if it is the certified encoding of ``seed``
-    # plus one part that passes every check against that encoding's last
-    # part and decodes to ``pair``, else infinity.  The order rule needs no
-    # test: every certified part has size w + h - 1 for its pair, and the
+def _extends(
+    encoding: ColoredPartition, member: ColoredPartition,
+    pair: tuple[int, int], top: int, widest: IdentityParams,
+) -> bool:
+    # Whether ``member`` is the certified ``encoding`` plus one part that
+    # passes every check against that encoding's last part, decodes to
+    # ``pair`` and encodes a rank of at most ``top``.  The order rule needs
+    # no test: every certified part has size w + h - 1 for its pair, and the
     # pairs of a chain strictly decrease, so the sizes do too.
-    encoding, limit = seed
     if len(member) != len(encoding) + 1 or member[:-1] != encoding:
-        return math.inf
+        return False
     # two exact ints per part: tuple equality lets 3.0 or True pass for one
     if list(map(type, chain.from_iterable(member))) != [int] * (2 * len(member)):
-        return math.inf
+        return False
     size, color = member[-1]
     rank = coloring.rank_from_color(size, color, widest)
-    if color < 1 or not coloring._size_ok(size, rank) or size != pair[0] + pair[1] - 1:
-        return math.inf
+    if color < 1 or rank > top or size != pair[0] + pair[1] - 1:
+        return False
+    if not coloring._size_ok(size, rank):
+        return False
     if encoding and not coloring._gap_ok(*encoding[-1], size, color, widest):
-        return math.inf
-    if coloring._decode_part(size, color, widest.residue) != pair:
-        return math.inf
-    return max(limit, rank)
+        return False
+    return coloring._decode_part(size, color, widest.residue) == pair
 
 
 def _closed_forms(
@@ -282,19 +274,6 @@ def _closed_forms(
     if "bijection" not in scopes:
         del builders[1:]
     return [(name, build(params, n_max)) for name, build in builders]
-
-
-def _count_legs(
-    params: IdentityParams, n_max: int, forms: list[tuple[str, series.TruncatedSeries]]
-) -> list[tuple[list[int], str]]:
-    # The counts each weight's members must equal, with the note a mismatch
-    # gives: the colored family's by head (the members encode injectively
-    # into it, so the encoding is onto iff the counts agree), then the series.
-    colored = list(map(sum, zip(*families.colored_head_counts(params, n_max, n_max).values())))
-    note = "n={n}: encoded family differs from direct generation ({count} vs {value} members)"
-    return [(colored, note)] + [
-        (form, f"n={{n}}: {{count}} members vs {name} {{value}}") for name, form in forms
-    ]
 
 
 def _round_trip_note(p: Partition, n: int, params: IdentityParams) -> str | None:
@@ -364,6 +343,7 @@ def check_finitized(
         families._require_weight(n_max, "n_max")
     parity = "odd" if params.is_odd else "even"
     label = f"{parity} k={params.half_modulus} r={params.residue}"
+    span = f"N<={size_max}"
     # The box law reads only the largest part and bounds it by W + H - 1,
     # which grows with the size: the weight series of the members each head
     # heads, up to the largest box, serve every size.
@@ -379,14 +359,8 @@ def check_finitized(
         checked += 1
         if lhs != rhs:
             degree = series.first_difference(lhs.coefficients, rhs.coefficients)
-            return _fail(
-                "finitized",
-                label,
-                size_max,
-                checked,
-                f"size={size}: sides first differ at degree {degree}",
-                span_prefix="N",
-            )
+            note = f"size={size}: sides first differ at degree {degree}"
+            return CheckRecord("finitized", label, span, checked, False, note)
         max_part, max_length = series.finitized_box(params, size)
         box = families.boxed_counts(params, max_part, max_length)
         admitted = [
@@ -405,15 +379,9 @@ def check_finitized(
             checked += 2
             for route, value in (("box count", from_box), ("top-part count", from_colored)):
                 if value != expected:
-                    return _fail(
-                        "finitized",
-                        label,
-                        size_max,
-                        checked,
-                        f"size={size} n={n}: {route} {value} vs coefficient {expected}",
-                        span_prefix="N",
-                    )
-    return CheckRecord("finitized", label, f"N<={size_max}", checked, True)
+                    note = f"size={size} n={n}: {route} {value} vs coefficient {expected}"
+                    return CheckRecord("finitized", label, span, checked, False, note)
+    return CheckRecord("finitized", label, span, checked, True)
 
 
 def _colored_top(max_part: int, max_length: int) -> int:
@@ -427,12 +395,6 @@ def _gap2_weight_bound(max_size: int) -> int:
         return 0
     steps = (max_size + 1) // 2
     return steps * (max_size - steps + 1)
-
-
-def _fail(
-    scope: str, label: str, bound: int, checked: int, note: str, span_prefix: str = "n"
-) -> CheckRecord:
-    return CheckRecord(scope, label, f"{span_prefix}<={bound}", checked, False, note)
 
 
 def verify_identity_grid(

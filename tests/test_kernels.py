@@ -5,9 +5,68 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorpartitions import kernels
-from colorpartitions._pure import count_rank_bounded_partitions as pure_counts
 from colorpartitions.partitions import partitions_of, successive_ranks
 from colorpartitions.series import partition_series
+
+
+def pure_counts(max_part, max_length, rank_lo, rank_hi, cap=None):
+    """The oracle: per-weight rank-window counts in a box, by brute-force descent.
+
+    Returns ``counts`` of length W+1 with W = min(max_part * max_length, cap):
+    ``counts[w]`` is the number of partitions of w with at most ``max_length``
+    parts, each at most ``max_part``, whose successive ranks all lie in
+    [rank_lo, rank_hi].  The descent runs over non-increasing part prefixes;
+    every prefix is itself a partition, so each node is tested and tallied
+    once.
+
+    Appending a part never raises an existing rank, so once a rank falls below
+    the window the whole subtree is dead and gets pruned; ranks above the
+    window may still sink back, so those nodes descend uncounted.
+    """
+    if max_part < 0 or max_length < 0:
+        raise ValueError("box sides must be nonnegative")
+    box = max_part * max_length
+    top = box if cap is None else min(cap, box)
+    if cap is not None and cap < 0:
+        raise ValueError("cap must be nonnegative")
+    counts = [0] * (top + 1)
+    counts[0] = 1  # the empty partition has no ranks to violate
+    if top == 0:
+        return counts
+    parts = []
+
+    def rank_status():
+        # 1: all ranks inside the window; 0: none below but some above;
+        # -1: some rank below the window (permanent defect).
+        length = len(parts)
+        ptr = length
+        ok = 1
+        i = 1
+        while i <= length and parts[i - 1] >= i:
+            while parts[ptr - 1] < i:
+                ptr -= 1
+            rank = parts[i - 1] - ptr
+            if rank < rank_lo:
+                return -1
+            if rank > rank_hi:
+                ok = 0
+            i += 1
+        return ok
+
+    def descend(bound, weight):
+        for x in range(min(bound, top - weight), 0, -1):
+            parts.append(x)
+            status = rank_status()
+            if status >= 0:
+                w = weight + x
+                if status == 1:
+                    counts[w] += 1
+                if len(parts) < max_length and w < top:
+                    descend(x, w)
+            parts.pop()
+
+    descend(max_part, 0)
+    return counts
 
 
 def brute_counts(max_part, max_length, rank_lo, rank_hi, top):

@@ -1,22 +1,25 @@
 """Route knockout: which records of one small ``verify_all`` each route feeds.
 
-Each row breaks one route by a single coefficient and lists, per scope, how
-many records must then fail.  The mutant is patched at the module attribute
-``verify`` reads it through (``series.<name>`` or ``families.<name>``), so
-every caller inside those modules sees it too.  A change that drops a route
-from a record, or adds one, changes this table.
+Each row breaks one route, a series or count by a single coefficient or a
+membership predicate or the decode by one case, and lists, per scope, how
+many records must then fail.  The mutant replaces the row's module attribute
+(``series.<name>``, ``families.<name>`` or ``coloring.<name>``) at every
+module of the package that binds it, so every caller sees it.  A change that
+drops a route from a record, or adds one, changes this table.
 """
 
+import sys
 from collections import Counter
 
 import pytest
 
-from colorpartitions import families, series
+from colorpartitions import coloring, families, series
 from colorpartitions.series import TruncatedSeries
 from colorpartitions.verify import verify_all
 
 GRID = dict(n_max=20, gordon_n_max=20, odd_size_max=8, even_size_max=6)
 CACHED_BINOMIAL = series.gaussian_binomial
+SIZE_OK, GAP_OK, DECODE_PART = coloring._size_ok, coloring._gap_ok, coloring._decode_part
 
 
 def bumped(coefficients, degree):
@@ -57,6 +60,32 @@ def empty_head_plus_one(degree):
     return mutant
 
 
+def size_ok_admits_size_one(size, rank):
+    # (i) admits every part of size 1, whatever rank it encodes
+    return size == 1 or SIZE_OK(size, rank)
+
+
+def gap_ok_two_short_across_colors(size_a, color_a, size_b, color_b, params):
+    # (ii) asks 2 less of parts of different colors whose sizes differ by an
+    # even number: a gap 2 wider keeps the gap's parity and so its demand
+    if color_a != color_b and (size_a - size_b) % 2 == 0:
+        size_a += 2
+    return GAP_OK(size_a, color_a, size_b, color_b, params)
+
+
+def gap_ok_admits_one_between_color_ones(size_a, color_a, size_b, color_b, params):
+    # (ii) admits a gap of 1 between two color-1 parts
+    if color_a == color_b == 1 and size_a - size_b == 1:
+        return True
+    return GAP_OK(size_a, color_a, size_b, color_b, params)
+
+
+def decode_wide_from_size_seven(size, color, residue):
+    # the decode gives one more column to every part of size 7 or more
+    width, height = DECODE_PART(size, color, residue)
+    return (width + 1, height - 1) if size >= 7 else (width, height)
+
+
 KNOCKOUTS = [
     ("restricted_product", series, series_plus_one("restricted_product", 12),
      {"product_counts": 15, "bijection": 15, "gordon": 5}),
@@ -71,6 +100,14 @@ KNOCKOUTS = [
     ("colored_head_counts", families, empty_head_plus_one(12),
      {"bijection": 18, "finitized": 18}),
     ("boxed_counts", families, counts_plus_one("boxed_counts", 12), {"finitized": 18}),
+    ("_size_ok", coloring, size_ok_admits_size_one, {"bijection": 14, "finitized": 14}),
+    ("_gap_ok", coloring, gap_ok_two_short_across_colors, {"bijection": 14, "finitized": 14}),
+    # The running head sums start each cut two or three below the head, so
+    # they never ask _gap_ok about a tail one smaller, and no record reads
+    # this case; a local certificate of the bijection at every weight is
+    # what would fill this row.
+    ("_gap_ok", coloring, gap_ok_admits_one_between_color_ones, {}),
+    ("_decode_part", coloring, decode_wide_from_size_seven, {"bijection": 18}),
 ]
 
 
@@ -90,8 +127,13 @@ def test_clean_grid_passes():
 
 
 @pytest.mark.parametrize(
-    "name, module, mutant, expected", KNOCKOUTS, ids=[row[0] for row in KNOCKOUTS]
+    "name, module, mutant, expected",
+    KNOCKOUTS,
+    ids=[mutant.__name__ if module is coloring else name for name, module, mutant, _ in KNOCKOUTS],
 )
 def test_knockout_fails_exactly_its_records(monkeypatch, name, module, mutant, expected):
-    monkeypatch.setattr(module, name, mutant)
+    real = getattr(module, name)
+    for module_name, bound in list(sys.modules.items()):
+        if module_name.startswith("colorpartitions") and getattr(bound, name, None) is real:
+            monkeypatch.setattr(bound, name, mutant)
     assert failing_scopes() == expected

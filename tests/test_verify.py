@@ -298,6 +298,16 @@ def _float_sizes_before_the_last(monkeypatch):
     _patch_everywhere(monkeypatch, "color_map", floated)
 
 
+def _empty_member_encodes_a_part(monkeypatch):
+    # the empty member is a suspect, so the descent certifies no chain and
+    # every member is judged by the public round trip
+    from colorpartitions import coloring
+
+    real = coloring.color_map
+    encode = lambda p, params: real(p, params) if p else ((1, 1),)
+    _patch_everywhere(monkeypatch, "color_map", encode)
+
+
 @pytest.mark.parametrize(
     "mutant",
     [
@@ -311,6 +321,7 @@ def _float_sizes_before_the_last(monkeypatch):
         _big_sizes_plus_two_both_ways,
         _size_ok_too_strict,
         _gap_ok_too_strict,
+        _empty_member_encodes_a_part,
     ],
 )
 def test_grid_records_match_the_per_cell_loop(monkeypatch, mutant):

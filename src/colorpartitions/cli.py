@@ -18,8 +18,9 @@ from .partitions import parse_partition
 
 FORMATS = ("text", "csv", "json")
 
-# The most rows ``table`` builds (about 460 bytes of tuples each, so about
-# 230 MB before any text); a larger request exits 2 before any descent.
+# The most rows ``table`` builds (about 380 bytes of tuples each, rows
+# sharing their colored parts, so about 190 MB before any text); a larger
+# request exits 2 before any descent.
 TABLE_ROW_LIMIT = 500_000
 
 # The heaviest weight ``table`` accepts; past it the request exits 2 before

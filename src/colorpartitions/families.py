@@ -6,11 +6,14 @@ gap-2 partitions, and partitions into residue-restricted parts.  Enumerators
 return materialized lists at fixed weight, or per-weight buckets; rank-window
 members come from a descent over Frobenius pair chains, whose cost follows
 the output.  The descent hands each node the value filed for its parent
-chain, and two walks file every node of it, not only the finished members:
-the verification harness files one residue's members by top rank, which
-serves every modulus of that residue at once (``verify._members_by_top``),
-and the exact-weight walk behind the member lists and the table extends
-each chain's ranks and encoding from its parent's (``_window_rows``).
+chain, and two walks file every node of it, not only the finished members;
+in both a node's rows are its parent's extended by its last pair.  The
+verification harness files one residue's members by top rank, which serves
+every modulus of that residue at once, and checks each encoded part once
+per (previous part, part, pair) per call (``verify._members_by_top``); the
+exact-weight walk behind the member lists and the table extends each
+chain's ranks and encoding from its parent's by one entry made once per
+pair (``_window_rows``).
 Per-weight fast counts go through the Frobenius-pair counting kernel (rank
 windows), a transfer matrix over heads with one running sum per (color,
 size-parity) class (colored family), or one over part frequencies
@@ -34,7 +37,7 @@ from .coloring import (
     color_map,
     rank_from_color,
 )
-from .partitions import Partition, _rows_from_pairs, partitions_of, successive_ranks
+from .partitions import Partition, _extend_rows, partitions_of, successive_ranks
 
 __all__ = [
     "FamilySpec",
@@ -78,24 +81,30 @@ def _window_rows(
 ) -> list[tuple[Partition, tuple[int, ...], ColoredPartition]]:
     # The rank-window members of weight exactly n in the box, each with its
     # ranks and encoding, in reverse-lexicographic order.  One descent over
-    # Frobenius pair chains: a node's chain, ranks and encoding are its
-    # parent's plus the entry of its last pair (w, h), the rank w - h and the
-    # colored part _encode_part gives, so no member is walked again to
-    # recover its pairs.
+    # Frobenius pair chains; a node carries its depth, its last height, its
+    # rows, its ranks and its encoding, each its parent's extended by its
+    # last pair (w, h): the rows by _extend_rows, the ranks by w - h and the
+    # encoding by the colored part _encode_part gives.  Each pair's rank and
+    # part are made once per walk, so every row holding a pair shares one
+    # part tuple for it.
     r = params.residue
     rows = [] if n else [((), (), ())]
+    entries = {}  # pair -> ((its rank,), (its colored part,))
 
     def file(parent, pair, rest):
-        pairs, ranks, colored = parent
+        depth, last, p, ranks, colored = parent
         w, h = pair
-        pairs, ranks = pairs + (pair,), ranks + (w - h,)
-        colored += (_encode_part(w, h, r),)
+        entry = entries.get(pair)
+        if entry is None:
+            entry = entries[pair] = ((w - h,), (_encode_part(w, h, r),))
+        p = _extend_rows(p, depth, last, w, h)
+        ranks, colored = ranks + entry[0], colored + entry[1]
         if not rest:
-            rows.append((_rows_from_pairs(pairs), ranks, colored))
-        return pairs, ranks, colored
+            rows.append((p, ranks, colored))
+        return depth + 1, h, p, ranks, colored
 
     children = _window_children(params, n, True, max_part, max_length)
-    _descend(children, file, ((), (), ()), None, n)
+    _descend(children, file, (0, 0, (), (), ()), None, n)
     rows.sort(key=itemgetter(0), reverse=True)
     return rows
 

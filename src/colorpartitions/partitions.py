@@ -166,6 +166,26 @@ def _rows_from_pairs(pairs) -> Partition:
     return tuple(rows)
 
 
+def _extend_rows(
+    rows: Partition, depth: int, last_height: int, width: int, height: int
+) -> Partition:
+    # _rows_from_pairs of a chain of ``depth`` pairs, last height
+    # ``last_height`` and rows ``rows``, extended by (width, height) strictly
+    # below its last pair.  The square gains row ``depth`` and column
+    # depth + 1; the new column reaches height + depth rows, so height - 1
+    # rows of depth + 1 cells follow the square, then the last old column's
+    # run, shortened by height, then the runs of the columns before it.
+    if not depth:
+        return (width,) + (1,) * (height - 1)
+    return (
+        rows[:depth]
+        + (width + depth,)
+        + (depth + 1,) * (height - 1)
+        + (depth,) * (last_height - height - 1)
+        + rows[depth + last_height - 1 :]
+    )
+
+
 def format_partition(parts: Partition) -> str:
     """Render like ``(7,5,5,5,4,4,2)``; the empty partition is ``()``."""
     return "(" + ",".join(map(str, parts)) + ")"

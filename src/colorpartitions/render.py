@@ -58,7 +58,9 @@ def bijection_rows(params: IdentityParams, n: int) -> list[TableRow]:
     """Member/ranks/encoding triples in canonical (reverse-lexicographic) order.
 
     One descent over Frobenius pair chains (the rank-window members'), in
-    which a chain's ranks and encoding are its parent's plus one entry each.
+    which a chain's rows, ranks and encoding are its parent's extended by its
+    last pair; each pair's rank and colored part are made once, and every row
+    holding the pair shares them.
     """
     families._require_weight(n, "n")
     return families._window_rows(params, n, n, n)
@@ -71,15 +73,22 @@ class _PartLabels(dict):
         return label
 
 
+class _Numbers(dict):
+    # int -> its decimal string, built on first use
+    def __missing__(self, value):
+        text = self[value] = str(value)
+        return text
+
+
 def render_table(
     params: IdentityParams, n: int, rows: list[TableRow], fmt: str
 ) -> str:
     if fmt == "text":
         # format_partition, format_ranks and format_colored inline; each
-        # distinct colored part is labelled once
-        label = _PartLabels().__getitem__
+        # distinct number and colored part is converted once
+        label, number = _PartLabels().__getitem__, _Numbers().__getitem__
         return "".join([
-            f"({','.join(map(str, p))}) [{','.join(map(str, ranks))}] "
+            f"({','.join(map(number, p))}) [{','.join(map(number, ranks))}] "
             f"({','.join(map(label, colored))})\n"
             for p, ranks, colored in rows
         ])

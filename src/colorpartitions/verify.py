@@ -15,7 +15,7 @@ from typing import Iterable
 
 from . import coloring, families, series
 from .coloring import ColoredPartition, IdentityParams, color_map, inverse_map
-from .partitions import Partition, _rows_from_pairs
+from .partitions import Partition, _extend_rows
 
 __all__ = [
     "CheckRecord",
@@ -206,6 +206,12 @@ def _members_by_top(
     member's top rank, itself at most M' - r - 2.  By induction the decoded
     pairs are the chain, so the decode is the member.  A suspect certifies
     no child; correct code has none.
+
+    A descent node carries its depth, its last height, its top rank, its
+    rows (its parent's extended by one pair, ``_extend_rows``) and its
+    certified encoding or None.  The checks of one part depend only on
+    (previous part or None, part, pair), so each such key is checked once
+    per call and its encoded rank kept for the nodes that share it.
     """
     families._require_weight(max_weight)
     r = widest.residue
@@ -216,50 +222,64 @@ def _members_by_top(
     root = () if color_map((), widest) == () else None
     if root is None:
         suspects[0].append(((), 0))
+    ranks: dict = {}  # (previous part or None, part, pair) -> encoded rank, or None
 
     def file(parent, pair, rest):
-        # a node's value: its pairs, its top rank and its certified encoding,
-        # or None
-        pairs, top, encoding = parent
-        pairs += (pair,)
-        top = max(top, pair[0] - pair[1])
-        p = _rows_from_pairs(pairs)
+        depth, last, top, p, encoding = parent
+        w, h = pair
+        top = max(top, w - h)
+        p = _extend_rows(p, depth, last, w, h)
         n = max_weight - rest
         buckets[n][top + r - 1].append(p)
         member = color_map(p, widest)
-        if encoding is None or not _extends(encoding, member, pair, top, widest):
+        if encoding is None or not _extends(encoding, member, pair, top, widest, ranks):
             suspects[n].append((p, top + r - 1))
             member = None
-        return pairs, top, member
+        return depth + 1, h, top, p, member
 
     children = families._window_children(widest, max_weight, False, max_weight, max_weight)
-    families._descend(children, file, ((), 1 - r, root), None, max_weight)
+    families._descend(children, file, (0, 0, 1 - r, (), root), None, max_weight)
     return buckets, suspects
 
 
 def _extends(
-    encoding: ColoredPartition, member: ColoredPartition,
-    pair: tuple[int, int], top: int, widest: IdentityParams,
+    encoding: ColoredPartition, member: ColoredPartition, pair: tuple[int, int],
+    top: int, widest: IdentityParams, ranks: dict,
 ) -> bool:
     # Whether ``member`` is the certified ``encoding`` plus one part that
     # passes every check against that encoding's last part, decodes to
-    # ``pair`` and encodes a rank of at most ``top``.  The order rule needs
+    # ``pair`` and encodes a rank of at most ``top``.  The checks of the new
+    # part run once per (previous part, part, pair) key, and ``ranks`` keeps
+    # the rank it encodes, or None if a check fails.  The order rule needs
     # no test: every certified part has size w + h - 1 for its pair, and the
     # pairs of a chain strictly decrease, so the sizes do too.
     if len(member) != len(encoding) + 1 or member[:-1] != encoding:
         return False
-    # two exact ints per part: tuple equality lets 3.0 or True pass for one
+    # two exact ints per part: tuple equality lets 3.0 or True pass for one,
+    # and they hash alike too, so this runs before the key is looked up
     if list(map(type, chain.from_iterable(member))) != [int] * (2 * len(member)):
         return False
-    size, color = member[-1]
+    key = (encoding[-1] if encoding else None, member[-1], pair)
+    if key not in ranks:
+        ranks[key] = _part_rank(*key, widest)
+    rank = ranks[key]
+    return rank is not None and rank <= top
+
+
+def _part_rank(
+    previous: tuple[int, int] | None, part: tuple[int, int], pair: tuple[int, int],
+    widest: IdentityParams,
+) -> int | None:
+    # The rank ``part`` encodes if it has color at least 1, size w + h - 1,
+    # (i), (ii) after ``previous`` (None for a first part) and decodes to
+    # ``pair`` = (w, h); None otherwise.
+    size, color = part
     rank = coloring.rank_from_color(size, color, widest)
-    if color < 1 or rank > top or size != pair[0] + pair[1] - 1:
-        return False
-    if not coloring._size_ok(size, rank):
-        return False
-    if encoding and not coloring._gap_ok(*encoding[-1], size, color, widest):
-        return False
-    return coloring._decode_part(size, color, widest.residue) == pair
+    if color < 1 or size != pair[0] + pair[1] - 1 or not coloring._size_ok(size, rank):
+        return None
+    if previous is not None and not coloring._gap_ok(*previous, size, color, widest):
+        return None
+    return rank if coloring._decode_part(size, color, widest.residue) == pair else None
 
 
 def _closed_forms(

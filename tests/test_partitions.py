@@ -6,7 +6,7 @@ recurrence, and rank/angle facts from their definitions.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from colorpartitions import (
     angle_lengths,
@@ -21,6 +21,7 @@ from colorpartitions import (
     successive_ranks,
     weight,
 )
+from colorpartitions.partitions import _extend_rows, _rows_from_pairs
 
 
 def grid_conjugate(parts):
@@ -203,6 +204,27 @@ def test_angle_lengths_sum_to_weight(parts):
 @given(PARTITIONS)
 def test_format_parse_round_trip(parts):
     assert parse_partition(format_partition(parts)) == parts
+
+
+# Frobenius pair chains: strictly decreasing positive widths and heights.
+CHAINS = st.integers(min_value=1, max_value=8).flatmap(
+    lambda depth: st.tuples(
+        *[st.sets(st.integers(min_value=1, max_value=20), min_size=depth, max_size=depth)] * 2
+    ).map(lambda sides: tuple(zip(*(sorted(side, reverse=True) for side in sides))))
+)
+
+
+@given(CHAINS)
+@example(((5, 3),))  # depth 0: the parent is the empty chain
+@example(((5, 3), (2, 2)))  # a height step of 1: no row keeps the old last column alone
+@example(((9, 6), (7, 5), (1, 4)))
+def test_rows_extend_the_parent_chain(chain):
+    # the parent's rows extended by the last pair are the whole chain's
+    parent = chain[:-1]
+    last_height = parent[-1][1] if parent else 0
+    rows = _extend_rows(_rows_from_pairs(parent), len(parent), last_height, *chain[-1])
+    assert rows == _rows_from_pairs(chain)
+    assert angles(rows) == chain
 
 
 # Structural facts about ranks and angles, checked exhaustively for small

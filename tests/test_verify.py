@@ -341,6 +341,22 @@ def test_grid_records_match_the_per_cell_loop(monkeypatch, mutant):
     assert report.passed == (mutant is None)
 
 
+def test_part_checks_are_kept_for_one_descent_only(monkeypatch):
+    # a predicate patched between two runs reaches the second run's records,
+    # so no part check is remembered from the first
+    moduli = (7, 8, 9)
+    assert verify_identity_grid(moduli=moduli, n_max=12).passed
+    _gap_ok_too_strict(monkeypatch)
+    report = verify_identity_grid(moduli=moduli, n_max=12)
+    expected = []
+    for modulus in moduli:
+        for residue in range(1, modulus // 2 + 1):
+            params = IdentityParams(modulus, residue)
+            expected += [_product_counts_oracle(params, 12), _bijection_oracle(params, 12)]
+    assert report.records == tuple(expected)
+    assert not report.passed
+
+
 def test_grid_refuses_non_int_modulus_or_residue_before_any_work(monkeypatch):
     from colorpartitions import verify
 

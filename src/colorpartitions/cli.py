@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import attrgetter
 
 from . import families, render, series, verify
 from .coloring import IdentityParams
@@ -33,6 +34,22 @@ TABLE_ROW_LIMIT = 500_000
 # weight, [1, 1] (M = 4, r = 1) all count over 500,000.  So a table past
 # the limit has no rows (M = 3, or M = 4, r = 1 at odd n) or too many.
 TABLE_WEIGHT_LIMIT = 250
+
+# The most rank-window members ``verify bijection`` and ``verify all`` build:
+# one descent per residue, at the widest modulus of the grid with that
+# residue, over every weight up to --n-max, at about 13 us a member on one
+# Xeon core under Python 3.11 (some 25 s at the limit).  A larger request
+# exits 2 before any descent.  The default grid holds 1,175,276 members at
+# --n-max 55 and 2,285,110 at 60.
+VERIFY_MEMBER_LIMIT = 2_000_000
+
+# The largest --n-max those scopes accept; past it the request exits 2
+# before the member count.  Every window [2 - r, M - r - 2] with M >= 4
+# holds [1, 1] (r = 1) or [0, 0] (r >= 2), a window holds every member of a
+# narrower one, and those two windows have more than VERIFY_MEMBER_LIMIT
+# members of weight at most 180 (2,140,113) and 172 (2,021,904).  So a grid
+# past the limit holds only the empty member (M = 3) or too many.
+VERIFY_WEIGHT_LIMIT = 179
 
 # The verify flags each scope reads, by destination; any other is refused.
 _SCOPE_FLAGS = {
@@ -198,10 +215,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.scope in ("counts", "bijection"):
         moduli = [args.M] if args.M is not None else verify.DEFAULT_MODULI
         residues = [args.r] if args.r is not None else None
+        n_max = n_max if n_max is not None else verify.DEFAULT_N_MAX
+        if args.scope == "bijection":
+            _check_member_limit(args.scope, moduli, residues, n_max)
         report = verify.verify_identity_grid(
             moduli,
             residues,
-            n_max if n_max is not None else verify.DEFAULT_N_MAX,
+            n_max,
             scope="product_counts" if args.scope == "counts" else "bijection",
         )
     elif args.scope == "gordon":
@@ -229,13 +249,35 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             residues=[args.r] if args.r is not None else None,
         )
     else:
-        report = verify.verify_all(
-            n_max=n_max if n_max is not None else verify.DEFAULT_N_MAX
-        )
+        n_max = n_max if n_max is not None else verify.DEFAULT_N_MAX
+        _check_member_limit(args.scope, verify.DEFAULT_MODULI, None, n_max)
+        report = verify.verify_all(n_max=n_max)
     if not report.records:
         raise ValueError("the selection matches no grid cell")
     _emit(render.render_report(report, args.format), args.output)
     return 0 if report.passed else 1
+
+
+def _check_member_limit(scope: str, moduli, residues, n_max: int) -> None:
+    # Refuse a grid whose descents, one per residue at its widest modulus,
+    # would build more than VERIFY_MEMBER_LIMIT members, by the pair DP's
+    # counts; an empty grid is left to the "matches no grid cell" error.
+    cells = sorted(verify._identity_cells(moduli, residues), key=attrgetter("modulus"))
+    widest = {params.residue: params for params in cells}
+    if not widest:
+        return
+    if n_max > VERIFY_WEIGHT_LIMIT:
+        raise ValueError(
+            f"verify {scope} --n-max {n_max} is over the limit of {VERIFY_WEIGHT_LIMIT}: "
+            f"past it a grid has only the empty member or more than "
+            f"{VERIFY_MEMBER_LIMIT:,} members"
+        )
+    count = sum(sum(families.rank_window_counts(params, n_max)) for params in widest.values())
+    if count > VERIFY_MEMBER_LIMIT:
+        raise ValueError(
+            f"verify {scope} --n-max {n_max} builds {count:,} members, "
+            f"over the limit of {VERIFY_MEMBER_LIMIT:,}"
+        )
 
 
 def _cmd_angles(args: argparse.Namespace) -> int:

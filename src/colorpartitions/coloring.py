@@ -11,7 +11,7 @@ checked here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partitions import Partition, _rows_from_pairs, angles
 
@@ -44,57 +44,62 @@ class RankWindowError(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
 class IdentityParams:
-    """Modulus/residue pair selecting one identity of the family."""
+    """Modulus/residue pair selecting one identity of the family.
 
-    modulus: int
-    residue: int
+    Immutable; equality and hashing read (modulus, residue).  The derived
+    values are attributes set once.  ``has_product_form``: the avoided-residue
+    product is the closed form for the counts only when 2r < M; at 2r = M the
+    residues r and -r coincide mod M, the theta quotient keeps a leftover
+    numerator factor (1 - q^(M/2))(1 - q^(3M/2))..., and the plain product
+    over-counts (first at weight r).  The window/colored/theta/multisum
+    equalities still hold there; only the product leg drops out.
+    """
 
-    def __post_init__(self):
-        for name in ("modulus", "residue"):
-            value = getattr(self, name)
+    __slots__ = ("modulus", "residue", "half_modulus", "is_odd", "color_count",
+                 "has_product_form", "min_rank", "max_rank")
+    __match_args__ = ("modulus", "residue")
+
+    def __init__(self, modulus: int, residue: int):
+        for name, value in (("modulus", modulus), ("residue", residue)):
             if type(value) is not int:
                 raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.modulus < 3:
-            raise ValueError(f"modulus must be >= 3, got {self.modulus}")
-        if not 0 < self.residue * 2 <= self.modulus:
+        if modulus < 3:
+            raise ValueError(f"modulus must be >= 3, got {modulus}")
+        if not 0 < residue * 2 <= modulus:
             raise ValueError(
-                f"residue must satisfy 0 < r <= M/2, got r={self.residue} for M={self.modulus}"
+                f"residue must satisfy 0 < r <= M/2, got r={residue} for M={modulus}"
             )
+        half, set_ = modulus // 2, object.__setattr__
+        set_(self, "modulus", modulus)
+        set_(self, "residue", residue)
+        set_(self, "half_modulus", half)
+        set_(self, "is_odd", modulus % 2 == 1)
+        set_(self, "color_count", half - 1)  # floor(M/2) - 1 colors
+        set_(self, "has_product_form", 2 * residue < modulus)
+        set_(self, "min_rank", 2 - residue)
+        set_(self, "max_rank", modulus - residue - 2)
 
-    @property
-    def half_modulus(self) -> int:
-        return self.modulus // 2
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.modulus, self.residue) == (other.modulus, other.residue)
 
-    @property
-    def is_odd(self) -> bool:
-        return self.modulus % 2 == 1
+    def __hash__(self) -> int:
+        return hash((self.modulus, self.residue))
 
-    @property
-    def color_count(self) -> int:
-        """Number of available colors: floor(M/2) - 1."""
-        return self.half_modulus - 1
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(modulus={self.modulus!r}, residue={self.residue!r})"
 
-    @property
-    def has_product_form(self) -> bool:
-        """Whether the avoided-residue product is the closed form for the counts.
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-        Requires the residue strictly below half the modulus: at 2r = M the
-        residues r and -r coincide mod M, the theta quotient keeps a leftover
-        numerator factor (1 - q^(M/2))(1 - q^(3M/2))..., and the plain product
-        over-counts (first at weight r).  The window/colored/theta/multisum
-        equalities still hold there; only the product leg drops out.
-        """
-        return 2 * self.residue < self.modulus
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
-    @property
-    def min_rank(self) -> int:
-        return 2 - self.residue
-
-    @property
-    def max_rank(self) -> int:
-        return self.modulus - self.residue - 2
+    def __reduce__(self):
+        # pickling by default sets each slot, which __setattr__ refuses
+        return type(self), (self.modulus, self.residue)
 
     def rank_in_window(self, rank: int) -> bool:
         return self.min_rank <= rank <= self.max_rank
@@ -172,8 +177,7 @@ def rank_from_color(length: int, color: int, params: IdentityParams) -> int:
     return 2 * color - r
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(NamedTuple):
     """Outcome of the membership conditions, with the first violation."""
 
     ok: bool
@@ -184,7 +188,7 @@ class ConditionCheck:
         return self.ok
 
 
-# Every passing check is this one instance; it is frozen, so sharing is safe.
+# Every passing check is this one instance; it is a tuple, so sharing is safe.
 _PASSED = ConditionCheck(True)
 
 

@@ -22,9 +22,9 @@ size-parity) class (colored family), or one over part frequencies
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, itemgetter
+from typing import NamedTuple
 
 from . import kernels
 from .coloring import (
@@ -364,8 +364,7 @@ def product_parts_members(params: IdentityParams, n: int) -> list[Partition]:
     ]
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Selector for one family at one weight.
 
     tag: rank_window | colored | boxed | gordon | gap2 | product_parts.

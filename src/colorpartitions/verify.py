@@ -8,10 +8,9 @@ canonical JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import coloring, families, series
 from .coloring import ColoredPartition, IdentityParams, color_map, inverse_map
@@ -43,8 +42,7 @@ DEFAULT_ODD_SIZE_MAX = 12
 DEFAULT_EVEN_SIZE_MAX = 10
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """Outcome of one grid cell."""
 
     scope: str  # product_counts | bijection | gordon | finitized
@@ -55,10 +53,9 @@ class CheckRecord:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     title: str
-    records: tuple[CheckRecord, ...] = field(default_factory=tuple)
+    records: tuple[CheckRecord, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -439,12 +436,7 @@ def verify_identity_grid(
     for name, values in (("modulus", moduli), ("residue", residues or ())):
         for value in values:
             families._require_int(value, name)
-    cells = [
-        IdentityParams(modulus, residue)
-        for modulus in moduli
-        for residue in (range(1, modulus // 2 + 1) if residues is None else residues)
-        if 2 * residue <= modulus
-    ]
+    cells = _identity_cells(moduli, residues)
     scopes = ("product_counts", "bijection") if scope == "both" else (scope,)
     records_of: dict[IdentityParams, list[CheckRecord]] = {}
     for residue in sorted({params.residue for params in cells}):
@@ -453,6 +445,16 @@ def verify_identity_grid(
     return VerificationReport(
         f"{scope} grid", tuple(record for params in cells for record in records_of[params])
     )
+
+
+def _identity_cells(moduli, residues) -> list[IdentityParams]:
+    # The grid's cells in record order: residues as given, or 1..M/2.
+    return [
+        IdentityParams(modulus, residue)
+        for modulus in moduli
+        for residue in (range(1, modulus // 2 + 1) if residues is None else residues)
+        if 2 * residue <= modulus
+    ]
 
 
 def verify_gordon_grid(

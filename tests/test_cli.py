@@ -114,6 +114,73 @@ def test_table_row_limit_admits_the_documented_tables():
         assert counts(IdentityParams(modulus, residue), weight)[weight] <= 10_000
 
 
+def _no_members(*args):
+    raise AssertionError("the member descent ran")
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (("bijection", "--n-max", "60"), "2,285,110"),
+        (("all", "--n-max", "60"), "2,285,110"),
+        (("bijection", "--M", "12", "--r", "1", "--n-max", "71"), "2,260,644"),
+    ],
+)
+def test_verify_refuses_a_grid_past_its_member_limit_before_any_work(
+    capsys, monkeypatch, argv, count
+):
+    monkeypatch.setattr(cli.verify, "_members_by_top", _no_members)
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert f"builds {count} members, over the limit of 2,000,000" in err
+
+
+def test_verify_refuses_a_weight_past_its_weight_limit_before_the_count(capsys, monkeypatch):
+    def no_count(*args):
+        raise AssertionError("the member count ran")
+
+    monkeypatch.setattr(cli.verify, "_members_by_top", _no_members)
+    monkeypatch.setattr(cli.families, "rank_window_counts", no_count)
+    for scope, n_max in (("bijection", cli.VERIFY_WEIGHT_LIMIT + 1), ("all", 8000)):
+        code, out, err = run_cli(capsys, "verify", scope, "--n-max", str(n_max))
+        assert (code, out) == (2, "")
+        assert f"--n-max {n_max} is over the limit of {cli.VERIFY_WEIGHT_LIMIT}" in err
+    # an empty selection names itself, whatever its weight
+    code, out, err = run_cli(capsys, "verify", "bijection", "--M", "4", "--r", "3", "--n-max", "8000")
+    assert (code, out, err) == (2, "", "error: the selection matches no grid cell\n")
+
+
+def test_verify_weight_limit_refuses_only_the_empty_member_or_grids_past_the_member_limit():
+    # a window holds every member of a narrower one, and every window with
+    # M >= 4 holds [1, 1] (r = 1) or [0, 0] (r >= 2); the limit is the last
+    # weight at which [1, 1] stays under the member limit
+    counts = cli.families.rank_window_counts
+    limit = cli.VERIFY_WEIGHT_LIMIT
+    for residue in (1, 2):
+        assert sum(counts(IdentityParams(4, residue), limit + 1)) > cli.VERIFY_MEMBER_LIMIT
+    assert sum(counts(IdentityParams(4, 1), limit)) <= cli.VERIFY_MEMBER_LIMIT
+    assert counts(IdentityParams(3, 1), limit + 1) == [1] + [0] * (limit + 1)
+
+
+def test_verify_member_limit_admits_the_documented_grids():
+    # the default grid to n = 55, and the CI and benchmark bijection runs
+    for scope, moduli, n_max in (
+        ("all", cli.verify.DEFAULT_MODULI, 55),
+        ("bijection", cli.verify.DEFAULT_MODULI, 40),
+        ("bijection", [9], 40),
+    ):
+        cli._check_member_limit(scope, moduli, None, n_max)
+
+
+def test_verify_counts_reads_no_member_count(capsys, monkeypatch):
+    def no_guard(*args):
+        raise AssertionError("the member limit was checked")
+
+    monkeypatch.setattr(cli, "_check_member_limit", no_guard)
+    code, _, _ = run_cli(capsys, "verify", "counts", "--M", "5", "--n-max", "10")
+    assert code == 0
+
+
 def test_table_csv(capsys):
     code, out, _ = run_cli(capsys, "table", "7", "1", "10", "--format", "csv")
     assert code == 0

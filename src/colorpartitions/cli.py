@@ -3,7 +3,7 @@
 Subcommands: ``table`` (member/ranks/encoding rows for one weight), ``coeffs``
 (series coefficients), ``verify`` (grid verification; exit code 1 on a failed
 identity), ``angles`` (diagonal-hook breakdown of one partition).  Exit codes:
-0 success, 1 verification failure, 2 usage error.
+0 success, 1 verification failure, 2 usage error (out of memory included).
 """
 
 from __future__ import annotations
@@ -304,6 +304,10 @@ def main(argv: list[str] | None = None) -> int:
         return handler(args)
     except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # exit 1 means a failed identity, so running out of memory is a usage error
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
         return 2
 
 

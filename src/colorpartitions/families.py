@@ -23,7 +23,8 @@ size-parity) class (colored family), or one over part frequencies
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import add, itemgetter
+from math import isqrt
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import kernels
@@ -205,32 +206,47 @@ def colored_head_counts(
     may follow (s, c) are those of the class up to a cut in size: one
     running sum per class, read at each class's cut, stands for all of them.
     ``max_size`` must be an int; at or below 0 only ``()`` is a head.
+
+    Every series and running sum is one packed int (``kernels``), truncated
+    past max_weight.  Each coefficient counts distinct colored partitions of
+    its weight w whose sizes fall by at least 2 (each cut starts two or
+    three below the head and only falls) and whose colors lie in 1..C, C the
+    color count, whatever conditions (i) and (ii) say: a partition of w into
+    j such parts has j <= isqrt(w), so there are at most p(w) * C^isqrt(w).
+    That is below 2^B for B = ``_limb_bits(max_weight)`` plus the bit length
+    of C^isqrt(max_weight), rounded up to whole words, so no limb carries.
     """
     _require_weight(max_weight)
     _require_int(max_size, "max_size")
     start = min(max_size, max_weight)
     colors_of = _admissible_colors(params, start)
     colors = range(1, params.color_count + 1)
-    zero = [0] * (max_weight + 1)
-    empty = [1] + zero[1:]
-    headed: dict[ColoredPartition, list[int]] = {(): empty}
+    bits = kernels._word_bits(
+        kernels._limb_bits(max_weight) + (params.color_count ** isqrt(max_weight)).bit_length()
+    )
+    mask = (1 << (bits * (max_weight + 1))) - 1
+    packed: dict[ColoredPartition, int] = {}
     # running[c][s]: the summed series of the heads (s', c), s' <= s, s' = s mod 2
-    running = [[zero] * (start + 1) for _ in range(params.color_count + 1)]
+    running = [[0] * (start + 1) for _ in range(params.color_count + 1)]
     for size in range(1, start + 1):
         for color in colors_of[size]:
-            tails = [empty]
+            tails = 1  # the empty member
             for tail_color in colors:
                 for cut in (size - 2, size - 3):  # (ii) asks a gap of at least 2
                     while cut > 0 and not _gap_ok(size, color, cut, tail_color, params):
                         cut -= 2
                     if cut > 0:
-                        tails.append(running[tail_color][cut])
-            counts = [0] * size + list(map(sum, zip(*tails)))
-            headed[(size, color),] = counts[: max_weight + 1]
+                        tails += running[tail_color][cut]
+            packed[(size, color),] = (tails << (bits * size)) & mask
         for color in colors:
-            below = running[color][size - 2] if size > 1 else zero
-            counts = headed.get(((size, color),))
-            running[color][size] = below if counts is None else list(map(add, below, counts))
+            below = running[color][size - 2] if size > 1 else 0
+            running[color][size] = below + packed.get(((size, color),), 0)
+    headed: dict[ColoredPartition, list[int]] = {(): [1] + [0] * max_weight}
+    for head, value in packed.items():
+        size = head[0][0]
+        headed[head] = [0] * size + kernels._unpack(
+            value >> (bits * size), bits, max_weight + 1 - size
+        )
     return headed
 
 
@@ -327,21 +343,26 @@ def frequency_counts(params: IdentityParams, max_weight: int) -> list[int]:
     frequency of the current value.  The partitions into parts at most i
     with f_i = f are those into parts below i with f_(i-1) <= k - 1 - f,
     shifted by i * f: one prefix sum over the previous states serves every
-    f.  An even modulus raises ValueError.
+    f.  Each state and prefix sum is one packed int (``kernels``), truncated
+    past max_weight; its coefficients count distinct partitions of their
+    weight, so ``_limb_bits(max_weight)`` holds them with no carry.  An even
+    modulus raises ValueError.
     """
     if not params.is_odd:
         raise ValueError(f"Gordon's condition needs an odd modulus, got {params.modulus}")
     _require_weight(max_weight)
     k, r = params.half_modulus, params.residue
-    states = [[1] + [0] * max_weight]  # parts below 1: the empty partition, f_0 = 0
+    bits = kernels._word_bits(kernels._limb_bits(max_weight))
+    mask = (1 << (bits * (max_weight + 1))) - 1
+    states = [1]  # parts below 1: the empty partition, f_0 = 0
     for i in range(1, max_weight + 1):
-        below = list(accumulate(states, lambda a, b: list(map(add, a, b))))
+        below = list(accumulate(states))
         cap = min((r if i == 1 else k) - 1, max_weight // i)
         states = [
-            [0] * (i * f) + below[min(k - 1 - f, len(below) - 1)][: max_weight + 1 - i * f]
+            (below[min(k - 1 - f, len(below) - 1)] << (bits * i * f)) & mask
             for f in range(cap + 1)
         ]
-    return list(map(sum, zip(*states)))
+    return kernels._unpack(sum(states), bits, max_weight + 1)
 
 
 def gap2_members(n: int, min_part: int = 1) -> list[Partition]:

@@ -27,10 +27,19 @@ as exact Python ints at every size; a brute-force descent in
 per-pair series f(w, h) also steer the member descent in ``families``: a
 pair heads a chain of weight b exactly when limb b of f(w, h),
 ``(f >> (B * b)) & (2^B - 1)``, is nonzero.
+
+The pack, unpack and limb-width helpers below are shared with the packed
+finitized sides in ``series`` and the head and frequency DPs in
+``families``.  Evaluation at q = 2^B is a ring map, so sums, products and
+shifts of packed series may carry between limbs freely; only a series that
+is unpacked, or truncated by a mask, needs every coefficient inside the
+decode range, [0, 2^B) for :func:`_unpack` and (-2^(B-1), 2^(B-1)) for
+:func:`_unpack_signed`.  Each caller states its own bound.
 """
 
 from __future__ import annotations
 
+import struct
 from math import isqrt
 
 __all__ = ["count_rank_bounded_partitions"]
@@ -51,14 +60,72 @@ def count_rank_bounded_partitions(
     [rank_lo, rank_hi].  Every argument must be an int (``cap`` may be None).
     """
     total, top, bits, _ = _pair_sweep(max_part, max_length, rank_lo, rank_hi, cap)
-    limb = (1 << bits) - 1
-    return [(total >> (bits * t)) & limb for t in range(top + 1)]
+    return _unpack(total, bits, top + 1)
 
 
 def _limb_bits(top: int) -> int:
     # An integer B with p(t) < 2^B for every t <= top: log2 p(top) is below
     # pi * sqrt(2/3) / ln 2 * sqrt(top) = 3.7007... * sqrt(top).
     return 371 * (isqrt(top) + 1) // 100 + 1
+
+
+def _word_bits(bits: int) -> int:
+    # The least multiple of 64 at or above ``bits``: limbs of whole 64-bit
+    # words pack and unpack through one struct call.
+    return -(-bits // 64) * 64
+
+
+def _signed_bits(bound: int) -> int:
+    # A width in whole words whose balanced digits hold every |c| <= bound.
+    return 64 * (bound.bit_length() // 64 + 1)
+
+
+def _pack(coefficients, bits: int) -> int:
+    """The series evaluated at q = 2^bits: sum of c_t * 2^(bits * t), any ints c_t.
+
+    ``bits`` must be a multiple of 64.
+    """
+    # each limb the word c_t, then bits / 64 - 1 zero words, little-endian
+    layout = "<" + f"Q{bits // 8 - 8}x" * len(coefficients)
+    try:
+        return int.from_bytes(struct.pack(layout, *coefficients), "little")
+    except struct.error:  # a coefficient outside [0, 2^64)
+        packed = 0
+        for c in reversed(coefficients):
+            packed = (packed << bits) + c
+        return packed
+
+
+def _unpack(packed: int, bits: int, count: int) -> list[int]:
+    """Coefficients 0..count-1 of a packed series, each in [0, 2^bits).
+
+    ``packed`` must be nonnegative and below 2^(bits * count).
+    """
+    words = bits // 64
+    if words * 64 != bits:
+        limb = (1 << bits) - 1
+        return [(packed >> (bits * t)) & limb for t in range(count)]
+    raw = struct.unpack(f"<{words * count}Q", packed.to_bytes(8 * words * count, "little"))
+    digits = list(raw[words - 1 :: words])  # each limb's top word
+    for j in range(words - 2, -1, -1):
+        digits = [d << 64 | w for d, w in zip(digits, raw[j::words])]
+    return digits
+
+
+def _unpack_signed(packed: int, bits: int) -> list[int]:
+    """Every coefficient of a packed polynomial, each in (-2^(bits-1), 2^(bits-1)).
+
+    Balanced digits: adding 2^(bits-1) to every limb makes each one a digit
+    in (0, 2^bits) with no carry, which :func:`_unpack` reads.  A nonzero
+    top coefficient at degree d puts |packed| above 2^(bits*d - 1), so
+    |packed|.bit_length() // bits + 1 limbs cover every degree (with at
+    most one zero limb above it).  ``bits`` must be a multiple of 64.
+    """
+    count = abs(packed).bit_length() // bits + 1
+    # 2^(bits-1) in every limb: bits / 8 - 1 zero bytes, then 0x80
+    offset = int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * count, "little")
+    half = 1 << (bits - 1)
+    return [d - half for d in _unpack(packed + offset, bits, count)]
 
 
 def _pair_sweep(max_part, max_length, rank_lo, rank_hi, cap=None):

@@ -5,19 +5,24 @@ Everything is integer-exact and held in one coefficient type,
 infinite forms (restricted product, alternating theta over the partition
 series, quadratic multisum) carry coefficients 0..order; the two finitized
 polynomial identities and the Gaussian binomials are polynomials with
-trailing zeros stripped.  All arithmetic runs on plain lists inside the
-builders: in-place prefix recurrences for the geometric factors, a shifted
-signed add and one convolution for the finitized sides.  Enumeration-based
-verification lives elsewhere.
+trailing zeros stripped.  The infinite forms and the Gaussian binomials run
+on plain lists: in-place prefix recurrences for the geometric factors.  The
+finitized sides run on packed ints (Kronecker substitution q = 2^B, as in
+``kernels``; Harvey, J. Symbolic Comput. 44, 2009): each running sum is one
+int, a product with a Gaussian binomial is one int multiply, and a q-shift
+is a bit shift.  Each side carries a bound on the absolute values of its
+final coefficients and unpacks them as balanced digits of a width that
+holds that bound.  Enumeration-based verification lives elsewhere.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import zip_longest
+from math import comb
 from typing import Sequence
 
 from .coloring import IdentityParams
+from .kernels import _pack, _signed_bits, _unpack_signed
 
 __all__ = [
     "TruncatedSeries",
@@ -94,27 +99,6 @@ def _divide_geometric(coefficients: list[int], step: int) -> None:
     # Multiply in place by 1/(1 - q^step): running prefix recurrence.
     for i in range(step, len(coefficients)):
         coefficients[i] += coefficients[i - step]
-
-
-def _add_shifted(total: list[int], term: Sequence[int], shift: int, sign: int) -> None:
-    # total += sign * q^shift * term, growing total as needed (shift >= 0).
-    end = shift + len(term)
-    if end > len(total):
-        total.extend([0] * (end - len(total)))
-    for i, c in enumerate(term, shift):
-        total[i] += sign * c
-
-
-def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    # Full polynomial product; the empty list is zero.
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for t, bj in enumerate(b, i):
-                out[t] += ai * bj
-    return out
 
 
 def first_difference(a: Sequence[int], b: Sequence[int]) -> int | None:
@@ -249,8 +233,9 @@ def gaussian_binomial(a: int, b: int, base: int = 1) -> TruncatedSeries:
     anything else raises ValueError.  ``base`` substitutes q -> q**base after
     expansion (used by the even-modulus finitized sum) and must be positive.
     The finitized sides of one verify run ask for the same few hundred
-    coefficients thousands of times; cached results are shared, never mutated.
-    Every argument must be an int.
+    polynomials thousands of times; cached results are shared, never
+    mutated.  Each finitized side packs the ones it reads once per call and
+    keeps no packed copy past it.  Every argument must be an int.
     """
     for name, value in (("a", a), ("b", b), ("base", base)):
         if type(value) is not int:
@@ -301,7 +286,9 @@ def even_offset(k: int, i: int, j: int) -> int:
     # k <= 4 (sizes <= 6), unique again at k = 5 and 6 where the plateau
     # first separates from a strictly decreasing row, and confirmed through
     # k = 8 for every residue (tests/test_verify.py::
-    # test_finitized_identities_reach_k8, sizes <= 8).
+    # test_finitized_identities_reach_k8, sizes <= 8) and through k = 12 at
+    # sizes <= 16 (the CI step "Finitized identity reaches k = 12, N = 16",
+    # which pins the JSON bytes of verify finitized --k 12 --N-max 16).
     return min(k - max(i, 2), k - 1 - j)
 
 
@@ -322,27 +309,30 @@ def finitized_lhs(params: IdentityParams, size: int) -> TruncatedSeries:
     generating polynomial of rank-window partitions in a W x H box (Andrews,
     Baxter, Bressoud, Burge, Forrester and Viennot, Europ. J. Combin. 8,
     1987), one formula for both parities.
+
+    Summed packed.  No coefficient of the sum exceeds in absolute value the
+    sum of its terms' coefficient sums |[upper, lower]|_1 (C(upper, lower)
+    each on correct binomials), so balanced digits of the width that bound
+    gives decode it exactly, whatever the binomials hold.
     """
     _check_order(size)
     upper = sum(finitized_box(params, size))
     offset = upper - params.half_modulus + params.residue
-    total: list[int] = []
+    terms = []  # (j, coefficients of the term's binomial)
     j = 0
     while (lower := (offset - params.modulus * j) // 2) >= 0:  # lower index falls
-        _add_theta_term(total, params, j, upper, lower)
+        terms.append((j, gaussian_binomial(upper, lower).coefficients))
         j += 1
     j = -1
     while (lower := (offset - params.modulus * j) // 2) <= upper:  # lower index rises
-        _add_theta_term(total, params, j, upper, lower)
+        terms.append((j, gaussian_binomial(upper, lower).coefficients))
         j -= 1
-    return _polynomial(total)
-
-
-def _add_theta_term(
-    total: list[int], params: IdentityParams, j: int, upper: int, lower: int
-) -> None:
-    term = gaussian_binomial(upper, lower).coefficients
-    _add_shifted(total, term, _theta_exponent(params, j), -1 if j % 2 else 1)
+    bits = _signed_bits(sum(sum(map(abs, term)) for _, term in terms))
+    total = 0
+    for j, term in terms:
+        packed = _pack(term, bits) << (bits * _theta_exponent(params, j))
+        total += -packed if j % 2 else packed
+    return _polynomial(_unpack_signed(total, bits))
 
 
 def finitized_rhs(params: IdentityParams, size: int) -> TruncatedSeries:
@@ -371,17 +361,40 @@ def finitized_rhs(params: IdentityParams, size: int) -> TruncatedSeries:
         C_j(N, P + N) = q^(N^2 + [j >= r] N) sum_{N' >= N} C_{j-1}(N', P) [upper_{j-1}, N' - N]
 
     from C_0 = 1, with no binomial into level 1 and N = 0 only at level k.
+
+    Each C_j is one packed int, beside a bound on the sum of the absolute
+    values of its coefficients: 1 for C_0, multiplied through each
+    binomial's own coefficient sum |[upper, lower]|_1 and added through each
+    sum.  The final bound holds every coefficient of the result, which is
+    unpacked as balanced digits once 2^(B-1) exceeds it; otherwise the sum
+    is taken once more, at the width that bound gives.  On correct
+    binomials every coefficient is nonnegative, so the bound is the value at
+    q = 1, the count of the W x H box's rank-window partitions, at most
+    C(W + H, H): the width starts there and is not widened.
     """
     _check_order(size)
+    width, height = finitized_box(params, size)
+    bits = _signed_bits(comb(max(width + height, 0), max(height, 0)))
+    total, bound = _multisum_states(params, size, bits)
+    if bound >> (bits - 1):
+        bits = _signed_bits(bound)
+        total, bound = _multisum_states(params, size, bits)
+    return _polynomial(_unpack_signed(total, bits))
+
+
+def _multisum_states(params: IdentityParams, size: int, bits: int) -> tuple[int, int]:
+    # (sum of C_k packed at width bits, its coefficient-sum bound): the levels
+    # of finitized_rhs.  Each binomial is packed once per call.
     k, r = params.half_modulus, params.residue
     cap = (size - k + r) // 2 if params.is_odd else size  # n_1 + ... + n_{k-1} <= cap
-    states = {(cap, 0): [1]}  # (n_{j-1}, P_j): the summed terms of its prefixes
+    factors: dict[tuple[int, int, int], tuple[int, int]] = {}  # -> (packed, |.|_1)
+    states = {(cap, 0): (1, 1)}  # (n_{j-1}, P_j): (summed terms of its prefixes, bound)
     for j in range(1, k + 1):
-        level: dict[tuple[int, int], list[int]] = {}
-        for (prev, prefix), poly in states.items():
+        level: dict[tuple[int, int], tuple[int, int]] = {}
+        for (prev, prefix), (poly, bound) in states.items():
             before = prefix - prev  # P_{j-1}
             for n in range(1 if j == k else min(prev, cap - prefix) + 1):
-                term = poly
+                term, term_bound = poly, bound
                 if j > 1:  # step j - 1: [upper_{j-1}, n_{j-1} - n_j]
                     base = _step_base(params, j - 1)
                     if base == 2:
@@ -390,13 +403,22 @@ def finitized_rhs(params: IdentityParams, size: int) -> TruncatedSeries:
                         upper = size - 2 * before - prev - n - odd_offset(k, r, j - 1)
                     else:
                         upper = 2 * size - 2 * before - prev - n + even_offset(k, r, j - 1)
-                    term = _convolve(poly, gaussian_binomial(upper, prev - n, base).coefficients)
-                    if not term:
+                    key = (upper, prev - n, base)
+                    factor = factors.get(key)
+                    if factor is None:
+                        coefficients = gaussian_binomial(*key).coefficients
+                        factor = factors[key] = (
+                            _pack(coefficients, bits), sum(map(abs, coefficients))
+                        )
+                    if not factor[1]:  # a zero binomial ends every prefix here
                         continue
-                shift, key = n * n + (n if j >= r else 0), (n, prefix + n)
+                    term, term_bound = term * factor[0], term_bound * factor[1]
+                term <<= bits * (n * n + (n if j >= r else 0))
+                key = (n, prefix + n)
                 if key in level:
-                    _add_shifted(level[key], term, shift, 1)
+                    summed, summed_bound = level[key]
+                    level[key] = (summed + term, summed_bound + term_bound)
                 else:
-                    level[key] = [0] * shift + term
+                    level[key] = (term, term_bound)
         states = level
-    return _polynomial(list(map(sum, zip_longest(*states.values(), fillvalue=0))))
+    return sum(poly for poly, _ in states.values()), sum(b for _, b in states.values())

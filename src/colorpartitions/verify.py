@@ -8,7 +8,6 @@ canonical JSON.
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -254,12 +253,13 @@ def _extends(
         return False
     # two exact ints per part: tuple equality lets 3.0 or True pass for one,
     # and they hash alike too, so this runs before the key is looked up
-    if list(map(type, chain.from_iterable(member))) != [int] * (2 * len(member)):
-        return False
+    for size, color in member:
+        if type(size) is not int or type(color) is not int:
+            return False
     key = (encoding[-1] if encoding else None, member[-1], pair)
-    if key not in ranks:
-        ranks[key] = _part_rank(*key, widest)
-    rank = ranks[key]
+    rank = ranks.get(key, ...)  # ... marks a key not yet checked
+    if rank is ...:
+        rank = ranks[key] = _part_rank(*key, widest)
     return rank is not None and rank <= top
 
 

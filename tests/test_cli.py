@@ -181,6 +181,26 @@ def test_verify_counts_reads_no_member_count(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "handler, argv",
+    [
+        ("_cmd_verify", ("verify", "counts", "--n-max", "100000")),
+        ("_cmd_table", ("table", "5", "1", "10")),
+    ],
+)
+def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch, handler, argv):
+    # exit 1 means a failed identity, so a MemoryError inside a command is
+    # reported as a usage error; the handler raises it without allocating
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, handler, exhausted)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {argv[0]} ran out of memory\n"
+
+
 def test_table_csv(capsys):
     code, out, _ = run_cli(capsys, "table", "7", "1", "10", "--format", "csv")
     assert code == 0

@@ -2,9 +2,10 @@
 
 import gc
 import itertools
+from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colorpartitions import (
@@ -16,6 +17,7 @@ from colorpartitions import (
     colored_members_via_encoding,
     durfee_size,
     enumerate_family,
+    families,
     gap2_members,
     gordon_members,
     product_parts_members,
@@ -257,6 +259,83 @@ def test_running_head_sums_match_all_tails_at_weight_60():
             for max_size in (60, 7):
                 expected = _head_counts_oracle(params, 60, max_size)
                 assert colored_head_counts(params, 60, max_size) == expected, (params, max_size)
+
+
+def head_counts_by_lists(params, max_weight, max_size):
+    """The running-sum head transfer matrix on coefficient lists.
+
+    Reads ``_gap_ok`` and ``_admissible_colors`` through ``families``, as
+    the packed DP does, so a patched predicate reaches both.
+    """
+    start = min(max_size, max_weight)
+    colors_of = families._admissible_colors(params, start)
+    colors = range(1, params.color_count + 1)
+    zero = [0] * (max_weight + 1)
+    empty = [1] + zero[1:]
+    headed = {(): empty}
+    running = [[zero] * (start + 1) for _ in range(params.color_count + 1)]
+    for size in range(1, start + 1):
+        for color in colors_of[size]:
+            tails = [empty]
+            for tail_color in colors:
+                for cut in (size - 2, size - 3):
+                    while cut > 0 and not families._gap_ok(size, color, cut, tail_color, params):
+                        cut -= 2
+                    if cut > 0:
+                        tails.append(running[tail_color][cut])
+            counts = [0] * size + list(map(sum, zip(*tails)))
+            headed[(size, color),] = counts[: max_weight + 1]
+        for color in colors:
+            below = running[color][size - 2] if size > 1 else zero
+            counts = headed.get(((size, color),))
+            running[color][size] = below if counts is None else list(map(add, below, counts))
+    return headed
+
+
+def frequency_counts_by_lists(params, max_weight):
+    """Gordon's frequency transfer matrix on coefficient lists, truncated per state."""
+    k, r = params.half_modulus, params.residue
+    states = [[1] + [0] * max_weight]
+    for i in range(1, max_weight + 1):
+        below = list(itertools.accumulate(states, lambda a, b: list(map(add, a, b))))
+        cap = min((r if i == 1 else k) - 1, max_weight // i)
+        states = [
+            [0] * (i * f) + below[min(k - 1 - f, len(below) - 1)][: max_weight + 1 - i * f]
+            for f in range(cap + 1)
+        ]
+    return list(map(sum, zip(*states)))
+
+
+CELLS_TO_14 = [IdentityParams(m, r) for m in range(3, 15) for r in range(1, m // 2 + 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    params=st.sampled_from(CELLS_TO_14),
+    max_weight=st.integers(0, 60),
+    max_size=st.integers(-1, 62),
+)
+@example(params=IdentityParams(13, 6), max_weight=60, max_size=60)  # the largest counts
+@example(params=IdentityParams(14, 7), max_weight=60, max_size=60)
+def test_packed_dps_match_list_oracles(params, max_weight, max_size):
+    expected = head_counts_by_lists(params, max_weight, max_size)
+    assert colored_head_counts(params, max_weight, max_size) == expected
+    if params.is_odd:
+        assert frequency_counts(params, max_weight) == frequency_counts_by_lists(params, max_weight)
+
+
+@pytest.mark.parametrize("loosened", [("_gap_ok",), ("_size_ok",), ("_gap_ok", "_size_ok")])
+def test_packed_head_counts_hold_any_predicates(monkeypatch, loosened):
+    # The limb width rests on the sizes falling by 2 and the colors lying in
+    # 1..C, not on conditions (i) and (ii): with either predicate always
+    # true the counts grow, and still decode exactly.
+    for name in loosened:
+        monkeypatch.setattr(families, name, lambda *args: True)
+    for m in (5, 8, 11, 14):
+        for r in (1, m // 2):
+            params = IdentityParams(m, r)
+            expected = head_counts_by_lists(params, 60, 60)
+            assert colored_head_counts(params, 60, 60) == expected, (params, loosened)
 
 
 def _window_filter(params, n):

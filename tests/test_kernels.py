@@ -125,6 +125,23 @@ def test_limb_width_bounds_partition_numbers():
         assert p_t < 1 << kernels._limb_bits(t), t
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(1 << 200), 1 << 200) | st.integers(0, (1 << 64) - 1), max_size=30))
+def test_packed_coefficients_round_trip(coefficients):
+    # any ints, negative or past one word: the packed value is the series at
+    # q = 2^B, and balanced digits at the width their bound gives decode it
+    while coefficients and coefficients[-1] == 0:
+        coefficients.pop()
+    bits = kernels._signed_bits(max(map(abs, coefficients), default=0))
+    packed = kernels._pack(coefficients, bits)
+    assert packed == sum(c << (bits * t) for t, c in enumerate(coefficients))
+    decoded = kernels._unpack_signed(packed, bits)
+    assert decoded[: len(coefficients)] == coefficients
+    assert not any(decoded[len(coefficients) :])
+    if min(coefficients, default=0) >= 0:
+        assert kernels._unpack(packed, bits, len(coefficients)) == coefficients
+
+
 def test_inverted_window_counts_nothing():
     counts = pure_counts(6, 6, 3, 1, 12)
     assert counts[0] == 1

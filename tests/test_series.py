@@ -7,9 +7,10 @@ tuples with the local helpers, not with library arithmetic.
 """
 
 from functools import lru_cache
+from itertools import zip_longest
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from colorpartitions import (
     IdentityParams,
@@ -23,6 +24,7 @@ from colorpartitions import (
     partition_series,
     restricted_product,
 )
+from colorpartitions import series
 from colorpartitions.families import boxed_counts
 from colorpartitions.series import even_offset, first_difference, odd_offset
 
@@ -422,6 +424,144 @@ def test_finitized_levels_match_tuple_oracle():
                 ), (m, r, size)
                 cells += 1
     assert cells == 465
+
+
+def _add_shifted(total, term, shift, sign):
+    # total += sign * q^shift * term, growing total as needed (shift >= 0)
+    end = shift + len(term)
+    if end > len(total):
+        total.extend([0] * (end - len(total)))
+    for i, c in enumerate(term, shift):
+        total[i] += sign * c
+
+
+def _convolve(a, b):
+    # full polynomial product; the empty list is zero
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for t, bj in enumerate(b, i):
+                out[t] += ai * bj
+    return out
+
+
+def _stripped(coefficients):
+    while coefficients and coefficients[-1] == 0:
+        coefficients.pop()
+    return tuple(coefficients)
+
+
+def finitized_lhs_by_lists(params, size):
+    """The alternating side summed on coefficient lists, term by term.
+
+    Reads ``series.gaussian_binomial`` through the module, as the packed
+    side does, so a patched binomial reaches both.
+    """
+    upper = sum(finitized_box(params, size))
+    offset = upper - params.half_modulus + params.residue
+    total = []
+
+    def add_term(j, lower):
+        term = series.gaussian_binomial(upper, lower).coefficients
+        _add_shifted(total, term, series._theta_exponent(params, j), -1 if j % 2 else 1)
+
+    j = 0
+    while (lower := (offset - params.modulus * j) // 2) >= 0:  # lower index falls
+        add_term(j, lower)
+        j += 1
+    j = -1
+    while (lower := (offset - params.modulus * j) // 2) <= upper:  # lower index rises
+        add_term(j, lower)
+        j -= 1
+    return _stripped(total)
+
+
+def finitized_rhs_by_lists(params, size):
+    """The sum side's levels over (n_j, P_{j+1}) states on coefficient lists.
+
+    One convolution per binomial and one shifted add per state, reading
+    ``series.gaussian_binomial`` through the module like the packed levels.
+    """
+    k, r = params.half_modulus, params.residue
+    cap = (size - k + r) // 2 if params.is_odd else size
+    states = {(cap, 0): [1]}
+    for j in range(1, k + 1):
+        level = {}
+        for (prev, prefix), poly in states.items():
+            before = prefix - prev
+            for n in range(1 if j == k else min(prev, cap - prefix) + 1):
+                term = poly
+                if j > 1:
+                    base = series._step_base(params, j - 1)
+                    if base == 2:
+                        upper = size - before
+                    elif params.is_odd:
+                        upper = size - 2 * before - prev - n - odd_offset(k, r, j - 1)
+                    else:
+                        upper = 2 * size - 2 * before - prev - n + even_offset(k, r, j - 1)
+                    binomial = series.gaussian_binomial(upper, prev - n, base).coefficients
+                    term = _convolve(poly, binomial)
+                    if not term:
+                        continue
+                shift, key = n * n + (n if j >= r else 0), (n, prefix + n)
+                if key in level:
+                    _add_shifted(level[key], term, shift, 1)
+                else:
+                    level[key] = [0] * shift + term
+        states = level
+    return _stripped(list(map(sum, zip_longest(*states.values(), fillvalue=0))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    params=st.sampled_from(
+        [IdentityParams(m, r) for m in range(3, 15) for r in range(1, m // 2 + 1)]
+    ),
+    size=st.integers(0, 12),
+)
+@example(params=IdentityParams(13, 1), size=12)  # the most sum-side states
+@example(params=IdentityParams(14, 1), size=12)  # the widest even box
+def test_packed_sides_match_list_oracles(params, size):
+    assert finitized_lhs(params, size).coefficients == finitized_lhs_by_lists(params, size)
+    assert finitized_rhs(params, size).coefficients == finitized_rhs_by_lists(params, size)
+
+
+def _binomial_plus(degree, delta):
+    # every Gaussian binomial, zero-extended to ``degree`` as needed, plus
+    # ``delta`` there (base-q^2 ones included, through the inner call)
+    real = series.gaussian_binomial
+
+    def mutant(a, b, base=1):
+        coefficients = list(real(a, b, base).coefficients)
+        coefficients += [0] * (degree + 1 - len(coefficients))
+        coefficients[degree] += delta
+        return TruncatedSeries(coefficients)
+
+    return mutant
+
+
+@pytest.mark.parametrize("degree, delta", [(2, 1 << 70), (0, -1), (3, -1)])
+def test_packed_sides_decode_any_binomials(monkeypatch, degree, delta):
+    # Limb widths hold for whatever the binomials hold: a coefficient past
+    # 64 bits widens the sum side once, and a negative one (or a binomial
+    # that becomes zero) needs the balanced digits.  The cache is cleared on
+    # both sides so no mutated polynomial outlives the test.
+    cached = series.gaussian_binomial
+    monkeypatch.setattr(series, "gaussian_binomial", _binomial_plus(degree, delta))
+    cached.cache_clear()
+    try:
+        for m in range(3, 11):
+            for r in range(1, m // 2 + 1):
+                params = IdentityParams(m, r)
+                for size in range(9):
+                    lhs = finitized_lhs(params, size).coefficients
+                    rhs = finitized_rhs(params, size).coefficients
+                    assert lhs == finitized_lhs_by_lists(params, size), (m, r, size)
+                    assert rhs == finitized_rhs_by_lists(params, size), (m, r, size)
+    finally:
+        cached.cache_clear()
 
 
 def test_finitized_lhs_counts_its_box():

@@ -152,20 +152,22 @@ def color_map(parts: Partition, params: IdentityParams) -> ColoredPartition:
     lo, hi, r = params.min_rank, params.max_rank, params.residue
     encoded = []
     height = len(parts)
-    for i, row in enumerate(parts):
+    i = 0
+    for row in parts:
         if row <= i:
             break
         while parts[height - 1] <= i:
             height -= 1
         # Diagonal cell i: rank = row - column, angle length = row + column - 2i - 1.
         rank = row - height
-        if not lo <= rank <= hi:
+        if rank < lo or rank > hi:
             raise _outside_window(rank, i + 1, params)
         length = row + height - 2 * i - 1
-        numerator = rank + r - 1 if (length - r) % 2 == 0 else rank + r
-        half, remainder = divmod(numerator, 2)
-        assert remainder == 0, "length and rank parities violate the angle parity law"
-        encoded.append((length, half))
+        numerator = rank + r - 1 + ((length - r) & 1)
+        if numerator & 1:
+            raise AssertionError("length and rank parities violate the angle parity law")
+        encoded.append((length, numerator >> 1))
+        i += 1
     return tuple(encoded)
 
 
@@ -285,10 +287,10 @@ def _encode_part(width: int, height: int, residue: int) -> tuple[int, int]:
     # The colored part of one angle, color_map's formula for one diagonal
     # cell; _decode_part inverts it.
     rank, length = width - height, width + height - 1
-    numerator = rank + residue - 1 if (length - residue) % 2 == 0 else rank + residue
-    half, remainder = divmod(numerator, 2)
-    assert remainder == 0, "length and rank parities violate the angle parity law"
-    return length, half
+    numerator = rank + residue - 1 + ((length - residue) & 1)
+    if numerator & 1:
+        raise AssertionError("length and rank parities violate the angle parity law")
+    return length, numerator >> 1
 
 
 def _decode_part(size: int, color: int, residue: int) -> tuple[int, int]:

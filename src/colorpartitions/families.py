@@ -4,13 +4,15 @@ Six families share one interface: rank-window members, their colored
 encodings, box-bounded rank-window members, Gordon-condition partitions,
 gap-2 partitions, and partitions into residue-restricted parts.  Enumerators
 return materialized lists at fixed weight, or per-weight buckets; rank-window
-members come from a descent over Frobenius pair chains, whose cost follows
-the output.  The descent hands each node the value filed for its parent
-chain, and two walks file every node of it, not only the finished members;
-in both a node's rows are its parent's extended by its last pair.  The
-verification harness files one residue's members by top rank, which serves
-every modulus of that residue at once, and checks each encoded part once
-per (previous part, part, pair) per call (``verify._members_by_top``); the
+members come from one descent over Frobenius pair chains, ``_pair_descent``,
+whose cost follows the output.  It hands each node, as file(parent, w, h,
+rest), the value filed for its parent chain, and two walks file every node
+of it, not only the finished members; in both a node's rows are its
+parent's extended by its last pair (w, h).  The verification harness files
+one residue's members by top rank, which serves every modulus of that
+residue at once; for a bijection record it also encodes each member and
+checks each new part once per (previous part, part, pair) per call, and for
+the count records it files rows only (``verify._members_by_top``).  The
 exact-weight walk behind the member lists and the table extends each
 chain's ranks and encoding from its parent's by one entry made once per
 pair (``_window_rows``).
@@ -81,63 +83,65 @@ def _window_rows(
     params: IdentityParams, n: int, max_part: int, max_length: int
 ) -> list[tuple[Partition, tuple[int, ...], ColoredPartition]]:
     # The rank-window members of weight exactly n in the box, each with its
-    # ranks and encoding, in reverse-lexicographic order.  One descent over
-    # Frobenius pair chains; a node carries its depth, its last height, its
-    # rows, its ranks and its encoding, each its parent's extended by its
-    # last pair (w, h): the rows by _extend_rows, the ranks by w - h and the
+    # ranks and encoding, in reverse-lexicographic order.  One exact-weight
+    # _pair_descent; a node carries its depth, its last height, its rows,
+    # its ranks and its encoding, each its parent's extended by its last
+    # pair (w, h): the rows by _extend_rows, the ranks by w - h and the
     # encoding by the colored part _encode_part gives.  Each pair's rank and
     # part are made once per walk, so every row holding a pair shares one
     # part tuple for it.
     r = params.residue
     rows = [] if n else [((), (), ())]
-    entries = {}  # pair -> ((its rank,), (its colored part,))
+    entries = {}  # (w, h) -> ((its rank,), (its colored part,))
 
-    def file(parent, pair, rest):
+    def file(parent, w, h, rest):
         depth, last, p, ranks, colored = parent
-        w, h = pair
-        entry = entries.get(pair)
+        entry = entries.get((w, h))
         if entry is None:
-            entry = entries[pair] = ((w - h,), (_encode_part(w, h, r),))
+            entry = entries[w, h] = ((w - h,), (_encode_part(w, h, r),))
         p = _extend_rows(p, depth, last, w, h)
         ranks, colored = ranks + entry[0], colored + entry[1]
         if not rest:
             rows.append((p, ranks, colored))
         return depth + 1, h, p, ranks, colored
 
-    children = _window_children(params, n, True, max_part, max_length)
-    _descend(children, file, (0, 0, (), (), ()), None, n)
+    hi = params.max_rank
+    _, _, bits, pairs = kernels._pair_sweep(max_part, max_length, params.min_rank, hi, n)
+    _pair_descent(pairs, hi, bits, file, (0, 0, (), (), ()), len(pairs), n + 1, n)
     rows.sort(key=itemgetter(0), reverse=True)
     return rows
 
 
-def _window_children(
-    params: IdentityParams, top: int, exact: bool, max_part: int, max_length: int
-):
-    # The children function of a descent over Frobenius pair chains
-    # (w_1, h_1) > (w_2, h_2) > ..., both coordinates strictly decreasing,
-    # ranks w - h in the window, weight sum(w + h - 1) -- the chains
-    # kernels.count_rank_bounded_partitions counts, whose sweep hands over
-    # the admissible pairs of the box and the packed series f(w, h) of the
-    # chains each heads.  A box bounds only the first pair.  With ``exact``
-    # a pair is entered at budget b only if limb b of f(w, h) is nonzero, so
-    # every branch reaches a chain of weight exactly top.
-    hi = params.max_rank
-    _, _, bits, pairs = kernels._pair_sweep(
-        max_part, max_length, params.min_rank, hi, top
-    )
-    limb = (1 << bits) - 1
-
-    def children(head, budget):
-        # the pairs strictly below head, or every pair of the box at the root
-        w_head, h_head = head or (len(pairs), top + 1)
-        for w in range(min(w_head - 1, budget, h_head - 1 + hi), 0, -1):
-            for h, chains in pairs[w]:
-                if h >= h_head or w + h - 1 > budget:
-                    break
-                if not exact or (chains >> (bits * budget)) & limb:
-                    yield (w, h), budget - w - h + 1
-
-    return children
+def _pair_descent(pairs, hi, bits, file, parent, w_head, h_head, budget) -> None:
+    # Depth-first descent over Frobenius pair chains (w_1, h_1) > (w_2, h_2)
+    # > ..., both coordinates strictly decreasing, ranks w - h in the window,
+    # weight sum(w + h - 1) -- the chains kernels.count_rank_bounded_partitions
+    # counts, whose sweep hands over ``pairs``: pairs[w] lists (h, f(w, h))
+    # for each admissible pair of the box in ascending h, f(w, h) the packed
+    # series of the chains (w, h) heads.  A box bounds only the first pair.
+    # Every pair below (w_head, h_head) that fits ``budget`` is filed,
+    # w descending and h ascending, as file(parent, w, h, rest) with rest the
+    # budget left after it; the value returned is the ``parent`` its own
+    # children receive, and the pair is descended while rest is nonzero.  A
+    # rank of at most hi, the window's top, bounds w below h_head + hi.  The
+    # root call passes w_head = len(pairs) and h_head = top + 1.  With
+    # ``bits`` nonzero (the sweep's limb width) a pair is entered only if
+    # limb ``budget`` of f(w, h) is nonzero, so every branch reaches a chain
+    # of weight exactly the root budget; with ``bits`` 0 every chain is
+    # filed.  The recursion is a module function, so no closure holds its
+    # output in a reference cycle.
+    if bits:
+        shift, limb = bits * budget, (1 << bits) - 1
+    for w in range(min(w_head - 1, budget, h_head - 1 + hi), 0, -1):
+        for h, chains in pairs[w]:
+            if h >= h_head or w + h - 1 > budget:
+                break
+            if bits and not (chains >> shift) & limb:
+                continue
+            rest = budget - w - h + 1
+            value = file(parent, w, h, rest)
+            if rest:
+                _pair_descent(pairs, hi, bits, file, value, w, h, rest)
 
 
 def _descend(children, file, parent, head, budget) -> None:
@@ -148,6 +152,7 @@ def _descend(children, file, parent, head, budget) -> None:
     # children) and returns the value the node's own children receive.  A
     # node with nothing left to spend is not descended.  The recursion is a
     # module function, so no closure holds its output in a reference cycle.
+    # The colored enumeration's walk; rank-window chains use _pair_descent.
     for node, rest in children(head, budget):
         value = file(parent, node, rest)
         if rest:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
-from . import coloring, families, series
+from . import coloring, families, kernels, series
 from .coloring import ColoredPartition, IdentityParams, color_map, inverse_map
 from .partitions import Partition, _extend_rows
 
@@ -122,13 +122,17 @@ def _residue_records(
 
     Cell M's weight-n members are the first M - 2 runs of bucket n of one
     descent at the widest modulus (:func:`_members_by_top`), which also
-    certifies each member's round trip at every modulus that holds it.  A
+    certifies each member's round trip at every modulus that holds it when
+    a bijection record is asked for, and files rows only otherwise.  A
     bijection record is the one the public ``color_map`` and ``inverse_map``
     give on every (cell, member) pair: each cell puts only the suspects it
     holds through that round trip, at its own params.
     """
     widest = max(cells, key=attrgetter("modulus"))
-    buckets, suspects = _members_by_top(widest, n_max)
+    if "bijection" in scopes:
+        buckets, suspects = _members_by_top(widest, n_max)
+    else:  # the count records read only the runs' lengths
+        buckets, suspects = _members_by_top(widest, n_max, certify=False)
     records_of: dict[IdentityParams, list[CheckRecord]] = {}
     for params in cells:
         label = f"M={params.modulus} r={params.residue}"
@@ -177,7 +181,7 @@ def _bijection_record(
 
 
 def _members_by_top(
-    widest: IdentityParams, max_weight: int
+    widest: IdentityParams, max_weight: int, certify: bool = True
 ) -> tuple[list[list[list[Partition]]], list[list[tuple[Partition, int]]]]:
     """Rank-window members of weight 0..max_weight, filed by top rank.
 
@@ -195,88 +199,97 @@ def _members_by_top(
     hold when every rank the colors encode is at most M' - r - 2.  The empty
     member is certified if it encodes to ().  Any other member extends its
     parent's chain by one pair (w, h) and is certified if its parent is and
-    it encodes to the parent's encoding plus one part that :func:`_extends`
-    accepts: exact ints, color at least 1, (i), (ii) after the parent's last
-    part, size w + h - 1 (sizes then strictly decrease along the chain, and
-    sum to the weight), a decode to (w, h), and an encoded rank at most the
-    member's top rank, itself at most M' - r - 2.  By induction the decoded
-    pairs are the chain, so the decode is the member.  A suspect certifies
-    no child; correct code has none.
+    it encodes to the parent's encoding plus one part: every size and color
+    an exact int, and the new part accepted by :func:`_part_rank` (color at
+    least 1, (i), (ii) after the parent's last part, size w + h - 1, so
+    sizes strictly decrease along the chain and sum to the weight, and a
+    decode to (w, h)) with an encoded rank at most the member's top rank,
+    itself at most M' - r - 2.  By induction the decoded pairs are the
+    chain, so the decode is the member.  A suspect certifies no child;
+    correct code has none.
 
-    A descent node carries its depth, its last height, its top rank, its
-    rows (its parent's extended by one pair, ``_extend_rows``) and its
-    certified encoding or None.  The checks of one part depend only on
-    (previous part or None, part, pair), so each such key is checked once
-    per call and its encoded rank kept for the nodes that share it.
+    A descent node (``families._pair_descent``) carries its depth, its last
+    height, its top rank, its rows (its parent's extended by one pair,
+    ``_extend_rows``) and, when ``certify`` is set, its certified encoding
+    or None.  The checks of one part depend only on (previous part or None,
+    part, w, h), so each such key is checked once per call and its encoded
+    rank kept for the nodes that share it.  Without ``certify`` (the count
+    records read only the runs' lengths) the walk files rows only: no member
+    is encoded and ``suspects`` stays empty.
     """
     families._require_weight(max_weight)
     r = widest.residue
     buckets = [[[] for _ in range(widest.modulus - 2)] for _ in range(max_weight + 1)]
     buckets[0][0].append(())
     suspects: list[list[tuple[Partition, int]]] = [[] for _ in range(max_weight + 1)]
-    # the empty member's certified encoding, or None
-    root = () if color_map((), widest) == () else None
-    if root is None:
-        suspects[0].append(((), 0))
-    ranks: dict = {}  # (previous part or None, part, pair) -> encoded rank, or None
+    ranks: dict = {}  # (previous part or None, part, w, h) -> encoded rank, or None
 
-    def file(parent, pair, rest):
+    def file_rows(parent, w, h, rest):
+        depth, last, top, p = parent
+        if w - h > top:
+            top = w - h
+        p = _extend_rows(p, depth, last, w, h)
+        buckets[max_weight - rest][top + r - 1].append(p)
+        return depth + 1, h, top, p
+
+    def file_certified(parent, w, h, rest):
         depth, last, top, p, encoding = parent
-        w, h = pair
-        top = max(top, w - h)
+        if w - h > top:
+            top = w - h
         p = _extend_rows(p, depth, last, w, h)
         n = max_weight - rest
         buckets[n][top + r - 1].append(p)
+        # the module global, read per call, so a patched color_map is seen
         member = color_map(p, widest)
-        if encoding is None or not _extends(encoding, member, pair, top, widest, ranks):
-            suspects[n].append((p, top + r - 1))
-            member = None
-        return depth + 1, h, top, p, member
+        if encoding is not None and len(member) == depth + 1 and member[:-1] == encoding:
+            # two exact ints per part: tuple equality lets 3.0 or True pass
+            # for one, and they hash alike too, so this runs before the key
+            # is looked up
+            for size, color in member:
+                if type(size) is not int or type(color) is not int:
+                    break
+            else:
+                key = (encoding[-1] if depth else None, member[-1], w, h)
+                rank = ranks.get(key, ...)  # ... marks a key not yet checked
+                if rank is ...:
+                    rank = ranks[key] = _part_rank(*key, widest)
+                if rank is not None and rank <= top:
+                    return depth + 1, h, top, p, member
+        suspects[n].append((p, top + r - 1))
+        return depth + 1, h, top, p, None
 
-    children = families._window_children(widest, max_weight, False, max_weight, max_weight)
-    families._descend(children, file, (0, 0, 1 - r, (), root), None, max_weight)
+    if certify:
+        # the empty member's certified encoding, or None
+        encoding = () if color_map((), widest) == () else None
+        if encoding is None:
+            suspects[0].append(((), 0))
+        file, root = file_certified, (0, 0, 1 - r, (), encoding)
+    else:
+        file, root = file_rows, (0, 0, 1 - r, ())
+    hi = widest.max_rank
+    _, _, _, pairs = kernels._pair_sweep(
+        max_weight, max_weight, widest.min_rank, hi, max_weight
+    )
+    families._pair_descent(pairs, hi, 0, file, root, len(pairs), max_weight + 1, max_weight)
     return buckets, suspects
 
 
-def _extends(
-    encoding: ColoredPartition, member: ColoredPartition, pair: tuple[int, int],
-    top: int, widest: IdentityParams, ranks: dict,
-) -> bool:
-    # Whether ``member`` is the certified ``encoding`` plus one part that
-    # passes every check against that encoding's last part, decodes to
-    # ``pair`` and encodes a rank of at most ``top``.  The checks of the new
-    # part run once per (previous part, part, pair) key, and ``ranks`` keeps
-    # the rank it encodes, or None if a check fails.  The order rule needs
-    # no test: every certified part has size w + h - 1 for its pair, and the
-    # pairs of a chain strictly decrease, so the sizes do too.
-    if len(member) != len(encoding) + 1 or member[:-1] != encoding:
-        return False
-    # two exact ints per part: tuple equality lets 3.0 or True pass for one,
-    # and they hash alike too, so this runs before the key is looked up
-    for size, color in member:
-        if type(size) is not int or type(color) is not int:
-            return False
-    key = (encoding[-1] if encoding else None, member[-1], pair)
-    rank = ranks.get(key, ...)  # ... marks a key not yet checked
-    if rank is ...:
-        rank = ranks[key] = _part_rank(*key, widest)
-    return rank is not None and rank <= top
-
-
 def _part_rank(
-    previous: tuple[int, int] | None, part: tuple[int, int], pair: tuple[int, int],
+    previous: tuple[int, int] | None, part: tuple[int, int], w: int, h: int,
     widest: IdentityParams,
 ) -> int | None:
     # The rank ``part`` encodes if it has color at least 1, size w + h - 1,
-    # (i), (ii) after ``previous`` (None for a first part) and decodes to
-    # ``pair`` = (w, h); None otherwise.
+    # (i), (ii) after ``previous`` (None for a first part) and decodes to the
+    # pair (w, h); None otherwise.  The order rule needs no test: every
+    # certified part has size w + h - 1 for its pair, and the pairs of a
+    # chain strictly decrease, so the sizes do too.
     size, color = part
     rank = coloring.rank_from_color(size, color, widest)
-    if color < 1 or size != pair[0] + pair[1] - 1 or not coloring._size_ok(size, rank):
+    if color < 1 or size != w + h - 1 or not coloring._size_ok(size, rank):
         return None
     if previous is not None and not coloring._gap_ok(*previous, size, color, widest):
         return None
-    return rank if coloring._decode_part(size, color, widest.residue) == pair else None
+    return rank if coloring._decode_part(size, color, widest.residue) == (w, h) else None
 
 
 def _closed_forms(

@@ -69,7 +69,7 @@ def test_table_refuses_a_request_past_its_row_limit_before_any_work(
     def no_descent(*args):
         raise AssertionError("the descent ran")
 
-    monkeypatch.setattr(cli.families, "_descend", no_descent)
+    monkeypatch.setattr(cli.families, "_pair_descent", no_descent)
     code, out, err = run_cli(capsys, "table", str(modulus), str(residue), str(weight))
     assert (code, out) == (2, "")
     assert f"has {count} rows" in err and "limit of 500,000" in err

@@ -20,6 +20,7 @@ from colorpartitions import (
     families,
     gap2_members,
     gordon_members,
+    kernels,
     product_parts_members,
     rank_window_counts,
     rank_window_members,
@@ -29,12 +30,14 @@ from colorpartitions.coloring import _gap_ok, check_box_condition
 from colorpartitions.families import (
     _admissible_colors,
     _descend,
+    _pair_descent,
     colored_head_counts,
     colored_members_up_to,
     frequency_counts,
     ranked_partitions,
 )
-from colorpartitions.partitions import partitions_of
+from colorpartitions.partitions import _rows_from_pairs, partitions_of
+from colorpartitions.render import bijection_rows
 from colorpartitions.series import bosonic_sum, restricted_product
 from colorpartitions.verify import _members_by_top
 
@@ -397,6 +400,57 @@ def test_descend_hands_each_node_its_parents_value():
     assert heads == [(None, 5)] + [(node, rest) for _, node, rest in filed if rest]
 
 
+def _walk_pairs(params, top, exact):
+    # every chain node of one _pair_descent over the box top x top, as
+    # (parent's value, pair, rest, own value); a node's value is its chain
+    _, _, bits, pairs = kernels._pair_sweep(top, top, params.min_rank, params.max_rank, top)
+    filed = []
+
+    def file(parent, w, h, rest):
+        value = parent + ((w, h),)
+        filed.append((parent, (w, h), rest, value))
+        return value
+
+    _pair_descent(pairs, params.max_rank, bits if exact else 0, file, (), len(pairs), top + 1, top)
+    return filed
+
+
+@pytest.mark.parametrize("params", [P71, P83, P52, IdentityParams(4, 2)])
+def test_pair_descent_hands_each_node_its_parents_value(params):
+    # each chain of the window up to weight 14 is filed once, with the value
+    # returned for its parent chain (the root value for a first pair) and
+    # the budget it leaves; read as rows, the chains of weight n are the
+    # members of n
+    top = 14
+    filed = _walk_pairs(params, top, exact=False)
+    values = {value: parent for parent, _, _, value in filed}
+    assert len(values) == len(filed)
+    by_weight = [[] for _ in range(top + 1)]
+    for parent, pair, rest, value in filed:
+        assert value[:-1] == parent and value[-1] == pair
+        assert parent == () or values[parent] == parent[:-1]  # the parent was filed
+        assert rest == top - sum(w + h - 1 for w, h in value)
+        by_weight[top - rest].append(_rows_from_pairs(value))
+    assert by_weight[0] == []  # the root is not filed
+    for n in range(1, top + 1):
+        assert sorted(by_weight[n], reverse=True) == rank_window_members(params, n)
+
+
+@pytest.mark.parametrize("params", [P71, P83, P52, IdentityParams(4, 1), IdentityParams(9, 1)])
+def test_exact_pair_descent_files_only_chains_of_weight_n(params):
+    # with the limb test on, every filed node lies on a chain of weight
+    # exactly n, and the leaves are the members of n, as many as the kernel
+    # counts
+    for n in range(1, 21):
+        filed = _walk_pairs(params, n, exact=True)
+        leaves = [value for _, _, rest, value in filed if not rest]
+        assert len(leaves) == rank_window_counts(params, n)[n], (params, n)
+        prefixes = {leaf[:depth] for leaf in leaves for depth in range(1, len(leaf) + 1)}
+        assert {value for _, _, _, value in filed} == prefixes, (params, n)
+        members = sorted(map(_rows_from_pairs, leaves), reverse=True)
+        assert members == rank_window_members(params, n)
+
+
 def test_descents_leave_no_reference_cycles():
     # every member list is freed by reference counting alone
     gc.disable()
@@ -405,6 +459,8 @@ def test_descents_leave_no_reference_cycles():
         for route in (
             lambda: rank_window_members(P71, 20),
             lambda: rank_window_members_by_top(IdentityParams(9, 1), 30),
+            lambda: _members_by_top(IdentityParams(9, 1), 30, certify=False)[0],
+            lambda: bijection_rows(P71, 20),
             lambda: boxed_members(P71, 20, 8, 8),
             lambda: colored_members_up_to(P71, 30),
         ):

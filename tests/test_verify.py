@@ -102,8 +102,8 @@ def test_product_counts_detects_lossy_window_enumeration(monkeypatch):
 
     real = verify._members_by_top
 
-    def lossy(params, max_weight):
-        buckets, suspects = real(params, max_weight)
+    def lossy(params, max_weight, **options):
+        buckets, suspects = real(params, max_weight, **options)
         next(run for run in buckets[6] if run).pop()
         return buckets, suspects
 
@@ -339,6 +339,24 @@ def test_grid_records_match_the_per_cell_loop(monkeypatch, mutant):
             expected += [_product_counts_oracle(params, 14), _bijection_oracle(params, 14)]
     assert report.records == tuple(expected)
     assert report.passed == (mutant is None)
+
+
+def test_counts_scope_encodes_no_member(monkeypatch):
+    # the count records read only the runs' lengths, so the counts-only grid
+    # files rows without calling the encoding, and its records are those of
+    # the full grid
+    from colorpartitions import verify
+
+    both = verify_identity_grid(n_max=20)
+
+    def refuse(*args):
+        raise AssertionError("the counts scope encoded a member")
+
+    monkeypatch.setattr(verify, "color_map", refuse)
+    report = verify_identity_grid(n_max=20, scope="product_counts")
+    assert report.passed and len(report.records) == 18
+    assert report.records == tuple(r for r in both.records if r.scope == "product_counts")
+    assert check_product_counts(IdentityParams(9, 4), 20) == report.records[-1]
 
 
 def test_part_checks_are_kept_for_one_descent_only(monkeypatch):

@@ -212,15 +212,37 @@ def colored_head_counts(
     running sum per class, read at each class's cut, stands for all of them.
     ``max_size`` must be an int; at or below 0 only ``()`` is a head.
 
-    Every series and running sum is one packed int (``kernels``), truncated
-    past max_weight.  Each coefficient counts distinct colored partitions of
-    its weight w whose sizes fall by at least 2 (each cut starts two or
-    three below the head and only falls) and whose colors lie in 1..C, C the
-    color count, whatever conditions (i) and (ii) say: a partition of w into
-    j such parts has j <= isqrt(w), so there are at most p(w) * C^isqrt(w).
-    That is below 2^B for B = ``_limb_bits(max_weight)`` plus the bit length
-    of C^isqrt(max_weight), rounded up to whole words, so no limb carries.
+    The counts run packed (``_colored_head_counts``, which ``verify`` reads
+    directly, summing heads without unpacking them); this unpacks each
+    head's series into its own list.
     """
+    bits, packed, _ = _colored_head_counts(params, max_weight, max_size)
+    headed = {}
+    for head, value in packed.items():
+        size = head[0][0] if head else 0
+        headed[head] = [0] * size + kernels._unpack(
+            value >> (bits * size), bits, max_weight + 1 - size
+        )
+    return headed
+
+
+def _colored_head_counts(
+    params: IdentityParams, max_weight: int, max_size: int
+) -> tuple[int, dict[ColoredPartition, int], list[tuple[list[ColoredPartition], list[int]]]]:
+    # (B, packed, columns): the head transfer matrix of colored_head_counts,
+    # packed.  packed maps each head, () included, to its series packed at
+    # limb width B, truncated past max_weight.  columns holds, per color
+    # 1..C, that color's heads in ascending size and their running sums:
+    # sums[i] is the packed sum of the first i heads' series.
+    #
+    # Each coefficient of a head's series, and of any sum of distinct heads'
+    # series, counts distinct colored partitions of its weight w whose sizes
+    # fall by at least 2 (each cut starts two or three below the head and
+    # only falls) and whose colors lie in 1..C, whatever conditions (i) and
+    # (ii) say: a partition of w into j such parts has j <= isqrt(w), so
+    # there are at most p(w) * C^isqrt(w).  That is below 2^B for
+    # B = _limb_bits(max_weight) plus the bit length of C^isqrt(max_weight),
+    # rounded up to whole words, so no limb carries.
     _require_weight(max_weight)
     _require_int(max_size, "max_size")
     start = min(max_size, max_weight)
@@ -230,7 +252,8 @@ def colored_head_counts(
         kernels._limb_bits(max_weight) + (params.color_count ** isqrt(max_weight)).bit_length()
     )
     mask = (1 << (bits * (max_weight + 1))) - 1
-    packed: dict[ColoredPartition, int] = {}
+    packed: dict[ColoredPartition, int] = {(): 1}
+    columns = [([], [0]) for _ in colors]
     # running[c][s]: the summed series of the heads (s', c), s' <= s, s' = s mod 2
     running = [[0] * (start + 1) for _ in range(params.color_count + 1)]
     for size in range(1, start + 1):
@@ -242,17 +265,15 @@ def colored_head_counts(
                         cut -= 2
                     if cut > 0:
                         tails += running[tail_color][cut]
-            packed[(size, color),] = (tails << (bits * size)) & mask
+            head = ((size, color),)
+            packed[head] = value = (tails << (bits * size)) & mask
+            heads, sums = columns[color - 1]
+            heads.append(head)
+            sums.append(sums[-1] + value)
         for color in colors:
             below = running[color][size - 2] if size > 1 else 0
             running[color][size] = below + packed.get(((size, color),), 0)
-    headed: dict[ColoredPartition, list[int]] = {(): [1] + [0] * max_weight}
-    for head, value in packed.items():
-        size = head[0][0]
-        headed[head] = [0] * size + kernels._unpack(
-            value >> (bits * size), bits, max_weight + 1 - size
-        )
-    return headed
+    return bits, packed, columns
 
 
 def colored_members_up_to(

@@ -12,7 +12,8 @@ finitized sides run on packed ints (Kronecker substitution q = 2^B, as in
 int, a product with a Gaussian binomial is one int multiply, and a q-shift
 is a bit shift.  Each side carries a bound on the absolute values of its
 final coefficients and unpacks them as balanced digits of a width that
-holds that bound.  Enumeration-based verification lives elsewhere.
+holds that bound; each binomial is packed once per width in the process.
+Enumeration-based verification lives elsewhere.
 """
 
 from __future__ import annotations
@@ -234,8 +235,10 @@ def gaussian_binomial(a: int, b: int, base: int = 1) -> TruncatedSeries:
     expansion (used by the even-modulus finitized sum) and must be positive.
     The finitized sides of one verify run ask for the same few hundred
     polynomials thousands of times; cached results are shared, never
-    mutated.  Each finitized side packs the ones it reads once per call and
-    keeps no packed copy past it.  Every argument must be an int.
+    mutated.  The finitized sides also keep each one packed, once per limb
+    width in the process, beside the very object this function returned: a
+    patched or rebuilt binomial is a new object, and is packed afresh.
+    Every argument must be an int.
     """
     for name, value in (("a", a), ("b", b), ("base", base)):
         if type(value) is not int:
@@ -318,19 +321,19 @@ def finitized_lhs(params: IdentityParams, size: int) -> TruncatedSeries:
     _check_order(size)
     upper = sum(finitized_box(params, size))
     offset = upper - params.half_modulus + params.residue
-    terms = []  # (j, coefficients of the term's binomial)
+    terms = []  # (j, the _binomial_entry of the term's binomial)
     j = 0
     while (lower := (offset - params.modulus * j) // 2) >= 0:  # lower index falls
-        terms.append((j, gaussian_binomial(upper, lower).coefficients))
+        terms.append((j, _binomial_entry(upper, lower)))
         j += 1
     j = -1
     while (lower := (offset - params.modulus * j) // 2) <= upper:  # lower index rises
-        terms.append((j, gaussian_binomial(upper, lower).coefficients))
+        terms.append((j, _binomial_entry(upper, lower)))
         j -= 1
-    bits = _signed_bits(sum(sum(map(abs, term)) for _, term in terms))
+    bits = _signed_bits(sum(entry[1] for _, entry in terms))
     total = 0
-    for j, term in terms:
-        packed = _pack(term, bits) << (bits * _theta_exponent(params, j))
+    for j, entry in terms:
+        packed = _packed_at(entry, bits) << (bits * _theta_exponent(params, j))
         total += -packed if j % 2 else packed
     return _polynomial(_unpack_signed(total, bits))
 
@@ -384,32 +387,30 @@ def finitized_rhs(params: IdentityParams, size: int) -> TruncatedSeries:
 
 def _multisum_states(params: IdentityParams, size: int, bits: int) -> tuple[int, int]:
     # (sum of C_k packed at width bits, its coefficient-sum bound): the levels
-    # of finitized_rhs.  Each binomial is packed once per call.
+    # of finitized_rhs.  Each binomial is looked up once per call.
     k, r = params.half_modulus, params.residue
     cap = (size - k + r) // 2 if params.is_odd else size  # n_1 + ... + n_{k-1} <= cap
     factors: dict[tuple[int, int, int], tuple[int, int]] = {}  # -> (packed, |.|_1)
     states = {(cap, 0): (1, 1)}  # (n_{j-1}, P_j): (summed terms of its prefixes, bound)
     for j in range(1, k + 1):
+        if j > 1:  # step j - 1: [upper_{j-1}, n_{j-1} - n_j], upper_{j-1} below
+            base = _step_base(params, j - 1)
+            if params.is_odd:
+                lead = size - odd_offset(k, r, j - 1)
+            elif base == 1:
+                lead = 2 * size + even_offset(k, r, j - 1)
         level: dict[tuple[int, int], tuple[int, int]] = {}
         for (prev, prefix), (poly, bound) in states.items():
             before = prefix - prev  # P_{j-1}
             for n in range(1 if j == k else min(prev, cap - prefix) + 1):
                 term, term_bound = poly, bound
-                if j > 1:  # step j - 1: [upper_{j-1}, n_{j-1} - n_j]
-                    base = _step_base(params, j - 1)
-                    if base == 2:
-                        upper = size - before
-                    elif params.is_odd:
-                        upper = size - 2 * before - prev - n - odd_offset(k, r, j - 1)
-                    else:
-                        upper = 2 * size - 2 * before - prev - n + even_offset(k, r, j - 1)
+                if j > 1:
+                    upper = size - before if base == 2 else lead - 2 * before - prev - n
                     key = (upper, prev - n, base)
                     factor = factors.get(key)
                     if factor is None:
-                        coefficients = gaussian_binomial(*key).coefficients
-                        factor = factors[key] = (
-                            _pack(coefficients, bits), sum(map(abs, coefficients))
-                        )
+                        entry = _binomial_entry(*key)
+                        factor = factors[key] = (_packed_at(entry, bits), entry[1])
                     if not factor[1]:  # a zero binomial ends every prefix here
                         continue
                     term, term_bound = term * factor[0], term_bound * factor[1]
@@ -422,3 +423,32 @@ def _multisum_states(params: IdentityParams, size: int, bits: int) -> tuple[int,
                     level[key] = (term, term_bound)
         states = level
     return sum(poly for poly, _ in states.values()), sum(b for _, b in states.values())
+
+
+# (a, b, base) -> (the binomial gaussian_binomial gave, its coefficient sum
+# |.|_1, {bits: the binomial packed at that width}); see _binomial_entry.
+_PACKED_BINOMIALS: dict[tuple[int, int, int], tuple[TruncatedSeries, int, dict[int, int]]] = {}
+
+
+def _binomial_entry(
+    a: int, b: int, base: int = 1
+) -> tuple[TruncatedSeries, int, dict[int, int]]:
+    # The _PACKED_BINOMIALS entry of gaussian_binomial(a, b, base), so that
+    # each binomial is packed once per width in the process.  The binomial
+    # comes from the module global at every call, and an entry serves only
+    # the very object it was made from, so a patched binomial, or one the
+    # cache rebuilt after cache_clear, replaces the entry.
+    binomial = gaussian_binomial(a, b, base)
+    entry = _PACKED_BINOMIALS.get((a, b, base))
+    if entry is None or entry[0] is not binomial:
+        total = sum(map(abs, binomial.coefficients))
+        entry = _PACKED_BINOMIALS[a, b, base] = (binomial, total, {})
+    return entry
+
+
+def _packed_at(entry: tuple[TruncatedSeries, int, dict[int, int]], bits: int) -> int:
+    # The entry's binomial packed at width bits, packed on first use.
+    packed = entry[2].get(bits)
+    if packed is None:
+        packed = entry[2][bits] = _pack(entry[0].coefficients, bits)
+    return packed

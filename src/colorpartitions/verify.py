@@ -8,6 +8,7 @@ canonical JSON.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -104,9 +105,11 @@ def check_bijection(params: IdentityParams, n_max: int) -> CheckRecord:
     Per weight: every rank-window member encodes to a colored partition of
     the same weight that passes conditions (i)-(iii) and decodes back to
     itself, so the encoding is an injection into the colored family; the
-    member count equals that family's count, taken by head with
-    :func:`~colorpartitions.families.colored_head_counts`, so the injection
-    is onto; and the member count equals the restricted-product,
+    member count equals that family's count, taken by head with the packed
+    transfer matrix behind
+    :func:`~colorpartitions.families.colored_head_counts` (every head's
+    series summed packed and unpacked once), so the injection is onto; and
+    the member count equals the restricted-product,
     theta-quotient, and multisum coefficients alike (the product leg drops
     out at 2r = M, where no product form exists).  ``n_max`` must be a
     nonnegative int.
@@ -160,7 +163,8 @@ def _bijection_record(
     # every series.  The record stops at the first failure, counted at its
     # position in the per-cell loop's reverse-lexicographic order.
     span, cut = f"n<={n_max}", params.modulus - 2
-    colored = list(map(sum, zip(*families.colored_head_counts(params, n_max, n_max).values())))
+    bits, packed, _ = families._colored_head_counts(params, n_max, n_max)
+    colored = kernels._unpack(sum(packed.values()), bits, n_max + 1)
     onto = "n={n}: encoded family differs from direct generation ({count} vs {value} members)"
     legs = [(colored, onto)] + [
         (form, f"n={{n}}: {{count}} members vs {name} {{value}}") for name, form in forms
@@ -361,10 +365,11 @@ def check_finitized(
     coefficient-for-coefficient; the coefficients equal the box-bounded
     rank-window counts (partition side); and they equal the counts of colored
     members passing the top-part bound (colored side).  The colored side is a
-    head count under conditions (i)-(iii),
-    :func:`~colorpartitions.families.colored_head_counts`, taken once for the
-    largest box, whose per-head series are summed over the heads each size
-    admits; the colored enumeration is its test oracle.  ``n_max`` bounds that
+    head count under conditions (i)-(iii), the packed head transfer matrix
+    behind :func:`~colorpartitions.families.colored_head_counts`, taken once
+    for the largest box.  Each size sums, still packed, the series of the
+    heads its box admits (:func:`_admitted_series`) and unpacks that sum
+    once; the colored enumeration is its test oracle.  ``n_max`` bounds that
     count's weight and truncates the per-weight comparisons.  A ``size_max``
     or ``n_max`` that is not a nonnegative int raises ValueError.
     """
@@ -381,7 +386,7 @@ def check_finitized(
     weight_max = _gap2_weight_bound(largest_top)
     if n_max is not None:
         weight_max = min(weight_max, n_max)
-    headed = families.colored_head_counts(params, weight_max, max_size=largest_top)
+    bits, packed, columns = families._colored_head_counts(params, weight_max, largest_top)
     checked = 0
     for size in range(size_max + 1):
         lhs = series.finitized_lhs(params, size)
@@ -393,25 +398,49 @@ def check_finitized(
             return CheckRecord("finitized", label, span, checked, False, note)
         max_part, max_length = series.finitized_box(params, size)
         box = families.boxed_counts(params, max_part, max_length)
-        admitted = [
-            counts
-            for head, counts in headed.items()
-            if finitized_top_ok(head, params, size)
-        ]
-        colored = list(map(sum, zip(*admitted)))
         colored_top = _colored_top(max_part, max_length)
         top = max(lhs.degree, len(box) - 1, _gap2_weight_bound(colored_top))
         if n_max is not None:
             top = min(top, n_max)
-        for n, expected in enumerate(lhs.padded(top)):
-            from_box = box[n] if n < len(box) else 0
-            from_colored = colored[n] if n < len(colored) else 0
+        count = min(top, weight_max) + 1
+        admitted = _admitted_series(params, size, packed[()], columns)
+        colored = kernels._unpack(admitted & ((1 << (bits * count)) - 1), bits, count)
+        expected = lhs.padded(top)
+        routes = (("box count", _padded(box, top)), ("top-part count", _padded(colored, top)))
+        if all(values == expected for _, values in routes):
+            checked += 2 * (top + 1)
+            continue
+        for n, coefficient in enumerate(expected):  # word the first failure
             checked += 2
-            for route, value in (("box count", from_box), ("top-part count", from_colored)):
-                if value != expected:
-                    note = f"size={size} n={n}: {route} {value} vs coefficient {expected}"
+            for route, values in routes:
+                if values[n] != coefficient:
+                    note = f"size={size} n={n}: {route} {values[n]} vs coefficient {coefficient}"
                     return CheckRecord("finitized", label, span, checked, False, note)
     return CheckRecord("finitized", label, span, checked, True)
+
+
+def _admitted_series(
+    params: IdentityParams, size: int, empty: int,
+    columns: list[tuple[list[ColoredPartition], list[int]]],
+) -> int:
+    # The packed sum of the series of the heads the size's box admits: the
+    # empty head's ``empty`` if finitized_top_ok admits (), plus per color the
+    # running sum of its admitted heads.  The box law reads a head (s, c)
+    # only through (W + H - 1) - s, so per color it admits the smallest
+    # heads: bisecting finitized_top_ok on the color's heads, ascending in
+    # size, counts them.
+    def refused(head):
+        return not finitized_top_ok(head, params, size)
+
+    admitted = 0 if refused(()) else empty
+    for heads, sums in columns:
+        admitted += sums[bisect_left(heads, True, key=refused)]
+    return admitted
+
+
+def _padded(values: list[int], top: int) -> list[int]:
+    # values[0..top], zero-extended as needed
+    return values[: top + 1] + [0] * (top + 1 - len(values))
 
 
 def _colored_top(max_part: int, max_length: int) -> int:

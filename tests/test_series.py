@@ -27,6 +27,7 @@ from colorpartitions import (
 from colorpartitions import series
 from colorpartitions.families import boxed_counts
 from colorpartitions.series import even_offset, first_difference, odd_offset
+from colorpartitions.verify import verify_finitized_grid
 
 
 def shifted_sum(left, right, shift):
@@ -562,6 +563,39 @@ def test_packed_sides_decode_any_binomials(monkeypatch, degree, delta):
                     assert rhs == finitized_rhs_by_lists(params, size), (m, r, size)
     finally:
         cached.cache_clear()
+
+
+def test_pack_memo_follows_the_binomial_it_is_given(monkeypatch):
+    # One grid run fills the process's packed binomials.  A patched
+    # binomial, cached so that it hands back one object per argument, must
+    # reach both sides all the same, and the real one must come back once
+    # the patch is gone.  The Gaussian binomial cache is cleared after the
+    # patch: its base-q^2 entries are built through the module global.
+    verify_finitized_grid()
+    assert series._PACKED_BINOMIALS
+    cells = [
+        (IdentityParams(m, r), size)
+        for m in range(4, 10)
+        for r in range(1, m // 2 + 1)
+        for size in range(9)
+    ]
+    clean = {cell: (finitized_lhs(*cell), finitized_rhs(*cell)) for cell in cells}
+    cached = series.gaussian_binomial
+    monkeypatch.setattr(series, "gaussian_binomial", lru_cache(_binomial_plus(3, 1)))
+    changed = [0, 0]  # cells whose lhs, rhs the patch changed
+    try:
+        for cell in cells:
+            lhs, rhs = finitized_lhs(*cell), finitized_rhs(*cell)
+            assert lhs.coefficients == finitized_lhs_by_lists(*cell), cell
+            assert rhs.coefficients == finitized_rhs_by_lists(*cell), cell
+            changed[0] += lhs != clean[cell][0]
+            changed[1] += rhs != clean[cell][1]
+    finally:
+        monkeypatch.undo()
+        cached.cache_clear()
+    assert min(changed) > len(cells) // 2, changed
+    for cell in cells:
+        assert (finitized_lhs(*cell), finitized_rhs(*cell)) == clean[cell], cell
 
 
 def test_finitized_lhs_counts_its_box():

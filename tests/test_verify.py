@@ -4,9 +4,14 @@ import sys
 
 import pytest
 
-from colorpartitions import IdentityParams
+from colorpartitions import IdentityParams, families, kernels, verify
 from colorpartitions.families import colored_head_counts, rank_window_members
-from colorpartitions.series import bosonic_sum, fermionic_multisum, restricted_product
+from colorpartitions.series import (
+    bosonic_sum,
+    fermionic_multisum,
+    finitized_box,
+    restricted_product,
+)
 from colorpartitions.verify import (
     CheckRecord,
     VerificationReport,
@@ -14,6 +19,7 @@ from colorpartitions.verify import (
     check_finitized,
     check_gordon,
     check_product_counts,
+    finitized_top_ok,
     verify_all,
     verify_finitized_grid,
     verify_gordon_grid,
@@ -64,22 +70,37 @@ def test_bijection_pass():
         assert record.checked > 13
 
 
+def head_count_plus(weight, delta):
+    """The packed head DP, ``delta`` added at ``weight`` to one head's count.
+
+    The head is the first, smallest first, whose series is nonzero there;
+    the change reaches its own series and its color's running sums from it
+    on, so every reader of the DP sees the same miscount.
+    """
+    real = families._colored_head_counts
+
+    def mutant(params, max_weight, max_size):
+        bits, packed, columns = real(params, max_weight, max_size)
+        if max_weight >= weight:
+            limb = (1 << bits) - 1
+            head = next(h for h, value in packed.items() if (value >> (bits * weight)) & limb)
+            change = delta << (bits * weight)
+            packed[head] += change
+            for heads, sums in columns:
+                if head in heads:
+                    for i in range(heads.index(head) + 1, len(sums)):
+                        sums[i] += change
+        return bits, packed, columns
+
+    return mutant
+
+
 @pytest.mark.parametrize("delta", [-1, 1], ids=["lossy", "surplus"])
 def test_bijection_detects_broken_enumerator(monkeypatch, delta):
     # Each member is checked to encode injectively; a colored count one short
     # (the encoding is not onto) or one over (the encoding misses a member)
     # must fail the count equality at that weight.
-    from colorpartitions import families, verify
-
-    real = families.colored_head_counts
-
-    def broken(params, max_weight, max_size):
-        headed = real(params, max_weight, max_size)
-        counts = next(c for c in headed.values() if len(c) > 6 and c[6])
-        counts[6] += delta
-        return headed
-
-    monkeypatch.setattr(verify.families, "colored_head_counts", broken)
+    monkeypatch.setattr(families, "_colored_head_counts", head_count_plus(6, delta))
     record = check_bijection(IdentityParams(7, 1), 10)
     assert not record.ok
     assert "n=6" in record.note
@@ -442,21 +463,42 @@ def test_finitized_pass_odd_and_even():
 
 
 def test_finitized_detects_lossy_colored_enumeration(monkeypatch):
-    from colorpartitions import families, verify
-
-    real = families.colored_head_counts
-
-    def lossy(params, max_weight, max_size):
-        headed = real(params, max_weight, max_size)
-        if max_weight >= 7:
-            counts = next(counts for counts in headed.values() if counts[7])
-            counts[7] -= 1
-        return headed
-
-    monkeypatch.setattr(verify.families, "colored_head_counts", lossy)
+    monkeypatch.setattr(families, "_colored_head_counts", head_count_plus(7, -1))
     record = check_finitized(IdentityParams(7, 2), 9)
     assert not record.ok
     assert "n=7: top-part count" in record.note
+
+
+def colored_side_by_filter(params, size, max_weight, max_size):
+    """The colored side of one size by the per-head filter: the oracle of the
+    running sums.  Every head's series (:func:`colored_head_counts`) that
+    ``finitized_top_ok`` admits, summed weight by weight."""
+    headed = colored_head_counts(params, max_weight, max_size)
+    admitted = [counts for head, counts in headed.items() if finitized_top_ok(head, params, size)]
+    return list(map(sum, zip(*admitted))) or [0] * (max_weight + 1)
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_admitted_running_sums_match_the_per_head_filter(parity):
+    # k = 2..6, every residue, every size <= 14: the bisected running sums
+    # against the filter over every head, heads and weights up to the
+    # size-14 box's as in check_finitized
+    ill_formed = 0
+    for k in range(2, 7):
+        for r in range(1, k + 1):
+            params = IdentityParams(2 * k + 1 if parity == "odd" else 2 * k, r)
+            max_size = verify._colored_top(*finitized_box(params, 14))
+            weight = verify._gap2_weight_bound(max_size)
+            bits, packed, columns = families._colored_head_counts(params, weight, max_size)
+            for size in range(15):
+                admitted = verify._admitted_series(params, size, packed[()], columns)
+                expected = colored_side_by_filter(params, size, weight, max_size)
+                assert kernels._unpack(admitted, bits, weight + 1) == expected, (params, size)
+                if min(finitized_box(params, size)) < 0:  # admits nothing
+                    ill_formed += 1
+                    assert admitted == 0 and not any(expected), (params, size)
+    # odd boxes below size k - r have a negative side; even boxes never do
+    assert ill_formed if parity == "odd" else not ill_formed
 
 
 def test_finitized_detects_wrong_box_count(monkeypatch):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from operator import attrgetter
 
 from . import families, render, series, verify
@@ -138,6 +139,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(angles_cmd)
 
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # The parser main reuses: building one costs about a millisecond, and
+    # parse_args leaves it as it was, each call getting a fresh namespace.
+    return build_parser()
 
 
 def _apply_config(args: argparse.Namespace) -> None:
@@ -287,8 +295,7 @@ def _cmd_angles(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _apply_config(args)
         if args.format is None:

@@ -3,19 +3,21 @@
 Six families share one interface: rank-window members, their colored
 encodings, box-bounded rank-window members, Gordon-condition partitions,
 gap-2 partitions, and partitions into residue-restricted parts.  Enumerators
-return materialized lists at fixed weight, or per-weight buckets; rank-window
-members come from one descent over Frobenius pair chains, ``_pair_descent``,
-whose cost follows the output.  It hands each node, as file(parent, w, h,
-rest), the value filed for its parent chain, and two walks file every node
-of it, not only the finished members; in both a node's rows are its
-parent's extended by its last pair (w, h).  The verification harness files
-one residue's members by top rank, which serves every modulus of that
-residue at once; for a bijection record it also encodes each member and
-checks each new part once per (previous part, part, pair) per call, and for
-the count records it files rows only (``verify._members_by_top``).  The
-exact-weight walk behind the member lists and the table extends each
-chain's ranks and encoding from its parent's by one entry made once per
-pair (``_window_rows``).
+return materialized lists at fixed weight, or per-weight buckets.
+Rank-window members come from two walks over Frobenius pair chains, each
+with a cost that follows its output, and in both a node's rows are its
+parent's extended by its last pair (w, h).  ``_pair_descent`` files every
+chain up to a weight bound, handing each node, as file(parent, w, h,
+rest), the value filed for its parent chain.  The verification harness
+uses it to file one residue's members by top rank, which serves every
+modulus of that residue at once; for a bijection record it also encodes
+each member and checks each new part once per (previous part, part, pair)
+per call, and for the count records it files rows only
+(``verify._members_by_top``).  The member lists and the table ask for one
+exact weight, and their walk (``_window_rows``) reads a per-call child
+table: ``_exact_children`` lists the children of each chain state once,
+and ``_exact_rows`` walks the lists, extending each chain's ranks and
+encoding from its parent's by one entry made once per pair.
 Per-weight fast counts go through the Frobenius-pair counting kernel (rank
 windows), a transfer matrix over heads with one running sum per (color,
 size-parity) class (colored family), or one over part frequencies
@@ -83,65 +85,113 @@ def _window_rows(
     params: IdentityParams, n: int, max_part: int, max_length: int
 ) -> list[tuple[Partition, tuple[int, ...], ColoredPartition]]:
     # The rank-window members of weight exactly n in the box, each with its
-    # ranks and encoding, in reverse-lexicographic order.  One exact-weight
-    # _pair_descent; a node carries its depth, its last height, its rows,
-    # its ranks and its encoding, each its parent's extended by its last
-    # pair (w, h): the rows by _extend_rows, the ranks by w - h and the
-    # encoding by the colored part _encode_part gives.  Each pair's rank and
-    # part are made once per walk, so every row holding a pair shares one
-    # part tuple for it.
-    r = params.residue
-    rows = [] if n else [((), (), ())]
-    entries = {}  # (w, h) -> ((its rank,), (its colored part,))
-
-    def file(parent, w, h, rest):
-        depth, last, p, ranks, colored = parent
-        entry = entries.get((w, h))
-        if entry is None:
-            entry = entries[w, h] = ((w - h,), (_encode_part(w, h, r),))
-        p = _extend_rows(p, depth, last, w, h)
-        ranks, colored = ranks + entry[0], colored + entry[1]
-        if not rest:
-            rows.append((p, ranks, colored))
-        return depth + 1, h, p, ranks, colored
-
+    # ranks and encoding, in reverse-lexicographic order.  _exact_children
+    # builds the per-call child table of the chains that reach weight n, and
+    # _exact_rows walks it: a node's rows, ranks and encoding are its
+    # parent's extended by its last pair (w, h), the rows by _extend_rows,
+    # the ranks by w - h and the encoding by the colored part _encode_part
+    # gives.  Each pair's rank and part are made once per call, so every row
+    # holding a pair shares one part tuple for it.  The table is per call:
+    # its parts depend on the residue, its pairs on the window and the box.
     hi = params.max_rank
+    # the sweep refuses a non-int box side, at n = 0 too
     _, _, bits, pairs = kernels._pair_sweep(max_part, max_length, params.min_rank, hi, n)
-    _pair_descent(pairs, hi, bits, file, (0, 0, (), (), ()), len(pairs), n + 1, n)
+    if not n:
+        return [((), (), ())]
+    # no name holds the memo or the root list: the memo is freed before the
+    # walk and the table before the sort
+    rows = []
+    _exact_rows(
+        _exact_children(pairs, hi, bits, params.residue, ({}, {}, {}), len(pairs), n + 1, n),
+        rows, (), 0, 0, (), (),
+    )
     rows.sort(key=itemgetter(0), reverse=True)
     return rows
 
 
-def _pair_descent(pairs, hi, bits, file, parent, w_head, h_head, budget) -> None:
+def _exact_children(pairs, hi, bits, r, memo, w_head, h_head, budget) -> list:
+    # The children of the chain state (w_head, h_head, budget) in the walk of
+    # one exact weight: each pair (w, h) below (w_head, h_head) that fits the
+    # budget, w descending and h ascending, as (w, h, (w - h,), (its colored
+    # part,), below), below being None when the pair spends the budget and
+    # otherwise the child list of the state (w, h, rest).  pairs is the
+    # sweep's (see _pair_descent); a pair is taken only if limb ``budget``
+    # of the series f(w, h) is nonzero, so every branch reaches a chain of
+    # weight exactly the root budget.  The children depend only on the
+    # state's caps, min(w_head - 1, budget, h_head - 1 + hi) on w and
+    # min(h_head, budget + 1) on h, and its budget, and a child only on
+    # (w, h, budget).  memo = (lists, nodes, entries) keeps one list per
+    # state key, built on the key's first visit, one child tuple per
+    # (w, h, budget), shared by every list, and each pair's rank and part
+    # tuples, shared by every child.  (At table 10 5 40 the 2,925 list
+    # entries hold 634 child tuples; a tuple per entry raised the walk's
+    # peak RSS above the per-frame scan's.)  The budget falls along every
+    # edge, so the lists hold no reference cycle.
+    lists, nodes, entries = memo
+    key = (min(w_head - 1, budget, h_head - 1 + hi), min(h_head, budget + 1), budget)
+    children = lists.get(key)
+    if children is not None:
+        return children
+    children = lists[key] = []
+    top, h_cap, _ = key
+    shift, limb = bits * budget, (1 << bits) - 1
+    for w in range(top, 0, -1):
+        for h, chains in pairs[w]:
+            if h >= h_cap or w + h - 1 > budget:
+                break
+            if not (chains >> shift) & limb:
+                continue
+            node = nodes.get((w, h, budget))
+            if node is None:
+                entry = entries.get((w, h))
+                if entry is None:
+                    entry = entries[w, h] = ((w - h,), (_encode_part(w, h, r),))
+                rest = budget - w - h + 1
+                below = _exact_children(pairs, hi, bits, r, memo, w, h, rest) if rest else None
+                node = nodes[w, h, budget] = (w, h, *entry, below)
+            children.append(node)
+    return children
+
+
+def _exact_rows(children, rows, p, depth, last, ranks, colored) -> None:
+    # Appends to ``rows`` the (rows, ranks, encoding) of every chain of an
+    # _exact_children list below the node whose rows, depth, last height,
+    # ranks and encoding are p, depth, last, ranks and colored.  A module
+    # function, so no closure holds the rows in a reference cycle.
+    for w, h, rank, part, below in children:
+        q = _extend_rows(p, depth, last, w, h)
+        if below is None:
+            rows.append((q, ranks + rank, colored + part))
+        else:
+            _exact_rows(below, rows, q, depth + 1, h, ranks + rank, colored + part)
+
+
+def _pair_descent(pairs, hi, file, parent, w_head, h_head, budget) -> None:
     # Depth-first descent over Frobenius pair chains (w_1, h_1) > (w_2, h_2)
     # > ..., both coordinates strictly decreasing, ranks w - h in the window,
     # weight sum(w + h - 1) -- the chains kernels.count_rank_bounded_partitions
     # counts, whose sweep hands over ``pairs``: pairs[w] lists (h, f(w, h))
-    # for each admissible pair of the box in ascending h, f(w, h) the packed
-    # series of the chains (w, h) heads.  A box bounds only the first pair.
-    # Every pair below (w_head, h_head) that fits ``budget`` is filed,
-    # w descending and h ascending, as file(parent, w, h, rest) with rest the
-    # budget left after it; the value returned is the ``parent`` its own
-    # children receive, and the pair is descended while rest is nonzero.  A
-    # rank of at most hi, the window's top, bounds w below h_head + hi.  The
-    # root call passes w_head = len(pairs) and h_head = top + 1.  With
-    # ``bits`` nonzero (the sweep's limb width) a pair is entered only if
-    # limb ``budget`` of f(w, h) is nonzero, so every branch reaches a chain
-    # of weight exactly the root budget; with ``bits`` 0 every chain is
-    # filed.  The recursion is a module function, so no closure holds its
-    # output in a reference cycle.
-    if bits:
-        shift, limb = bits * budget, (1 << bits) - 1
+    # for each admissible pair of the box in ascending h.  A box bounds only
+    # the first pair.  Every pair below (w_head, h_head) that fits ``budget``
+    # is filed, w descending and h ascending, as file(parent, w, h, rest)
+    # with rest the budget left after it; the value returned is the
+    # ``parent`` its own children receive, and the pair is descended while
+    # rest is nonzero.  A rank of at most hi, the window's top, bounds w
+    # below h_head + hi.  The root call passes w_head = len(pairs) and
+    # h_head = top + 1.  Every chain up to the root budget is filed, so the
+    # scan of a frame's pair lists meets no pair it skips, and a child table
+    # would save only the breaks; the exact-weight walk, which skips every
+    # pair that cannot reach its weight, reads one (_exact_children).  The
+    # recursion is a module function, so no closure holds its output in a
+    # reference cycle.
     for w in range(min(w_head - 1, budget, h_head - 1 + hi), 0, -1):
-        for h, chains in pairs[w]:
+        for h, _ in pairs[w]:
             if h >= h_head or w + h - 1 > budget:
                 break
-            if bits and not (chains >> shift) & limb:
-                continue
             rest = budget - w - h + 1
             value = file(parent, w, h, rest)
             if rest:
-                _pair_descent(pairs, hi, bits, file, value, w, h, rest)
+                _pair_descent(pairs, hi, file, value, w, h, rest)
 
 
 def _descend(children, file, parent, head, budget) -> None:

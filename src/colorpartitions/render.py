@@ -57,7 +57,8 @@ def format_ranks(ranks: Sequence[int]) -> str:
 def bijection_rows(params: IdentityParams, n: int) -> list[TableRow]:
     """Member/ranks/encoding triples in canonical (reverse-lexicographic) order.
 
-    One descent over Frobenius pair chains (the rank-window members'), in
+    One walk over the Frobenius pair chains of weight n (the rank-window
+    members'), read from a per-call table of each chain state's children, in
     which a chain's rows, ranks and encoding are its parent's extended by its
     last pair; each pair's rank and colored part are made once, and every row
     holding the pair shares them.

@@ -274,7 +274,7 @@ def _members_by_top(
     _, _, _, pairs = kernels._pair_sweep(
         max_weight, max_weight, widest.min_rank, hi, max_weight
     )
-    families._pair_descent(pairs, hi, 0, file, root, len(pairs), max_weight + 1, max_weight)
+    families._pair_descent(pairs, hi, file, root, len(pairs), max_weight + 1, max_weight)
     return buckets, suspects
 
 

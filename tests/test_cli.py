@@ -66,10 +66,13 @@ def test_table_weight_zero(capsys):
 def test_table_refuses_a_request_past_its_row_limit_before_any_work(
     capsys, monkeypatch, modulus, residue, weight, count
 ):
-    def no_descent(*args):
-        raise AssertionError("the descent ran")
+    def no_walk(*args):
+        raise AssertionError("the table's walk ran")
 
-    monkeypatch.setattr(cli.families, "_pair_descent", no_descent)
+    # the table's rows come from the child table _exact_children builds and
+    # _exact_rows walks
+    monkeypatch.setattr(cli.families, "_exact_children", no_walk)
+    monkeypatch.setattr(cli.families, "_exact_rows", no_walk)
     code, out, err = run_cli(capsys, "table", str(modulus), str(residue), str(weight))
     assert (code, out) == (2, "")
     assert f"has {count} rows" in err and "limit of 500,000" in err
@@ -446,6 +449,36 @@ def test_config_file_defaults(tmp_path, capsys):
     )
     assert code == 0
     assert out == "1 1 1 1\n"
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    def no_parser():
+        raise AssertionError("main built a parser again")
+
+    run_cli(capsys, "coeffs", "product", "5", "2", "3")
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    assert run_cli(capsys, "coeffs", "product", "5", "2", "3") == (0, "1 1 1 1\n", "")
+
+
+def test_reused_parser_keeps_no_flag_between_calls(tmp_path, capsys):
+    # main reuses one parser, so each call must start from its defaults
+    text = (0, "1 1 1 1\n", "")
+    code, out, _ = run_cli(capsys, "coeffs", "product", "5", "2", "3", "-f", "json")
+    assert code == 0
+    json.loads(out)
+    assert run_cli(capsys, "coeffs", "product", "5", "2", "3") == text
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"format": "csv", "output": str(tmp_path / "out.csv")}))
+    code, out, _ = run_cli(capsys, "coeffs", "product", "5", "2", "3", "--config", str(config))
+    assert (code, out) == (0, "")
+    assert run_cli(capsys, "coeffs", "product", "5", "2", "3") == text
+
+    with pytest.raises(SystemExit) as info:
+        cli.main(["coeffs", "product", "5", "2"])  # the order is missing
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, "coeffs", "product", "5", "2", "3") == text
 
 
 def test_config_output_redirect(tmp_path, capsys):

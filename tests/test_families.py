@@ -26,10 +26,11 @@ from colorpartitions import (
     rank_window_members,
     successive_ranks,
 )
-from colorpartitions.coloring import _gap_ok, check_box_condition
+from colorpartitions.coloring import _encode_part, _gap_ok, check_box_condition, color_map
 from colorpartitions.families import (
     _admissible_colors,
     _descend,
+    _exact_children,
     _pair_descent,
     colored_head_counts,
     colored_members_up_to,
@@ -373,6 +374,28 @@ def test_chain_descent_matches_filter(data, modulus, n):
     assert boxed_members(params, n, max_part, max_length) == boxed
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), modulus=st.integers(4, 13), n=st.integers(0, 22))
+def test_window_rows_match_the_filtered_oracle(data, modulus, n):
+    # the exact-weight walk's rows in a box against filtering every
+    # partition of n, ranks from ranked_partitions and encodings from
+    # color_map; two residues of one (M, n) run back to back, so a child
+    # table kept from one call to the next shows
+    max_part = data.draw(st.integers(0, n + 1))
+    max_length = data.draw(st.integers(0, n + 1))
+    residues = data.draw(st.permutations(range(1, modulus // 2 + 1)))[:2]
+    for params in map(IdentityParams, [modulus] * 2, residues):
+        lo, hi = params.min_rank, params.max_rank
+        expected = [
+            (p, ranks, color_map(p, params))
+            for p, ranks in ranked_partitions(n)
+            if (not ranks or (lo <= min(ranks) and max(ranks) <= hi))
+            and (not p or p[0] <= max_part)
+            and len(p) <= max_length
+        ]
+        assert families._window_rows(params, n, max_part, max_length) == expected, params
+
+
 def test_descend_hands_each_node_its_parents_value():
     # toy chains: the sequences of steps 1 and 2, each node the whole
     # sequence so far, spending its last step
@@ -401,9 +424,13 @@ def test_descend_hands_each_node_its_parents_value():
 
 
 def _walk_pairs(params, top, exact):
-    # every chain node of one _pair_descent over the box top x top, as
-    # (parent's value, pair, rest, own value); a node's value is its chain
-    _, _, bits, pairs = kernels._pair_sweep(top, top, params.min_rank, params.max_rank, top)
+    # every chain node of one walk over the box top x top, as (parent's
+    # value, pair, rest, own value); a node's value is its chain.  With
+    # ``exact`` the walk is the exact-weight child table of weight top
+    # (_exact_children), read from its root, and otherwise one
+    # _pair_descent, which files every chain up to weight top.
+    hi = params.max_rank
+    _, _, bits, pairs = kernels._pair_sweep(top, top, params.min_rank, hi, top)
     filed = []
 
     def file(parent, w, h, rest):
@@ -411,7 +438,27 @@ def _walk_pairs(params, top, exact):
         filed.append((parent, (w, h), rest, value))
         return value
 
-    _pair_descent(pairs, params.max_rank, bits if exact else 0, file, (), len(pairs), top + 1, top)
+    def read(children, parent, budget):
+        for w, h, rank, part, below in children:
+            assert (rank, part) == ((w - h,), (_encode_part(w, h, params.residue),))
+            rest = budget - w - h + 1
+            assert (below is None) == (rest == 0)
+            value = file(parent, w, h, rest)
+            if rest:
+                read(below, value, rest)
+
+    if exact:
+        memo = lists, nodes, entries = {}, {}, {}
+        root = _exact_children(pairs, hi, bits, params.residue, memo, len(pairs), top + 1, top)
+        read(root, (), top)
+        # one tuple per (w, h, budget), sharing one rank and part per pair
+        for (_, _, budget), children in lists.items():
+            for child in children:
+                w, h, rank, part, _ = child
+                assert child is nodes[w, h, budget]
+                assert rank is entries[w, h][0] and part is entries[w, h][1]
+    else:
+        _pair_descent(pairs, hi, file, (), len(pairs), top + 1, top)
     return filed
 
 
@@ -438,17 +485,18 @@ def test_pair_descent_hands_each_node_its_parents_value(params):
 
 @pytest.mark.parametrize("params", [P71, P83, P52, IdentityParams(4, 1), IdentityParams(9, 1)])
 def test_exact_pair_descent_files_only_chains_of_weight_n(params):
-    # with the limb test on, every filed node lies on a chain of weight
-    # exactly n, and the leaves are the members of n, as many as the kernel
-    # counts
+    # read from the root, the exact-weight child table holds only chains
+    # that lie on a chain of weight exactly n, and its leaves are the chains
+    # of weight n, as many as the kernel counts and in the order the
+    # all-chains descent files them
     for n in range(1, 21):
         filed = _walk_pairs(params, n, exact=True)
         leaves = [value for _, _, rest, value in filed if not rest]
         assert len(leaves) == rank_window_counts(params, n)[n], (params, n)
         prefixes = {leaf[:depth] for leaf in leaves for depth in range(1, len(leaf) + 1)}
         assert {value for _, _, _, value in filed} == prefixes, (params, n)
-        members = sorted(map(_rows_from_pairs, leaves), reverse=True)
-        assert members == rank_window_members(params, n)
+        every = _walk_pairs(params, n, exact=False)
+        assert leaves == [value for _, _, rest, value in every if not rest], (params, n)
 
 
 def test_descents_leave_no_reference_cycles():

@@ -36,20 +36,25 @@ TABLE_ROW_LIMIT = 500_000
 # the limit has no rows (M = 3, or M = 4, r = 1 at odd n) or too many.
 TABLE_WEIGHT_LIMIT = 250
 
-# The most rank-window members ``verify bijection`` and ``verify all`` build:
-# one descent per residue, at the widest modulus of the grid with that
-# residue, over every weight up to --n-max, at about 13 us a member on one
-# Xeon core under Python 3.11 (some 25 s at the limit).  A larger request
-# exits 2 before any descent.  The default grid holds 1,175,276 members at
-# --n-max 55 and 2,285,110 at 60.
+# The most rank-window members ``verify bijection`` and ``verify all``
+# encode: one walk at the grid's widest modulus serves every residue, over
+# every weight up to --n-max, and encodes each member once per residue
+# whose window holds it, at about 3.5 us a (member, residue) pair on one
+# Xeon core under Python 3.11 (some 7 s at the limit).  The walk keeps no
+# member's rows but a suspect's (none on correct code), so its memory does
+# not grow with the count and the limit bounds time only: verify
+# bijection --n-max 55 peaks at 23 MB.  A larger request exits 2 before
+# the walk.  The default grid holds 1,175,276 such pairs at --n-max 55 and
+# 2,285,110 at 60.
 VERIFY_MEMBER_LIMIT = 2_000_000
 
 # The largest --n-max those scopes accept; past it the request exits 2
-# before the member count.  Every window [2 - r, M - r - 2] with M >= 4
-# holds [1, 1] (r = 1) or [0, 0] (r >= 2), a window holds every member of a
-# narrower one, and those two windows have more than VERIFY_MEMBER_LIMIT
-# members of weight at most 180 (2,140,113) and 172 (2,021,904).  So a grid
-# past the limit holds only the empty member (M = 3) or too many.
+# before the member count, and like the member limit it bounds time only.
+# Every window [2 - r, M - r - 2] with M >= 4 holds [1, 1] (r = 1) or
+# [0, 0] (r >= 2), a window holds every member of a narrower one, and those
+# two windows have more than VERIFY_MEMBER_LIMIT members of weight at most
+# 180 (2,140,113) and 172 (2,021,904).  So a grid past the limit holds only
+# the empty member (M = 3) or too many.
 VERIFY_WEIGHT_LIMIT = 179
 
 # The verify flags each scope reads, by destination; any other is refused.
@@ -267,9 +272,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _check_member_limit(scope: str, moduli, residues, n_max: int) -> None:
-    # Refuse a grid whose descents, one per residue at its widest modulus,
-    # would build more than VERIFY_MEMBER_LIMIT members, by the pair DP's
-    # counts; an empty grid is left to the "matches no grid cell" error.
+    # Refuse a grid whose walk at its widest modulus would encode more than
+    # VERIFY_MEMBER_LIMIT (member, residue) pairs, by the pair DP's counts
+    # at each residue's widest cell; an empty grid is left to the "matches
+    # no grid cell" error.
     cells = sorted(verify._identity_cells(moduli, residues), key=attrgetter("modulus"))
     widest = {params.residue: params for params in cells}
     if not widest:

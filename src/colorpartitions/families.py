@@ -4,20 +4,20 @@ Six families share one interface: rank-window members, their colored
 encodings, box-bounded rank-window members, Gordon-condition partitions,
 gap-2 partitions, and partitions into residue-restricted parts.  Enumerators
 return materialized lists at fixed weight, or per-weight buckets.
-Rank-window members come from two walks over Frobenius pair chains, each
-with a cost that follows its output, and in both a node's rows are its
-parent's extended by its last pair (w, h).  ``_pair_descent`` files every
-chain up to a weight bound, handing each node, as file(parent, w, h,
-rest), the value filed for its parent chain.  The verification harness
-uses it to file one residue's members by top rank, which serves every
-modulus of that residue at once; for a bijection record it also encodes
-each member and checks each new part once per (previous part, part, pair)
-per call, and for the count records it files rows only
-(``verify._members_by_top``).  The member lists and the table ask for one
-exact weight, and their walk (``_window_rows``) reads a per-call child
-table: ``_exact_children`` lists the children of each chain state once,
-and ``_exact_rows`` walks the lists, extending each chain's ranks and
-encoding from its parent's by one entry made once per pair.
+Rank-window members come from walks over Frobenius pair chains, each
+with a cost that follows its output, in which a node's rows are its
+parent's extended by its last pair (w, h).  The verification harness walks
+every chain up to a weight bound whose ranks lie in some residue's window,
+at the grid's widest modulus, and counts each node by top rank for every
+residue whose window holds it: one walk serves every residue and every
+modulus (``verify._members_by_top``).  For a bijection record it also
+encodes each node once per residue that holds it and checks each new part
+once per (previous part, part, pair) per residue; for the count records it
+builds no rows.  The member lists and the table ask for one exact weight,
+and their walk (``_window_rows``) reads a per-call child table:
+``_exact_children`` lists the children of each chain state once, and
+``_exact_rows`` walks the lists, extending each chain's ranks and encoding
+from its parent's by one entry made once per pair.
 Per-weight fast counts go through the Frobenius-pair counting kernel (rank
 windows), a transfer matrix over heads with one running sum per (color,
 size-parity) class (colored family), or one over part frequencies
@@ -110,23 +110,29 @@ def _window_rows(
 
 
 def _exact_children(pairs, hi, bits, r, memo, w_head, h_head, budget) -> list:
-    # The children of the chain state (w_head, h_head, budget) in the walk of
-    # one exact weight: each pair (w, h) below (w_head, h_head) that fits the
-    # budget, w descending and h ascending, as (w, h, (w - h,), (its colored
-    # part,), below), below being None when the pair spends the budget and
-    # otherwise the child list of the state (w, h, rest).  pairs is the
-    # sweep's (see _pair_descent); a pair is taken only if limb ``budget``
-    # of the series f(w, h) is nonzero, so every branch reaches a chain of
-    # weight exactly the root budget.  The children depend only on the
-    # state's caps, min(w_head - 1, budget, h_head - 1 + hi) on w and
-    # min(h_head, budget + 1) on h, and its budget, and a child only on
-    # (w, h, budget).  memo = (lists, nodes, entries) keeps one list per
-    # state key, built on the key's first visit, one child tuple per
-    # (w, h, budget), shared by every list, and each pair's rank and part
-    # tuples, shared by every child.  (At table 10 5 40 the 2,925 list
-    # entries hold 634 child tuples; a tuple per entry raised the walk's
-    # peak RSS above the per-frame scan's.)  The budget falls along every
-    # edge, so the lists hold no reference cycle.
+    # The children of the chain state (w_head, h_head, budget) in the walk
+    # of one exact weight: each pair (w, h) below (w_head, h_head) that
+    # fits the budget, w descending and h ascending, as (w, h, (w - h,),
+    # (its colored part,), below), below being None when the pair spends
+    # the budget and otherwise the child list of the state (w, h, rest).  A
+    # chain is the one kernels.count_rank_bounded_partitions counts: pairs
+    # (w_1, h_1) > (w_2, h_2) > ..., both coordinates strictly decreasing,
+    # ranks w - h in the window, weight sum(w + h - 1).  pairs is its
+    # sweep's: pairs[w] lists (h, f(w, h)) for each admissible pair of the
+    # box in ascending h, f(w, h) the packed series of the chains it heads;
+    # a box bounds only the first pair, and a rank of at most hi bounds w
+    # below h_head + hi.  A pair is taken only if limb ``budget`` of the
+    # series f(w, h) is nonzero, so every branch reaches a chain of weight
+    # exactly the root budget.  The children depend only on the state's
+    # caps, min(w_head - 1, budget, h_head - 1 + hi) on w and min(h_head,
+    # budget + 1) on h, and its budget, and a child only on (w, h, budget).
+    # memo = (lists, nodes, entries) keeps one list per state key, built on
+    # the key's first visit, one child tuple per (w, h, budget), shared by
+    # every list, and each pair's rank and part tuples, shared by every
+    # child.  (At table 10 5 40 the 2,925 list entries hold 634 child
+    # tuples; a tuple per entry raised the walk's peak RSS above the
+    # per-frame scan's.)  The budget falls along every edge, so the lists
+    # hold no reference cycle.
     lists, nodes, entries = memo
     key = (min(w_head - 1, budget, h_head - 1 + hi), min(h_head, budget + 1), budget)
     children = lists.get(key)
@@ -166,34 +172,6 @@ def _exact_rows(children, rows, p, depth, last, ranks, colored) -> None:
             _exact_rows(below, rows, q, depth + 1, h, ranks + rank, colored + part)
 
 
-def _pair_descent(pairs, hi, file, parent, w_head, h_head, budget) -> None:
-    # Depth-first descent over Frobenius pair chains (w_1, h_1) > (w_2, h_2)
-    # > ..., both coordinates strictly decreasing, ranks w - h in the window,
-    # weight sum(w + h - 1) -- the chains kernels.count_rank_bounded_partitions
-    # counts, whose sweep hands over ``pairs``: pairs[w] lists (h, f(w, h))
-    # for each admissible pair of the box in ascending h.  A box bounds only
-    # the first pair.  Every pair below (w_head, h_head) that fits ``budget``
-    # is filed, w descending and h ascending, as file(parent, w, h, rest)
-    # with rest the budget left after it; the value returned is the
-    # ``parent`` its own children receive, and the pair is descended while
-    # rest is nonzero.  A rank of at most hi, the window's top, bounds w
-    # below h_head + hi.  The root call passes w_head = len(pairs) and
-    # h_head = top + 1.  Every chain up to the root budget is filed, so the
-    # scan of a frame's pair lists meets no pair it skips, and a child table
-    # would save only the breaks; the exact-weight walk, which skips every
-    # pair that cannot reach its weight, reads one (_exact_children).  The
-    # recursion is a module function, so no closure holds its output in a
-    # reference cycle.
-    for w in range(min(w_head - 1, budget, h_head - 1 + hi), 0, -1):
-        for h, _ in pairs[w]:
-            if h >= h_head or w + h - 1 > budget:
-                break
-            rest = budget - w - h + 1
-            value = file(parent, w, h, rest)
-            if rest:
-                _pair_descent(pairs, hi, file, value, w, h, rest)
-
-
 def _descend(children, file, parent, head, budget) -> None:
     # Depth-first descent over chains of nodes: children(head, budget) yields
     # each node that may follow ``head`` (None at the root) with the budget
@@ -202,7 +180,7 @@ def _descend(children, file, parent, head, budget) -> None:
     # children) and returns the value the node's own children receive.  A
     # node with nothing left to spend is not descended.  The recursion is a
     # module function, so no closure holds its output in a reference cycle.
-    # The colored enumeration's walk; rank-window chains use _pair_descent.
+    # The colored enumeration's walk.
     for node, rest in children(head, budget):
         value = file(parent, node, rest)
         if rest:

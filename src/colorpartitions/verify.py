@@ -9,7 +9,6 @@ canonical JSON.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from . import coloring, families, kernels, series
@@ -121,47 +120,51 @@ def check_bijection(params: IdentityParams, n_max: int) -> CheckRecord:
 def _residue_records(
     cells: list[IdentityParams], n_max: int, scopes: tuple[str, ...]
 ) -> dict[IdentityParams, list[CheckRecord]]:
-    """The records of distinct cells sharing one residue, in ``scopes`` order.
+    """The records of distinct cells, each in ``scopes`` order.
 
-    Cell M's weight-n members are the first M - 2 runs of bucket n of one
-    descent at the widest modulus (:func:`_members_by_top`), which also
-    certifies each member's round trip at every modulus that holds it when
-    a bijection record is asked for, and files rows only otherwise.  A
-    bijection record is the one the public ``color_map`` and ``inverse_map``
-    give on every (cell, member) pair: each cell puts only the suspects it
-    holds through that round trip, at its own params.
+    One walk at the cells' widest modulus M (:func:`_members_by_top`)
+    serves every cell: each residue r of the cells has a cell at M, since
+    2r <= M' <= M for each cell (M', r), and cell (M', r) reads the first
+    M' - 2 entries of r's counts by top rank.  For a bijection record the
+    walk also certifies, per residue r, each member's round trip at every
+    modulus of r that holds it, by induction along the member's chain
+    (certified: the parent and the one new part its encoding at (M, r)
+    adds); otherwise it only counts.  A bijection record is the one the
+    public ``color_map`` and ``inverse_map`` give on every (cell, member)
+    pair: each cell puts only the suspects of its residue that it holds
+    through that round trip, at its own params.
     """
-    widest = max(cells, key=attrgetter("modulus"))
-    if "bijection" in scopes:
-        buckets, suspects = _members_by_top(widest, n_max)
-    else:  # the count records read only the runs' lengths
-        buckets, suspects = _members_by_top(widest, n_max, certify=False)
+    modulus = max(params.modulus for params in cells)
+    residues = sorted({params.residue for params in cells})
+    walked = _members_by_top(modulus, residues, n_max, certify="bijection" in scopes)
     records_of: dict[IdentityParams, list[CheckRecord]] = {}
     for params in cells:
         label = f"M={params.modulus} r={params.residue}"
         forms = _closed_forms(params, n_max, scopes)
-        counts = [sum(map(len, runs[: params.modulus - 2])) for runs in buckets]
+        by_top, suspects = walked[params.residue]
+        counts = [sum(runs[: params.modulus - 2]) for runs in by_top]
         records_of[params] = records = []
         if "product_counts" in scopes:
             note = "2r = M: no product form, checked theta quotient"
             note = "" if params.has_product_form else note
             records.append(_count_record("product_counts", label, n_max, counts, *forms[0], note))
         if "bijection" in scopes:
-            record = _bijection_record(params, label, n_max, buckets, suspects, counts, forms)
+            record = _bijection_record(params, label, n_max, suspects, counts, forms)
             records.append(record)
     return records_of
 
 
 def _bijection_record(
     params: IdentityParams, label: str, n_max: int,
-    buckets: list[list[list[Partition]]], suspects: list[list[tuple[Partition, int]]],
+    suspects: list[list[tuple[Partition, int]]],
     counts: list[int], forms: list[tuple[str, series.TruncatedSeries]],
 ) -> CheckRecord:
     # Weight by weight: the round trip of the cell's suspects, then its member
     # count against the colored family's by head (the members encode
     # injectively into it, so the encoding is onto iff the counts agree) and
     # every series.  The record stops at the first failure, counted at its
-    # position in the per-cell loop's reverse-lexicographic order.
+    # position in the per-cell loop's reverse-lexicographic order, which the
+    # cell's member list gives (the walk keeps no rows but the suspects').
     span, cut = f"n<={n_max}", params.modulus - 2
     bits, packed, _ = families._colored_head_counts(params, n_max, n_max)
     colored = kernels._unpack(sum(packed.values()), bits, n_max + 1)
@@ -170,112 +173,157 @@ def _bijection_record(
         (form, f"n={{n}}: {{count}} members vs {name} {{value}}") for name, form in forms
     ]
     checked = 0
-    for n, runs in enumerate(buckets):
+    for n, count in enumerate(counts):
         for p in sorted((p for p, index in suspects[n] if index < cut), reverse=True):
             if note := _round_trip_note(p, n, params):
-                checked += sum(q >= p for run in runs[:cut] for q in run)
+                checked += sum(q >= p for q in families.rank_window_members(params, n))
                 return CheckRecord("bijection", label, span, checked, False, note)
-        checked += counts[n]
+        checked += count
         for form, template in legs:
             checked += 1
-            if counts[n] != form[n]:
-                note = template.format(n=n, count=counts[n], value=form[n])
+            if count != form[n]:
+                note = template.format(n=n, count=count, value=form[n])
                 return CheckRecord("bijection", label, span, checked, False, note)
     return CheckRecord("bijection", label, span, checked, True)
 
 
 def _members_by_top(
-    widest: IdentityParams, max_weight: int, certify: bool = True
-) -> tuple[list[list[list[Partition]]], list[list[tuple[Partition, int]]]]:
-    """Rank-window members of weight 0..max_weight, filed by top rank.
+    modulus: int, residues: list[int], max_weight: int, certify: bool = True
+) -> dict[int, tuple[list[list[int]], list[list[tuple[Partition, int]]]]]:
+    """Rank-window member counts of weight 0..max_weight, by top rank, per residue.
 
-    ``buckets[n][t + r - 1]`` holds, in descent order, the weight-n members
-    whose largest successive rank is t, and ``buckets[n][0]`` the empty
-    partition.  The windows [2 - r, M - r - 2] of one residue share their
-    lower end, so the first M' - 2 runs of each bucket are the members at a
-    modulus M' <= M: one descent serves every weight and every such modulus.
+    For each residue r, ``counts[n][t + r - 1]`` is the number of weight-n
+    members of the window [2 - r, M - r - 2] at ``modulus`` M whose largest
+    successive rank is t, and ``counts[n][0]`` counts the empty partition.
+    The windows of one residue share their lower end, so the first M' - 2
+    entries of ``counts[n]`` count the members at a modulus M' <= M.  One
+    walk serves every weight, every residue and every such modulus: it
+    descends the chains of Frobenius pairs whose ranks lie in the union of
+    the residues' windows, and a chain node is counted for each residue r
+    whose window holds all of its ranks.  A node no residue holds is not
+    descended, since its children add ranks.  So each member's rows are
+    built once, however many residues hold it, and only a suspect keeps
+    them.
 
     ``suspects[n]`` lists, as (member, run index), the weight-n members
-    whose ``color_map`` output at ``widest`` is not certified; any other
-    member passes the public round trip at every modulus M' that holds it.
-    The encoding reads M only in its window check, the decode reads r only,
-    and of ``check_conditions`` only the color range and (iii) read M; they
-    hold when every rank the colors encode is at most M' - r - 2.  The empty
-    member is certified if it encodes to ().  Any other member extends its
-    parent's chain by one pair (w, h) and is certified if its parent is and
-    it encodes to the parent's encoding plus one part: every size and color
-    an exact int, and the new part accepted by :func:`_part_rank` (color at
-    least 1, (i), (ii) after the parent's last part, size w + h - 1, so
-    sizes strictly decrease along the chain and sum to the weight, and a
-    decode to (w, h)) with an encoded rank at most the member's top rank,
-    itself at most M' - r - 2.  By induction the decoded pairs are the
-    chain, so the decode is the member.  A suspect certifies no child;
-    correct code has none.
+    whose ``color_map`` output at (M, r) is not certified; any other member
+    passes the public round trip at every modulus M' of residue r that
+    holds it.  The encoding reads M only in its window check, the decode
+    reads r only, and of ``check_conditions`` only the color range and
+    (iii) read M; they hold when every rank the colors encode is at most
+    M' - r - 2.  The certificate runs per residue, by induction along the
+    chain: the empty member is certified for r if it encodes to () at
+    (M, r).  Any other member r holds extends its parent's chain by one
+    pair (w, h); r holds the parent too, and the member is certified for r
+    if the parent is and the member encodes at (M, r) to the parent's
+    encoding plus one part: every size and color an exact int, and the new
+    part accepted by :func:`_part_rank` (color at least 1, (i), (ii) after
+    the parent's last part, size w + h - 1, so sizes strictly decrease
+    along the chain and sum to the weight, and a decode to (w, h)) with an
+    encoded rank at most the member's top rank, itself at most M' - r - 2.
+    By induction the decoded pairs are the chain, so the decode is the
+    member.  A suspect certifies no child; correct code has none.
 
-    A descent node (``families._pair_descent``) carries its depth, its last
-    height, its top rank, its rows (its parent's extended by one pair,
-    ``_extend_rows``) and, when ``certify`` is set, its certified encoding
-    or None.  The checks of one part depend only on (previous part or None,
-    part, w, h), so each such key is checked once per call and its encoded
-    rank kept for the nodes that share it.  Without ``certify`` (the count
-    records read only the runs' lengths) the walk files rows only: no member
-    is encoded and ``suspects`` stays empty.
+    The checks of one part depend only on (previous part or None, part, w,
+    h) and the residue, so each such key is checked once per residue per
+    call and its encoded rank kept for the nodes that share it.  Without
+    ``certify`` (the count records read only the counts) the walk builds no
+    rows: no member is encoded and every ``suspects[n]`` stays empty.
     """
     families._require_weight(max_weight)
-    r = widest.residue
-    buckets = [[[] for _ in range(widest.modulus - 2)] for _ in range(max_weight + 1)]
-    buckets[0][0].append(())
-    suspects: list[list[tuple[Partition, int]]] = [[] for _ in range(max_weight + 1)]
-    ranks: dict = {}  # (previous part or None, part, w, h) -> encoded rank, or None
-
-    def file_rows(parent, w, h, rest):
-        depth, last, top, p = parent
-        if w - h > top:
-            top = w - h
-        p = _extend_rows(p, depth, last, w, h)
-        buckets[max_weight - rest][top + r - 1].append(p)
-        return depth + 1, h, top, p
-
-    def file_certified(parent, w, h, rest):
-        depth, last, top, p, encoding = parent
-        if w - h > top:
-            top = w - h
-        p = _extend_rows(p, depth, last, w, h)
-        n = max_weight - rest
-        buckets[n][top + r - 1].append(p)
-        # the module global, read per call, so a patched color_map is seen
-        member = color_map(p, widest)
-        if encoding is not None and len(member) == depth + 1 and member[:-1] == encoding:
-            # two exact ints per part: tuple equality lets 3.0 or True pass
-            # for one, and they hash alike too, so this runs before the key
-            # is looked up
-            for size, color in member:
-                if type(size) is not int or type(color) is not int:
-                    break
+    # per residue: (r, params, counts, suspects, encodings, ranks), where
+    # encodings[d] is the certified encoding at (M, r), or None, of the
+    # depth-d node on the walk's current path, and ranks maps (previous part
+    # or None, part, w, h) to the rank _part_rank gives, or None
+    states = {}
+    for r in residues:
+        params = IdentityParams(modulus, r)
+        counts = [[0] * (modulus - 2) for _ in range(max_weight + 1)]
+        counts[0][0] = 1
+        suspects: list[list[tuple[Partition, int]]] = [[] for _ in range(max_weight + 1)]
+        encodings = [None] * (max_weight + 2)
+        if certify:
+            # the module global, read per call, so a patched color_map is seen
+            if color_map((), params) == ():
+                encodings[0] = ()
             else:
-                key = (encoding[-1] if depth else None, member[-1], w, h)
-                rank = ranks.get(key, ...)  # ... marks a key not yet checked
-                if rank is ...:
-                    rank = ranks[key] = _part_rank(*key, widest)
-                if rank is not None and rank <= top:
-                    return depth + 1, h, top, p, member
-        suspects[n].append((p, top + r - 1))
-        return depth + 1, h, top, p, None
-
-    if certify:
-        # the empty member's certified encoding, or None
-        encoding = () if color_map((), widest) == () else None
-        if encoding is None:
-            suspects[0].append(((), 0))
-        file, root = file_certified, (0, 0, 1 - r, (), encoding)
-    else:
-        file, root = file_rows, (0, 0, 1 - r, ())
-    hi = widest.max_rank
+                suspects[0].append(((), 0))
+        states[r] = (r, params, counts, suspects, encodings, {})
+    # A chain whose ranks lie in [lo, t] is held by the residues r with
+    # 2 - lo <= r <= M - 2 - t; held[a][b] holds the states of the residues
+    # a..b, ascending (none when a > b).
+    low, high = min(residues), max(residues)
+    held = [
+        [tuple(states[r] for r in residues if a <= r <= b) for b in range(high + 1)]
+        for a in range(high + 1)
+    ]
     _, _, _, pairs = kernels._pair_sweep(
-        max_weight, max_weight, widest.min_rank, hi, max_weight
+        max_weight, max_weight, 2 - high, modulus - 2 - low, max_weight
     )
-    families._pair_descent(pairs, hi, file, root, len(pairs), max_weight + 1, max_weight)
-    return buckets, suspects
+    walk = (pairs, modulus, held, max_weight, color_map if certify else None)
+    _walk(walk, (), 0, 0, 1 - high, low, high, len(pairs), max_weight + 1, max_weight)
+    return {r: (counts, suspects) for r, _, counts, suspects, _, _ in states.values()}
+
+
+def _walk(walk, p, depth, last, top, low, high, w_head, h_head, budget) -> None:
+    # The walk of _members_by_top below one chain node: its rows p (None when
+    # nothing is encoded), its depth, last height and top rank, and the
+    # interval low..high of residues whose windows hold its ranks.  pairs is
+    # kernels._pair_sweep's over the union of the windows: pairs[w] lists
+    # (h, f(w, h)) for each pair of rank w - h in it, in ascending h, so
+    # ascending h the rank falls.  Every pair (w, h) below (w_head, h_head)
+    # that fits ``budget`` and leaves some residue holding the chain, w
+    # descending and h ascending, is counted for each such residue, and
+    # encoded and certified at its params when ``encode`` is set, then
+    # descended while budget is left.  A rank of at most M - 2 - low, the
+    # top of the node's widest window, bounds w below h_head + M - 2 - low.
+    # A module function, so no closure holds its state in a reference cycle.
+    pairs, modulus, held_of, max_weight, encode = walk
+    for w in range(min(w_head - 1, budget, h_head + modulus - 3 - low), 0, -1):
+        for h, _ in pairs[w]:
+            if h >= h_head or w + h - 1 > budget:
+                break
+            t = w - h
+            if t + high < 2:  # below every window left, and so is the rest
+                break
+            a = low if low + t >= 2 else 2 - t
+            b = high if high + t <= modulus - 2 else modulus - 2 - t
+            held = held_of[a][b]
+            if not held:
+                continue
+            node_top = t if t > top else top
+            rest = budget - w - h + 1
+            n = max_weight - rest
+            if encode is None:
+                q = None
+                for r, _, counts, _, _, _ in held:
+                    counts[n][node_top + r - 1] += 1
+            else:
+                q = _extend_rows(p, depth, last, w, h)
+                for r, params, counts, suspects, encodings, ranks in held:
+                    index = node_top + r - 1
+                    counts[n][index] += 1
+                    member = encode(q, params)
+                    encoding = encodings[depth]  # the parent's, for this residue
+                    if encoding is not None and len(member) == depth + 1 and member[:-1] == encoding:
+                        # two exact ints per part: tuple equality lets 3.0 or
+                        # True pass for one, and they hash alike too, so this
+                        # runs before the key is looked up
+                        for size, color in member:
+                            if type(size) is not int or type(color) is not int:
+                                break
+                        else:
+                            key = (encoding[-1] if depth else None, member[-1], w, h)
+                            rank = ranks.get(key, ...)  # ... marks a key not yet checked
+                            if rank is ...:
+                                rank = ranks[key] = _part_rank(*key, params)
+                            if rank is not None and rank <= node_top:
+                                encodings[depth + 1] = member
+                                continue
+                    encodings[depth + 1] = None
+                    suspects[n].append((q, index))
+            if rest:
+                _walk(walk, q, depth + 1, h, node_top, a, b, w, h, rest)
 
 
 def _part_rank(
@@ -466,9 +514,10 @@ def verify_identity_grid(
 
     scope: "product_counts", "bijection", or "both".  Records come in the
     caller's order: moduli as given (repeats included), and within each the
-    residues as given, or ascending by default.  The work runs residue by
-    residue (see :func:`_residue_records`).  Every modulus and residue must
-    be an int and ``n_max`` a nonnegative int, each checked before any work.
+    residues as given, or ascending by default.  One walk at the widest
+    modulus serves every cell (see :func:`_residue_records`).  Every modulus
+    and residue must be an int and ``n_max`` a nonnegative int, each checked
+    before any work.
     """
     if scope not in ("product_counts", "bijection", "both"):
         raise ValueError(f"unknown scope {scope!r}")
@@ -480,10 +529,7 @@ def verify_identity_grid(
             families._require_int(value, name)
     cells = _identity_cells(moduli, residues)
     scopes = ("product_counts", "bijection") if scope == "both" else (scope,)
-    records_of: dict[IdentityParams, list[CheckRecord]] = {}
-    for residue in sorted({params.residue for params in cells}):
-        distinct = [params for params in dict.fromkeys(cells) if params.residue == residue]
-        records_of.update(_residue_records(distinct, n_max, scopes))
+    records_of = _residue_records(list(dict.fromkeys(cells)), n_max, scopes) if cells else {}
     return VerificationReport(
         f"{scope} grid", tuple(record for params in cells for record in records_of[params])
     )

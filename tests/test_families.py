@@ -31,7 +31,6 @@ from colorpartitions.families import (
     _admissible_colors,
     _descend,
     _exact_children,
-    _pair_descent,
     colored_head_counts,
     colored_members_up_to,
     frequency_counts,
@@ -40,6 +39,7 @@ from colorpartitions.families import (
 from colorpartitions.partitions import _rows_from_pairs, partitions_of
 from colorpartitions.render import bijection_rows
 from colorpartitions.series import bosonic_sum, restricted_product
+from colorpartitions import verify
 from colorpartitions.verify import _members_by_top
 
 P71 = IdentityParams(7, 1)
@@ -91,40 +91,102 @@ def test_degenerate_window_is_empty():
     assert rank_window_members(p31, 0) == [()]
 
 
-def rank_window_members_up_to(params, max_weight):
-    # oracle: rank-window members bucketed by weight, one exact-weight
-    # descent per weight
-    return [rank_window_members(params, n) for n in range(max_weight + 1)]
+def _with_mutant(mutant, action):
+    # run action() with verify.color_map replaced by mutant(real), if any
+    if mutant is None:
+        return action()
+    real = verify.color_map
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "color_map", mutant(real))
+        return action()
 
 
-def rank_window_members_by_top(params, max_weight):
-    # the library's filing by top rank (which lives in verify, its caller)
-    buckets, suspects = _members_by_top(params, max_weight)
-    assert suspects == [[] for _ in buckets]  # every round trip passes
-    return buckets
+def _all_suspects(real):
+    # () encodes to ((1, 1),), so the empty member is a suspect and
+    # certifies no chain: every member is one
+    return lambda p, params: real(p, params) if p else ((1, 1),)
+
+
+def _residue_two_misencoded(real):
+    # colors one too high on parts of size at least 5, at r = 2 only
+    def encode(p, params):
+        member = real(p, params)
+        if params.residue != 2:
+            return member
+        return tuple((size, color + (size >= 5)) for size, color in member)
+
+    return encode
+
+
+def members_by_top(modulus, residues, max_weight):
+    # every member of one shared walk, per residue, as (member, run index),
+    # read from its suspects under the all-suspects mutant; the counts by
+    # top rank are those of the suspects
+    walked = _with_mutant(_all_suspects, lambda: _members_by_top(modulus, residues, max_weight))
+    filed = {}
+    for r, (counts, suspects) in walked.items():
+        for n, members in enumerate(suspects):
+            tally = [0] * (modulus - 2)
+            for _, index in members:
+                tally[index] += 1
+            assert tally == counts[n], (r, n)
+        filed[r] = suspects
+    return filed
+
+
+def filtered_by_top(params, n):
+    # the filtered oracle's members of weight n, each with its run index:
+    # top rank t files at t + r - 1, the empty member at 0
+    r = params.residue
+    top = lambda p: max(successive_ranks(p), default=1 - r)
+    return sorted((p, top(p) + r - 1) for p in _window_filter(params, n))
 
 
 def test_shared_descent_matches_per_modulus_descents():
-    # one descent at the widest modulus of a residue, cut per modulus at its
-    # top rank (the first M - 2 runs), against one descent per modulus:
-    # bucket for bucket, each run holding exactly its top rank
-    for r in range(1, 7):
-        widest = IdentityParams(13, r)
-        buckets = rank_window_members_by_top(widest, 22)
-        assert len(buckets) == 23
-        for runs in buckets:
-            assert len(runs) == 11
-            for index, run in enumerate(runs):
-                tops = {max(successive_ranks(p), default=1 - r) for p in run}
-                assert tops <= {index + 1 - r}
+    # one walk at the widest modulus for every residue: under the
+    # all-suspects mutant each residue's suspects list its members with
+    # their run index, as the filtered oracle files them by top rank; on
+    # correct code the counts are the same and no member is a suspect, and
+    # the first M - 2 runs of each residue count its members at M
+    residues = range(1, 7)
+    filed = members_by_top(13, residues, 22)
+    walked = _members_by_top(13, residues, 22)
+    assert sorted(filed) == sorted(walked) == list(residues)
+    for r in residues:
+        counts, suspects = walked[r]
+        assert len(counts) == len(filed[r]) == 23
+        assert suspects == [[] for _ in range(23)]
+        for n in range(23):
+            assert len(counts[n]) == 11
+            assert sorted(filed[r][n]) == filtered_by_top(IdentityParams(13, r), n), (r, n)
+            assert sum(counts[n]) == len(filed[r][n])
         for modulus in range(max(3, 2 * r), 14):
             params = IdentityParams(modulus, r)
-            cut = [
-                sorted(itertools.chain.from_iterable(runs[: modulus - 2]), reverse=True)
-                for runs in buckets
-            ]
-            assert cut == rank_window_members_up_to(params, 22), params
-    assert rank_window_members_by_top(IdentityParams(3, 1), 4) == [[[()]], [[]], [[]], [[]], [[]]]
+            cut = [sum(runs[: modulus - 2]) for runs in counts]
+            assert cut == rank_window_counts(params, 22), params
+    assert _members_by_top(3, [1], 4) == {1: ([[1], [0], [0], [0], [0]], [[]] * 5)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    modulus=st.integers(3, 13),
+    n=st.integers(0, 18),
+    mutant=st.sampled_from([None, _all_suspects, _residue_two_misencoded]),
+)
+def test_shared_walk_matches_one_residue_walks(data, modulus, n, mutant):
+    # the walk over several residues' windows against one walk per residue:
+    # the same counts by top rank and the same suspects, in the same order,
+    # with the certificate on and off
+    residues = sorted(data.draw(st.sets(st.integers(1, modulus // 2), min_size=1)))
+    certify = data.draw(st.booleans())
+    shared = _with_mutant(mutant, lambda: _members_by_top(modulus, residues, n, certify=certify))
+    assert sorted(shared) == residues
+    for r in residues:
+        alone = _with_mutant(mutant, lambda: _members_by_top(modulus, [r], n, certify=certify))
+        assert shared[r] == alone[r], r
+        if not certify:
+            assert shared[r][1] == [[] for _ in range(n + 1)]
 
 
 def test_rank_window_counts_match_members():
@@ -178,7 +240,7 @@ def test_colored_members_weight_zero():
 
 WEIGHTED_ROUTES = (
     lambda w: rank_window_members(P71, w),
-    lambda w: rank_window_members_by_top(P71, w),
+    lambda w: _members_by_top(7, [1], w),
     lambda w: rank_window_counts(P71, w),
     lambda w: boxed_members(P71, w, 4, 4),
     lambda w: colored_members(P71, w),
@@ -361,8 +423,8 @@ def test_chain_descent_matches_filter(data, modulus, n):
     expected = _window_filter(params, n)
     assert rank_window_members(params, n) == expected
     top = data.draw(st.integers(n, 40))
-    runs = rank_window_members_by_top(params, top)[n]
-    assert sorted(itertools.chain(*runs), reverse=True) == expected
+    filed = members_by_top(modulus, [params.residue], top)[params.residue][n]
+    assert sorted(filed) == filtered_by_top(params, n)
     max_part = data.draw(st.integers(0, n + 1))
     max_length = data.draw(st.integers(0, n + 1))
     members = set(expected)
@@ -421,6 +483,28 @@ def test_descend_hands_each_node_its_parents_value():
         assert rest == 5 - sum(node)
     # the root and each node with budget left are descended, no other
     assert heads == [(None, 5)] + [(node, rest) for _, node, rest in filed if rest]
+
+
+def _pair_descent(pairs, hi, file, parent, w_head, h_head, budget):
+    # The all-chains oracle: depth-first descent over Frobenius pair chains
+    # (w_1, h_1) > (w_2, h_2) > ..., both coordinates strictly decreasing,
+    # ranks w - h in the window, weight sum(w + h - 1), as
+    # kernels._pair_sweep hands them over: pairs[w] lists (h, f(w, h)) for
+    # each admissible pair of the box in ascending h.  Every pair below
+    # (w_head, h_head) that fits ``budget`` is filed, w descending and h
+    # ascending, as file(parent, w, h, rest) with rest the budget left
+    # after it; the value returned is the ``parent`` its own children
+    # receive, and the pair is descended while rest is nonzero.  A rank of
+    # at most hi, the window's top, bounds w below h_head + hi.  The root
+    # call passes w_head = len(pairs) and h_head = top + 1.
+    for w in range(min(w_head - 1, budget, h_head - 1 + hi), 0, -1):
+        for h, _ in pairs[w]:
+            if h >= h_head or w + h - 1 > budget:
+                break
+            rest = budget - w - h + 1
+            value = file(parent, w, h, rest)
+            if rest:
+                _pair_descent(pairs, hi, file, value, w, h, rest)
 
 
 def _walk_pairs(params, top, exact):
@@ -506,8 +590,9 @@ def test_descents_leave_no_reference_cycles():
         gc.collect()
         for route in (
             lambda: rank_window_members(P71, 20),
-            lambda: rank_window_members_by_top(IdentityParams(9, 1), 30),
-            lambda: _members_by_top(IdentityParams(9, 1), 30, certify=False)[0],
+            lambda: _members_by_top(9, [1, 2, 3, 4], 30),
+            lambda: members_by_top(9, [1, 2, 3, 4], 30),
+            lambda: _members_by_top(9, [1, 2, 3, 4], 30, certify=False),
             lambda: bijection_rows(P71, 20),
             lambda: boxed_members(P71, 20, 8, 8),
             lambda: colored_members_up_to(P71, 30),

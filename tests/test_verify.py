@@ -123,10 +123,12 @@ def test_product_counts_detects_lossy_window_enumeration(monkeypatch):
 
     real = verify._members_by_top
 
-    def lossy(params, max_weight, **options):
-        buckets, suspects = real(params, max_weight, **options)
-        next(run for run in buckets[6] if run).pop()
-        return buckets, suspects
+    def lossy(modulus, residues, max_weight, **options):
+        walked = real(modulus, residues, max_weight, **options)
+        for counts, _ in walked.values():
+            row = counts[6]
+            row[next(index for index, count in enumerate(row) if count)] -= 1
+        return walked
 
     # the one filing the grid and the single-cell checks share
     monkeypatch.setattr(verify, "_members_by_top", lossy)
@@ -360,6 +362,33 @@ def test_grid_records_match_the_per_cell_loop(monkeypatch, mutant):
             expected += [_product_counts_oracle(params, 14), _bijection_oracle(params, 14)]
     assert report.records == tuple(expected)
     assert report.passed == (mutant is None)
+
+
+def test_one_misencoded_residue_fails_only_its_bijection_records(monkeypatch):
+    # the shared walk certifies each residue on its own: a color_map that
+    # mis-encodes only r = 2 fails exactly the r = 2 bijection records, each
+    # the one the per-cell loop gives, and every other record passes
+    from colorpartitions import coloring
+
+    real = coloring.color_map
+
+    def encode(p, params):
+        member = real(p, params)
+        if params.residue != 2:
+            return member
+        return tuple((size, color + (size >= 5)) for size, color in member)
+
+    _patch_everywhere(monkeypatch, "color_map", encode)
+    moduli = (4, 5, 6, 7, 8, 9)
+    report = verify_identity_grid(moduli=moduli, n_max=14)
+    expected = []
+    for modulus in moduli:
+        for residue in range(1, modulus // 2 + 1):
+            params = IdentityParams(modulus, residue)
+            expected += [_product_counts_oracle(params, 14), _bijection_oracle(params, 14)]
+    assert report.records == tuple(expected)
+    failed = [(r.scope, r.params) for r in report.records if not r.ok]
+    assert failed == [("bijection", f"M={m} r=2") for m in moduli]
 
 
 def test_counts_scope_encodes_no_member(monkeypatch):

@@ -289,7 +289,7 @@ def _check_member_limit(scope: str, moduli, residues, n_max: int) -> None:
     count = sum(sum(families.rank_window_counts(params, n_max)) for params in widest.values())
     if count > VERIFY_MEMBER_LIMIT:
         raise ValueError(
-            f"verify {scope} --n-max {n_max} builds {count:,} members, "
+            f"verify {scope} --n-max {n_max} encodes {count:,} (member, residue) pairs, "
             f"over the limit of {VERIFY_MEMBER_LIMIT:,}"
         )
 

@@ -163,9 +163,8 @@ def color_map(parts: Partition, params: IdentityParams) -> ColoredPartition:
         if rank < lo or rank > hi:
             raise _outside_window(rank, i + 1, params)
         length = row + height - 2 * i - 1
+        # rank + length = 2 * row - 2i - 1 is odd, so the numerator is even
         numerator = rank + r - 1 + ((length - r) & 1)
-        if numerator & 1:
-            raise AssertionError("length and rank parities violate the angle parity law")
         encoded.append((length, numerator >> 1))
         i += 1
     return tuple(encoded)
@@ -173,10 +172,8 @@ def color_map(parts: Partition, params: IdentityParams) -> ColoredPartition:
 
 def rank_from_color(length: int, color: int, params: IdentityParams) -> int:
     """Rank encoded by a colored part: 2c-r+1 on shared parity, else 2c-r."""
-    r = params.residue
-    if (length - r) % 2 == 0:
-        return 2 * color - r + 1
-    return 2 * color - r
+    width, height = _decode_part(length, color, params.residue)
+    return width - height
 
 
 class ConditionCheck(NamedTuple):
@@ -242,10 +239,12 @@ def check_conditions(colored: ColoredPartition, params: IdentityParams) -> Condi
 
 # Conditions (i) and (ii), each defined once here; (iii) with the color range
 # is the rank bound of check_conditions.  The colored enumeration, the
-# head-count DP and check_conditions all use these; color_map does not, so
-# encoding rank-window members still exposes a predicate that is too loose
-# (the families differ) or too strict (the decode refuses).  "Sharing the
-# residue's parity" is (x - r) % 2 == 0, tested by rank_from_color and (ii).
+# head-count DP and check_conditions all use these, with the rank a part
+# encodes read by rank_from_color from the pair _decode_part gives; color_map
+# does not, so encoding rank-window members still exposes a predicate that
+# is too loose (the families differ) or too strict (the decode refuses).
+# "Sharing the residue's parity" is (x - r) % 2 == 0, tested by (ii); the
+# decode's floor division holds the same case split for (i) and (iii).
 
 
 def _size_ok(size: int, rank: int) -> bool:
@@ -283,20 +282,12 @@ def inverse_map(colored: ColoredPartition, params: IdentityParams) -> Partition:
     return _rows_from_pairs([_decode_part(size, color, r) for size, color in colored])
 
 
-def _encode_part(width: int, height: int, residue: int) -> tuple[int, int]:
-    # The colored part of one angle, color_map's formula for one diagonal
-    # cell; _decode_part inverts it.
-    rank, length = width - height, width + height - 1
-    numerator = rank + residue - 1 + ((length - residue) & 1)
-    if numerator & 1:
-        raise AssertionError("length and rank parities violate the angle parity law")
-    return length, numerator >> 1
-
-
 def _decode_part(size: int, color: int, residue: int) -> tuple[int, int]:
-    # The (width, height) pair of one colored part: width - height = rank and
+    # The (width, height) pair of one colored part, the inverse of
+    # color_map's formula for one diagonal cell: width - height = rank and
     # width + height - 1 = size give width color + (size - r) // 2 + 1 on
-    # either parity.
+    # either parity.  The one backward formula: rank_from_color, the box
+    # law and inverse_map all read it.
     width = color + (size - residue) // 2 + 1
     return width, size - width + 1
 
@@ -306,15 +297,15 @@ def check_box_condition(
 ) -> bool:
     """Whether the decoded member fits ``max_height`` rows x ``max_width`` columns.
 
-    Only the largest part matters: with X = 2*c1 - r + (height - width), the
-    first part must satisfy (width + height - 1) - size1 >= max(X, -X-1).
-    The empty colored partition always fits.
+    Only the largest part matters: the member's first row is the width of
+    its first pair and its length that pair's height, so the box holds it
+    exactly when the first part decodes to a pair that fits the box.  The
+    empty colored partition always fits.
     """
     if not colored:
         return True
-    size, color = colored[0]
-    shift = 2 * color - params.residue + (max_height - max_width)
-    return (max_width + max_height - 1) - size >= max(shift, -shift - 1)
+    width, height = _decode_part(*colored[0], params.residue)
+    return width <= max_width and height <= max_height
 
 
 def alt_color_map(parts: Partition, params: IdentityParams) -> ColoredPartition:

@@ -17,7 +17,11 @@ builds no rows.  The member lists and the table ask for one exact weight,
 and their walk (``_window_rows``) reads a per-call child table:
 ``_exact_children`` lists the children of each chain state once, and
 ``_exact_rows`` walks the lists, extending each chain's ranks and encoding
-from its parent's by one entry made once per pair.
+from its parent's by one entry made once per pair: its rank w - h and the
+part :func:`~colorpartitions.coloring.color_map` gives its one-pair chain,
+so the table, the public map and ``verify`` share one encoding formula.
+The colored family comes from its membership conditions alone, by a
+depth-first recursion over (size, color) parts (``_colored_chains``).
 Per-weight fast counts go through the Frobenius-pair counting kernel (rank
 windows), a transfer matrix over heads with one running sum per (color,
 size-parity) class (colored family), or one over part frequencies
@@ -35,7 +39,6 @@ from . import kernels
 from .coloring import (
     ColoredPartition,
     IdentityParams,
-    _encode_part,
     _gap_ok,
     _size_ok,
     check_conditions,
@@ -89,10 +92,11 @@ def _window_rows(
     # builds the per-call child table of the chains that reach weight n, and
     # _exact_rows walks it: a node's rows, ranks and encoding are its
     # parent's extended by its last pair (w, h), the rows by _extend_rows,
-    # the ranks by w - h and the encoding by the colored part _encode_part
-    # gives.  Each pair's rank and part are made once per call, so every row
-    # holding a pair shares one part tuple for it.  The table is per call:
-    # its parts depend on the residue, its pairs on the window and the box.
+    # the ranks by w - h and the encoding by color_map's part for the
+    # one-pair chain (w, h).  Each pair's rank and part are made once per
+    # call, so every row holding a pair shares one part tuple for it.  The
+    # table is per call: its parts depend on the residue, its pairs on the
+    # window and the box.
     hi = params.max_rank
     # the sweep refuses a non-int box side, at n = 0 too
     _, _, bits, pairs = kernels._pair_sweep(max_part, max_length, params.min_rank, hi, n)
@@ -102,14 +106,14 @@ def _window_rows(
     # walk and the table before the sort
     rows = []
     _exact_rows(
-        _exact_children(pairs, hi, bits, params.residue, ({}, {}, {}), len(pairs), n + 1, n),
+        _exact_children(pairs, hi, bits, params, ({}, {}, {}), len(pairs), n + 1, n),
         rows, (), 0, 0, (), (),
     )
     rows.sort(key=itemgetter(0), reverse=True)
     return rows
 
 
-def _exact_children(pairs, hi, bits, r, memo, w_head, h_head, budget) -> list:
+def _exact_children(pairs, hi, bits, params, memo, w_head, h_head, budget) -> list:
     # The children of the chain state (w_head, h_head, budget) in the walk
     # of one exact weight: each pair (w, h) below (w_head, h_head) that
     # fits the budget, w descending and h ascending, as (w, h, (w - h,),
@@ -129,9 +133,11 @@ def _exact_children(pairs, hi, bits, r, memo, w_head, h_head, budget) -> list:
     # memo = (lists, nodes, entries) keeps one list per state key, built on
     # the key's first visit, one child tuple per (w, h, budget), shared by
     # every list, and each pair's rank and part tuples, shared by every
-    # child.  (At table 10 5 40 the 2,925 list entries hold 634 child
-    # tuples; a tuple per entry raised the walk's peak RSS above the
-    # per-frame scan's.)  The budget falls along every edge, so the lists
+    # child.  A pair's part tuple is color_map of its one-pair chain, whose
+    # rows _extend_rows gives: a chain's encoding is its parts in order,
+    # each read from its own pair alone.  (At table 10 5 40 the 2,925 list
+    # entries hold 634 child tuples; a tuple per entry raised the walk's
+    # peak RSS above the per-frame scan's.)  The budget falls along every edge, so the lists
     # hold no reference cycle.
     lists, nodes, entries = memo
     key = (min(w_head - 1, budget, h_head - 1 + hi), min(h_head, budget + 1), budget)
@@ -151,9 +157,13 @@ def _exact_children(pairs, hi, bits, r, memo, w_head, h_head, budget) -> list:
             if node is None:
                 entry = entries.get((w, h))
                 if entry is None:
-                    entry = entries[w, h] = ((w - h,), (_encode_part(w, h, r),))
+                    entry = entries[w, h] = (
+                        (w - h,), color_map(_extend_rows((), 0, 0, w, h), params)
+                    )
                 rest = budget - w - h + 1
-                below = _exact_children(pairs, hi, bits, r, memo, w, h, rest) if rest else None
+                below = (
+                    _exact_children(pairs, hi, bits, params, memo, w, h, rest) if rest else None
+                )
                 node = nodes[w, h, budget] = (w, h, *entry, below)
             children.append(node)
     return children
@@ -170,21 +180,6 @@ def _exact_rows(children, rows, p, depth, last, ranks, colored) -> None:
             rows.append((q, ranks + rank, colored + part))
         else:
             _exact_rows(below, rows, q, depth + 1, h, ranks + rank, colored + part)
-
-
-def _descend(children, file, parent, head, budget) -> None:
-    # Depth-first descent over chains of nodes: children(head, budget) yields
-    # each node that may follow ``head`` (None at the root) with the budget
-    # left after it, and file(parent, node, rest) takes each node with the
-    # value returned for its parent (``parent`` itself for the root's
-    # children) and returns the value the node's own children receive.  A
-    # node with nothing left to spend is not descended.  The recursion is a
-    # module function, so no closure holds its output in a reference cycle.
-    # The colored enumeration's walk.
-    for node, rest in children(head, budget):
-        value = file(parent, node, rest)
-        if rest:
-            _descend(children, file, value, node, rest)
 
 
 def rank_window_counts(params: IdentityParams, max_weight: int) -> list[int]:
@@ -319,24 +314,26 @@ def colored_members_up_to(
     if max_size is not None:
         _require_int(max_size, "max_size")
     start = max_weight if max_size is None else min(max_size, max_weight)
-    colors_of = _admissible_colors(params, start)
-
-    def children(head, budget):
-        # the parts that may follow head, or every admissible part at the root
-        size_bound = start if head is None else head[0] - 2
-        for size in range(min(size_bound, budget), 0, -1):
-            for color in colors_of[size]:
-                if head is None or _gap_ok(*head, size, color, params):
-                    yield (size, color), budget - size
-
-    def file(chain, part, rest):
-        chain += (part,)
-        buckets[max_weight - rest].append(chain)
-        return chain
-
     buckets: list[list[ColoredPartition]] = [[()]] + [[] for _ in range(max_weight)]
-    _descend(children, file, (), None, max_weight)
+    _colored_chains(params, _admissible_colors(params, start), buckets, (), start, max_weight)
     return buckets
+
+
+def _colored_chains(params, colors_of, buckets, chain, size_bound, budget) -> None:
+    # Files in ``buckets`` by weight each extension of ``chain`` by one
+    # admissible part of size at most size_bound and budget that may follow
+    # its last part under condition (ii), each followed by its own
+    # extensions, depth first.  A module function, so no closure holds the
+    # buckets in a reference cycle.
+    head = chain[-1] if chain else None
+    for size in range(min(size_bound, budget), 0, -1):
+        for color in colors_of[size]:
+            if head is None or _gap_ok(*head, size, color, params):
+                longer = chain + ((size, color),)
+                rest = budget - size
+                buckets[-1 - rest].append(longer)
+                if rest:
+                    _colored_chains(params, colors_of, buckets, longer, size - 2, rest)
 
 
 def colored_members(params: IdentityParams, n: int) -> list[ColoredPartition]:

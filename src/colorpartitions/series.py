@@ -150,9 +150,8 @@ def restricted_product(params: IdentityParams, order: int) -> TruncatedSeries:
 
 def _theta_exponent(params: IdentityParams, j: int) -> int:
     m = params.modulus
-    value, remainder = divmod(j * (m * j + m - 2 * params.residue), 2)
-    assert remainder == 0, "theta exponent must be an integer"
-    return value
+    # exact: j(Mj + M - 2r) = M j(j + 1) - 2rj is even for every int j
+    return j * (m * j + m - 2 * params.residue) // 2
 
 
 def bosonic_sum(params: IdentityParams, order: int) -> TruncatedSeries:

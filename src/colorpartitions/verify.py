@@ -473,10 +473,11 @@ def _admitted_series(
 ) -> int:
     # The packed sum of the series of the heads the size's box admits: the
     # empty head's ``empty`` if finitized_top_ok admits (), plus per color the
-    # running sum of its admitted heads.  The box law reads a head (s, c)
-    # only through (W + H - 1) - s, so per color it admits the smallest
-    # heads: bisecting finitized_top_ok on the color's heads, ascending in
-    # size, counts them.
+    # running sum of its admitted heads.  The box law decodes a head (s, c)
+    # to its pair (w, h) and asks w <= W and h <= H; within one color both
+    # coordinates grow with s, so per color it admits the smallest heads:
+    # bisecting finitized_top_ok on the color's heads, ascending in size,
+    # counts them.
     def refused(head):
         return not finitized_top_ok(head, params, size)
 

@@ -135,7 +135,7 @@ def test_verify_refuses_a_grid_past_its_member_limit_before_any_work(
     monkeypatch.setattr(cli.verify, "_members_by_top", _no_members)
     code, out, err = run_cli(capsys, "verify", *argv)
     assert (code, out) == (2, "")
-    assert f"builds {count} members, over the limit of 2,000,000" in err
+    assert f"encodes {count} (member, residue) pairs, over the limit of 2,000,000" in err
 
 
 def test_verify_refuses_a_weight_past_its_weight_limit_before_the_count(capsys, monkeypatch):

@@ -363,12 +363,18 @@ def enumerate_boxed(params, n, max_width, max_height):
 
 
 def test_box_condition_against_enumeration():
-    # the box law must select exactly the colored images of box-bounded members
-    u, v = 5, 3
-    for n in range(16):
-        boxed = {color_map(p, P71) for p in enumerate_boxed(P71, n, u, v)}
-        for c in colored_members(P71, n):
-            assert check_box_condition(c, P71, u, v) == (c in boxed)
+    # the box law must select exactly the colored images of box-bounded
+    # members, at both parities, at 2r = M and in every box up to 6 x 6
+    for params in (P71, P83, IdentityParams(8, 4), IdentityParams(6, 1)):
+        for n in range(16):
+            colored = colored_members(params, n)
+            for u in range(7):
+                for v in range(7):
+                    boxed = {color_map(p, params) for p in enumerate_boxed(params, n, u, v)}
+                    for c in colored:
+                        assert check_box_condition(c, params, u, v) == (c in boxed), (
+                            params, u, v, c
+                        )
 
 
 def test_box_condition_trivial_cases():

@@ -26,10 +26,9 @@ from colorpartitions import (
     rank_window_members,
     successive_ranks,
 )
-from colorpartitions.coloring import _encode_part, _gap_ok, check_box_condition, color_map
+from colorpartitions.coloring import _gap_ok, check_box_condition, color_map
 from colorpartitions.families import (
     _admissible_colors,
-    _descend,
     _exact_children,
     colored_head_counts,
     colored_members_up_to,
@@ -458,33 +457,6 @@ def test_window_rows_match_the_filtered_oracle(data, modulus, n):
         assert families._window_rows(params, n, max_part, max_length) == expected, params
 
 
-def test_descend_hands_each_node_its_parents_value():
-    # toy chains: the sequences of steps 1 and 2, each node the whole
-    # sequence so far, spending its last step
-    heads = []
-
-    def children(head, budget):
-        heads.append((head, budget))
-        for step in (1, 2):
-            if step <= budget:
-                yield (head or ()) + (step,), budget - step
-
-    root, value_of, filed = object(), {}, []
-
-    def file(parent, node, rest):
-        filed.append((parent, node, rest))
-        value = value_of[node] = object()
-        return value
-
-    _descend(children, file, root, None, 5)
-    assert len(value_of) == len(filed) == 1 + 2 + 3 + 5 + 8  # every sum 1..5
-    for parent, node, rest in filed:
-        assert parent is (value_of[node[:-1]] if len(node) > 1 else root)
-        assert rest == 5 - sum(node)
-    # the root and each node with budget left are descended, no other
-    assert heads == [(None, 5)] + [(node, rest) for _, node, rest in filed if rest]
-
-
 def _pair_descent(pairs, hi, file, parent, w_head, h_head, budget):
     # The all-chains oracle: depth-first descent over Frobenius pair chains
     # (w_1, h_1) > (w_2, h_2) > ..., both coordinates strictly decreasing,
@@ -524,7 +496,7 @@ def _walk_pairs(params, top, exact):
 
     def read(children, parent, budget):
         for w, h, rank, part, below in children:
-            assert (rank, part) == ((w - h,), (_encode_part(w, h, params.residue),))
+            assert (rank, part) == ((w - h,), color_map(_rows_from_pairs([(w, h)]), params))
             rest = budget - w - h + 1
             assert (below is None) == (rest == 0)
             value = file(parent, w, h, rest)
@@ -533,7 +505,7 @@ def _walk_pairs(params, top, exact):
 
     if exact:
         memo = lists, nodes, entries = {}, {}, {}
-        root = _exact_children(pairs, hi, bits, params.residue, memo, len(pairs), top + 1, top)
+        root = _exact_children(pairs, hi, bits, params, memo, len(pairs), top + 1, top)
         read(root, (), top)
         # one tuple per (w, h, budget), sharing one rank and part per pair
         for (_, _, budget), children in lists.items():

@@ -20,6 +20,7 @@ from colorpartitions.verify import verify_all
 GRID = dict(n_max=20, gordon_n_max=20, odd_size_max=8, even_size_max=6)
 CACHED_BINOMIAL = series.gaussian_binomial
 SIZE_OK, GAP_OK, DECODE_PART = coloring._size_ok, coloring._gap_ok, coloring._decode_part
+COLOR_MAP = coloring.color_map
 
 
 def bumped(coefficients, degree):
@@ -88,6 +89,11 @@ def decode_wide_from_size_seven(size, color, residue):
     return (width + 1, height - 1) if size >= 7 else (width, height)
 
 
+def color_map_bumps_size_seven(parts, params):
+    # the encoding gives one more color to every part of size 7 or more
+    return tuple((size, color + (size >= 7)) for size, color in COLOR_MAP(parts, params))
+
+
 KNOCKOUTS = [
     ("restricted_product", series, series_plus_one("restricted_product", 12),
      {"product_counts": 15, "bijection": 15, "gordon": 5}),
@@ -109,7 +115,10 @@ KNOCKOUTS = [
     # this case; a local certificate of the bijection at every weight is
     # what would fill this row.
     ("_gap_ok", coloring, gap_ok_admits_one_between_color_ones, {}),
-    ("_decode_part", coloring, decode_wide_from_size_seven, {"bijection": 18}),
+    # With one decode formula the rank a color encodes reads it too, so the
+    # top-part count of the finitized records sees it as well.
+    ("_decode_part", coloring, decode_wide_from_size_seven, {"bijection": 18, "finitized": 18}),
+    ("color_map", coloring, color_map_bumps_size_seven, {"bijection": 18}),
 ]
 
 

@@ -17,8 +17,9 @@ from colorpartitions import (
     rank_window_members,
     successive_ranks,
 )
-from colorpartitions import cli
-from colorpartitions.coloring import _decode_part, _encode_part
+from colorpartitions import cli, families
+from colorpartitions.coloring import _decode_part
+from colorpartitions.partitions import _rows_from_pairs
 from colorpartitions.render import bijection_rows, format_ranks, render_table
 
 
@@ -35,9 +36,22 @@ def test_bijection_rows_match_the_per_member_route(data, modulus, n):
     for width in range(1, n + 1):
         for height in range(1, n + 2 - width):
             if params.rank_in_window(width - height):
-                part = _encode_part(width, height, r)
+                (part,) = color_map(_rows_from_pairs([(width, height)]), params)
                 assert part[0] == width + height - 1
                 assert _decode_part(*part, r) == (width, height)
+
+
+def test_bijection_rows_encode_through_color_map(monkeypatch):
+    # the table's parts come from color_map, so a changed encoding shows in
+    # its rows: one more color on every part of size 7 or more
+    def bump(colored):
+        return tuple((size, color + (size >= 7)) for size, color in colored)
+
+    params = IdentityParams(9, 2)
+    rows = bijection_rows(params, 12)
+    monkeypatch.setattr(families, "color_map", lambda parts, params: bump(color_map(parts, params)))
+    expected = [(p, ranks, bump(colored)) for p, ranks, colored in rows]
+    assert bijection_rows(params, 12) == expected != rows
 
 
 @pytest.mark.parametrize("n", [3.0, -1, True])

@@ -20,9 +20,11 @@ from .partitions import parse_partition
 
 FORMATS = ("text", "csv", "json")
 
-# The most rows ``table`` builds (about 380 bytes of tuples each, rows
-# sharing their colored parts, so about 190 MB before any text); a larger
-# request exits 2 before any descent.
+# The most rows ``table`` builds; a larger request exits 2 before any
+# descent.  At table 12 6 60 (230,089 rows) the text walk peaked at 305
+# bytes a row (lines, sort keys and joined text), about 150 MB at the
+# limit, and the row path of CSV and JSON at 390 bytes of tuples a row
+# (rows share their colored parts), about 195 MB before any text.
 TABLE_ROW_LIMIT = 500_000
 
 # The heaviest weight ``table`` accepts; past it the request exits 2 before
@@ -194,8 +196,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
             f"table {params.modulus} {params.residue} {args.weight} has {count:,} rows, "
             f"over the limit of {TABLE_ROW_LIMIT:,}"
         )
-    rows = render.bijection_rows(params, args.weight)
-    _emit(render.render_table(params, args.weight, rows, args.format), args.output)
+    if args.format == "text":
+        text = render.table_text(params, args.weight)
+    else:
+        rows = render.bijection_rows(params, args.weight)
+        text = render.render_table(params, args.weight, rows, args.format)
+    _emit(text, args.output)
     return 0
 
 

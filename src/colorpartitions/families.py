@@ -14,12 +14,13 @@ modulus (``verify._members_by_top``).  For a bijection record it also
 encodes each node once per residue that holds it and checks each new part
 once per (previous part, part, pair) per residue; for the count records it
 builds no rows.  The member lists and the table ask for one exact weight,
-and their walk (``_window_rows``) reads a per-call child table:
-``_exact_children`` lists the children of each chain state once, and
-``_exact_rows`` walks the lists, extending each chain's ranks and encoding
-from its parent's by one entry made once per pair: its rank w - h and the
-part :func:`~colorpartitions.coloring.color_map` gives its one-pair chain,
-so the table, the public map and ``verify`` share one encoding formula.
+and their walks read a per-call child table (``_exact_root``), in which
+``_exact_children`` lists each chain state's children once, each with one
+entry made once per pair: its rank w - h and the part
+:func:`~colorpartitions.coloring.color_map` gives its one-pair chain, so
+the table, the public map and ``verify`` share one encoding formula.
+``_exact_rows`` extends each chain's rows, ranks and encoding from its
+parent's; the text table's walk (``render.table_text``) extends its line.
 The colored family comes from its membership conditions alone, by a
 depth-first recursion over (size, color) parts (``_colored_chains``).
 Per-weight fast counts go through the Frobenius-pair counting kernel (rank
@@ -80,7 +81,6 @@ def rank_window_members(params: IdentityParams, n: int) -> list[Partition]:
 
     Reverse-lexicographic order, as :func:`ranked_partitions` filtered.
     """
-    _require_weight(n, "n")
     return [p for p, _, _ in _window_rows(params, n, n, n)]
 
 
@@ -88,29 +88,28 @@ def _window_rows(
     params: IdentityParams, n: int, max_part: int, max_length: int
 ) -> list[tuple[Partition, tuple[int, ...], ColoredPartition]]:
     # The rank-window members of weight exactly n in the box, each with its
-    # ranks and encoding, in reverse-lexicographic order.  _exact_children
-    # builds the per-call child table of the chains that reach weight n, and
-    # _exact_rows walks it: a node's rows, ranks and encoding are its
-    # parent's extended by its last pair (w, h), the rows by _extend_rows,
-    # the ranks by w - h and the encoding by color_map's part for the
-    # one-pair chain (w, h).  Each pair's rank and part are made once per
-    # call, so every row holding a pair shares one part tuple for it.  The
-    # table is per call: its parts depend on the residue, its pairs on the
-    # window and the box.
+    # ranks and encoding, in reverse-lexicographic order.
+    root = _exact_root(params, n, max_part, max_length)
+    if root is None:
+        return [((), (), ())]
+    rows = []
+    _exact_rows(root, rows, (), 0, 0, (), ())
+    rows.sort(key=itemgetter(0), reverse=True)
+    return rows
+
+
+def _exact_root(params: IdentityParams, n: int, max_part: int, max_length: int) -> list | None:
+    # The root list of the child table (_exact_children) of the rank-window
+    # chains of weight exactly n in the box, or None at n = 0, whose one
+    # member is the empty chain.  The table is per call, since its parts
+    # depend on the residue and its pairs on the window and the box.
+    _require_weight(n, "n")
     hi = params.max_rank
     # the sweep refuses a non-int box side, at n = 0 too
     _, _, bits, pairs = kernels._pair_sweep(max_part, max_length, params.min_rank, hi, n)
     if not n:
-        return [((), (), ())]
-    # no name holds the memo or the root list: the memo is freed before the
-    # walk and the table before the sort
-    rows = []
-    _exact_rows(
-        _exact_children(pairs, hi, bits, params, ({}, {}, {}), len(pairs), n + 1, n),
-        rows, (), 0, 0, (), (),
-    )
-    rows.sort(key=itemgetter(0), reverse=True)
-    return rows
+        return None
+    return _exact_children(pairs, hi, bits, params, ({}, {}, {}), len(pairs), n + 1, n)
 
 
 def _exact_children(pairs, hi, bits, params, memo, w_head, h_head, budget) -> list:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from math import isqrt
 from typing import Sequence
 
 from . import families
@@ -32,6 +33,7 @@ __all__ = [
     "TableRow",
     "bijection_rows",
     "render_table",
+    "table_text",
     "render_coefficients",
     "render_angles",
     "render_report",
@@ -63,34 +65,65 @@ def bijection_rows(params: IdentityParams, n: int) -> list[TableRow]:
     last pair; each pair's rank and colored part are made once, and every row
     holding the pair shares them.
     """
-    families._require_weight(n, "n")
     return families._window_rows(params, n, n, n)
 
 
-class _PartLabels(dict):
-    # colored part -> its label in format_colored, built on first use
-    def __missing__(self, part):
-        label = self[part] = f"{part[0]}_{part[1]}"
-        return label
+def table_text(params: IdentityParams, n: int) -> str:
+    """``render_table``'s text for weight n, built with no row tuples.
+
+    One walk over :func:`bijection_rows`'s child table: a chain's line is
+    its parent's strings plus its last pair's pieces.  Reverse-lexicographic
+    order is widths first, a chain that stops below any that continues,
+    then heights from the last pair back, so the lines sort by one integer,
+    descending: w_1 .. w_d zero-padded to depth isqrt(n) + 1, then h_d ..
+    h_1, as the digits of a base n + 2 number.
+    """
+    root = families._exact_root(params, n, n, n)
+    if root is None:
+        return "() [] ()\n"
+    base, top = n + 2, isqrt(n) + 1
+    numbers = [str(value) for value in range(n + top)]
+    commas, pieces, lines = ["," + number for number in numbers], {}, []
+    # per depth: key digits, row numbers, parts' (rank, label), comma, run marks
+    levels = [(base ** (2 * top - 1), 1, numbers, {}, "", "", ",1")] + [
+        (base ** (2 * top - 1 - d), base**d, commas, pieces, ",", f",{d}", f",{d + 1}")
+        for d in range(1, top)
+    ]
+    _text_lines(root, levels, lines, "(", "", "", "", 0, 0, 0)
+    lines.sort(reverse=True)
+    return "".join([line for _, line in lines])
 
 
-class _Numbers(dict):
-    # int -> its decimal string, built on first use
-    def __missing__(self, value):
-        text = self[value] = str(value)
-        return text
+def _text_lines(children, levels, lines, head, tail, ranks, colored, key, depth, last) -> None:
+    # Appends to ``lines`` the (key, line) of each chain below the node of
+    # depth ``depth``, last height ``last`` and line start ``head`` (rows
+    # 0..depth-1).  At depth d the rows below the Durfee square are h_d - 1
+    # copies of d, then ``tail``: h_j - h_(j+1) - 1 copies of j, j = d - 1 .. 1.
+    digit_w, digit_h, numbers, pieces, comma, mark, below_mark = levels[depth]
+    for w, h, _, part, below in children:
+        try:
+            rank, label = pieces[part]
+        except KeyError:
+            ((size, color),) = part
+            rank, label = pieces[part] = (f"{comma}{w - h}", f"{comma}{size}_{color}")
+        row, rest = numbers[w + depth], mark * (last - h - 1) + tail
+        code = key + w * digit_w + h * digit_h
+        if below is None:
+            line = f"{head}{row}{below_mark * (h - 1)}{rest}) [{ranks}{rank}] ({colored}{label})\n"
+            lines.append((code, line))
+        else:
+            _text_lines(
+                below, levels, lines, head + row, rest, ranks + rank, colored + label, code,
+                depth + 1, h,
+            )
 
 
 def render_table(
     params: IdentityParams, n: int, rows: list[TableRow], fmt: str
 ) -> str:
     if fmt == "text":
-        # format_partition, format_ranks and format_colored inline; each
-        # distinct number and colored part is converted once
-        label, number = _PartLabels().__getitem__, _Numbers().__getitem__
         return "".join([
-            f"({','.join(map(number, p))}) [{','.join(map(number, ranks))}] "
-            f"({','.join(map(label, colored))})\n"
+            f"{format_partition(p)} {format_ranks(ranks)} {format_colored(colored)}\n"
             for p, ranks, colored in rows
         ])
     if fmt == "csv":

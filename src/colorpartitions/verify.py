@@ -336,12 +336,13 @@ def _part_rank(
     # certified part has size w + h - 1 for its pair, and the pairs of a
     # chain strictly decrease, so the sizes do too.
     size, color = part
-    rank = coloring.rank_from_color(size, color, widest)
+    width, height = coloring._decode_part(size, color, widest.residue)
+    rank = width - height
     if color < 1 or size != w + h - 1 or not coloring._size_ok(size, rank):
         return None
     if previous is not None and not coloring._gap_ok(*previous, size, color, widest):
         return None
-    return rank if coloring._decode_part(size, color, widest.residue) == (w, h) else None
+    return rank if (width, height) == (w, h) else None
 
 
 def _closed_forms(

@@ -59,21 +59,26 @@ def test_table_weight_zero(capsys):
     assert out == "() [] ()\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
 @pytest.mark.parametrize(
     "modulus, residue, weight, count",
     [(5, 1, 200, "22,958,885"), (7, 1, 100, "772,293")],
 )
 def test_table_refuses_a_request_past_its_row_limit_before_any_work(
-    capsys, monkeypatch, modulus, residue, weight, count
+    capsys, monkeypatch, modulus, residue, weight, count, fmt
 ):
     def no_walk(*args):
         raise AssertionError("the table's walk ran")
 
-    # the table's rows come from the child table _exact_children builds and
-    # _exact_rows walks
+    # both walks read the child table _exact_children builds: the text
+    # table's lines come from render._text_lines, the other formats' rows
+    # from families._exact_rows
     monkeypatch.setattr(cli.families, "_exact_children", no_walk)
     monkeypatch.setattr(cli.families, "_exact_rows", no_walk)
-    code, out, err = run_cli(capsys, "table", str(modulus), str(residue), str(weight))
+    monkeypatch.setattr(cli.render, "_text_lines", no_walk)
+    code, out, err = run_cli(
+        capsys, "table", str(modulus), str(residue), str(weight), "-f", fmt
+    )
     assert (code, out) == (2, "")
     assert f"has {count} rows" in err and "limit of 500,000" in err
 

@@ -20,7 +20,7 @@ from colorpartitions import (
 from colorpartitions import cli, families
 from colorpartitions.coloring import _decode_part
 from colorpartitions.partitions import _rows_from_pairs
-from colorpartitions.render import bijection_rows, format_ranks, render_table
+from colorpartitions.render import bijection_rows, format_ranks, render_table, table_text
 
 
 @settings(max_examples=150, deadline=None)
@@ -41,7 +41,7 @@ def test_bijection_rows_match_the_per_member_route(data, modulus, n):
                 assert _decode_part(*part, r) == (width, height)
 
 
-def test_bijection_rows_encode_through_color_map(monkeypatch):
+def test_bijection_rows_encode_through_color_map(capsys, monkeypatch):
     # the table's parts come from color_map, so a changed encoding shows in
     # its rows: one more color on every part of size 7 or more
     def bump(colored):
@@ -52,12 +52,35 @@ def test_bijection_rows_encode_through_color_map(monkeypatch):
     monkeypatch.setattr(families, "color_map", lambda parts, params: bump(color_map(parts, params)))
     expected = [(p, ranks, bump(colored)) for p, ranks, colored in rows]
     assert bijection_rows(params, 12) == expected != rows
+    # and so does the CLI's text table, which the text walk builds
+    assert cli.main(["table", "9", "2", "12"]) == 0
+    text = capsys.readouterr().out
+    assert text == render_table(params, 12, expected, "text")
+    assert text != render_table(params, 12, rows, "text")
 
 
 @pytest.mark.parametrize("n", [3.0, -1, True])
 def test_bijection_rows_refuse_a_bad_weight_by_name(n):
     with pytest.raises(ValueError, match="n must"):
         bijection_rows(IdentityParams(7, 1), n)
+    with pytest.raises(ValueError, match="n must"):
+        table_text(IdentityParams(7, 1), n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), modulus=st.integers(3, 14), n=st.integers(0, 24))
+def test_text_walk_matches_the_row_path(data, modulus, n):
+    # the text walk's oracle: the rows render_table formats line by line
+    params = IdentityParams(modulus, data.draw(st.integers(1, modulus // 2)))
+    assert table_text(params, n) == render_table(params, n, bijection_rows(params, n), "text")
+
+
+def test_text_walk_at_weight_zero_and_modulus_three():
+    # weight 0 has the empty member alone; M = 3 (window [1, 0]) holds no
+    # other member
+    for modulus, residue in ((3, 1), (7, 1), (14, 7)):
+        assert table_text(IdentityParams(modulus, residue), 0) == "() [] ()\n"
+    assert all(table_text(IdentityParams(3, 1), n) == "" for n in range(1, 25))
 
 
 def _text_row(p, ranks, colored):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .partitions import Partition, _rows_from_pairs, angles
+from .partitions import Partition, _require_int, _rows_from_pairs, angles
 
 ColoredPartition = tuple[tuple[int, int], ...]
 
@@ -61,9 +61,8 @@ class IdentityParams:
     __match_args__ = ("modulus", "residue")
 
     def __init__(self, modulus: int, residue: int):
-        for name, value in (("modulus", modulus), ("residue", residue)):
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        _require_int(modulus, "modulus")
+        _require_int(residue, "residue")
         if modulus < 3:
             raise ValueError(f"modulus must be >= 3, got {modulus}")
         if not 0 < residue * 2 <= modulus:
@@ -222,14 +221,14 @@ def check_conditions(colored: ColoredPartition, params: IdentityParams) -> Condi
         top = max(top, rank if color >= 1 else math.inf)
         prev_size, prev_color = size, color
     failed_iii = 0
-    if top > params.max_rank:  # a color out of range, or else (iii) fails
+    if not _rank_ok(top, params):  # a color out of range, or else (iii) fails
         count = params.color_count
         for i, (size, color) in enumerate(colored, start=1):
             if not 1 <= color <= count:
                 raise ValueError(
                     f"color {color} at part {i} outside 1..{count} for modulus {params.modulus}"
                 )
-            if not failed_iii and rank_from_color(size, color, params) > params.max_rank:
+            if not (failed_iii or _rank_ok(rank_from_color(size, color, params), params)):
                 failed_iii = i
     for violation, index in (("i", failed_i), ("ii", failed_ii), ("iii", failed_iii)):
         if index:
@@ -237,8 +236,8 @@ def check_conditions(colored: ColoredPartition, params: IdentityParams) -> Condi
     return _PASSED
 
 
-# Conditions (i) and (ii), each defined once here; (iii) with the color range
-# is the rank bound of check_conditions.  The colored enumeration, the
+# Conditions (i), (ii) and (iii), each defined once here; check_conditions
+# reads the color range off _rank_ok too.  The colored enumeration, the
 # head-count DP and check_conditions all use these, with the rank a part
 # encodes read by rank_from_color from the pair _decode_part gives; color_map
 # does not, so encoding rank-window members still exposes a predicate that
@@ -264,6 +263,11 @@ def _gap_ok(
     else:
         required = 2 + abs(spread + 1)
     return size_a - size_b >= required
+
+
+def _rank_ok(rank: int, params: IdentityParams) -> bool:
+    # (iii) with the color range: a part encodes a rank of at most M - r - 2.
+    return rank <= params.max_rank
 
 
 def inverse_map(colored: ColoredPartition, params: IdentityParams) -> Partition:

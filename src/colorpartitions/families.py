@@ -41,12 +41,13 @@ from .coloring import (
     ColoredPartition,
     IdentityParams,
     _gap_ok,
+    _rank_ok,
     _size_ok,
     check_conditions,
     color_map,
     rank_from_color,
 )
-from .partitions import Partition, _extend_rows, partitions_of, successive_ranks
+from .partitions import Partition, _extend_rows, _require_int, partitions_of, successive_ranks
 
 __all__ = [
     "FamilySpec",
@@ -188,12 +189,6 @@ def rank_window_counts(params: IdentityParams, max_weight: int) -> list[int]:
     )
 
 
-def _require_int(value: int, name: str) -> None:
-    # Exact ints only: a bool would otherwise count as 0 or 1.
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-
-
 def _require_weight(value: int, name: str = "max_weight") -> None:
     _require_int(value, name)
     if value < 0:
@@ -208,7 +203,7 @@ def _admissible_colors(params: IdentityParams, max_size: int) -> list[list[int]]
             color
             for color in range(1, params.color_count + 1)
             if _size_ok(size, rank := rank_from_color(size, color, params))
-            and rank <= params.max_rank
+            and _rank_ok(rank, params)
         ]
         for size in range(max_size + 1)
     ]

@@ -42,6 +42,8 @@ from __future__ import annotations
 import struct
 from math import isqrt
 
+from .partitions import _require_int
+
 __all__ = ["count_rank_bounded_partitions"]
 
 
@@ -133,7 +135,6 @@ def _pair_sweep(max_part, max_length, rank_lo, rank_hi, cap=None):
     # weight, the limb width B, and pairs[w] = [(h, f(w, h)), ...] for each
     # width w = 0..min(max_part, top), admissible pairs only, in ascending h;
     # every series is packed in limbs 0..top.
-    # Exact ints only: the shifts need them, and a bool would count as 0 or 1.
     for name, value in (
         ("max_part", max_part),
         ("max_length", max_length),
@@ -141,8 +142,7 @@ def _pair_sweep(max_part, max_length, rank_lo, rank_hi, cap=None):
         ("rank_hi", rank_hi),
         ("cap", 0 if cap is None else cap),
     ):
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an int, got {value!r}")
+        _require_int(value, name)
     if max_part < 0 or max_length < 0:
         raise ValueError("box sides must be nonnegative")
     box = max_part * max_length

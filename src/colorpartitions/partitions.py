@@ -70,15 +70,16 @@ def conjugate(parts: Partition) -> Partition:
     return tuple(columns)
 
 
+def _require_int(value: int, name: str) -> None:
+    # Exact ints only: a bool would otherwise count as 0 or 1, and shifts,
+    # ranges and caches need a plain int.
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def durfee_size(parts: Partition) -> int:
     """Side of the largest square of cells anchored at the diagram's corner."""
-    d = 0
-    for i, p in enumerate(parts, start=1):
-        if p >= i:
-            d = i
-        else:
-            break
-    return d
+    return len(_durfee_heights(parts))
 
 
 def _durfee_heights(parts: Partition) -> list[int]:
@@ -134,12 +135,8 @@ def from_angles(decomposition: Angles) -> Partition:
             if previous is not None and value >= previous:
                 seq = [other[side] for other in decomposition]
                 raise ValueError(f"angle {label} must be strictly decreasing: {seq}")
-            # exact ints pass at once; int subclasses other than bool pass too
-            if (
-                type(value) is not int
-                and (isinstance(value, bool) or not isinstance(value, int))
-                or value < 1
-            ):
+            # int subclasses other than bool pass
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"angle {label} must be positive integers, got {value!r}")
             previous = value
     return _rows_from_pairs(decomposition)
@@ -216,8 +213,7 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     ``max_part`` additionally caps the largest part.  Reverse-lexicographic
     means ``(4) > (3,1) > (2,2) > (2,1,1) > (1,1,1,1)``.
     """
-    if type(n) is not int:
-        raise ValueError(f"n must be an int, got {n!r}")
+    _require_int(n, "n")
     if n < 0:
         raise ValueError("n must be nonnegative")
     cap = n if max_part is None else min(max_part, n)

@@ -25,7 +25,7 @@ from .partitions import (
     format_partition,
     successive_ranks,
 )
-from .verify import VerificationReport
+from .verify import CheckRecord, VerificationReport
 
 __all__ = [
     "canonical_json",
@@ -54,6 +54,15 @@ def decimal_strings(values: Sequence[int]) -> list[str]:
 
 def format_ranks(ranks: Sequence[int]) -> str:
     return "[" + ",".join(map(str, ranks)) + "]"
+
+
+def _csv_text(header: Sequence[str], rows) -> str:
+    # Every CSV output: the header, then one line per row, "\n"-terminated.
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def bijection_rows(params: IdentityParams, n: int) -> list[TableRow]:
@@ -127,14 +136,13 @@ def render_table(
             for p, ranks, colored in rows
         ])
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["partition", "ranks", "colored"])
-        for p, ranks, colored in rows:
-            writer.writerow(
-                [format_partition(p), format_ranks(ranks), format_colored(colored)]
-            )
-        return buffer.getvalue()
+        return _csv_text(
+            ("partition", "ranks", "colored"),
+            (
+                (format_partition(p), format_ranks(ranks), format_colored(colored))
+                for p, ranks, colored in rows
+            ),
+        )
     if fmt == "json":
         payload = {
             "modulus": params.modulus,
@@ -159,12 +167,7 @@ def render_coefficients(
     if fmt == "text":
         return " ".join(str(c) for c in coefficients) + "\n"
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["degree", "coefficient"])
-        for degree, value in enumerate(coefficients):
-            writer.writerow([degree, value])
-        return buffer.getvalue()
+        return _csv_text(("degree", "coefficient"), enumerate(coefficients))
     if fmt == "json":
         payload = {
             "form": form,
@@ -195,14 +198,15 @@ def render_angles(parts: Partition, fmt: str) -> str:
         ]
         return "\n".join(lines) + "\n"
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["index", "width", "height", "length", "rank"])
-        for i, ((x, y), length, rank) in enumerate(
-            zip(decomposition, lengths, ranks), start=1
-        ):
-            writer.writerow([i, x, y, length, rank])
-        return buffer.getvalue()
+        return _csv_text(
+            ("index", "width", "height", "length", "rank"),
+            (
+                (i, x, y, length, rank)
+                for i, ((x, y), length, rank) in enumerate(
+                    zip(decomposition, lengths, ranks), start=1
+                )
+            ),
+        )
     if fmt == "json":
         payload = {
             "partition": list(parts),
@@ -222,27 +226,14 @@ def render_report(report: VerificationReport, fmt: str) -> str:
     if fmt == "text":
         header = ("scope", "params", "span", "checked", "status", "note")
         rows = [
-            (
-                record.scope,
-                record.params,
-                record.span,
-                str(record.checked),
-                "ok" if record.ok else "FAIL",
-                record.note,
-            )
-            for record in report.records
+            (scope, params, span, str(checked), "ok" if ok else "FAIL", note)
+            for scope, params, span, checked, ok, note in report.records
         ]
-        widths = [
-            max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i])
-            for i in range(len(header))
-        ]
+        widths = [max(map(len, column)) for column in zip(header, *rows)]
         lines = [
-            "  ".join(header[i].ljust(widths[i]) for i in range(len(header))).rstrip()
+            "  ".join([cell.ljust(width) for cell, width in zip(row, widths)]).rstrip()
+            for row in (header, *rows)
         ]
-        for row in rows:
-            lines.append(
-                "  ".join(row[i].ljust(widths[i]) for i in range(len(header))).rstrip()
-            )
         verdict = "PASS" if report.passed else "FAIL"
         lines.append("")
         lines.append(
@@ -251,37 +242,13 @@ def render_report(report: VerificationReport, fmt: str) -> str:
         )
         return "\n".join(lines) + "\n"
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["scope", "params", "span", "checked", "ok", "note"])
-        for record in report.records:
-            writer.writerow(
-                [
-                    record.scope,
-                    record.params,
-                    record.span,
-                    record.checked,
-                    record.ok,
-                    record.note,
-                ]
-            )
-        return buffer.getvalue()
+        return _csv_text(CheckRecord._fields, report.records)
     if fmt == "json":
         payload = {
             "title": report.title,
             "passed": report.passed,
             "total_checked": report.total_checked,
-            "records": [
-                {
-                    "scope": record.scope,
-                    "params": record.params,
-                    "span": record.span,
-                    "checked": record.checked,
-                    "ok": record.ok,
-                    "note": record.note,
-                }
-                for record in report.records
-            ],
+            "records": [record._asdict() for record in report.records],
         }
         return canonical_json(payload)
     raise ValueError(f"unknown format {fmt!r}")

@@ -24,6 +24,7 @@ from typing import Sequence
 
 from .coloring import IdentityParams
 from .kernels import _pack, _signed_bits, _unpack_signed
+from .partitions import _require_int
 
 __all__ = [
     "TruncatedSeries",
@@ -116,9 +117,7 @@ def first_difference(a: Sequence[int], b: Sequence[int]) -> int | None:
 
 
 def _check_order(order: int) -> None:
-    # Exact ints only: a bool would otherwise truncate at order 0 or 1.
-    if type(order) is not int:
-        raise ValueError(f"order must be an int, got {order!r}")
+    _require_int(order, "order")
     if order < 0:
         raise ValueError("order must be nonnegative")
 
@@ -240,8 +239,7 @@ def gaussian_binomial(a: int, b: int, base: int = 1) -> TruncatedSeries:
     Every argument must be an int.
     """
     for name, value in (("a", a), ("b", b), ("base", base)):
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an int, got {value!r}")
+        _require_int(value, name)
     if base < 1:
         raise ValueError("base must be positive")
     if b < 0 or a < 0 or b > a:

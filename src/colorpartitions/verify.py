@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple
 
 from . import coloring, families, kernels, series
 from .coloring import ColoredPartition, IdentityParams, color_map, inverse_map
-from .partitions import Partition, _extend_rows
+from .partitions import Partition, _extend_rows, _require_int
 
 __all__ = [
     "CheckRecord",
@@ -528,7 +528,7 @@ def verify_identity_grid(
     residues = None if residues is None else tuple(residues)
     for name, values in (("modulus", moduli), ("residue", residues or ())):
         for value in values:
-            families._require_int(value, name)
+            _require_int(value, name)
     cells = _identity_cells(moduli, residues)
     scopes = ("product_counts", "bijection") if scope == "both" else (scope,)
     records_of = _residue_records(list(dict.fromkeys(cells)), n_max, scopes) if cells else {}

@@ -261,11 +261,16 @@ def test_colored_routes_reject_negative_weight():
 
 
 def test_weighted_routes_reject_non_int_weight():
-    # integers only: a bool would otherwise count as weight 0 or 1
-    for route in WEIGHTED_ROUTES:
+    # integers only: a bool would otherwise count as weight 0 or 1; each
+    # route names the weight as its own signature does, the counting routes
+    # as the kernel's box side
+    names = ("n", "max_weight", "max_part", "n", "max_weight", "max_weight", "max_weight",
+             "n", "n", "max_weight", "n", "n")
+    for route, name in zip(WEIGHTED_ROUTES, names, strict=True):
         for bad in (True, False, 2.0, "3"):
-            with pytest.raises(ValueError, match="must be an int"):
+            with pytest.raises(ValueError) as caught:
                 route(bad)
+            assert str(caught.value) == f"{name} must be an int, got {bad!r}"
 
 
 def test_colored_routes_reject_non_int_max_size():
@@ -675,11 +680,15 @@ def test_boxed_counts_negative_box():
 
 def test_boxed_routes_reject_non_int_sides():
     for bad in (True, 2.0, "3"):
-        for sides in ((bad, 2), (3, bad), (bad, -1)):
-            with pytest.raises(ValueError, match="must be an int"):
+        for sides, name in (((bad, 2), "max_part"), ((3, bad), "max_length"),
+                            ((bad, -1), "max_part")):
+            message = f"{name} must be an int, got {bad!r}"
+            with pytest.raises(ValueError) as caught:
                 boxed_counts(P71, *sides)
-            with pytest.raises(ValueError, match="must be an int"):
+            assert str(caught.value) == message
+            with pytest.raises(ValueError) as caught:
                 boxed_members(P71, 3, *sides)
+            assert str(caught.value) == message
 
 
 def test_boxed_counts_match_members():

@@ -110,12 +110,13 @@ def test_kernel_rejects_bad_arguments():
 def test_kernel_rejects_non_int_arguments():
     # integers only, in every position: a bool would count as a 0 or 1 side
     good = (3, 3, 0, 1, 4)
-    for position in range(5):
+    for position, name in enumerate(("max_part", "max_length", "rank_lo", "rank_hi", "cap")):
         for bad in (True, 2.0, "3"):
             arguments = list(good)
             arguments[position] = bad
-            with pytest.raises(ValueError, match="must be an int"):
+            with pytest.raises(ValueError) as caught:
                 kernels.count_rank_bounded_partitions(*arguments)
+            assert str(caught.value) == f"{name} must be an int, got {bad!r}"
 
 
 def test_limb_width_bounds_partition_numbers():

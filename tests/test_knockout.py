@@ -83,6 +83,12 @@ def gap_ok_admits_one_between_color_ones(size_a, color_a, size_b, color_b, param
     return GAP_OK(size_a, color_a, size_b, color_b, params)
 
 
+def rank_ok_admits_every_rank(rank, params):
+    # (iii) admits every rank a color encodes, so at an even modulus the top
+    # color may sit on a part sharing the residue's parity
+    return True
+
+
 def decode_wide_from_size_seven(size, color, residue):
     # the decode gives one more column to every part of size 7 or more
     width, height = DECODE_PART(size, color, residue)
@@ -115,6 +121,8 @@ KNOCKOUTS = [
     # this case; a local certificate of the bijection at every weight is
     # what would fill this row.
     ("_gap_ok", coloring, gap_ok_admits_one_between_color_ones, {}),
+    # (iii) binds at an even modulus only; odd cells' top color stays in it.
+    ("_rank_ok", coloring, rank_ok_admits_every_rank, {"bijection": 9, "finitized": 9}),
     # With one decode formula the rank a color encodes reads it too, so the
     # top-part count of the finitized records sees it as well.
     ("_decode_part", coloring, decode_wide_from_size_seven, {"bijection": 18, "finitized": 18}),

@@ -20,7 +20,14 @@ from colorpartitions import (
 from colorpartitions import cli, families
 from colorpartitions.coloring import _decode_part
 from colorpartitions.partitions import _rows_from_pairs
-from colorpartitions.render import bijection_rows, format_ranks, render_table, table_text
+from colorpartitions.render import (
+    bijection_rows,
+    format_ranks,
+    render_report,
+    render_table,
+    table_text,
+)
+from colorpartitions.verify import CheckRecord, VerificationReport
 
 
 @settings(max_examples=150, deadline=None)
@@ -115,3 +122,29 @@ def test_every_format_shows_the_same_rows(capsys):
         _text_row(tuple(row["partition"]), row["ranks"], tuple(map(tuple, row["colored"])))
         for row in payload["rows"]
     ] == text
+
+
+def test_report_text_and_csv_keep_their_bytes():
+    # CSV is CheckRecord's fields, header included; the text table pads each
+    # column to its widest cell, the header's when there are no records
+    empty = VerificationReport("none")
+    assert render_report(empty, "text") == (
+        "scope  params  span  checked  status  note\n\nPASS: 0 cells, 0 comparisons\n"
+    )
+    assert render_report(empty, "csv") == "scope,params,span,checked,ok,note\n"
+    two = VerificationReport("two", (
+        CheckRecord("bijection", "M=7 r=1", "n<=30", 1234, True),
+        CheckRecord("finitized", "M=10 r=3", "N<=8", 7, False, "first difference at q^5"),
+    ))
+    assert render_report(two, "text") == (
+        "scope      params    span   checked  status  note\n"
+        "bijection  M=7 r=1   n<=30  1234     ok\n"
+        "finitized  M=10 r=3  N<=8   7        FAIL    first difference at q^5\n"
+        "\n"
+        "FAIL: 2 cells, 1241 comparisons\n"
+    )
+    assert render_report(two, "csv") == (
+        "scope,params,span,checked,ok,note\n"
+        "bijection,M=7 r=1,n<=30,1234,True,\n"
+        "finitized,M=10 r=3,N<=8,7,False,first difference at q^5\n"
+    )

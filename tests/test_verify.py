@@ -619,15 +619,17 @@ def test_checks_reject_negative_bound():
     with pytest.raises(ValueError, match="order must be nonnegative"):
         check_finitized(IdentityParams(7, 2), -1)
     # and a bound that is not an int (a bool would count as 0 or 1)
+    # (check_finitized's bound is the order of its series)
     for bound in (True, 2.0, "3"):
-        for check in (
-            lambda b: check_bijection(IdentityParams(7, 1), b),
-            lambda b: check_product_counts(IdentityParams(8, 4), b),
-            lambda b: check_finitized(IdentityParams(7, 2), b),
-            lambda b: check_gordon(2, 1, b),
+        for check, name in (
+            (lambda b: check_bijection(IdentityParams(7, 1), b), "n_max"),
+            (lambda b: check_product_counts(IdentityParams(8, 4), b), "n_max"),
+            (lambda b: check_finitized(IdentityParams(7, 2), b), "order"),
+            (lambda b: check_gordon(2, 1, b), "n_max"),
         ):
-            with pytest.raises(ValueError, match="must be an int"):
+            with pytest.raises(ValueError) as caught:
                 check(bound)
+            assert str(caught.value) == f"{name} must be an int, got {bound!r}"
 
 
 def test_finitized_validates_n_max():

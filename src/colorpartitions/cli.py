@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from functools import cache
 from operator import attrgetter
+from typing import Iterable
 
 from . import families, render, series, verify
 from .coloring import IdentityParams
@@ -21,10 +23,13 @@ from .partitions import parse_partition
 FORMATS = ("text", "csv", "json")
 
 # The most rows ``table`` builds; a larger request exits 2 before any
-# descent.  At table 12 6 60 (230,089 rows) the text walk peaked at 305
-# bytes a row (lines, sort keys and joined text), about 150 MB at the
-# limit, and the row path of CSV and JSON at 390 bytes of tuples a row
-# (rows share their colored parts), about 195 MB before any text.
+# descent.  Text and CSV are sorted and written one first width at a time,
+# so the 305 bytes a row of text (lines, sort keys, joined text) and 390
+# of CSV's row tuples are held for the largest group, not the table: at
+# table 12 6 60 (230,089 rows, the largest of 27 groups 33,073) text peaks
+# at 28 MB RSS in 0.5 s and CSV at 44 MB in 2.3 s, about 14 MB of it the
+# interpreter.  For them the limit bounds time, about 1 s and 5 s at the
+# limit.  JSON is one payload of every row: 1.15 GB and 11 s at 12 6 60.
 TABLE_ROW_LIMIT = 500_000
 
 # The heaviest weight ``table`` accepts; past it the request exits 2 before
@@ -173,12 +178,12 @@ def _apply_config(args: argparse.Namespace) -> None:
             setattr(args, key, overrides[key])
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(chunks: Iterable[str], output: str | None) -> None:
+    # Writes each chunk to the file or to stdout as soon as it is made.
+    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as handle:
+        for chunk in chunks:
+            handle.write(chunk)
+            del chunk  # so a written chunk is not held while the next is made
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -196,12 +201,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             f"table {params.modulus} {params.residue} {args.weight} has {count:,} rows, "
             f"over the limit of {TABLE_ROW_LIMIT:,}"
         )
-    if args.format == "text":
-        text = render.table_text(params, args.weight)
-    else:
-        rows = render.bijection_rows(params, args.weight)
-        text = render.render_table(params, args.weight, rows, args.format)
-    _emit(text, args.output)
+    _emit(render.table_chunks(params, args.weight, args.format), args.output)
     return 0
 
 
@@ -214,9 +214,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
     }[args.form]
     coefficients = builder(params, args.order).coefficients
     _emit(
-        render.render_coefficients(
-            args.form, params, args.order, coefficients, args.format
-        ),
+        (render.render_coefficients(args.form, params, args.order, coefficients, args.format),),
         args.output,
     )
     return 0
@@ -273,7 +271,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report = verify.verify_all(n_max=n_max)
     if not report.records:
         raise ValueError("the selection matches no grid cell")
-    _emit(render.render_report(report, args.format), args.output)
+    _emit((render.render_report(report, args.format),), args.output)
     return 0 if report.passed else 1
 
 
@@ -302,7 +300,7 @@ def _check_member_limit(scope: str, moduli, residues, n_max: int) -> None:
 
 def _cmd_angles(args: argparse.Namespace) -> int:
     parts = parse_partition(args.partition)
-    _emit(render.render_angles(parts, args.format), args.output)
+    _emit((render.render_angles(parts, args.format),), args.output)
     return 0
 
 

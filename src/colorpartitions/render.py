@@ -11,8 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import chain
 from math import isqrt
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import families
 from .coloring import ColoredPartition, IdentityParams, format_colored
@@ -34,12 +35,15 @@ __all__ = [
     "bijection_rows",
     "render_table",
     "table_text",
+    "table_chunks",
     "render_coefficients",
     "render_angles",
     "render_report",
 ]
 
 TableRow = tuple[Partition, tuple[int, ...], ColoredPartition]
+
+_TABLE_HEADER = ("partition", "ranks", "colored")
 
 
 def canonical_json(payload) -> str:
@@ -58,11 +62,27 @@ def format_ranks(ranks: Sequence[int]) -> str:
 
 def _csv_text(header: Sequence[str], rows) -> str:
     # Every CSV output: the header, then one line per row, "\n"-terminated.
+    return "".join(_csv_chunks(header, (rows,)))
+
+
+def _csv_chunks(header: Sequence[str], groups) -> Iterator[str]:
+    # _csv_text's text in chunks: the header's, then one per group of rows,
+    # each made only when the one before it has been taken.
+    return map(_csv_lines, chain(((header,),), groups))
+
+
+def _csv_lines(rows) -> str:
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
+
+
+def _table_cells(rows) -> Iterator[tuple[str, str, str]]:
+    # a table's rows as the strings of their partition, ranks and encoding
+    return (
+        (format_partition(p), format_ranks(ranks), format_colored(colored))
+        for p, ranks, colored in rows
+    )
 
 
 def bijection_rows(params: IdentityParams, n: int) -> list[TableRow]:
@@ -85,20 +105,54 @@ def table_text(params: IdentityParams, n: int) -> str:
     order is widths first, a chain that stops below any that continues,
     then heights from the last pair back, so the lines sort by one integer,
     descending: w_1 .. w_d zero-padded to depth isqrt(n) + 1, then h_d ..
-    h_1, as the digits of a base n + 2 number.
+    h_1, as the digits of a base n + 2 number.  The top digit w_1 is the
+    first part, so the lines are keyed and sorted one first width at a
+    time, w_1 descending, and only the group being sorted holds keys; the
+    text is the groups' texts joined, each of which :func:`table_chunks`
+    hands over as it is made.
     """
+    return "".join(_text_groups(params, n))
+
+
+def table_chunks(params: IdentityParams, n: int, fmt: str) -> Iterator[str]:
+    """``render_table(params, n, bijection_rows(params, n), fmt)`` in pieces.
+
+    Text and CSV come one first part at a time, largest first (CSV's header
+    as a piece of its own), so only the largest group's lines or rows are
+    held at once; JSON is one piece.  The arguments are checked, and the
+    child table built, before the first piece.
+    """
+    if fmt == "text":
+        return _text_groups(params, n)
+    if fmt == "csv":
+        groups = families._window_row_groups(params, n, n, n)
+        return _csv_chunks(_TABLE_HEADER, (_table_cells(rows) for rows in groups))
+    if fmt == "json":
+        return iter([render_table(params, n, bijection_rows(params, n), fmt)])
+    raise ValueError(f"unknown format {fmt!r}")
+
+
+def _text_groups(params: IdentityParams, n: int) -> Iterator[str]:
+    # table_text's text, one chunk per first width w_1, w_1 descending; w_1
+    # is the top digit of the lines' key, so each group sorts on its own.
+    # The child table, the per-depth levels and the pieces are made once.
     root = families._exact_root(params, n, n, n)
     if root is None:
-        return "() [] ()\n"
+        return iter(["() [] ()\n"])
     base, top = n + 2, isqrt(n) + 1
     numbers = [str(value) for value in range(n + top)]
-    commas, pieces, lines = ["," + number for number in numbers], {}, []
+    commas, pieces = ["," + number for number in numbers], {}
     # per depth: key digits, row numbers, parts' (rank, label), comma, run marks
     levels = [(base ** (2 * top - 1), 1, numbers, {}, "", "", ",1")] + [
         (base ** (2 * top - 1 - d), base**d, commas, pieces, ",", f",{d}", f",{d + 1}")
         for d in range(1, top)
     ]
-    _text_lines(root, levels, lines, "(", "", "", "", 0, 0, 0)
+    return (_group_text(group, levels) for group in families._first_width_groups(root))
+
+
+def _group_text(children, levels) -> str:
+    lines = []
+    _text_lines(children, levels, lines, "(", "", "", "", 0, 0, 0)
     lines.sort(reverse=True)
     return "".join([line for _, line in lines])
 
@@ -136,13 +190,7 @@ def render_table(
             for p, ranks, colored in rows
         ])
     if fmt == "csv":
-        return _csv_text(
-            ("partition", "ranks", "colored"),
-            (
-                (format_partition(p), format_ranks(ranks), format_colored(colored))
-                for p, ranks, colored in rows
-            ),
-        )
+        return _csv_text(_TABLE_HEADER, _table_cells(rows))
     if fmt == "json":
         payload = {
             "modulus": params.modulus,

@@ -422,7 +422,7 @@ def check_finitized(
     count's weight and truncates the per-weight comparisons.  A ``size_max``
     or ``n_max`` that is not a nonnegative int raises ValueError.
     """
-    series._check_order(size_max)
+    families._require_weight(size_max, "size_max")
     if n_max is not None:
         families._require_weight(n_max, "n_max")
     parity = "odd" if params.is_odd else "even"

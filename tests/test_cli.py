@@ -441,6 +441,52 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert target.read_text() == (GOLDEN / "table_7_1_10.txt").read_text()
 
 
+def test_table_writes_one_first_width_group_at_a_time(monkeypatch):
+    # table 10 5 40 (8,826 rows) reaches stdout in 18 writes, one per first
+    # part, and they join to the reference bytes
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert cli.main(["table", "10", "5", "40"]) == 0
+    digest = hashlib.sha256("".join(writes).encode()).hexdigest()
+    assert digest == "81d86825088b54862f63a3decf555f708efe73f596503d8d30ae66974dcc5e0e"
+    assert len(writes) == 18
+    firsts = [int(text[1:].split(",")[0]) for text in writes]
+    assert firsts == sorted(set(firsts), reverse=True)
+
+
+def test_table_out_of_memory_partway_keeps_the_written_groups(capsys, monkeypatch):
+    # the groups written before the failure stay written, and it exits 2
+    whole = cli.render.table_text(IdentityParams(7, 1), 10)
+    group_text, made = cli.render._group_text, []
+
+    def second_fails(children, levels):
+        if made:
+            raise MemoryError
+        made.append(group_text(children, levels))
+        return made[0]
+
+    monkeypatch.setattr(cli.render, "_group_text", second_fails)
+    code, out, err = run_cli(capsys, "table", "7", "1", "10")
+    assert (code, err) == (2, "error: table ran out of memory\n")
+    assert out == made[0] == whole.splitlines(keepends=True)[0]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_table_output_file_holds_the_stdout_bytes(tmp_path, capsys, fmt):
+    target = tmp_path / f"table.{fmt}"
+    code, out, _ = run_cli(capsys, "table", "10", "5", "40", "-f", fmt)
+    assert code == 0 and out
+    code, written, _ = run_cli(capsys, "table", "10", "5", "40", "-f", fmt, "-o", str(target))
+    assert (code, written) == (0, "")
+    assert target.read_bytes() == out.encode()
+
+
 def test_config_file_defaults(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"format": "json"}))

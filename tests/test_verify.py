@@ -616,15 +616,14 @@ def test_checks_reject_negative_bound():
             check()
     with pytest.raises(ValueError, match="n_max must be an int"):
         check_bijection(IdentityParams(7, 1), 2.5)
-    with pytest.raises(ValueError, match="order must be nonnegative"):
+    with pytest.raises(ValueError, match="size_max must be nonnegative"):
         check_finitized(IdentityParams(7, 2), -1)
     # and a bound that is not an int (a bool would count as 0 or 1)
-    # (check_finitized's bound is the order of its series)
     for bound in (True, 2.0, "3"):
         for check, name in (
             (lambda b: check_bijection(IdentityParams(7, 1), b), "n_max"),
             (lambda b: check_product_counts(IdentityParams(8, 4), b), "n_max"),
-            (lambda b: check_finitized(IdentityParams(7, 2), b), "order"),
+            (lambda b: check_finitized(IdentityParams(7, 2), b), "size_max"),
             (lambda b: check_gordon(2, 1, b), "n_max"),
         ):
             with pytest.raises(ValueError) as caught:

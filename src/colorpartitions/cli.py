@@ -23,13 +23,14 @@ from .partitions import parse_partition
 FORMATS = ("text", "csv", "json")
 
 # The most rows ``table`` builds; a larger request exits 2 before any
-# descent.  Text and CSV are sorted and written one first width at a time,
-# so the 305 bytes a row of text (lines, sort keys, joined text) and 390
-# of CSV's row tuples are held for the largest group, not the table: at
-# table 12 6 60 (230,089 rows, the largest of 27 groups 33,073) text peaks
-# at 28 MB RSS in 0.5 s and CSV at 44 MB in 2.3 s, about 14 MB of it the
-# interpreter.  For them the limit bounds time, about 1 s and 5 s at the
-# limit.  JSON is one payload of every row: 1.15 GB and 11 s at 12 6 60.
+# descent.  Every format is sorted and written one first width at a time,
+# so the 305 bytes a row of text (lines, sort keys, joined text), 390 of
+# CSV's row tuples and about 2 kB of JSON's (row tuples, row texts, joined
+# text) are held for the largest group, not the table: at table 12 6 60
+# (230,089 rows, the largest of 27 groups 33,073) text peaks at 28 MB RSS
+# in 0.5 s, CSV at 44 MB in 2.3 s and JSON at 88 MB in about 9 s (the whole
+# payload took 1.15 GB), about 14 MB of it the interpreter.  So the limit
+# bounds time, about 1 s, 5 s and 20 s at the limit.
 TABLE_ROW_LIMIT = 500_000
 
 # The heaviest weight ``table`` accepts; past it the request exits 2 before

@@ -276,9 +276,10 @@ def _colored_head_counts(
     # fall by at least 2 (each cut starts two or three below the head and
     # only falls) and whose colors lie in 1..C, whatever conditions (i) and
     # (ii) say: a partition of w into j such parts has j <= isqrt(w), so
-    # there are at most p(w) * C^isqrt(w).  That is below 2^B for
-    # B = _limb_bits(max_weight) plus the bit length of C^isqrt(max_weight),
-    # rounded up to whole words, so no limb carries.
+    # there are at most p(w) * C^isqrt(w) <= p(max_weight) *
+    # C^isqrt(max_weight), p being nondecreasing.  That is below 2^B for B
+    # the bit length of p(max_weight) (_limb_bits) plus that of
+    # C^isqrt(max_weight), rounded up to whole words, so no limb carries.
     _require_weight(max_weight)
     _require_int(max_size, "max_size")
     start = min(max_size, max_weight)
@@ -409,8 +410,9 @@ def frequency_counts(params: IdentityParams, max_weight: int) -> list[int]:
     shifted by i * f: one prefix sum over the previous states serves every
     f.  Each state and prefix sum is one packed int (``kernels``), truncated
     past max_weight; its coefficients count distinct partitions of their
-    weight, so ``_limb_bits(max_weight)`` holds them with no carry.  An even
-    modulus raises ValueError.
+    weight w <= max_weight, at most p(w) <= p(max_weight), so
+    ``_limb_bits(max_weight)``, the bit length of p(max_weight), holds them
+    with no carry.  An even modulus raises ValueError.
     """
     if not params.is_odd:
         raise ValueError(f"Gordon's condition needs an odd modulus, got {params.modulus}")

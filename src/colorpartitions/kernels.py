@@ -19,14 +19,16 @@ coefficient t sits in bits [t*B, (t+1)*B), so adding two series is one int
 addition and multiplying by q^s is a shift by s*B bits.  No limb ever carries
 into the next: each coefficient of every series and partial sum the sweep
 forms counts distinct partitions of weight t <= top, so it is at most
-p(t) <= p(top) < exp(pi * sqrt(2 * top / 3)) (Apostol, Introduction to
-Analytic Number Theory, Thm 14.5) < 2^(3.71 * sqrt(top)) <= 2^B with the
-integer width ``_limb_bits(top)``.  The counts are unpacked once, at the end,
-as exact Python ints at every size; a brute-force descent in
-``tests/test_kernels.py`` is the oracle they are compared against.  The
-per-pair series f(w, h) also steer the member descent in ``families``: a
-pair heads a chain of weight b exactly when limb b of f(w, h),
-``(f >> (B * b)) & (2^B - 1)``, is nonzero.
+p(t) <= p(top) (p is nondecreasing: adding a part 1 maps the partitions of
+t into those of t + 1 one to one), and p(top) < 2^B with B =
+``_limb_bits(top)``, the bit length of p(top).  No narrower width serves
+every window and box of top weight top: the open window in a top-by-top box
+counts every partition, so its coefficient top is p(top) itself.  The
+counts are unpacked once, at the end, as exact Python ints at every size; a
+brute-force descent in ``tests/test_kernels.py`` is the oracle they are
+compared against.  The per-pair series f(w, h) also steer the member
+descent in ``families``: a pair heads a chain of weight b exactly when limb
+b of f(w, h), ``(f >> (B * b)) & (2^B - 1)``, is nonzero.
 
 The pack, unpack and limb-width helpers below are shared with the packed
 finitized sides in ``series`` and the head and frequency DPs in
@@ -40,7 +42,6 @@ decode range, [0, 2^B) for :func:`_unpack` and (-2^(B-1), 2^(B-1)) for
 from __future__ import annotations
 
 import struct
-from math import isqrt
 
 from .partitions import _require_int
 
@@ -66,9 +67,35 @@ def count_rank_bounded_partitions(
 
 
 def _limb_bits(top: int) -> int:
-    # An integer B with p(t) < 2^B for every t <= top: log2 p(top) is below
-    # pi * sqrt(2/3) / ln 2 * sqrt(top) = 3.7007... * sqrt(top).
-    return 371 * (isqrt(top) + 1) // 100 + 1
+    # The least B with p(t) < 2^B for every t <= top: the bit length of
+    # p(top), p being nondecreasing.
+    return _partition_number(top).bit_length()
+
+
+# p(0), p(1), ...: a prefix of the partition numbers, grown on demand.
+_partition_numbers = [1]
+
+
+def _partition_number(n: int) -> int:
+    # p(n) by Euler's pentagonal recurrence (Andrews, The Theory of
+    # Partitions, ch. 1): p(m) is the sum over k >= 1 of (-1)^(k+1) *
+    # (p(m - g_k) + p(m - g_k - k)), g_k = k(3k - 1)/2.  Extends a copy and
+    # swaps it in, so the shared table is always a correct prefix.
+    global _partition_numbers
+    numbers = _partition_numbers
+    if n < len(numbers):
+        return numbers[n]
+    numbers = numbers.copy()
+    for m in range(len(numbers), n + 1):
+        total, k, g = 0, 1, 1
+        while g <= m:
+            term = numbers[m - g] + (numbers[m - g - k] if g + k <= m else 0)
+            total += term if k & 1 else -term
+            k += 1
+            g += 3 * k - 2
+        numbers.append(total)
+    _partition_numbers = numbers
+    return numbers[n]
 
 
 def _word_bits(bits: int) -> int:
@@ -133,8 +160,8 @@ def _unpack_signed(packed: int, bits: int) -> list[int]:
 def _pair_sweep(max_part, max_length, rank_lo, rank_hi, cap=None):
     # (total, top, B, pairs): the packed box series 1 + sum of f, its top
     # weight, the limb width B, and pairs[w] = [(h, f(w, h)), ...] for each
-    # width w = 0..min(max_part, top), admissible pairs only, in ascending h;
-    # every series is packed in limbs 0..top.
+    # width w from 0 to at least the widest admissible pair's, admissible
+    # pairs only, in ascending h; every series is packed in limbs 0..top.
     for name, value in (
         ("max_part", max_part),
         ("max_length", max_length),
@@ -154,25 +181,33 @@ def _pair_sweep(max_part, max_length, rank_lo, rank_hi, cap=None):
     # below[h] = sum of f(w', h) over the rows w' already done; h is 1-based.
     heights = min(max_length, top)
     below = [0] * (heights + 1)
+    # A row w holds a pair only if h_lo <= h_hi below, so only if
+    # w - rank_hi <= heights and 2w <= top + 1 + rank_hi: wider rows are
+    # left unswept.
+    last = min(max_part, top, heights + rank_hi, (top + 1 + rank_hi) // 2)
     pairs: list[list[tuple[int, int]]] = [[]]
-    # settled = sum of below[h] over h < h_lo: h_lo never falls as w grows,
-    # so those columns take no more pairs and each joins the sum once.
-    settled, h_settled = 0, 1
-    for w in range(1, min(max_part, top) + 1):
-        h_lo = max(1, w - rank_hi)
-        h_hi = min(heights, w - rank_lo, top + 1 - w)
-        pairs.append([])
-        if h_lo > h_hi:
-            continue
+    # settled = 1 (the empty chain) + sum of below[h] over h < h_lo: h_lo
+    # never falls as w grows, so those columns take no more pairs and each
+    # joins the sum once.
+    settled, h_settled = 1, 1
+    for w in range(1, last + 1):
+        h_lo = w - rank_hi if w - rank_hi > 1 else 1
+        h_hi = w - rank_lo if w - rank_lo < heights else heights
+        if h_hi > top + 1 - w:
+            h_hi = top + 1 - w
+        row: list[tuple[int, int]] = []
+        pairs.append(row)
         for h in range(h_settled, h_lo):
             settled += below[h]
         h_settled = h_lo
-        # run = sum of f(w', h') over w' < w and h' < h, kept as h climbs.
-        run = settled
+        # run = 1 + sum of f(w', h') over w' < w and h' < h, kept as h
+        # climbs; shift = B * (w + h - 1), the weight of the pair (w, h).
+        run, shift = settled, bits * (w + h_lo - 1)
         for h in range(h_lo, h_hi + 1):
-            # q^(w+h-1) * (1 + run), truncated past the top weight
-            cell = ((run + 1) << (bits * (w + h - 1))) & mask
+            # q^(w+h-1) * run, truncated past the top weight
+            cell = (run << shift) & mask
             run += below[h]
             below[h] += cell
-            pairs[w].append((h, cell))
+            row.append((h, cell))
+            shift += bits
     return 1 + sum(below), top, bits, pairs

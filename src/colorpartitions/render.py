@@ -117,19 +117,51 @@ def table_text(params: IdentityParams, n: int) -> str:
 def table_chunks(params: IdentityParams, n: int, fmt: str) -> Iterator[str]:
     """``render_table(params, n, bijection_rows(params, n), fmt)`` in pieces.
 
-    Text and CSV come one first part at a time, largest first (CSV's header
-    as a piece of its own), so only the largest group's lines or rows are
-    held at once; JSON is one piece.  The arguments are checked, and the
-    child table built, before the first piece.
+    Every format comes one first part at a time, largest first (CSV's
+    header, and JSON's head and tail, as pieces of their own), so only the
+    largest group's lines or rows are held at once.  The arguments are
+    checked, and the child table built, before the first piece.
     """
     if fmt == "text":
         return _text_groups(params, n)
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    groups = families._window_row_groups(params, n, n, n)
     if fmt == "csv":
-        groups = families._window_row_groups(params, n, n, n)
         return _csv_chunks(_TABLE_HEADER, (_table_cells(rows) for rows in groups))
-    if fmt == "json":
-        return iter([render_table(params, n, bijection_rows(params, n), fmt)])
-    raise ValueError(f"unknown format {fmt!r}")
+    return _json_chunks(params, n, groups)
+
+
+def _json_chunks(params: IdentityParams, n: int, groups) -> Iterator[str]:
+    # render_table's canonical JSON in pieces.  Its keys sort as modulus,
+    # residue, rows, weight, so the head ends at the rows' bracket, and the
+    # rows (each a row object's own canonical JSON, four spaces deeper)
+    # are joined by ",\n", a group at a time.
+    yield (
+        f'{{\n  "modulus": {params.modulus},\n  "residue": {params.residue},\n  "rows": ['
+    )
+    encode = json.JSONEncoder(sort_keys=True, indent=2).encode
+    separator = "\n"
+    for rows in groups:
+        yield separator
+        yield ",\n".join([
+            "    " + encode(row).replace("\n", "\n    ") for row in _json_rows(rows)
+        ])
+        separator = ",\n"
+    closing = "]" if separator == "\n" else "\n  ]"
+    yield f'{closing},\n  "weight": {n}\n}}\n'
+
+
+def _json_rows(rows) -> Iterator[dict]:
+    # a table's rows as the objects of its JSON payload
+    return (
+        {
+            "partition": list(p),
+            "ranks": list(ranks),
+            "colored": [[size, color] for size, color in colored],
+        }
+        for p, ranks, colored in rows
+    )
 
 
 def _text_groups(params: IdentityParams, n: int) -> Iterator[str]:
@@ -196,14 +228,7 @@ def render_table(
             "modulus": params.modulus,
             "residue": params.residue,
             "weight": n,
-            "rows": [
-                {
-                    "partition": list(p),
-                    "ranks": list(ranks),
-                    "colored": [[size, color] for size, color in colored],
-                }
-                for p, ranks, colored in rows
-            ],
+            "rows": list(_json_rows(rows)),
         }
         return canonical_json(payload)
     raise ValueError(f"unknown format {fmt!r}")

@@ -59,7 +59,7 @@ def test_table_weight_zero(capsys):
     assert out == "() [] ()\n"
 
 
-@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 @pytest.mark.parametrize(
     "modulus, residue, weight, count",
     [(5, 1, 200, "22,958,885"), (7, 1, 100, "772,293")],
@@ -477,7 +477,7 @@ def test_table_out_of_memory_partway_keeps_the_written_groups(capsys, monkeypatc
     assert out == made[0] == whole.splitlines(keepends=True)[0]
 
 
-@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_table_output_file_holds_the_stdout_bytes(tmp_path, capsys, fmt):
     target = tmp_path / f"table.{fmt}"
     code, out, _ = run_cli(capsys, "table", "10", "5", "40", "-f", fmt)

@@ -120,10 +120,23 @@ def test_kernel_rejects_non_int_arguments():
 
 
 def test_limb_width_bounds_partition_numbers():
-    # the packed sweep is exact only while no limb carries: p(t) < 2^B(t)
+    # the packed sweep is exact only while no limb carries: p(t) < 2^B(t);
+    # and B(t) is tight, 2^(B-1) <= p(t), so a drift back to a loose width shows
     numbers = partition_series(1000).coefficients
     for t, p_t in enumerate(numbers):
-        assert p_t < 1 << kernels._limb_bits(t), t
+        bits = kernels._limb_bits(t)
+        assert 1 << (bits - 1) <= p_t < 1 << bits, t
+
+
+def test_counts_exact_where_the_limb_width_steps_up():
+    # the first weight at each new bit length of p(n) leaves its sweep the
+    # least headroom (coefficient n is p(n) >= 2^(B-1)), so a carry shows there
+    numbers = partition_series(300).coefficients
+    steps = [n for n in range(1, 301) if numbers[n].bit_length() > numbers[n - 1].bit_length()]
+    assert len(steps) > 30
+    for n in steps:
+        counts = kernels.count_rank_bounded_partitions(n, n, -n, n, cap=n)
+        assert counts == list(numbers[: n + 1]), n
 
 
 @settings(max_examples=200, deadline=None)
@@ -158,6 +171,25 @@ def test_dp_matches_pure_on_grid():
                     assert kernels.count_rank_bounded_partitions(
                         u, v, lo, hi, top
                     ) == pure_counts(u, v, lo, hi, top)
+
+
+def test_sweep_lists_every_admissible_pair():
+    # pairs[w] lists each pair (w, h) of the box whose rank w - h lies in the
+    # window and whose weight w + h - 1 fits the top, in ascending h; the
+    # rows the sweep leaves out hold no such pair
+    for u in range(0, 8):
+        for v in range(0, 8):
+            for lo in range(-4, 5):
+                for hi in range(lo - 2, lo + 6):
+                    for cap in (None, 0, 5, 11):
+                        _, top, _, pairs = kernels._pair_sweep(u, v, lo, hi, cap)
+                        listed = [(w, h) for w, row in enumerate(pairs) for h, _ in row]
+                        assert listed == [
+                            (w, h)
+                            for w in range(1, u + 1)
+                            for h in range(1, v + 1)
+                            if lo <= w - h <= hi and w + h - 1 <= top
+                        ], (u, v, lo, hi, cap)
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,15 +22,15 @@ from .partitions import parse_partition
 
 FORMATS = ("text", "csv", "json")
 
-# The most rows ``table`` builds; a larger request exits 2 before any
-# descent.  Every format is sorted and written one first width at a time,
-# so the 305 bytes a row of text (lines, sort keys, joined text), 390 of
-# CSV's row tuples and about 2 kB of JSON's (row tuples, row texts, joined
-# text) are held for the largest group, not the table: at table 12 6 60
-# (230,089 rows, the largest of 27 groups 33,073) text peaks at 28 MB RSS
-# in 0.5 s, CSV at 44 MB in 2.3 s and JSON at 88 MB in about 9 s (the whole
-# payload took 1.15 GB), about 14 MB of it the interpreter.  So the limit
-# bounds time, about 1 s, 5 s and 20 s at the limit.
+# The most rows ``table`` lists; a larger request exits 2 before any
+# descent.  Every format is written from the text walk's lines one first
+# width at a time, so some 290 bytes a row of text, 320 of CSV and 1.1 kB
+# of JSON (tracemalloc peaks) are held for the largest group, not the
+# table.  table 12 6 60 (230,089 rows, the largest of 27 groups 33,073)
+# takes 0.55 s at 28 MB peak RSS for text, 0.8 s at 30 MB for CSV and
+# 1.1 s at 74 MB for JSON, 14 MB of it the interpreter (a child process,
+# Python 3.11, a shared 2-core host).  So the limit bounds time: table
+# 12 6 66 (496,780 rows) takes 1.5 s, 2.8 s and 3.1 s.
 TABLE_ROW_LIMIT = 500_000
 
 # The heaviest weight ``table`` accepts; past it the request exits 2 before

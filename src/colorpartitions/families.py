@@ -20,9 +20,9 @@ entry made once per pair: its rank w - h and the part
 :func:`~colorpartitions.coloring.color_map` gives its one-pair chain, so
 the table, the public map and ``verify`` share one encoding formula.
 ``_exact_rows`` extends each chain's rows, ranks and encoding from its
-parent's; the text table's walk (``render.table_text``) extends its line.
-Both walk and sort one first width at a time (``_window_row_groups``), so
-a table can be written before its later groups are made.
+parent's, for the member lists and ``render.bijection_rows``; the table's
+walk (``render.table_text``) extends its line instead, and every ``table``
+format is written from those lines one first width at a time.
 The colored family comes from its membership conditions alone, by a
 depth-first recursion over (size, color) parts (``_colored_chains``).
 Per-weight fast counts go through the Frobenius-pair counting kernel (rank
@@ -33,7 +33,7 @@ size-parity) class (colored family), or one over part frequencies
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, groupby
+from itertools import accumulate
 from math import isqrt
 from operator import itemgetter
 from typing import NamedTuple
@@ -92,28 +92,11 @@ def _window_rows(
 ) -> list[tuple[Partition, tuple[int, ...], ColoredPartition]]:
     # The rank-window members of weight exactly n in the box, each with its
     # ranks and encoding, in reverse-lexicographic order.
-    return list(chain.from_iterable(_window_row_groups(params, n, max_part, max_length)))
-
-
-def _window_row_groups(params: IdentityParams, n: int, max_part: int, max_length: int):
-    # _window_rows's rows as one sorted list per first width, largest
-    # first; the root is built, and bad arguments refused, before the first.
     root = _exact_root(params, n, max_part, max_length)
     if root is None:
-        return iter([[((), (), ())]])
-    return map(_sorted_rows, _first_width_groups(root))
-
-
-def _first_width_groups(root: list):
-    # A root list's children in runs of one first width w_1, w_1 descending.
-    # The first width is a member's first part, so every member of a run
-    # sorts above every member of the next, and each run sorts on its own.
-    return (group for _, group in groupby(root, key=itemgetter(0)))
-
-
-def _sorted_rows(children) -> list:
+        return [((), (), ())]
     rows = []
-    _exact_rows(children, rows, (), 0, 0, (), ())
+    _exact_rows(root, rows, (), 0, 0, (), ())
     rows.sort(key=itemgetter(0), reverse=True)
     return rows
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from itertools import chain
+from itertools import chain, groupby
 from math import isqrt
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from . import families
@@ -61,19 +62,9 @@ def format_ranks(ranks: Sequence[int]) -> str:
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
-    # Every CSV output: the header, then one line per row, "\n"-terminated.
-    return "".join(_csv_chunks(header, (rows,)))
-
-
-def _csv_chunks(header: Sequence[str], groups) -> Iterator[str]:
-    # _csv_text's text in chunks: the header's, then one per group of rows,
-    # each made only when the one before it has been taken.
-    return map(_csv_lines, chain(((header,),), groups))
-
-
-def _csv_lines(rows) -> str:
+    # Every CSV output but table's: the header, then one line per row, "\n"-terminated.
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    csv.writer(buffer, lineterminator="\n").writerows(chain((header,), rows))
     return buffer.getvalue()
 
 
@@ -117,19 +108,28 @@ def table_text(params: IdentityParams, n: int) -> str:
 def table_chunks(params: IdentityParams, n: int, fmt: str) -> Iterator[str]:
     """``render_table(params, n, bijection_rows(params, n), fmt)`` in pieces.
 
-    Every format comes one first part at a time, largest first (CSV's
-    header, and JSON's head and tail, as pieces of their own), so only the
-    largest group's lines or rows are held at once.  The arguments are
-    checked, and the child table built, before the first piece.
+    Every format is written from the text walk's lines, one first part at a
+    time, largest first (CSV's header, and JSON's head and tail, as pieces
+    of their own), so only the largest group's lines are held at once; CSV
+    and JSON re-spell each line's three fields.  The arguments are checked,
+    and the child table built, before the first piece.
     """
-    if fmt == "text":
-        return _text_groups(params, n)
-    if fmt not in ("csv", "json"):
+    if fmt not in ("text", "csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    groups = families._window_row_groups(params, n, n, n)
+    groups = _text_groups(params, n)
+    if fmt == "text":
+        return groups
     if fmt == "csv":
-        return _csv_chunks(_TABLE_HEADER, (_table_cells(rows) for rows in groups))
+        return chain([_csv_text(_TABLE_HEADER, ())], map(_csv_lines, groups))
     return _json_chunks(params, n, groups)
+
+
+def _csv_lines(text: str) -> str:
+    # a group's text lines as CSV lines.  No field holds a space, a quote or
+    # a newline, so quoting just the fields that hold a comma is csv.writer's
+    # minimal quoting, byte for byte.
+    rows = map(str.split, text.splitlines())
+    return "".join([",".join([f'"{f}"' if "," in f else f for f in row]) + "\n" for row in rows])
 
 
 def _json_chunks(params: IdentityParams, n: int, groups) -> Iterator[str]:
@@ -137,19 +137,31 @@ def _json_chunks(params: IdentityParams, n: int, groups) -> Iterator[str]:
     # residue, rows, weight, so the head ends at the rows' bracket, and the
     # rows (each a row object's own canonical JSON, four spaces deeper)
     # are joined by ",\n", a group at a time.
-    yield (
-        f'{{\n  "modulus": {params.modulus},\n  "residue": {params.residue},\n  "rows": ['
-    )
-    encode = json.JSONEncoder(sort_keys=True, indent=2).encode
+    yield f'{{\n  "modulus": {params.modulus},\n  "residue": {params.residue},\n  "rows": ['
     separator = "\n"
-    for rows in groups:
+    for text in groups:
         yield separator
         yield ",\n".join([
-            "    " + encode(row).replace("\n", "\n    ") for row in _json_rows(rows)
+            f'    {{\n      "colored": {_json_pairs(colored)},\n'
+            f'      "partition": {_json_ints(p)},\n      "ranks": {_json_ints(ranks)}\n    }}'
+            for p, ranks, colored in map(str.split, text.splitlines())
         ])
         separator = ",\n"
     closing = "]" if separator == "\n" else "\n  ]"
     yield f'{closing},\n  "weight": {n}\n}}\n'
+
+
+def _json_ints(field: str) -> str:
+    # a line's "(5,1)" or "[3,1]" as a row object's canonical list of ints
+    numbers = field[1:-1].replace(",", ",\n        ")
+    return f"[\n        {numbers}\n      ]" if numbers else "[]"
+
+
+def _json_pairs(field: str) -> str:
+    # a line's "(6_2,1_1)" as a row object's canonical list of [size, color]
+    pairs = field[1:-1].replace(",", "\n        ],\n        [\n          ")
+    pairs = pairs.replace("_", ",\n          ")
+    return f"[\n        [\n          {pairs}\n        ]\n      ]" if pairs else "[]"
 
 
 def _json_rows(rows) -> Iterator[dict]:
@@ -179,7 +191,8 @@ def _text_groups(params: IdentityParams, n: int) -> Iterator[str]:
         (base ** (2 * top - 1 - d), base**d, commas, pieces, ",", f",{d}", f",{d + 1}")
         for d in range(1, top)
     ]
-    return (_group_text(group, levels) for group in families._first_width_groups(root))
+    # The root list runs w descending, so its runs of one w are the groups.
+    return (_group_text(group, levels) for _, group in groupby(root, key=itemgetter(0)))
 
 
 def _group_text(children, levels) -> str:

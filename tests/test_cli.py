@@ -70,9 +70,9 @@ def test_table_refuses_a_request_past_its_row_limit_before_any_work(
     def no_walk(*args):
         raise AssertionError("the table's walk ran")
 
-    # both walks read the child table _exact_children builds: the text
-    # table's lines come from render._text_lines, the other formats' rows
-    # from families._exact_rows
+    # every format's lines come from render._text_lines, which reads the
+    # child table _exact_children builds; bijection_rows' walk
+    # (families._exact_rows) reads it too, and no format runs it
     monkeypatch.setattr(cli.families, "_exact_children", no_walk)
     monkeypatch.setattr(cli.families, "_exact_rows", no_walk)
     monkeypatch.setattr(cli.render, "_text_lines", no_walk)

@@ -19,7 +19,7 @@ from colorpartitions import (
     rank_window_members,
     successive_ranks,
 )
-from colorpartitions import cli, families
+from colorpartitions import cli, families, render
 from colorpartitions.coloring import _decode_part
 from colorpartitions.partitions import _rows_from_pairs
 from colorpartitions.render import (
@@ -126,6 +126,24 @@ def test_json_chunks_join_to_the_whole_payload(data, modulus, n):
     assert "".join(table_chunks(params, n, "json")) == whole
 
 
+def test_cli_table_writes_every_format_from_the_text_walk(capsys, monkeypatch):
+    # CSV and JSON re-spell the text walk's lines: no row tuple, cell tuple
+    # or row object is made for any format, and the bytes are render_table's
+    params = IdentityParams(10, 5)
+    rows = bijection_rows(params, 30)
+    expected = {fmt: render_table(params, 30, rows, fmt) for fmt in ("text", "csv", "json")}
+
+    def no_rows(*args):
+        raise AssertionError("the row path ran")
+
+    monkeypatch.setattr(families, "_exact_rows", no_rows)
+    monkeypatch.setattr(render, "_table_cells", no_rows)
+    monkeypatch.setattr(render, "_json_rows", no_rows)
+    for fmt, whole in expected.items():
+        assert cli.main(["table", "10", "5", "30", "-f", fmt]) == 0
+        assert capsys.readouterr().out == whole, fmt
+
+
 def test_table_chunks_refuse_before_the_first_piece():
     for fmt in ("text", "csv", "json"):
         with pytest.raises(ValueError, match="n must"):
@@ -173,8 +191,9 @@ def test_streamed_json_table_peaks_below_half_the_whole_payload(monkeypatch):
     # cli table -f json writes its head, each first-width group's rows and
     # its tail as they are made, so its traced peak stays below half that of
     # the whole payload held at once (0.38 against 6.3 MB under Python 3.11
-    # at 1,772 rows; at table 10 5 40 the peaks are 2.2 and 36 MB, but
-    # tracing the pure-Python JSON encoder there takes some 5 s)
+    # at 1,772 rows; at table 10 5 40 the peaks are 1.8 and 36 MB, but the
+    # whole payload goes through the standard library's pure-Python indenting
+    # encoder, which takes some 4 s to trace there, the stream 0.3 s)
     params = IdentityParams(10, 5)
     whole_payload = lambda: render_table(params, 30, bijection_rows(params, 30), "json")
     whole_payload()

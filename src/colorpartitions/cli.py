@@ -4,12 +4,16 @@ Subcommands: ``table`` (member/ranks/encoding rows for one weight), ``coeffs``
 (series coefficients), ``verify`` (grid verification; exit code 1 on a failed
 identity), ``angles`` (diagonal-hook breakdown of one partition).  Exit codes:
 0 success, 1 verification failure, 2 usage error (out of memory included).
+A reader that closes stdout early (``table 12 6 40 | head -1``) is not an
+error: the output stops there, with nothing on stderr, and the command
+exits as it would have.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from functools import cache
@@ -180,11 +184,20 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 
 def _emit(chunks: Iterable[str], output: str | None) -> None:
-    # Writes each chunk to the file or to stdout as soon as it is made.
+    # Writes each chunk to the file or to stdout as soon as it is made, and
+    # flushes, so a reader that left shows here and not at exit.
     with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as handle:
-        for chunk in chunks:
-            handle.write(chunk)
-            del chunk  # so a written chunk is not held while the next is made
+        try:
+            for chunk in chunks:
+                handle.write(chunk)
+                del chunk  # so a written chunk is not held while the next is made
+            handle.flush()
+        except BrokenPipeError:
+            if handle is not sys.stdout:
+                raise
+            # The reader is gone: stop quietly, and point stdout at devnull so
+            # that the flush at exit, of what is still buffered, cannot fail.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _cmd_table(args: argparse.Namespace) -> int:

@@ -262,15 +262,13 @@ def _colored_head_counts(
     # there are at most p(w) * C^isqrt(w) <= p(max_weight) *
     # C^isqrt(max_weight), p being nondecreasing.  That is below 2^B for B
     # the bit length of p(max_weight) (_limb_bits) plus that of
-    # C^isqrt(max_weight), rounded up to whole words, so no limb carries.
+    # C^isqrt(max_weight), so no limb carries.
     _require_weight(max_weight)
     _require_int(max_size, "max_size")
     start = min(max_size, max_weight)
     colors_of = _admissible_colors(params, start)
     colors = range(1, params.color_count + 1)
-    bits = kernels._word_bits(
-        kernels._limb_bits(max_weight) + (params.color_count ** isqrt(max_weight)).bit_length()
-    )
+    bits = kernels._limb_bits(max_weight) + (params.color_count ** isqrt(max_weight)).bit_length()
     mask = (1 << (bits * (max_weight + 1))) - 1
     packed: dict[ColoredPartition, int] = {(): 1}
     columns = [([], [0]) for _ in colors]
@@ -401,7 +399,7 @@ def frequency_counts(params: IdentityParams, max_weight: int) -> list[int]:
         raise ValueError(f"Gordon's condition needs an odd modulus, got {params.modulus}")
     _require_weight(max_weight)
     k, r = params.half_modulus, params.residue
-    bits = kernels._word_bits(kernels._limb_bits(max_weight))
+    bits = kernels._limb_bits(max_weight)
     mask = (1 << (bits * (max_weight + 1))) - 1
     states = [1]  # parts below 1: the empty partition, f_0 = 0
     for i in range(1, max_weight + 1):

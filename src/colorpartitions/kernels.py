@@ -30,18 +30,21 @@ compared against.  The per-pair series f(w, h) also steer the member
 descent in ``families``: a pair heads a chain of weight b exactly when limb
 b of f(w, h), ``(f >> (B * b)) & (2^B - 1)``, is nonzero.
 
-The pack, unpack and limb-width helpers below are shared with the packed
+The pack, unpack and width helpers below are shared with the packed
 finitized sides in ``series`` and the head and frequency DPs in
-``families``.  Evaluation at q = 2^B is a ring map, so sums, products and
-shifts of packed series may carry between limbs freely; only a series that
-is unpacked, or truncated by a mask, needs every coefficient inside the
-decode range, [0, 2^B) for :func:`_unpack` and (-2^(B-1), 2^(B-1)) for
-:func:`_unpack_signed`.  Each caller states its own bound.
+``families``, under one rule: each DP states beside it a bound on the
+coefficients it decodes, and its width B is the bit length of that bound,
+plus one sign bit for balanced digits (:func:`_signed_bits`).  Evaluation
+at q = 2^B is a ring map, so sums, products and shifts of packed series may
+carry between limbs freely; only a series that is unpacked, or truncated by
+a mask, needs every coefficient inside the decode range, [0, 2^B) for
+:func:`_unpack` and (-2^(B-1), 2^(B-1)) for :func:`_unpack_signed`.  Pack
+and unpack take any width B >= 1, each by one algorithm: a series of at
+most ``_SPLIT`` limbs in one loop (Horner's rule to pack, one shift and mask
+per limb to unpack), a longer one split in halves.
 """
 
 from __future__ import annotations
-
-import struct
 
 from .partitions import _require_int
 
@@ -98,47 +101,42 @@ def _partition_number(n: int) -> int:
     return numbers[n]
 
 
-def _word_bits(bits: int) -> int:
-    # The least multiple of 64 at or above ``bits``: limbs of whole 64-bit
-    # words pack and unpack through one struct call.
-    return -(-bits // 64) * 64
-
-
 def _signed_bits(bound: int) -> int:
-    # A width in whole words whose balanced digits hold every |c| <= bound.
-    return 64 * (bound.bit_length() // 64 + 1)
+    # The least width whose balanced digits hold every |c| <= bound: the
+    # bit length of bound plus one sign bit, so that 2^(B-1) > bound.
+    return bound.bit_length() + 1
+
+
+# The most limbs _pack and _unpack handle in one loop; a longer series is
+# split in halves, so each int operation acts on a piece of about its own
+# size.  At least 46, so the counts at n = 45 unpack in one loop.
+_SPLIT = 48
 
 
 def _pack(coefficients, bits: int) -> int:
-    """The series evaluated at q = 2^bits: sum of c_t * 2^(bits * t), any ints c_t.
-
-    ``bits`` must be a multiple of 64.
-    """
-    # each limb the word c_t, then bits / 64 - 1 zero words, little-endian
-    layout = "<" + f"Q{bits // 8 - 8}x" * len(coefficients)
-    try:
-        return int.from_bytes(struct.pack(layout, *coefficients), "little")
-    except struct.error:  # a coefficient outside [0, 2^64)
-        packed = 0
-        for c in reversed(coefficients):
-            packed = (packed << bits) + c
-        return packed
+    """The series evaluated at q = 2^bits: sum of c_t * 2^(bits * t), any ints c_t."""
+    if len(coefficients) > _SPLIT:
+        half = len(coefficients) // 2
+        high = _pack(coefficients[half:], bits)
+        return _pack(coefficients[:half], bits) + (high << (bits * half))
+    packed = 0
+    for c in reversed(coefficients):  # Horner
+        packed = (packed << bits) + c
+    return packed
 
 
 def _unpack(packed: int, bits: int, count: int) -> list[int]:
-    """Coefficients 0..count-1 of a packed series, each in [0, 2^bits).
+    """The low ``count`` limbs of a nonnegative int, each in [0, 2^bits).
 
-    ``packed`` must be nonnegative and below 2^(bits * count).
+    On a packed series whose coefficients 0..count-1 all lie in [0, 2^bits),
+    those coefficients; limbs from ``count`` on are ignored.
     """
-    words = bits // 64
-    if words * 64 != bits:
-        limb = (1 << bits) - 1
-        return [(packed >> (bits * t)) & limb for t in range(count)]
-    raw = struct.unpack(f"<{words * count}Q", packed.to_bytes(8 * words * count, "little"))
-    digits = list(raw[words - 1 :: words])  # each limb's top word
-    for j in range(words - 2, -1, -1):
-        digits = [d << 64 | w for d, w in zip(digits, raw[j::words])]
-    return digits
+    if count > _SPLIT:
+        half = count // 2
+        low = packed & ((1 << (bits * half)) - 1)
+        return _unpack(low, bits, half) + _unpack(packed >> (bits * half), bits, count - half)
+    limb = (1 << bits) - 1
+    return [(packed >> (bits * t)) & limb for t in range(count)]
 
 
 def _unpack_signed(packed: int, bits: int) -> list[int]:
@@ -148,12 +146,12 @@ def _unpack_signed(packed: int, bits: int) -> list[int]:
     in (0, 2^bits) with no carry, which :func:`_unpack` reads.  A nonzero
     top coefficient at degree d puts |packed| above 2^(bits*d - 1), so
     |packed|.bit_length() // bits + 1 limbs cover every degree (with at
-    most one zero limb above it).  ``bits`` must be a multiple of 64.
+    most one zero limb above it).
     """
     count = abs(packed).bit_length() // bits + 1
-    # 2^(bits-1) in every limb: bits / 8 - 1 zero bytes, then 0x80
-    offset = int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * count, "little")
     half = 1 << (bits - 1)
+    # half in each of count limbs: half * (2^(bits*count) - 1) / (2^bits - 1)
+    offset = half * ((1 << (bits * count)) - 1) // ((1 << bits) - 1)
     return [d - half for d in _unpack(packed + offset, bits, count)]
 
 

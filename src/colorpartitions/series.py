@@ -11,8 +11,9 @@ finitized sides run on packed ints (Kronecker substitution q = 2^B, as in
 ``kernels``; Harvey, J. Symbolic Comput. 44, 2009): each running sum is one
 int, a product with a Gaussian binomial is one int multiply, and a q-shift
 is a bit shift.  Each side carries a bound on the absolute values of its
-final coefficients and unpacks them as balanced digits of a width that
-holds that bound; each binomial is packed once per width in the process.
+final coefficients and unpacks them as balanced digits at ``kernels``' one
+width rule: the bit length of that bound plus one sign bit.  Each binomial
+is packed once per width it is asked for in the process.
 Enumeration-based verification lives elsewhere.
 """
 
@@ -233,9 +234,11 @@ def gaussian_binomial(a: int, b: int, base: int = 1) -> TruncatedSeries:
     expansion (used by the even-modulus finitized sum) and must be positive.
     The finitized sides of one verify run ask for the same few hundred
     polynomials thousands of times; cached results are shared, never
-    mutated.  The finitized sides also keep each one packed, once per limb
-    width in the process, beside the very object this function returned: a
-    patched or rebuilt binomial is a new object, and is packed afresh.
+    mutated.  The finitized sides also keep each one packed, once per width
+    they ask for in the process (each side at each size has its own exact
+    width, so a binomial shared by many sizes is packed at many), beside the
+    very object this function returned: a patched or rebuilt binomial is a
+    new object, and is packed afresh.
     Every argument must be an int.
     """
     for name, value in (("a", a), ("b", b), ("base", base)):

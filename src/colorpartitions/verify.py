@@ -451,11 +451,11 @@ def check_finitized(
         top = max(lhs.degree, len(box) - 1, _gap2_weight_bound(colored_top))
         if n_max is not None:
             top = min(top, n_max)
-        count = min(top, weight_max) + 1
         admitted = _admitted_series(params, size, packed[()], columns)
-        colored = kernels._unpack(admitted & ((1 << (bits * count)) - 1), bits, count)
+        # limbs past weight_max read 0: every head's series is truncated there
+        colored = kernels._unpack(admitted, bits, top + 1)
         expected = lhs.padded(top)
-        routes = (("box count", _padded(box, top)), ("top-part count", _padded(colored, top)))
+        routes = (("box count", _padded(box, top)), ("top-part count", colored))
         if all(values == expected for _, values in routes):
             checked += 2 * (top + 1)
             continue

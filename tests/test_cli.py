@@ -451,6 +451,9 @@ def test_table_writes_one_first_width_group_at_a_time(monkeypatch):
             writes.append(text)
             return len(text)
 
+        def flush(self):
+            pass
+
     monkeypatch.setattr(sys, "stdout", Sink())
     assert cli.main(["table", "10", "5", "40"]) == 0
     digest = hashlib.sha256("".join(writes).encode()).hexdigest()
@@ -572,16 +575,40 @@ def test_bad_config_exit_two(tmp_path, capsys):
     assert capsys.readouterr().err == "still writable\n"
 
 
-def test_module_entry_point():
-    # python -m colorpartitions mirrors the console script; the child imports
-    # the same package as this test, installed or not
+def _child_env():
+    # the environment for a child that imports the same package as this
+    # test, installed or not
     package_root = pathlib.Path(colorpartitions.__file__).parents[1]
     search = [str(package_root), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search))}
+
+
+def test_module_entry_point():
+    # python -m colorpartitions mirrors the console script
     result = subprocess.run(
         [sys.executable, "-m", "colorpartitions", "coeffs", "fermionic", "5", "2", "10"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search))},
+        env=_child_env(),
     )
     assert result.returncode == 0
     assert result.stdout == "1 1 1 1 2 2 3 3 4 5 6\n"
+
+
+def test_closed_stdout_is_not_an_error():
+    # A reader that stops after one line of a table far larger than the pipe
+    # buffer (table 12 6 40 is some 700 kB): the output stops there, with
+    # nothing on stderr and the table's own exit code.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "colorpartitions", "table", "12", "6", "40"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    first = child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait() == 0
+    assert first == b"(22,2,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1) [4,0] (39_5,1_3)\n"
+    assert err == b""

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorpartitions import kernels
+from colorpartitions import IdentityParams, kernels
+from colorpartitions.families import frequency_counts
 from colorpartitions.partitions import partitions_of, successive_ranks
 from colorpartitions.series import partition_series
 
@@ -154,6 +155,65 @@ def test_packed_coefficients_round_trip(coefficients):
     assert not any(decoded[len(coefficients) :])
     if min(coefficients, default=0) >= 0:
         assert kernels._unpack(packed, bits, len(coefficients)) == coefficients
+
+
+# Any width, whole words included, and lengths on both sides of the split.
+_WIDTHS = st.integers(1, 200) | st.sampled_from((64, 128, 192))
+_SPLIT = kernels._SPLIT
+_LENGTHS = st.integers(0, 300) | st.sampled_from((_SPLIT, _SPLIT + 1, 2 * _SPLIT + 1))
+
+
+def _digits(rng, count, lo, hi):
+    # count digits in [lo, hi], the extremes as often as the rest
+    return [rng.choice((lo, hi, rng.randint(lo, hi))) for _ in range(count)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_WIDTHS, _LENGTHS, st.randoms(use_true_random=False))
+def test_pack_round_trips_at_any_width_past_the_split(bits, count, rng):
+    # unsigned digits in [0, 2^B) through _unpack, balanced ones in
+    # (-2^(B-1), 2^(B-1)) through _unpack_signed, which reads every limb up
+    # to the top nonzero one and at most one zero limb above it
+    unsigned = _digits(rng, count, 0, (1 << bits) - 1)
+    packed = kernels._pack(unsigned, bits)
+    assert packed == sum(c << (bits * t) for t, c in enumerate(unsigned))
+    assert kernels._unpack(packed, bits, count) == unsigned
+    half = 1 << (bits - 1)
+    signed = _digits(rng, count, 1 - half, half - 1)
+    packed = kernels._pack(signed, bits)
+    assert packed == sum(c << (bits * t) for t, c in enumerate(signed))
+    decoded = kernels._unpack_signed(packed, bits)
+    degree = max((t for t, c in enumerate(signed) if c), default=0)
+    assert degree < len(decoded) <= degree + 2
+    size = max(count, len(decoded))
+    assert decoded + [0] * (size - len(decoded)) == signed + [0] * (size - count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_WIDTHS, _LENGTHS, st.integers(1, 1 << 1000), st.randoms(use_true_random=False))
+def test_unpack_reads_the_low_limbs_of_any_int(bits, count, high, rng):
+    # limbs from count on are ignored, whatever they hold
+    low = _digits(rng, count, 0, (1 << bits) - 1)
+    packed = kernels._pack(low, bits) + (high << (bits * count))
+    assert kernels._unpack(packed, bits, count) == low
+
+
+@pytest.mark.parametrize("n", (20, 30, 45))
+def test_one_bit_below_the_width_fails(monkeypatch, n):
+    # The sweep's open window in an n-by-n box and Gordon's condition at
+    # k = n + 1, r = k both count every partition, so coefficient n is
+    # p(n) >= 2^(B-1): at one bit below _limb_bits' width it must carry.
+    numbers = list(partition_series(n).coefficients)
+    k = n + 1
+    routes = (
+        lambda: kernels.count_rank_bounded_partitions(n, n, -n, n, cap=n),
+        lambda: frequency_counts(IdentityParams(2 * k + 1, k), n),
+    )
+    assert [route() for route in routes] == [numbers, numbers]
+    limb_bits = kernels._limb_bits
+    monkeypatch.setattr(kernels, "_limb_bits", lambda top: limb_bits(top) - 1)
+    for route in routes:
+        assert route() != numbers
 
 
 def test_inverted_window_counts_nothing():

@@ -159,6 +159,9 @@ def _traced_peaks(monkeypatch, *runs):
         def write(self, text):
             return len(text)
 
+        def flush(self):
+            pass
+
     cli._parser()
     monkeypatch.setattr(sys, "stdout", Sink())
     tracemalloc.start()

@@ -6,15 +6,15 @@ gap-2 partitions, and partitions into residue-restricted parts.  Enumerators
 return materialized lists at fixed weight, or per-weight buckets.
 Rank-window members come from walks over Frobenius pair chains, each
 with a cost that follows its output, in which a node's rows are its
-parent's extended by its last pair (w, h).  The verification harness walks
-every chain up to a weight bound whose ranks lie in some residue's window,
-at the grid's widest modulus, and counts each node by top rank for every
-residue whose window holds it: one walk serves every residue and every
-modulus (``verify._members_by_top``).  For a bijection record it also
-encodes each node once per residue that holds it and checks each new part
-once per (previous part, part, pair) per residue; for the count records it
-builds no rows.  The member lists and the table ask for one exact weight,
-and their walks read a per-call child table (``_exact_root``), in which
+parent's extended by its last pair (w, h).  For its bijection records the
+verification harness walks every chain up to a weight bound whose ranks lie
+in some residue's window, at the grid's widest modulus, and counts each node
+by top rank for every residue whose window holds it: one walk serves every
+residue and every modulus (``verify._members_by_top``).  It encodes each
+node once per residue that holds it and checks each new part once per
+(previous part, part, pair) per residue.  The count records walk no chain:
+they read the counting kernel.  The member lists and the table ask for one
+exact weight, and their walks read a per-call child table (``_exact_root``), in which
 ``_exact_children`` lists each chain state's children once, each with one
 entry made once per pair: its rank w - h and the part
 :func:`~colorpartitions.coloring.color_map` gives its one-pair chain, so

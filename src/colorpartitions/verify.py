@@ -75,10 +75,12 @@ class VerificationReport(NamedTuple):
 def check_product_counts(params: IdentityParams, n_max: int) -> CheckRecord:
     """Rank-window member counts against the closed-form series coefficients.
 
-    The closed form is the avoided-residue product when the residue is
-    strictly below half the modulus; at 2r = M (where that product
-    over-counts) it is the theta quotient instead, and the record notes the
-    substitution.  ``n_max`` must be a nonnegative int.
+    The counts come from the Frobenius-pair DP
+    (:func:`~colorpartitions.kernels.count_rank_bounded_partitions`), with
+    no member built.  The closed form is the avoided-residue product when
+    the residue is strictly below half the modulus; at 2r = M (where that
+    product over-counts) it is the theta quotient instead, and the record
+    notes the substitution.  ``n_max`` must be a nonnegative int.
     """
     families._require_weight(n_max, "n_max")
     return _residue_records([params], n_max, ("product_counts",))[params][0]
@@ -122,33 +124,41 @@ def _residue_records(
 ) -> dict[IdentityParams, list[CheckRecord]]:
     """The records of distinct cells, each in ``scopes`` order.
 
-    One walk at the cells' widest modulus M (:func:`_members_by_top`)
-    serves every cell: each residue r of the cells has a cell at M, since
-    2r <= M' <= M for each cell (M', r), and cell (M', r) reads the first
-    M' - 2 entries of r's counts by top rank.  For a bijection record the
-    walk also certifies, per residue r, each member's round trip at every
-    modulus of r that holds it, by induction along the member's chain
-    (certified: the parent and the one new part its encoding at (M, r)
-    adds); otherwise it only counts.  A bijection record is the one the
-    public ``color_map`` and ``inverse_map`` give on every (cell, member)
-    pair: each cell puts only the suspects of its residue that it holds
-    through that round trip, at its own params.
+    A count record reads its cell's counts from the pair DP
+    (:func:`~colorpartitions.kernels.count_rank_bounded_partitions`) over
+    the cell's window, called directly, so the records need no member.
+    Bijection records share one walk at the cells' widest modulus M
+    (:func:`_members_by_top`), which runs only when one is asked for: each
+    residue r of the cells has a cell at M, since 2r <= M' <= M for each
+    cell (M', r), and cell (M', r) reads the first M' - 2 entries of r's
+    counts by top rank.  The walk also certifies, per residue r, each
+    member's round trip at every modulus of r that holds it, by induction
+    along the member's chain (certified: the parent and the one new part
+    its encoding at (M, r) adds).  A bijection record is the one the public
+    ``color_map`` and ``inverse_map`` give on every (cell, member) pair:
+    each cell puts only the suspects of its residue that it holds through
+    that round trip, at its own params.
     """
-    modulus = max(params.modulus for params in cells)
-    residues = sorted({params.residue for params in cells})
-    walked = _members_by_top(modulus, residues, n_max, certify="bijection" in scopes)
+    walked = {}
+    if "bijection" in scopes:
+        modulus = max(params.modulus for params in cells)
+        residues = sorted({params.residue for params in cells})
+        walked = _members_by_top(modulus, residues, n_max)
     records_of: dict[IdentityParams, list[CheckRecord]] = {}
     for params in cells:
         label = f"M={params.modulus} r={params.residue}"
         forms = _closed_forms(params, n_max, scopes)
-        by_top, suspects = walked[params.residue]
-        counts = [sum(runs[: params.modulus - 2]) for runs in by_top]
         records_of[params] = records = []
         if "product_counts" in scopes:
+            counts = kernels.count_rank_bounded_partitions(
+                n_max, n_max, params.min_rank, params.max_rank, n_max
+            )
             note = "2r = M: no product form, checked theta quotient"
             note = "" if params.has_product_form else note
             records.append(_count_record("product_counts", label, n_max, counts, *forms[0], note))
         if "bijection" in scopes:
+            by_top, suspects = walked[params.residue]
+            counts = [sum(runs[: params.modulus - 2]) for runs in by_top]
             record = _bijection_record(params, label, n_max, suspects, counts, forms)
             records.append(record)
     return records_of
@@ -188,7 +198,7 @@ def _bijection_record(
 
 
 def _members_by_top(
-    modulus: int, residues: list[int], max_weight: int, certify: bool = True
+    modulus: int, residues: list[int], max_weight: int
 ) -> dict[int, tuple[list[list[int]], list[list[tuple[Partition, int]]]]]:
     """Rank-window member counts of weight 0..max_weight, by top rank, per residue.
 
@@ -203,7 +213,8 @@ def _members_by_top(
     whose window holds all of its ranks.  A node no residue holds is not
     descended, since its children add ranks.  So each member's rows are
     built once, however many residues hold it, and only a suspect keeps
-    them.
+    them.  The bijection record is its one reader; the count records read
+    the pair DP.
 
     ``suspects[n]`` lists, as (member, run index), the weight-n members
     whose ``color_map`` output at (M, r) is not certified; any other member
@@ -226,9 +237,7 @@ def _members_by_top(
 
     The checks of one part depend only on (previous part or None, part, w,
     h) and the residue, so each such key is checked once per residue per
-    call and its encoded rank kept for the nodes that share it.  Without
-    ``certify`` (the count records read only the counts) the walk builds no
-    rows: no member is encoded and every ``suspects[n]`` stays empty.
+    call and its encoded rank kept for the nodes that share it.
     """
     families._require_weight(max_weight)
     # per residue: (r, params, counts, suspects, encodings, ranks), where
@@ -242,12 +251,11 @@ def _members_by_top(
         counts[0][0] = 1
         suspects: list[list[tuple[Partition, int]]] = [[] for _ in range(max_weight + 1)]
         encodings = [None] * (max_weight + 2)
-        if certify:
-            # the module global, read per call, so a patched color_map is seen
-            if color_map((), params) == ():
-                encodings[0] = ()
-            else:
-                suspects[0].append(((), 0))
+        # the module global, read per call, so a patched color_map is seen
+        if color_map((), params) == ():
+            encodings[0] = ()
+        else:
+            suspects[0].append(((), 0))
         states[r] = (r, params, counts, suspects, encodings, {})
     # A chain whose ranks lie in [lo, t] is held by the residues r with
     # 2 - lo <= r <= M - 2 - t; held[a][b] holds the states of the residues
@@ -260,25 +268,25 @@ def _members_by_top(
     _, _, _, pairs = kernels._pair_sweep(
         max_weight, max_weight, 2 - high, modulus - 2 - low, max_weight
     )
-    walk = (pairs, modulus, held, max_weight, color_map if certify else None)
+    walk = (pairs, modulus, held, max_weight)
     _walk(walk, (), 0, 0, 1 - high, low, high, len(pairs), max_weight + 1, max_weight)
     return {r: (counts, suspects) for r, _, counts, suspects, _, _ in states.values()}
 
 
 def _walk(walk, p, depth, last, top, low, high, w_head, h_head, budget) -> None:
-    # The walk of _members_by_top below one chain node: its rows p (None when
-    # nothing is encoded), its depth, last height and top rank, and the
-    # interval low..high of residues whose windows hold its ranks.  pairs is
-    # kernels._pair_sweep's over the union of the windows: pairs[w] lists
-    # (h, f(w, h)) for each pair of rank w - h in it, in ascending h, so
-    # ascending h the rank falls.  Every pair (w, h) below (w_head, h_head)
-    # that fits ``budget`` and leaves some residue holding the chain, w
-    # descending and h ascending, is counted for each such residue, and
-    # encoded and certified at its params when ``encode`` is set, then
-    # descended while budget is left.  A rank of at most M - 2 - low, the
-    # top of the node's widest window, bounds w below h_head + M - 2 - low.
-    # A module function, so no closure holds its state in a reference cycle.
-    pairs, modulus, held_of, max_weight, encode = walk
+    # The walk of _members_by_top below one chain node: its rows p, its
+    # depth, last height and top rank, and the interval low..high of
+    # residues whose windows hold its ranks.  pairs is kernels._pair_sweep's
+    # over the union of the windows: pairs[w] lists (h, f(w, h)) for each
+    # pair of rank w - h in it, in ascending h, so ascending h the rank
+    # falls.  Every pair (w, h) below (w_head, h_head) that fits ``budget``
+    # and leaves some residue holding the chain, w descending and h
+    # ascending, is counted for each such residue, encoded by color_map and
+    # certified at its params, then descended while budget is left.  A rank
+    # of at most M - 2 - low, the top of the node's widest window, bounds w
+    # below h_head + M - 2 - low.  A module function, so no closure holds its
+    # state in a reference cycle.
+    pairs, modulus, held_of, max_weight = walk
     for w in range(min(w_head - 1, budget, h_head + modulus - 3 - low), 0, -1):
         for h, _ in pairs[w]:
             if h >= h_head or w + h - 1 > budget:
@@ -294,34 +302,29 @@ def _walk(walk, p, depth, last, top, low, high, w_head, h_head, budget) -> None:
             node_top = t if t > top else top
             rest = budget - w - h + 1
             n = max_weight - rest
-            if encode is None:
-                q = None
-                for r, _, counts, _, _, _ in held:
-                    counts[n][node_top + r - 1] += 1
-            else:
-                q = _extend_rows(p, depth, last, w, h)
-                for r, params, counts, suspects, encodings, ranks in held:
-                    index = node_top + r - 1
-                    counts[n][index] += 1
-                    member = encode(q, params)
-                    encoding = encodings[depth]  # the parent's, for this residue
-                    if encoding is not None and len(member) == depth + 1 and member[:-1] == encoding:
-                        # two exact ints per part: tuple equality lets 3.0 or
-                        # True pass for one, and they hash alike too, so this
-                        # runs before the key is looked up
-                        for size, color in member:
-                            if type(size) is not int or type(color) is not int:
-                                break
-                        else:
-                            key = (encoding[-1] if depth else None, member[-1], w, h)
-                            rank = ranks.get(key, ...)  # ... marks a key not yet checked
-                            if rank is ...:
-                                rank = ranks[key] = _part_rank(*key, params)
-                            if rank is not None and rank <= node_top:
-                                encodings[depth + 1] = member
-                                continue
-                    encodings[depth + 1] = None
-                    suspects[n].append((q, index))
+            q = _extend_rows(p, depth, last, w, h)
+            for r, params, counts, suspects, encodings, ranks in held:
+                index = node_top + r - 1
+                counts[n][index] += 1
+                member = color_map(q, params)
+                encoding = encodings[depth]  # the parent's, for this residue
+                if encoding is not None and len(member) == depth + 1 and member[:-1] == encoding:
+                    # two exact ints per part: tuple equality lets 3.0 or
+                    # True pass for one, and they hash alike too, so this
+                    # runs before the key is looked up
+                    for size, color in member:
+                        if type(size) is not int or type(color) is not int:
+                            break
+                    else:
+                        key = (encoding[-1] if depth else None, member[-1], w, h)
+                        rank = ranks.get(key, ...)  # ... marks a key not yet checked
+                        if rank is ...:
+                            rank = ranks[key] = _part_rank(*key, params)
+                        if rank is not None and rank <= node_top:
+                            encodings[depth + 1] = member
+                            continue
+                encodings[depth + 1] = None
+                suspects[n].append((q, index))
             if rest:
                 _walk(walk, q, depth + 1, h, node_top, a, b, w, h, rest)
 
@@ -516,8 +519,9 @@ def verify_identity_grid(
 
     scope: "product_counts", "bijection", or "both".  Records come in the
     caller's order: moduli as given (repeats included), and within each the
-    residues as given, or ascending by default.  One walk at the widest
-    modulus serves every cell (see :func:`_residue_records`).  Every modulus
+    residues as given, or ascending by default.  Count records read the
+    pair DP per cell, and bijection records share one walk at the widest
+    modulus (see :func:`_residue_records`).  Every modulus
     and residue must be an int and ``n_max`` a nonnegative int, each checked
     before any work.
     """

@@ -189,6 +189,20 @@ def test_verify_counts_reads_no_member_count(capsys, monkeypatch):
     assert code == 0
 
 
+def test_verify_counts_refuses_a_weight_past_its_limit_before_any_work(capsys, monkeypatch):
+    def no_count(*args):
+        raise AssertionError("the pair DP ran")
+
+    monkeypatch.setattr(cli.verify.kernels, "count_rank_bounded_partitions", no_count)
+    limit = cli.VERIFY_COUNTS_WEIGHT_LIMIT
+    assert limit == 1000
+    for argv in ((), ("--M", "5", "--r", "1")):
+        for n_max in (limit + 1, 100_000):
+            code, out, err = run_cli(capsys, "verify", "counts", *argv, "--n-max", str(n_max))
+            assert (code, out) == (2, "")
+            assert err == f"error: verify counts --n-max {n_max} is over the limit of {limit}\n"
+
+
 @pytest.mark.parametrize(
     "handler, argv",
     [

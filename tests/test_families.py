@@ -175,17 +175,13 @@ def test_shared_descent_matches_per_modulus_descents():
 )
 def test_shared_walk_matches_one_residue_walks(data, modulus, n, mutant):
     # the walk over several residues' windows against one walk per residue:
-    # the same counts by top rank and the same suspects, in the same order,
-    # with the certificate on and off
+    # the same counts by top rank and the same suspects, in the same order
     residues = sorted(data.draw(st.sets(st.integers(1, modulus // 2), min_size=1)))
-    certify = data.draw(st.booleans())
-    shared = _with_mutant(mutant, lambda: _members_by_top(modulus, residues, n, certify=certify))
+    shared = _with_mutant(mutant, lambda: _members_by_top(modulus, residues, n))
     assert sorted(shared) == residues
     for r in residues:
-        alone = _with_mutant(mutant, lambda: _members_by_top(modulus, [r], n, certify=certify))
+        alone = _with_mutant(mutant, lambda: _members_by_top(modulus, [r], n))
         assert shared[r] == alone[r], r
-        if not certify:
-            assert shared[r][1] == [[] for _ in range(n + 1)]
 
 
 def test_rank_window_counts_match_members():
@@ -569,7 +565,6 @@ def test_descents_leave_no_reference_cycles():
             lambda: rank_window_members(P71, 20),
             lambda: _members_by_top(9, [1, 2, 3, 4], 30),
             lambda: members_by_top(9, [1, 2, 3, 4], 30),
-            lambda: _members_by_top(9, [1, 2, 3, 4], 30, certify=False),
             lambda: bijection_rows(P71, 20),
             lambda: boxed_members(P71, 20, 8, 8),
             lambda: colored_members_up_to(P71, 30),

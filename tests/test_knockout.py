@@ -3,9 +3,10 @@
 Each row breaks one route, a series or count by a single coefficient or a
 membership predicate or the decode by one case, and lists, per scope, how
 many records must then fail.  The mutant replaces the row's module attribute
-(``series.<name>``, ``families.<name>`` or ``coloring.<name>``) at every
-module of the package that binds it, so every caller sees it.  A change that
-drops a route from a record, or adds one, changes this table.
+(``series.<name>``, ``families.<name>``, ``kernels.<name>`` or
+``coloring.<name>``) at every module of the package that binds it, so every
+caller sees it.  A change that drops a route from a record, or adds one,
+changes this table.
 """
 
 import sys
@@ -13,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from colorpartitions import coloring, families, series
+from colorpartitions import coloring, families, kernels, series
 from colorpartitions.series import TruncatedSeries
 from colorpartitions.verify import verify_all
 
@@ -45,8 +46,8 @@ def binomial_plus_one(a, b, degree):
     return mutant
 
 
-def counts_plus_one(name, degree):
-    real = getattr(families, name)
+def counts_plus_one(module, name, degree):
+    real = getattr(module, name)
     return lambda *args, **kwargs: bumped(real(*args, **kwargs), degree)
 
 
@@ -110,10 +111,16 @@ KNOCKOUTS = [
     ("finitized_lhs", series, series_plus_one("finitized_lhs", 12), {"finitized": 18}),
     ("finitized_rhs", series, series_plus_one("finitized_rhs", 12), {"finitized": 18}),
     ("gaussian_binomial", series, binomial_plus_one(9, 3, 4), {"finitized": 4}),
-    ("frequency_counts", families, counts_plus_one("frequency_counts", 12), {"gordon": 5}),
+    ("frequency_counts", families, counts_plus_one(families, "frequency_counts", 12),
+     {"gordon": 5}),
     ("_colored_head_counts", families, empty_head_plus_one(12),
      {"bijection": 18, "finitized": 18}),
-    ("boxed_counts", families, counts_plus_one("boxed_counts", 12), {"finitized": 18}),
+    ("boxed_counts", families, counts_plus_one(families, "boxed_counts", 12), {"finitized": 18}),
+    # The counting kernel feeds the count records and, through boxed_counts,
+    # the finitized box count.
+    ("count_rank_bounded_partitions", kernels,
+     counts_plus_one(kernels, "count_rank_bounded_partitions", 12),
+     {"product_counts": 18, "finitized": 18}),
     ("_size_ok", coloring, size_ok_admits_size_one, {"bijection": 14, "finitized": 14}),
     ("_gap_ok", coloring, gap_ok_two_short_across_colors, {"bijection": 14, "finitized": 14}),
     # The running head sums start each cut two or three below the head, so

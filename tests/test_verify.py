@@ -118,31 +118,61 @@ def test_verify_never_enumerates_the_colored_family(monkeypatch):
     assert verify_all(n_max=10).passed
 
 
-def test_product_counts_detects_lossy_window_enumeration(monkeypatch):
-    from colorpartitions import verify
+def test_product_counts_detects_lossy_window_counts(monkeypatch):
+    # the count record reads the pair DP; one member short at n = 6 fails it
+    # there, and the bijection record, which reads the walk, stays ok
+    real = kernels.count_rank_bounded_partitions
 
+    def lossy(*args):
+        counts = real(*args)
+        counts[6] -= 1
+        return counts
+
+    monkeypatch.setattr(verify.kernels, "count_rank_bounded_partitions", lossy)
+    report = verify_identity_grid(moduli=(7,), residues=(1,), n_max=10)
+    assert [(r.scope, r.ok) for r in report.records] == [
+        ("product_counts", False),
+        ("bijection", True),
+    ]
+    counts, bijection = report.records
+    assert counts.note.startswith("n=6: ")
+    assert check_product_counts(IdentityParams(7, 1), 10) == counts
+    assert check_bijection(IdentityParams(7, 1), 10) == bijection
+
+
+def test_bijection_detects_lossy_window_walk(monkeypatch):
+    # the bijection record reads the member walk; one member short at n = 6
+    # fails it against the colored family, and the count record stays ok
     real = verify._members_by_top
 
-    def lossy(modulus, residues, max_weight, **options):
-        walked = real(modulus, residues, max_weight, **options)
+    def lossy(modulus, residues, max_weight):
+        walked = real(modulus, residues, max_weight)
         for counts, _ in walked.values():
             row = counts[6]
             row[next(index for index, count in enumerate(row) if count)] -= 1
         return walked
 
-    # the one filing the grid and the single-cell checks share
     monkeypatch.setattr(verify, "_members_by_top", lossy)
-    # the grid shares one enumeration per cell between both records
     report = verify_identity_grid(moduli=(7,), residues=(1,), n_max=10)
     assert [(r.scope, r.ok) for r in report.records] == [
-        ("product_counts", False),
+        ("product_counts", True),
         ("bijection", False),
     ]
     counts, bijection = report.records
-    assert counts.note.startswith("n=6: ")
+    assert bijection.note.startswith("n=6: ")
     assert "direct generation" in bijection.note
     assert check_product_counts(IdentityParams(7, 1), 10) == counts
     assert check_bijection(IdentityParams(7, 1), 10) == bijection
+
+
+def test_product_counts_run_no_member_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the member walk ran")
+
+    monkeypatch.setattr(verify, "_members_by_top", refuse)
+    report = verify_identity_grid(n_max=20, scope="product_counts")
+    assert len(report.records) == 18 and report.passed
+    assert check_product_counts(IdentityParams(8, 4), 20).ok
 
 
 def _product_counts_oracle(params, n_max):

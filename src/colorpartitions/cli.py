@@ -17,7 +17,6 @@ import os
 import sys
 from contextlib import nullcontext
 from functools import cache
-from operator import attrgetter
 from typing import Iterable
 
 from . import families, render, series, verify
@@ -70,11 +69,12 @@ VERIFY_MEMBER_LIMIT = 2_000_000
 VERIFY_WEIGHT_LIMIT = 179
 
 # The largest --n-max ``verify counts`` accepts; past it the request exits 2
-# before any work.  The count records read the pair DP, whose memory grows
-# with the weight: the default grid (18 cells) at --n-max 1000 takes 1.4 s
-# at 60 MB peak RSS (a child process, Python 3.11, a shared 2-core host),
-# and at 2000 6.5 s at 290 MB.  A wider window costs more at the same
-# depth: --M 40 --r 1 --n-max 1000 peaks at 260 MB.
+# before any work.  The count records read the pair DP, which keeps one
+# column sum per height and no per-pair series, so the limit bounds time:
+# the default grid (18 cells) at --n-max 1000 takes about 1.1 s at 21 MB
+# peak RSS, and --M 40 --r 1 and --M 200 --r 1 at --n-max 1000 peak at
+# 21 MB too (a child process, Python 3.11, a shared 2-core host).  The
+# default grid at 2000 takes 4.5 s at 53 MB in process.
 VERIFY_COUNTS_WEIGHT_LIMIT = 1000
 
 # The verify flags each scope reads, by destination; any other is refused.
@@ -302,13 +302,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _check_member_limit(scope: str, moduli, residues, n_max: int) -> None:
-    # Refuse a grid whose walk at its widest modulus would encode more than
-    # VERIFY_MEMBER_LIMIT (member, residue) pairs, by the pair DP's counts
-    # at each residue's widest cell; an empty grid is left to the "matches
-    # no grid cell" error.
-    cells = sorted(verify._identity_cells(moduli, residues), key=attrgetter("modulus"))
-    widest = {params.residue: params for params in cells}
-    if not widest:
+    # Refuse a grid whose walk would encode more than VERIFY_MEMBER_LIMIT
+    # (member, residue) pairs.  As the walk does, count each residue of the
+    # grid at its widest modulus, by the pair DP; an empty grid is left to
+    # the "matches no grid cell" error.
+    cells = verify._identity_cells(moduli, residues)
+    if not cells:
         return
     if n_max > VERIFY_WEIGHT_LIMIT:
         raise ValueError(
@@ -316,7 +315,9 @@ def _check_member_limit(scope: str, moduli, residues, n_max: int) -> None:
             f"past it a grid has only the empty member or more than "
             f"{VERIFY_MEMBER_LIMIT:,} members"
         )
-    count = sum(sum(families.rank_window_counts(params, n_max)) for params in widest.values())
+    modulus = max(params.modulus for params in cells)
+    windows = {IdentityParams(modulus, params.residue) for params in cells}
+    count = sum(sum(families.rank_window_counts(params, n_max)) for params in windows)
     if count > VERIFY_MEMBER_LIMIT:
         raise ValueError(
             f"verify {scope} --n-max {n_max} encodes {count:,} (member, residue) pairs, "

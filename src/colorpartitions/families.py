@@ -109,7 +109,9 @@ def _exact_root(params: IdentityParams, n: int, max_part: int, max_length: int) 
     _require_weight(n, "n")
     hi = params.max_rank
     # the sweep refuses a non-int box side, at n = 0 too
-    _, _, bits, pairs = kernels._pair_sweep(max_part, max_length, params.min_rank, hi, n)
+    _, _, bits, pairs = kernels._pair_sweep(
+        max_part, max_length, params.min_rank, hi, n, keep=True
+    )
     if not n:
         return None
     return _exact_children(pairs, hi, bits, params, ({}, {}, {}), len(pairs), n + 1, n)

@@ -26,9 +26,11 @@ every window and box of top weight top: the open window in a top-by-top box
 counts every partition, so its coefficient top is p(top) itself.  The
 counts are unpacked once, at the end, as exact Python ints at every size; a
 brute-force descent in ``tests/test_kernels.py`` is the oracle they are
-compared against.  The per-pair series f(w, h) also steer the member
-descent in ``families``: a pair heads a chain of weight b exactly when limb
-b of f(w, h), ``(f >> (B * b)) & (2^B - 1)``, is nonzero.
+compared against.  The counts hold only the running column sums.  The
+per-pair series f(w, h) are kept for one reader, the exact-weight child
+table in ``families`` (``_exact_root``), whose descent they steer: a pair
+heads a chain of weight b exactly when limb b of f(w, h), ``(f >> (B * b))
+& (2^B - 1)``, is nonzero.
 
 The pack, unpack and width helpers below are shared with the packed
 finitized sides in ``series`` and the head and frequency DPs in
@@ -65,7 +67,7 @@ def count_rank_bounded_partitions(
     parts, each at most ``max_part``, whose successive ranks all lie in
     [rank_lo, rank_hi].  Every argument must be an int (``cap`` may be None).
     """
-    total, top, bits, _ = _pair_sweep(max_part, max_length, rank_lo, rank_hi, cap)
+    total, top, bits, _ = _pair_sweep(max_part, max_length, rank_lo, rank_hi, cap, keep=False)
     return _unpack(total, bits, top + 1)
 
 
@@ -155,11 +157,13 @@ def _unpack_signed(packed: int, bits: int) -> list[int]:
     return [d - half for d in _unpack(packed + offset, bits, count)]
 
 
-def _pair_sweep(max_part, max_length, rank_lo, rank_hi, cap=None):
+def _pair_sweep(max_part, max_length, rank_lo, rank_hi, cap=None, *, keep):
     # (total, top, B, pairs): the packed box series 1 + sum of f, its top
-    # weight, the limb width B, and pairs[w] = [(h, f(w, h)), ...] for each
-    # width w from 0 to at least the widest admissible pair's, admissible
-    # pairs only, in ascending h; every series is packed in limbs 0..top.
+    # weight, the limb width B, and pairs, None unless ``keep``, in which
+    # pairs[w] = [(h, f(w, h)), ...] for each width w from 0 to at least the
+    # widest admissible pair's, admissible pairs only, in ascending h; every
+    # series is packed in limbs 0..top.  Without ``keep`` the sweep holds
+    # only its column sums, one series per height, not one per pair.
     for name, value in (
         ("max_part", max_part),
         ("max_length", max_length),
@@ -183,7 +187,7 @@ def _pair_sweep(max_part, max_length, rank_lo, rank_hi, cap=None):
     # w - rank_hi <= heights and 2w <= top + 1 + rank_hi: wider rows are
     # left unswept.
     last = min(max_part, top, heights + rank_hi, (top + 1 + rank_hi) // 2)
-    pairs: list[list[tuple[int, int]]] = [[]]
+    pairs: list[list[tuple[int, int]]] | None = [[]] if keep else None
     # settled = 1 (the empty chain) + sum of below[h] over h < h_lo: h_lo
     # never falls as w grows, so those columns take no more pairs and each
     # joins the sum once.
@@ -193,8 +197,8 @@ def _pair_sweep(max_part, max_length, rank_lo, rank_hi, cap=None):
         h_hi = w - rank_lo if w - rank_lo < heights else heights
         if h_hi > top + 1 - w:
             h_hi = top + 1 - w
-        row: list[tuple[int, int]] = []
-        pairs.append(row)
+        if keep:
+            pairs.append(row := [])
         for h in range(h_settled, h_lo):
             settled += below[h]
         h_settled = h_lo
@@ -206,6 +210,7 @@ def _pair_sweep(max_part, max_length, rank_lo, rank_hi, cap=None):
             cell = (run << shift) & mask
             run += below[h]
             below[h] += cell
-            row.append((h, cell))
+            if keep:
+                row.append((h, cell))
             shift += bits
     return 1 + sum(below), top, bits, pairs

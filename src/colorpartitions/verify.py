@@ -9,7 +9,7 @@ canonical JSON.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import coloring, families, kernels, series
 from .coloring import ColoredPartition, IdentityParams, color_map, inverse_map
@@ -76,14 +76,21 @@ def check_product_counts(params: IdentityParams, n_max: int) -> CheckRecord:
     """Rank-window member counts against the closed-form series coefficients.
 
     The counts come from the Frobenius-pair DP
-    (:func:`~colorpartitions.kernels.count_rank_bounded_partitions`), with
-    no member built.  The closed form is the avoided-residue product when
-    the residue is strictly below half the modulus; at 2r = M (where that
-    product over-counts) it is the theta quotient instead, and the record
-    notes the substitution.  ``n_max`` must be a nonnegative int.
+    (:func:`~colorpartitions.kernels.count_rank_bounded_partitions`) over
+    the cell's window, called directly, with no member built.  The closed
+    form is the avoided-residue product when the residue is strictly below
+    half the modulus; at 2r = M (where that product over-counts) it is the
+    theta quotient instead, and the record notes the substitution.  Only
+    that one series is built.  ``n_max`` must be a nonnegative int.
     """
     families._require_weight(n_max, "n_max")
-    return _residue_records([params], n_max, ("product_counts",))[params][0]
+    name, build = _closed_forms(params)[0]
+    counts = kernels.count_rank_bounded_partitions(
+        n_max, n_max, params.min_rank, params.max_rank, n_max
+    )
+    note = "" if params.has_product_form else "2r = M: no product form, checked theta quotient"
+    label = f"M={params.modulus} r={params.residue}"
+    return _count_record("product_counts", label, n_max, counts, name, build(params, n_max), note)
 
 
 def _count_record(
@@ -116,56 +123,40 @@ def check_bijection(params: IdentityParams, n_max: int) -> CheckRecord:
     nonnegative int.
     """
     families._require_weight(n_max, "n_max")
-    return _residue_records([params], n_max, ("bijection",))[params][0]
+    return _bijection_records([params], n_max)[params]
 
 
-def _residue_records(
-    cells: list[IdentityParams], n_max: int, scopes: tuple[str, ...]
-) -> dict[IdentityParams, list[CheckRecord]]:
-    """The records of distinct cells, each in ``scopes`` order.
+def _bijection_records(
+    cells: list[IdentityParams], n_max: int
+) -> dict[IdentityParams, CheckRecord]:
+    """The bijection record of each of a nonempty list of distinct cells.
 
-    A count record reads its cell's counts from the pair DP
-    (:func:`~colorpartitions.kernels.count_rank_bounded_partitions`) over
-    the cell's window, called directly, so the records need no member.
-    Bijection records share one walk at the cells' widest modulus M
-    (:func:`_members_by_top`), which runs only when one is asked for: each
-    residue r of the cells has a cell at M, since 2r <= M' <= M for each
-    cell (M', r), and cell (M', r) reads the first M' - 2 entries of r's
-    counts by top rank.  The walk also certifies, per residue r, each
-    member's round trip at every modulus of r that holds it, by induction
-    along the member's chain (certified: the parent and the one new part
-    its encoding at (M, r) adds).  A bijection record is the one the public
-    ``color_map`` and ``inverse_map`` give on every (cell, member) pair:
-    each cell puts only the suspects of its residue that it holds through
-    that round trip, at its own params.
+    The records share one walk at the cells' widest modulus M
+    (:func:`_members_by_top`): each residue r of the cells has a cell at M,
+    since 2r <= M' <= M for each cell (M', r), and cell (M', r) reads the
+    first M' - 2 entries of r's counts by top rank.  The walk also
+    certifies, per residue r, each member's round trip at every modulus of
+    r that holds it, by induction along the member's chain (certified: the
+    parent and the one new part its encoding at (M, r) adds).  A record is
+    the one the public ``color_map`` and ``inverse_map`` give on every
+    (cell, member) pair: each cell puts only the suspects of its residue
+    that it holds through that round trip, at its own params.  Each cell
+    builds every series of :func:`_closed_forms`.
     """
-    walked = {}
-    if "bijection" in scopes:
-        modulus = max(params.modulus for params in cells)
-        residues = sorted({params.residue for params in cells})
-        walked = _members_by_top(modulus, residues, n_max)
-    records_of: dict[IdentityParams, list[CheckRecord]] = {}
+    modulus = max(params.modulus for params in cells)
+    residues = sorted({params.residue for params in cells})
+    walked = _members_by_top(modulus, residues, n_max)
+    records = {}
     for params in cells:
-        label = f"M={params.modulus} r={params.residue}"
-        forms = _closed_forms(params, n_max, scopes)
-        records_of[params] = records = []
-        if "product_counts" in scopes:
-            counts = kernels.count_rank_bounded_partitions(
-                n_max, n_max, params.min_rank, params.max_rank, n_max
-            )
-            note = "2r = M: no product form, checked theta quotient"
-            note = "" if params.has_product_form else note
-            records.append(_count_record("product_counts", label, n_max, counts, *forms[0], note))
-        if "bijection" in scopes:
-            by_top, suspects = walked[params.residue]
-            counts = [sum(runs[: params.modulus - 2]) for runs in by_top]
-            record = _bijection_record(params, label, n_max, suspects, counts, forms)
-            records.append(record)
-    return records_of
+        by_top, suspects = walked[params.residue]
+        counts = [sum(runs[: params.modulus - 2]) for runs in by_top]
+        forms = [(name, build(params, n_max)) for name, build in _closed_forms(params)]
+        records[params] = _bijection_record(params, n_max, suspects, counts, forms)
+    return records
 
 
 def _bijection_record(
-    params: IdentityParams, label: str, n_max: int,
+    params: IdentityParams, n_max: int,
     suspects: list[list[tuple[Partition, int]]],
     counts: list[int], forms: list[tuple[str, series.TruncatedSeries]],
 ) -> CheckRecord:
@@ -175,6 +166,7 @@ def _bijection_record(
     # every series.  The record stops at the first failure, counted at its
     # position in the per-cell loop's reverse-lexicographic order, which the
     # cell's member list gives (the walk keeps no rows but the suspects').
+    label = f"M={params.modulus} r={params.residue}"
     span, cut = f"n<={n_max}", params.modulus - 2
     bits, packed, _ = families._colored_head_counts(params, n_max, n_max)
     colored = kernels._unpack(sum(packed.values()), bits, n_max + 1)
@@ -213,8 +205,9 @@ def _members_by_top(
     whose window holds all of its ranks.  A node no residue holds is not
     descended, since its children add ranks.  So each member's rows are
     built once, however many residues hold it, and only a suspect keeps
-    them.  The bijection record is its one reader; the count records read
-    the pair DP.
+    them.  The walk reads its pairs from the windows' bounds alone and runs
+    no pair DP.  The bijection record is its one reader; the count records
+    read the pair DP.
 
     ``suspects[n]`` lists, as (member, run index), the weight-n members
     whose ``color_map`` output at (M, r) is not certified; any other member
@@ -265,35 +258,29 @@ def _members_by_top(
         [tuple(states[r] for r in residues if a <= r <= b) for b in range(high + 1)]
         for a in range(high + 1)
     ]
-    _, _, _, pairs = kernels._pair_sweep(
-        max_weight, max_weight, 2 - high, modulus - 2 - low, max_weight
-    )
-    walk = (pairs, modulus, held, max_weight)
-    _walk(walk, (), 0, 0, 1 - high, low, high, len(pairs), max_weight + 1, max_weight)
+    walk = (modulus, held, max_weight)
+    _walk(walk, (), 0, 0, 1 - high, low, high, max_weight + 1, max_weight + 1, max_weight)
     return {r: (counts, suspects) for r, _, counts, suspects, _, _ in states.values()}
 
 
 def _walk(walk, p, depth, last, top, low, high, w_head, h_head, budget) -> None:
     # The walk of _members_by_top below one chain node: its rows p, its
     # depth, last height and top rank, and the interval low..high of
-    # residues whose windows hold its ranks.  pairs is kernels._pair_sweep's
-    # over the union of the windows: pairs[w] lists (h, f(w, h)) for each
-    # pair of rank w - h in it, in ascending h, so ascending h the rank
-    # falls.  Every pair (w, h) below (w_head, h_head) that fits ``budget``
-    # and leaves some residue holding the chain, w descending and h
-    # ascending, is counted for each such residue, encoded by color_map and
-    # certified at its params, then descended while budget is left.  A rank
-    # of at most M - 2 - low, the top of the node's widest window, bounds w
-    # below h_head + M - 2 - low.  A module function, so no closure holds its
-    # state in a reference cycle.
-    pairs, modulus, held_of, max_weight = walk
+    # residues whose windows hold its ranks.  Every pair (w, h) below
+    # (w_head, h_head) that fits ``budget`` and has its rank w - h in the
+    # union [2 - high, M - 2 - low] of those windows, w descending and h
+    # ascending (so the rank falls), is counted for each residue whose
+    # window still holds the chain, encoded by color_map and certified at
+    # its params, then descended while budget is left.  The pairs come from
+    # those bounds alone: a rank of at most M - 2 - low bounds w below
+    # h_head + M - 2 - low, and each w has one interval of heights.  A
+    # residue set with a gap can leave a pair held by none; it is skipped.
+    # A module function, so no closure holds its state in a reference cycle.
+    modulus, held_of, max_weight = walk
     for w in range(min(w_head - 1, budget, h_head + modulus - 3 - low), 0, -1):
-        for h, _ in pairs[w]:
-            if h >= h_head or w + h - 1 > budget:
-                break
+        h_top = min(h_head - 1, budget + 1 - w, w + high - 2)
+        for h in range(max(1, w - (modulus - 2 - low)), h_top + 1):
             t = w - h
-            if t + high < 2:  # below every window left, and so is the rest
-                break
             a = low if low + t >= 2 else 2 - t
             b = high if high + t <= modulus - 2 else modulus - 2 - t
             held = held_of[a][b]
@@ -348,18 +335,15 @@ def _part_rank(
     return rank if (width, height) == (w, h) else None
 
 
-def _closed_forms(
-    params: IdentityParams, n_max: int, scopes: tuple[str, ...]
-) -> list[tuple[str, series.TruncatedSeries]]:
-    # The series the records read, each built once: the count record reads
-    # the first (the product, or the theta quotient at 2r = M, where the
-    # product over-counts), the bijection record every one.
-    builders = [("theta quotient", series.bosonic_sum), ("multisum", series.fermionic_multisum)]
+def _closed_forms(params: IdentityParams) -> list[tuple[str, Callable]]:
+    # The (name, builder) pairs of the series the records read, each record
+    # building only those it reads: the count record the first (the
+    # product, or the theta quotient at 2r = M, where the product
+    # over-counts), the bijection record every one.
+    forms = [("theta quotient", series.bosonic_sum), ("multisum", series.fermionic_multisum)]
     if params.has_product_form:
-        builders.insert(0, ("product", series.restricted_product))
-    if "bijection" not in scopes:
-        del builders[1:]
-    return [(name, build(params, n_max)) for name, build in builders]
+        forms.insert(0, ("product", series.restricted_product))
+    return forms
 
 
 def _round_trip_note(p: Partition, n: int, params: IdentityParams) -> str | None:
@@ -519,11 +503,11 @@ def verify_identity_grid(
 
     scope: "product_counts", "bijection", or "both".  Records come in the
     caller's order: moduli as given (repeats included), and within each the
-    residues as given, or ascending by default.  Count records read the
-    pair DP per cell, and bijection records share one walk at the widest
-    modulus (see :func:`_residue_records`).  Every modulus
-    and residue must be an int and ``n_max`` a nonnegative int, each checked
-    before any work.
+    residues as given, or ascending by default.  Each distinct cell's count
+    record is :func:`check_product_counts`'s, called through the module
+    global, and the bijection records share one walk at the widest modulus
+    (see :func:`_bijection_records`).  Every modulus and residue must be an
+    int and ``n_max`` a nonnegative int, each checked before any work.
     """
     if scope not in ("product_counts", "bijection", "both"):
         raise ValueError(f"unknown scope {scope!r}")
@@ -534,8 +518,13 @@ def verify_identity_grid(
         for value in values:
             _require_int(value, name)
     cells = _identity_cells(moduli, residues)
-    scopes = ("product_counts", "bijection") if scope == "both" else (scope,)
-    records_of = _residue_records(list(dict.fromkeys(cells)), n_max, scopes) if cells else {}
+    records_of: dict[IdentityParams, list[CheckRecord]] = {params: [] for params in cells}
+    if scope != "bijection":
+        for params, records in records_of.items():
+            records.append(check_product_counts(params, n_max))
+    if scope != "product_counts" and records_of:
+        for params, record in _bijection_records(list(records_of), n_max).items():
+            records_of[params].append(record)
     return VerificationReport(
         f"{scope} grid", tuple(record for params in cells for record in records_of[params])
     )

@@ -487,7 +487,7 @@ def _walk_pairs(params, top, exact):
     # (_exact_children), read from its root, and otherwise one
     # _pair_descent, which files every chain up to weight top.
     hi = params.max_rank
-    _, _, bits, pairs = kernels._pair_sweep(top, top, params.min_rank, hi, top)
+    _, _, bits, pairs = kernels._pair_sweep(top, top, params.min_rank, hi, top, keep=True)
     filed = []
 
     def file(parent, w, h, rest):

@@ -242,7 +242,7 @@ def test_sweep_lists_every_admissible_pair():
             for lo in range(-4, 5):
                 for hi in range(lo - 2, lo + 6):
                     for cap in (None, 0, 5, 11):
-                        _, top, _, pairs = kernels._pair_sweep(u, v, lo, hi, cap)
+                        _, top, _, pairs = kernels._pair_sweep(u, v, lo, hi, cap, keep=True)
                         listed = [(w, h) for w, row in enumerate(pairs) for h, _ in row]
                         assert listed == [
                             (w, h)

@@ -175,6 +175,34 @@ def test_product_counts_run_no_member_walk(monkeypatch):
     assert check_product_counts(IdentityParams(8, 4), 20).ok
 
 
+def test_bijection_records_run_no_pair_dp(monkeypatch):
+    # the walk reads its pairs from the windows' bounds alone: with the pair
+    # DP refusing, the bijection records are the ones it gives unpatched
+    grid = verify_identity_grid(scope="bijection", n_max=14)
+    cell = check_bijection(IdentityParams(9, 4), 14)
+    assert grid.passed and len(grid.records) == 18 and cell.ok
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pair DP ran")
+
+    monkeypatch.setattr(kernels, "_pair_sweep", refuse)
+    assert verify_identity_grid(scope="bijection", n_max=14) == grid
+    assert check_bijection(IdentityParams(9, 4), 14) == cell
+
+
+def test_product_counts_build_only_their_closed_form(monkeypatch):
+    # a count record reads one series (the product, or the theta quotient
+    # at 2r = M), so the counts scope never builds a multisum
+    expected = verify_identity_grid(scope="product_counts")
+    assert expected.passed and len(expected.records) == 18
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the multisum was built")
+
+    monkeypatch.setattr(verify.series, "fermionic_multisum", refuse)
+    assert verify_identity_grid(scope="product_counts") == expected
+
+
 def _product_counts_oracle(params, n_max):
     # member counts of one exact-weight descent per weight against the
     # closed form, stopping at the first mismatch

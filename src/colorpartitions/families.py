@@ -49,7 +49,9 @@ from .coloring import (
     color_map,
     rank_from_color,
 )
-from .partitions import Partition, _extend_rows, _require_int, partitions_of, successive_ranks
+from .partitions import (
+    Partition, _extend_rows, _require_count, _require_int, partitions_of, successive_ranks
+)
 
 __all__ = [
     "FamilySpec",
@@ -106,7 +108,7 @@ def _exact_root(params: IdentityParams, n: int, max_part: int, max_length: int) 
     # chains of weight exactly n in the box, or None at n = 0, whose one
     # member is the empty chain.  The table is per call, since its parts
     # depend on the residue and its pairs on the window and the box.
-    _require_weight(n, "n")
+    _require_count(n, "n")
     hi = params.max_rank
     # the sweep refuses a non-int box side, at n = 0 too
     _, _, bits, pairs = kernels._pair_sweep(
@@ -188,15 +190,10 @@ def _exact_rows(children, rows, p, depth, last, ranks, colored) -> None:
 
 def rank_window_counts(params: IdentityParams, max_weight: int) -> list[int]:
     """Per-weight counts of rank-window partitions, via the counting kernel."""
+    _require_count(max_weight, "max_weight")
     return kernels.count_rank_bounded_partitions(
         max_weight, max_weight, params.min_rank, params.max_rank, cap=max_weight
     )
-
-
-def _require_weight(value: int, name: str = "max_weight") -> None:
-    _require_int(value, name)
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 def _admissible_colors(params: IdentityParams, max_size: int) -> list[list[int]]:
@@ -265,7 +262,7 @@ def _colored_head_counts(
     # C^isqrt(max_weight), p being nondecreasing.  That is below 2^B for B
     # the bit length of p(max_weight) (_limb_bits) plus that of
     # C^isqrt(max_weight), so no limb carries.
-    _require_weight(max_weight)
+    _require_count(max_weight, "max_weight")
     _require_int(max_size, "max_size")
     start = min(max_size, max_weight)
     colors_of = _admissible_colors(params, start)
@@ -307,7 +304,7 @@ def colored_members_up_to(
     gap of at least 2, so the budget prunes fast.  ``max_size``, an int or
     None, bounds the largest part.
     """
-    _require_weight(max_weight)
+    _require_count(max_weight, "max_weight")
     if max_size is not None:
         _require_int(max_size, "max_size")
     start = max_weight if max_size is None else min(max_size, max_weight)
@@ -335,6 +332,7 @@ def _colored_chains(params, colors_of, buckets, chain, size_bound, budget) -> No
 
 def colored_members(params: IdentityParams, n: int) -> list[ColoredPartition]:
     """Condition-respecting colored partitions of weight exactly n."""
+    _require_count(n, "n")
     return colored_members_up_to(params, n)[n]
 
 
@@ -342,7 +340,7 @@ def boxed_members(
     params: IdentityParams, n: int, max_part: int, max_length: int
 ) -> list[Partition]:
     """Rank-window members of n fitting max_length rows by max_part columns."""
-    _require_weight(n, "n")
+    _require_count(n, "n")
     # a non-int side falls through to the kernel, which refuses it
     if type(max_part) is type(max_length) is int and min(max_part, max_length) < 0:
         return []
@@ -373,7 +371,7 @@ def gordon_members(half_modulus: int, residue: int, n: int) -> list[Partition]:
     filter over every partition of n, kept as the test oracle of
     :func:`frequency_counts`.
     """
-    _require_weight(n, "n")
+    _require_count(n, "n")
     return [
         p
         for p in partitions_of(n)
@@ -399,7 +397,7 @@ def frequency_counts(params: IdentityParams, max_weight: int) -> list[int]:
     """
     if not params.is_odd:
         raise ValueError(f"Gordon's condition needs an odd modulus, got {params.modulus}")
-    _require_weight(max_weight)
+    _require_count(max_weight, "max_weight")
     k, r = params.half_modulus, params.residue
     bits = kernels._limb_bits(max_weight)
     mask = (1 << (bits * (max_weight + 1))) - 1
@@ -416,7 +414,7 @@ def frequency_counts(params: IdentityParams, max_weight: int) -> list[int]:
 
 def gap2_members(n: int, min_part: int = 1) -> list[Partition]:
     """Partitions of n whose parts decrease by at least 2, parts >= min_part."""
-    _require_weight(n, "n")
+    _require_count(n, "n")
     return [
         p
         for p in partitions_of(n)
@@ -426,7 +424,7 @@ def gap2_members(n: int, min_part: int = 1) -> list[Partition]:
 
 def product_parts_members(params: IdentityParams, n: int) -> list[Partition]:
     """Partitions of n into parts avoiding residues 0 and +-r mod the modulus."""
-    _require_weight(n, "n")
+    _require_count(n, "n")
     m = params.modulus
     excluded = {0, params.residue % m, (m - params.residue) % m}
     return [

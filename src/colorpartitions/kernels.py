@@ -48,7 +48,7 @@ per limb to unpack), a longer one split in halves.
 
 from __future__ import annotations
 
-from .partitions import _require_int
+from .partitions import _require_count, _require_int
 
 __all__ = ["count_rank_bounded_partitions"]
 
@@ -65,7 +65,9 @@ def count_rank_bounded_partitions(
     Returns ``counts`` of length W+1 with W = min(max_part * max_length, cap):
     ``counts[w]`` is the number of partitions of w with at most ``max_length``
     parts, each at most ``max_part``, whose successive ranks all lie in
-    [rank_lo, rank_hi].  Every argument must be an int (``cap`` may be None).
+    [rank_lo, rank_hi].  Every argument must be an int (``cap`` may be None),
+    and neither box side nor ``cap`` may be negative; a bad argument raises
+    ValueError under its own name.
     """
     total, top, bits, _ = _pair_sweep(max_part, max_length, rank_lo, rank_hi, cap, keep=False)
     return _unpack(total, bits, top + 1)
@@ -164,20 +166,13 @@ def _pair_sweep(max_part, max_length, rank_lo, rank_hi, cap=None, *, keep):
     # widest admissible pair's, admissible pairs only, in ascending h; every
     # series is packed in limbs 0..top.  Without ``keep`` the sweep holds
     # only its column sums, one series per height, not one per pair.
-    for name, value in (
-        ("max_part", max_part),
-        ("max_length", max_length),
-        ("rank_lo", rank_lo),
-        ("rank_hi", rank_hi),
-        ("cap", 0 if cap is None else cap),
-    ):
-        _require_int(value, name)
-    if max_part < 0 or max_length < 0:
-        raise ValueError("box sides must be nonnegative")
+    _require_count(max_part, "max_part")
+    _require_count(max_length, "max_length")
+    _require_int(rank_lo, "rank_lo")
+    _require_int(rank_hi, "rank_hi")
+    _require_count(0 if cap is None else cap, "cap")  # ``cap or 0`` would let False through
     box = max_part * max_length
     top = box if cap is None else min(cap, box)
-    if top < 0:
-        raise ValueError("cap must be nonnegative")
     bits = _limb_bits(top)
     mask = (1 << (bits * (top + 1))) - 1
     # below[h] = sum of f(w', h) over the rows w' already done; h is 1-based.

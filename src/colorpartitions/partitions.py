@@ -77,6 +77,14 @@ def _require_int(value: int, name: str) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 
+def _require_count(value: int, name: str) -> None:
+    # The one check on a weight, order, size or box side: a nonnegative int,
+    # refused under the caller's own parameter name.
+    _require_int(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 def durfee_size(parts: Partition) -> int:
     """Side of the largest square of cells anchored at the diagram's corner."""
     return len(_durfee_heights(parts))
@@ -213,9 +221,7 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     ``max_part`` additionally caps the largest part.  Reverse-lexicographic
     means ``(4) > (3,1) > (2,2) > (2,1,1) > (1,1,1,1)``.
     """
-    _require_int(n, "n")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_count(n, "n")
     cap = n if max_part is None else min(max_part, n)
     if n == 0:
         yield ()

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .coloring import IdentityParams
 from .kernels import _pack, _signed_bits, _unpack_signed
-from .partitions import _require_int
+from .partitions import _require_count, _require_int
 
 __all__ = [
     "TruncatedSeries",
@@ -117,15 +117,9 @@ def first_difference(a: Sequence[int], b: Sequence[int]) -> int | None:
     return None
 
 
-def _check_order(order: int) -> None:
-    _require_int(order, "order")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-
-
 def partition_series(order: int) -> TruncatedSeries:
     """Generating series of all partitions (product of all geometric factors)."""
-    _check_order(order)
+    _require_count(order, "order")
     coeffs = [1] + [0] * order
     for n in range(1, order + 1):
         _divide_geometric(coeffs, n)
@@ -138,7 +132,7 @@ def restricted_product(params: IdentityParams, order: int) -> TruncatedSeries:
     For modulus 3, residue 1 every residue class is excluded and the series
     is the constant 1.
     """
-    _check_order(order)
+    _require_count(order, "order")
     m = params.modulus
     excluded = {0, params.residue % m, (m - params.residue) % m}
     coeffs = [1] + [0] * order
@@ -156,7 +150,7 @@ def _theta_exponent(params: IdentityParams, j: int) -> int:
 
 def bosonic_sum(params: IdentityParams, order: int) -> TruncatedSeries:
     """Alternating theta series divided by the full partition product."""
-    _check_order(order)
+    _require_count(order, "order")
     theta = [0] * (order + 1)
     theta[0] = 1
     j = 1
@@ -201,7 +195,7 @@ def fermionic_multisum(params: IdentityParams, order: int) -> TruncatedSeries:
     exponent, so B_j(N) is kept only to degree order - (j-1) N^2, and values
     N whose own exponent already passes that are dropped.
     """
-    _check_order(order)
+    _require_count(order, "order")
     below = [[1] + [0] * order]  # B_k
     for j in range(params.half_modulus - 1, 0, -1):
         base = _step_base(params, j)
@@ -317,8 +311,11 @@ def finitized_lhs(params: IdentityParams, size: int) -> TruncatedSeries:
     sum of its terms' coefficient sums |[upper, lower]|_1 (C(upper, lower)
     each on correct binomials), so balanced digits of the width that bound
     gives decode it exactly, whatever the binomials hold.
+
+    ``size`` must be a nonnegative int; anything else raises ValueError
+    naming ``size``.
     """
-    _check_order(size)
+    _require_count(size, "size")
     upper = sum(finitized_box(params, size))
     offset = upper - params.half_modulus + params.residue
     terms = []  # (j, the _binomial_entry of the term's binomial)
@@ -374,8 +371,11 @@ def finitized_rhs(params: IdentityParams, size: int) -> TruncatedSeries:
     binomials every coefficient is nonnegative, so the bound is the value at
     q = 1, the count of the W x H box's rank-window partitions, at most
     C(W + H, H): the width starts there and is not widened.
+
+    ``size`` must be a nonnegative int; anything else raises ValueError
+    naming ``size``.
     """
-    _check_order(size)
+    _require_count(size, "size")
     width, height = finitized_box(params, size)
     bits = _signed_bits(comb(max(width + height, 0), max(height, 0)))
     total, bound = _multisum_states(params, size, bits)

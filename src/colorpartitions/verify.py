@@ -13,7 +13,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import coloring, families, kernels, series
 from .coloring import ColoredPartition, IdentityParams, color_map, inverse_map
-from .partitions import Partition, _extend_rows, _require_int
+from .partitions import Partition, _extend_rows, _require_count, _require_int
 
 __all__ = [
     "CheckRecord",
@@ -83,7 +83,7 @@ def check_product_counts(params: IdentityParams, n_max: int) -> CheckRecord:
     theta quotient instead, and the record notes the substitution.  Only
     that one series is built.  ``n_max`` must be a nonnegative int.
     """
-    families._require_weight(n_max, "n_max")
+    _require_count(n_max, "n_max")
     name, build = _closed_forms(params)[0]
     counts = kernels.count_rank_bounded_partitions(
         n_max, n_max, params.min_rank, params.max_rank, n_max
@@ -122,7 +122,7 @@ def check_bijection(params: IdentityParams, n_max: int) -> CheckRecord:
     out at 2r = M, where no product form exists).  ``n_max`` must be a
     nonnegative int.
     """
-    families._require_weight(n_max, "n_max")
+    _require_count(n_max, "n_max")
     return _bijection_records([params], n_max)[params]
 
 
@@ -232,7 +232,7 @@ def _members_by_top(
     h) and the residue, so each such key is checked once per residue per
     call and its encoded rank kept for the nodes that share it.
     """
-    families._require_weight(max_weight)
+    _require_count(max_weight, "max_weight")
     # per residue: (r, params, counts, suspects, encodings, ranks), where
     # encodings[d] is the certified encoding at (M, r), or None, of the
     # depth-d node on the walk's current path, and ranks maps (previous part
@@ -368,7 +368,7 @@ def check_gordon(half_modulus: int, residue: int, n_max: int) -> CheckRecord:
     every partition, :func:`~colorpartitions.families.gordon_members`, is
     its test oracle.
     """
-    families._require_weight(n_max, "n_max")
+    _require_count(n_max, "n_max")
     params = IdentityParams(2 * half_modulus + 1, residue)
     product = series.restricted_product(params, n_max)
     counts = families.frequency_counts(params, n_max)
@@ -409,9 +409,9 @@ def check_finitized(
     count's weight and truncates the per-weight comparisons.  A ``size_max``
     or ``n_max`` that is not a nonnegative int raises ValueError.
     """
-    families._require_weight(size_max, "size_max")
+    _require_count(size_max, "size_max")
     if n_max is not None:
-        families._require_weight(n_max, "n_max")
+        _require_count(n_max, "n_max")
     parity = "odd" if params.is_odd else "even"
     label = f"{parity} k={params.half_modulus} r={params.residue}"
     span = f"N<={size_max}"
@@ -433,16 +433,16 @@ def check_finitized(
             note = f"size={size}: sides first differ at degree {degree}"
             return CheckRecord("finitized", label, span, checked, False, note)
         max_part, max_length = series.finitized_box(params, size)
-        box = families.boxed_counts(params, max_part, max_length)
+        box = series.TruncatedSeries(families.boxed_counts(params, max_part, max_length))
         colored_top = _colored_top(max_part, max_length)
-        top = max(lhs.degree, len(box) - 1, _gap2_weight_bound(colored_top))
+        top = max(lhs.degree, box.order, _gap2_weight_bound(colored_top))
         if n_max is not None:
             top = min(top, n_max)
         admitted = _admitted_series(params, size, packed[()], columns)
         # limbs past weight_max read 0: every head's series is truncated there
         colored = kernels._unpack(admitted, bits, top + 1)
         expected = lhs.padded(top)
-        routes = (("box count", _padded(box, top)), ("top-part count", colored))
+        routes = (("box count", box.padded(top)), ("top-part count", colored))
         if all(values == expected for _, values in routes):
             checked += 2 * (top + 1)
             continue
@@ -473,11 +473,6 @@ def _admitted_series(
     for heads, sums in columns:
         admitted += sums[bisect_left(heads, True, key=refused)]
     return admitted
-
-
-def _padded(values: list[int], top: int) -> list[int]:
-    # values[0..top], zero-extended as needed
-    return values[: top + 1] + [0] * (top + 1 - len(values))
 
 
 def _colored_top(max_part: int, max_length: int) -> int:
@@ -511,7 +506,7 @@ def verify_identity_grid(
     """
     if scope not in ("product_counts", "bijection", "both"):
         raise ValueError(f"unknown scope {scope!r}")
-    families._require_weight(n_max, "n_max")
+    _require_count(n_max, "n_max")
     moduli = tuple(moduli)
     residues = None if residues is None else tuple(residues)
     for name, values in (("modulus", moduli), ("residue", residues or ())):
@@ -543,7 +538,16 @@ def _identity_cells(moduli, residues) -> list[IdentityParams]:
 def verify_gordon_grid(
     pairs=DEFAULT_GORDON_PAIRS, n_max: int = DEFAULT_GORDON_N_MAX
 ) -> VerificationReport:
-    families._require_weight(n_max, "n_max")
+    """:func:`check_gordon` for each (half_modulus, residue) pair, in order.
+
+    ``n_max`` must be a nonnegative int and each pair's entries ints, each
+    checked before any work.
+    """
+    _require_count(n_max, "n_max")
+    pairs = tuple(pairs)
+    for half, residue in pairs:
+        _require_int(half, "half_modulus")
+        _require_int(residue, "residue")
     records = tuple(check_gordon(k, r, n_max) for k, r in pairs)
     return VerificationReport("gordon grid", records)
 
@@ -556,6 +560,23 @@ def verify_finitized_grid(
     n_max: int | None = None,
     residues=None,
 ) -> VerificationReport:
+    """:func:`check_finitized` for each parity, half-modulus and residue.
+
+    The cells run parity by parity, then by half-modulus k (modulus 2k + 1
+    or 2k; modulus 2 has no cell), then by residue (1..k, or those of
+    ``residues`` at most k), with sizes up to ``odd_size_max`` or
+    ``even_size_max``.  Each parity
+    must be "odd" or "even", and each half-modulus and residue an int, each
+    checked before any work.
+    """
+    parities, halves = tuple(parities), tuple(halves)
+    residues = None if residues is None else tuple(residues)
+    for parity in parities:
+        if parity not in ("odd", "even"):
+            raise ValueError(f"unknown parity {parity!r}")
+    for name, values in (("half_modulus", halves), ("residue", residues or ())):
+        for value in values:
+            _require_int(value, name)
     records = []
     for parity in parities:
         size_max = odd_size_max if parity == "odd" else even_size_max

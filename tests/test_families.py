@@ -258,9 +258,8 @@ def test_colored_routes_reject_negative_weight():
 
 def test_weighted_routes_reject_non_int_weight():
     # integers only: a bool would otherwise count as weight 0 or 1; each
-    # route names the weight as its own signature does, the counting routes
-    # as the kernel's box side
-    names = ("n", "max_weight", "max_part", "n", "max_weight", "max_weight", "max_weight",
+    # route names the weight as its own signature does
+    names = ("n", "max_weight", "max_weight", "n", "n", "max_weight", "max_weight",
              "n", "n", "max_weight", "n", "n")
     for route, name in zip(WEIGHTED_ROUTES, names, strict=True):
         for bad in (True, False, 2.0, "3"):

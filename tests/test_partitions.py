@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from colorpartitions import (
+    IdentityParams,
     angle_lengths,
     angles,
     as_partition,
@@ -21,6 +22,7 @@ from colorpartitions import (
     successive_ranks,
     weight,
 )
+from colorpartitions import families, kernels, render, series, verify
 from colorpartitions.partitions import _extend_rows, _rows_from_pairs
 
 
@@ -284,3 +286,66 @@ def test_from_angles_error_precedence():
     with pytest.raises(ValueError, match="angle heights must be positive integers, got True"):
         from_angles(((2, True),))
     assert from_angles([(3, 3), (1, 1)]) == from_angles(((3, 3), (1, 1))) == (3, 2, 1)
+
+
+# Every public function that takes a count (a weight, order, size, box side
+# or cap) refuses a negative one, and one that is not an exact int, under its
+# own parameter's name, before any work.
+P71 = IdentityParams(7, 1)
+COUNT_ARGUMENTS = [
+    pytest.param(lambda v: list(partitions_of(v)), "n", id="partitions_of"),
+    pytest.param(lambda v: families.rank_window_members(P71, v), "n", id="rank_window_members"),
+    pytest.param(lambda v: families.rank_window_counts(P71, v), "max_weight",
+                 id="rank_window_counts"),
+    pytest.param(lambda v: families.colored_members(P71, v), "n", id="colored_members"),
+    pytest.param(lambda v: families.colored_members_up_to(P71, v), "max_weight",
+                 id="colored_members_up_to"),
+    pytest.param(lambda v: families.colored_head_counts(P71, v, 5), "max_weight",
+                 id="colored_head_counts"),
+    pytest.param(lambda v: families.colored_members_via_encoding(P71, v), "n",
+                 id="colored_members_via_encoding"),
+    pytest.param(lambda v: families.boxed_members(P71, v, 4, 4), "n", id="boxed_members"),
+    pytest.param(lambda v: families.boxed_counts(P71, 4, 4, cap=v), "cap", id="boxed_counts"),
+    pytest.param(lambda v: families.gordon_members(3, 1, v), "n", id="gordon_members"),
+    pytest.param(lambda v: families.frequency_counts(P71, v), "max_weight",
+                 id="frequency_counts"),
+    pytest.param(lambda v: families.gap2_members(v), "n", id="gap2_members"),
+    pytest.param(lambda v: families.product_parts_members(P71, v), "n",
+                 id="product_parts_members"),
+    pytest.param(lambda v: kernels.count_rank_bounded_partitions(v, 4, 0, 1), "max_part",
+                 id="count_rank_bounded_partitions-max_part"),
+    pytest.param(lambda v: kernels.count_rank_bounded_partitions(4, v, 0, 1), "max_length",
+                 id="count_rank_bounded_partitions-max_length"),
+    pytest.param(lambda v: kernels.count_rank_bounded_partitions(4, 4, 0, 1, v), "cap",
+                 id="count_rank_bounded_partitions-cap"),
+    pytest.param(lambda v: series.partition_series(v), "order", id="partition_series"),
+    pytest.param(lambda v: series.restricted_product(P71, v), "order", id="restricted_product"),
+    pytest.param(lambda v: series.bosonic_sum(P71, v), "order", id="bosonic_sum"),
+    pytest.param(lambda v: series.fermionic_multisum(P71, v), "order", id="fermionic_multisum"),
+    pytest.param(lambda v: series.finitized_lhs(P71, v), "size", id="finitized_lhs"),
+    pytest.param(lambda v: series.finitized_rhs(P71, v), "size", id="finitized_rhs"),
+    pytest.param(lambda v: render.bijection_rows(P71, v), "n", id="bijection_rows"),
+    pytest.param(lambda v: render.table_chunks(P71, v, "csv"), "n", id="table_chunks"),
+    pytest.param(lambda v: verify.check_product_counts(P71, v), "n_max",
+                 id="check_product_counts"),
+    pytest.param(lambda v: verify.check_bijection(P71, v), "n_max", id="check_bijection"),
+    pytest.param(lambda v: verify.check_gordon(2, 1, v), "n_max", id="check_gordon"),
+    pytest.param(lambda v: verify.check_finitized(P71, v), "size_max",
+                 id="check_finitized-size_max"),
+    pytest.param(lambda v: verify.check_finitized(P71, 4, v), "n_max",
+                 id="check_finitized-n_max"),
+    pytest.param(lambda v: verify.verify_identity_grid(n_max=v), "n_max",
+                 id="verify_identity_grid"),
+    pytest.param(lambda v: verify.verify_gordon_grid(n_max=v), "n_max", id="verify_gordon_grid"),
+]
+
+
+@pytest.mark.parametrize("call, name", COUNT_ARGUMENTS)
+def test_counts_are_refused_under_their_own_name(call, name):
+    with pytest.raises(ValueError) as caught:
+        call(-1)
+    assert str(caught.value) == f"{name} must be nonnegative, got -1"
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError) as caught:
+            call(bad)
+        assert str(caught.value) == f"{name} must be an int, got {bad!r}"

@@ -642,9 +642,6 @@ def test_finitized_rejects_bad_parameters():
         lambda order: bosonic_sum(IdentityParams(7, 1), order),
         lambda order: bosonic_sum(IdentityParams(8, 4), order),
         lambda order: fermionic_multisum(IdentityParams(7, 1), order),
-        lambda order: finitized_lhs(IdentityParams(7, 1), order),
-        lambda order: finitized_rhs(IdentityParams(7, 1), order),
-        lambda order: finitized_rhs(IdentityParams(8, 3), order),
     ],
 )
 def test_series_builders_reject_negative_order(build):
@@ -655,6 +652,24 @@ def test_series_builders_reject_negative_order(build):
     for order in (True, 2.0, "3"):
         with pytest.raises(ValueError, match="order must be an int"):
             build(order)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda size: finitized_lhs(IdentityParams(7, 1), size),
+        lambda size: finitized_rhs(IdentityParams(7, 1), size),
+        lambda size: finitized_rhs(IdentityParams(8, 3), size),
+    ],
+)
+def test_finitized_sides_reject_negative_size(build):
+    # the finitized sides refuse a bad size as the builders refuse a bad
+    # order, under their own parameter's name
+    with pytest.raises(ValueError, match="size must be nonnegative"):
+        build(-1)
+    for size in (True, 2.0, "3"):
+        with pytest.raises(ValueError, match="size must be an int"):
+            build(size)
 
 
 def test_first_difference():

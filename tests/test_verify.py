@@ -501,6 +501,30 @@ def test_grid_refuses_non_int_modulus_or_residue_before_any_work(monkeypatch):
         verify_identity_grid(moduli=(9, 2))
 
 
+def test_finitized_and_gordon_grids_refuse_bad_cells_before_any_work(monkeypatch):
+    from colorpartitions import verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(verify, "check_finitized", refuse)
+    monkeypatch.setattr(verify, "check_gordon", refuse)
+    for parities in (("bogus",), ("odd", "Even")):
+        with pytest.raises(ValueError, match=r"unknown parity "):
+            verify_finitized_grid(parities=parities)
+    for halves in ((2, 2.5), (True,), ("3",)):
+        with pytest.raises(ValueError, match=r"half_modulus must be an int, got "):
+            verify_finitized_grid(halves=halves)
+    for residues in ((1, "1"), (1.0,), (False,)):
+        with pytest.raises(ValueError, match=r"residue must be an int, got "):
+            verify_finitized_grid(residues=residues)
+    for pairs in (((2, 1), (2.5, 1)), ((True, 1),)):
+        with pytest.raises(ValueError, match=r"half_modulus must be an int, got "):
+            verify_gordon_grid(pairs=pairs)
+    with pytest.raises(ValueError, match=r"residue must be an int, got "):
+        verify_gordon_grid(pairs=((2, 1), (3, 1.0)))
+
+
 def test_bijection_reports_undecodable_member(monkeypatch):
     from colorpartitions import verify
 

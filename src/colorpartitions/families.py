@@ -11,9 +11,10 @@ verification harness walks every chain up to a weight bound whose ranks lie
 in some residue's window, at the grid's widest modulus, and counts each node
 by top rank for every residue whose window holds it: one walk serves every
 residue and every modulus (``verify._members_by_top``).  It encodes each
-node once per residue that holds it and checks each new part once per
-(previous part, part, pair) per residue.  The count records walk no chain:
-they read the counting kernel.  The member lists and the table ask for one
+node once per residue that holds it, and per residue checks each new part
+alone once per part and after its previous part once per such pair.  The
+count records walk no chain: they read the counting kernel.  The member
+lists and the table ask for one
 exact weight, and their walks read a per-call child table (``_exact_root``), in which
 ``_exact_children`` lists each chain state's children once, each with one
 entry made once per pair: its rank w - h and the part
@@ -369,8 +370,11 @@ def gordon_members(half_modulus: int, residue: int, n: int) -> list[Partition]:
     Conditions: parts k-1 apart differ by at least 2 (k the half-modulus, so
     no value repeats k or more times), and fewer than ``residue`` ones.  The
     filter over every partition of n, kept as the test oracle of
-    :func:`frequency_counts`.
+    :func:`frequency_counts`.  ``half_modulus`` and ``residue`` must be
+    ints, each refused under its own name.
     """
+    _require_int(half_modulus, "half_modulus")
+    _require_int(residue, "residue")
     _require_count(n, "n")
     return [
         p

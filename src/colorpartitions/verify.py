@@ -220,36 +220,41 @@ def _members_by_top(
     (M, r).  Any other member r holds extends its parent's chain by one
     pair (w, h); r holds the parent too, and the member is certified for r
     if the parent is and the member encodes at (M, r) to the parent's
-    encoding plus one part: every size and color an exact int, and the new
-    part accepted by :func:`_part_rank` (color at least 1, (i), (ii) after
-    the parent's last part, size w + h - 1, so sizes strictly decrease
-    along the chain and sum to the weight, and a decode to (w, h)) with an
-    encoded rank at most the member's top rank, itself at most M' - r - 2.
-    By induction the decoded pairs are the chain, so the decode is the
-    member.  A suspect certifies no child; correct code has none.
+    encoding plus one part (s, c): every size and color an exact int, c at
+    least 1, (i), s equal to the width plus the height of its decode minus
+    1, that decode equal to (w, h), and (ii) after the parent's last part.
+    So sizes strictly decrease along the chain and sum to the weight, and
+    the part encodes the rank w - h, at most the member's top rank, itself
+    at most M' - r - 2; no rank test is left to run.  By induction the
+    decoded pairs are the chain, so the decode is the member.  A suspect
+    certifies no child; correct code has none.
 
-    The checks of one part depend only on (previous part or None, part, w,
-    h) and the residue, so each such key is checked once per residue per
-    call and its encoded rank kept for the nodes that share it.
+    Each check runs once per key and residue per call.  The checks of one
+    part alone (the color floor, (i), the size and the decode) are keyed by
+    the part, and (ii) by the previous part and the part: each part's memo
+    entry holds the table of (ii) verdicts on the parts that may follow it,
+    and a certified node with children keeps its entry's table in its slot
+    on the walk's path, so its children look up their own part alone.
     """
     _require_count(max_weight, "max_weight")
-    # per residue: (r, params, counts, suspects, encodings, ranks), where
-    # encodings[d] is the certified encoding at (M, r), or None, of the
-    # depth-d node on the walk's current path, and ranks maps (previous part
-    # or None, part, w, h) to the rank _part_rank gives, or None
+    # per residue: (r, params, counts, suspects, slots, parts), where
+    # slots[d] is (certified encoding at (M, r), table of (ii) verdicts after
+    # its last part) of the depth-d node on the walk's current path, or
+    # None, and parts maps a part to its decoded pair and its own table, or
+    # to None if it fails a check of its own
     states = {}
     for r in residues:
         params = IdentityParams(modulus, r)
         counts = [[0] * (modulus - 2) for _ in range(max_weight + 1)]
         counts[0][0] = 1
         suspects: list[list[tuple[Partition, int]]] = [[] for _ in range(max_weight + 1)]
-        encodings = [None] * (max_weight + 2)
+        slots = [None] * (max_weight + 2)
         # the module global, read per call, so a patched color_map is seen
         if color_map((), params) == ():
-            encodings[0] = ()
+            slots[0] = ((), None)
         else:
             suspects[0].append(((), 0))
-        states[r] = (r, params, counts, suspects, encodings, {})
+        states[r] = (r, params, counts, suspects, slots, {})
     # A chain whose ranks lie in [lo, t] is held by the residues r with
     # 2 - lo <= r <= M - 2 - t; held[a][b] holds the states of the residues
     # a..b, ascending (none when a > b).
@@ -271,11 +276,14 @@ def _walk(walk, p, depth, last, top, low, high, w_head, h_head, budget) -> None:
     # union [2 - high, M - 2 - low] of those windows, w descending and h
     # ascending (so the rank falls), is counted for each residue whose
     # window still holds the chain, encoded by color_map and certified at
-    # its params, then descended while budget is left.  The pairs come from
-    # those bounds alone: a rank of at most M - 2 - low bounds w below
-    # h_head + M - 2 - low, and each w has one interval of heights.  A
-    # residue set with a gap can leave a pair held by none; it is skipped.
-    # A module function, so no closure holds its state in a reference cycle.
+    # its params.  The pairs come from those bounds alone: a rank of at
+    # most M - 2 - low bounds w below h_head + M - 2 - low, and each w has
+    # one interval of heights.  A residue set with a gap can leave a pair
+    # held by none; it is skipped.  A child pair needs w' < w, h' < h and
+    # weight left, so a node with w = 1, h = 1 or no budget left is a leaf:
+    # it is not descended, and only its children would read its slot, so a
+    # certified leaf fills none.  A module function, so no closure holds its
+    # state in a reference cycle.
     modulus, held_of, max_weight = walk
     for w in range(min(w_head - 1, budget, h_head + modulus - 3 - low), 0, -1):
         h_top = min(h_head - 1, budget + 1 - w, w + high - 2)
@@ -290,49 +298,50 @@ def _walk(walk, p, depth, last, top, low, high, w_head, h_head, budget) -> None:
             rest = budget - w - h + 1
             n = max_weight - rest
             q = _extend_rows(p, depth, last, w, h)
-            for r, params, counts, suspects, encodings, ranks in held:
+            pair, inner = (w, h), rest and w > 1 and h > 1
+            for r, params, counts, suspects, slots, parts in held:
                 index = node_top + r - 1
                 counts[n][index] += 1
                 member = color_map(q, params)
-                encoding = encodings[depth]  # the parent's, for this residue
-                if encoding is not None and len(member) == depth + 1 and member[:-1] == encoding:
+                parent = slots[depth]  # (its encoding, (ii) table) for this residue
+                if parent is not None and len(member) == depth + 1 and member[:-1] == parent[0]:
                     # two exact ints per part: tuple equality lets 3.0 or
                     # True pass for one, and they hash alike too, so this
-                    # runs before the key is looked up
+                    # runs before the part is looked up
                     for size, color in member:
                         if type(size) is not int or type(color) is not int:
                             break
                     else:
-                        key = (encoding[-1] if depth else None, member[-1], w, h)
-                        rank = ranks.get(key, ...)  # ... marks a key not yet checked
-                        if rank is ...:
-                            rank = ranks[key] = _part_rank(*key, params)
-                        if rank is not None and rank <= node_top:
-                            encodings[depth + 1] = member
-                            continue
-                encodings[depth + 1] = None
+                        part = member[-1]
+                        entry = parts.get(part, ...)  # ... marks a part not yet checked
+                        if entry is ...:
+                            entry = parts[part] = _part_entry(*part, r)
+                        if entry is not None and entry[0] == pair:
+                            encoding, gaps = parent
+                            ok = not depth or gaps.get(part)  # no (ii) for a first part
+                            if ok is None:
+                                ok = gaps[part] = coloring._gap_ok(*encoding[-1], *part, params)
+                            if ok:
+                                if inner:
+                                    slots[depth + 1] = (member, entry[1])
+                                continue
+                slots[depth + 1] = None
                 suspects[n].append((q, index))
-            if rest:
+            if inner:
                 _walk(walk, q, depth + 1, h, node_top, a, b, w, h, rest)
 
 
-def _part_rank(
-    previous: tuple[int, int] | None, part: tuple[int, int], w: int, h: int,
-    widest: IdentityParams,
-) -> int | None:
-    # The rank ``part`` encodes if it has color at least 1, size w + h - 1,
-    # (i), (ii) after ``previous`` (None for a first part) and decodes to the
-    # pair (w, h); None otherwise.  The order rule needs no test: every
-    # certified part has size w + h - 1 for its pair, and the pairs of a
-    # chain strictly decrease, so the sizes do too.
-    size, color = part
-    width, height = coloring._decode_part(size, color, widest.residue)
-    rank = width - height
-    if color < 1 or size != w + h - 1 or not coloring._size_ok(size, rank):
+def _part_entry(size: int, color: int, residue: int) -> tuple[tuple[int, int], dict] | None:
+    # The memo entry of one colored part at a residue: its decoded pair and
+    # an empty table of (ii) verdicts on the parts after it, if it has color
+    # at least 1, passes (i) and has size width + height - 1 for its decoded
+    # pair; None otherwise.  The order rule needs no test: every certified
+    # part decodes to its chain's pair, and the pairs of a chain strictly
+    # decrease, so the sizes do too.
+    width, height = coloring._decode_part(size, color, residue)
+    if color < 1 or size != width + height - 1 or not coloring._size_ok(size, width - height):
         return None
-    if previous is not None and not coloring._gap_ok(*previous, size, color, widest):
-        return None
-    return rank if (width, height) == (w, h) else None
+    return (width, height), {}
 
 
 def _closed_forms(params: IdentityParams) -> list[tuple[str, Callable]]:
@@ -366,8 +375,10 @@ def check_gordon(half_modulus: int, residue: int, n_max: int) -> CheckRecord:
     The counts come from the frequency transfer matrix
     :func:`~colorpartitions.families.frequency_counts`; the filter over
     every partition, :func:`~colorpartitions.families.gordon_members`, is
-    its test oracle.
+    its test oracle.  ``half_modulus`` and ``residue`` must be ints and
+    ``n_max`` a nonnegative int, each refused under its own name.
     """
+    _require_int(half_modulus, "half_modulus")  # the residue, by IdentityParams
     _require_count(n_max, "n_max")
     params = IdentityParams(2 * half_modulus + 1, residue)
     product = series.restricted_product(params, n_max)
@@ -566,9 +577,14 @@ def verify_finitized_grid(
     or 2k; modulus 2 has no cell), then by residue (1..k, or those of
     ``residues`` at most k), with sizes up to ``odd_size_max`` or
     ``even_size_max``.  Each parity
-    must be "odd" or "even", and each half-modulus and residue an int, each
-    checked before any work.
+    must be "odd" or "even", each half-modulus and residue an int, and each
+    size bound and ``n_max`` (unless None) a nonnegative int, each checked
+    under its own name before any work.
     """
+    _require_count(odd_size_max, "odd_size_max")
+    _require_count(even_size_max, "even_size_max")
+    if n_max is not None:
+        _require_count(n_max, "n_max")
     parities, halves = tuple(parities), tuple(halves)
     residues = None if residues is None else tuple(residues)
     for parity in parities:
@@ -596,7 +612,15 @@ def verify_all(
     odd_size_max: int = DEFAULT_ODD_SIZE_MAX,
     even_size_max: int = DEFAULT_EVEN_SIZE_MAX,
 ) -> VerificationReport:
-    """Every scope over its default grid, merged into one report."""
+    """Every scope over its default grid, merged into one report.
+
+    Each bound must be a nonnegative int, each checked under its own name
+    before any work.
+    """
+    # n_max is checked by verify_identity_grid, before its work and the others'
+    _require_count(gordon_n_max, "gordon_n_max")
+    _require_count(odd_size_max, "odd_size_max")
+    _require_count(even_size_max, "even_size_max")
     records = []
     records.extend(verify_identity_grid(n_max=n_max).records)
     records.extend(verify_gordon_grid(n_max=gordon_n_max).records)

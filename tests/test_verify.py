@@ -363,6 +363,20 @@ def _gap_ok_too_strict(monkeypatch):
     _patch_everywhere(monkeypatch, "_gap_ok", stricter)
 
 
+def _gap_ok_refuses_one_pair(monkeypatch):
+    # (ii) refuses (2, 1) after (5, 1) and no other pair: every residue
+    # reaches (2, 1) after other parts first, so a verdict kept for the part
+    # alone, not for the pair, would certify members the round trip refuses
+    from colorpartitions import coloring
+
+    real = coloring._gap_ok
+    stricter = lambda size_a, color_a, size_b, color_b, params: (
+        (size_a, color_a, size_b, color_b) != (5, 1, 2, 1)
+        and real(size_a, color_a, size_b, color_b, params)
+    )
+    _patch_everywhere(monkeypatch, "_gap_ok", stricter)
+
+
 def _float_sizes_before_the_last(monkeypatch):
     # equal as tuples to the right encoding, so only a type check on every
     # part, the parent's included, tells them apart
@@ -402,6 +416,7 @@ def _empty_member_encodes_a_part(monkeypatch):
         _big_sizes_plus_two_both_ways,
         _size_ok_too_strict,
         _gap_ok_too_strict,
+        _gap_ok_refuses_one_pair,
         _empty_member_encodes_a_part,
     ],
 )
@@ -483,6 +498,24 @@ def test_part_checks_are_kept_for_one_descent_only(monkeypatch):
     assert not report.passed
 
 
+def test_walk_checks_each_part_once_per_residue(monkeypatch):
+    # on the default grid's walk (M = 9, r = 1..4, n <= 30) the checks of a
+    # part alone run once per (part, residue), 338 times, and (ii) once per
+    # (previous part, part, residue), 4,822 times
+    from colorpartitions import coloring
+
+    calls = {"_decode_part": [], "_gap_ok": []}
+    for name, seen in calls.items():
+        real = getattr(coloring, name)
+        spy = lambda *args, real=real, seen=seen: seen.append(args) or real(*args)
+        monkeypatch.setattr(coloring, name, spy)
+    walked = verify._members_by_top(9, [1, 2, 3, 4], 30)
+    assert not any(any(suspects) for _, suspects in walked.values())
+    decodes, gaps = calls["_decode_part"], calls["_gap_ok"]
+    assert len(decodes) == len(set(decodes)) == 338
+    assert len(gaps) == len(set(gaps)) == 4822
+
+
 def test_grid_refuses_non_int_modulus_or_residue_before_any_work(monkeypatch):
     from colorpartitions import verify
 
@@ -509,6 +542,8 @@ def test_finitized_and_gordon_grids_refuse_bad_cells_before_any_work(monkeypatch
 
     monkeypatch.setattr(verify, "check_finitized", refuse)
     monkeypatch.setattr(verify, "check_gordon", refuse)
+    monkeypatch.setattr(verify, "check_product_counts", refuse)
+    monkeypatch.setattr(verify, "_bijection_records", refuse)
     for parities in (("bogus",), ("odd", "Even")):
         with pytest.raises(ValueError, match=r"unknown parity "):
             verify_finitized_grid(parities=parities)
@@ -523,6 +558,17 @@ def test_finitized_and_gordon_grids_refuse_bad_cells_before_any_work(monkeypatch
             verify_gordon_grid(pairs=pairs)
     with pytest.raises(ValueError, match=r"residue must be an int, got "):
         verify_gordon_grid(pairs=((2, 1), (3, 1.0)))
+    # every bound, under its own name, before the first cell of any scope
+    refusals = ((-1, "must be nonnegative, got -1"), (2.0, "must be an int, got 2.0"))
+    for grid, names in (
+        (verify_finitized_grid, ("odd_size_max", "even_size_max", "n_max")),
+        (verify_all, ("n_max", "gordon_n_max", "odd_size_max", "even_size_max")),
+    ):
+        for name in names:
+            for bound, message in refusals:
+                with pytest.raises(ValueError) as caught:
+                    grid(**{name: bound})
+                assert str(caught.value) == f"{name} {message}"
 
 
 def test_bijection_reports_undecodable_member(monkeypatch):
@@ -711,6 +757,16 @@ def test_checks_reject_negative_bound():
             with pytest.raises(ValueError) as caught:
                 check(bound)
             assert str(caught.value) == f"{name} must be an int, got {bound!r}"
+    # and the Gordon cell's own ints, in the check and its filter oracle alike
+    for call in (check_gordon, families.gordon_members):
+        for args, message in (
+            ((2.5, 1, 5), "half_modulus must be an int, got 2.5"),
+            ((True, 1, 5), "half_modulus must be an int, got True"),
+            ((2, 1.0, 5), "residue must be an int, got 1.0"),
+        ):
+            with pytest.raises(ValueError) as caught:
+                call(*args)
+            assert str(caught.value) == message
 
 
 def test_finitized_validates_n_max():

@@ -303,9 +303,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _check_member_limit(scope: str, moduli, residues, n_max: int) -> None:
     # Refuse a grid whose walk would encode more than VERIFY_MEMBER_LIMIT
-    # (member, residue) pairs.  As the walk does, count each residue of the
-    # grid at its widest modulus, by the pair DP; an empty grid is left to
-    # the "matches no grid cell" error.
+    # (member, residue) pairs: the members of each of the walk's residues at
+    # its modulus, counted by the pair DP.  An empty grid is left to the
+    # "matches no grid cell" error.
     cells = verify._identity_cells(moduli, residues)
     if not cells:
         return
@@ -315,8 +315,8 @@ def _check_member_limit(scope: str, moduli, residues, n_max: int) -> None:
             f"past it a grid has only the empty member or more than "
             f"{VERIFY_MEMBER_LIMIT:,} members"
         )
-    modulus = max(params.modulus for params in cells)
-    windows = {IdentityParams(modulus, params.residue) for params in cells}
+    modulus, walk_residues = verify._walk_shape(cells)
+    windows = [IdentityParams(modulus, r) for r in walk_residues]
     count = sum(sum(families.rank_window_counts(params, n_max)) for params in windows)
     if count > VERIFY_MEMBER_LIMIT:
         raise ValueError(

@@ -141,9 +141,11 @@ def color_map(parts: Partition, params: IdentityParams) -> ColoredPartition:
     """Encode a rank-window member as a colored partition of the same weight.
 
     Part i is the i-th angle length; its color is (rank+r-1)/2 when the length
-    shares the residue's parity and (rank+r)/2 otherwise (both exact — a rank
-    and its angle length always have opposite parities).  Raises
-    RankWindowError at the first rank that leaves the window.
+    shares the residue's parity and (rank+r)/2 otherwise.  A rank and its
+    angle length always have opposite parities, so rank + r is odd in the
+    first case and even in the second: both are floor((rank+r)/2), at least
+    1 since rank + r >= 2 inside the window.  Raises RankWindowError at the
+    first rank that leaves the window.
 
     One walk down the Durfee diagonal: a pointer moved up from the last row
     finds each column height inside the loop over its row.
@@ -161,10 +163,7 @@ def color_map(parts: Partition, params: IdentityParams) -> ColoredPartition:
         rank = row - height
         if rank < lo or rank > hi:
             raise _outside_window(rank, i + 1, params)
-        length = row + height - 2 * i - 1
-        # rank + length = 2 * row - 2i - 1 is odd, so the numerator is even
-        numerator = rank + r - 1 + ((length - r) & 1)
-        encoded.append((length, numerator >> 1))
+        encoded.append((row + height - 2 * i - 1, (rank + r) >> 1))
         i += 1
     return tuple(encoded)
 

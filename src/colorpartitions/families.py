@@ -193,7 +193,7 @@ def rank_window_counts(params: IdentityParams, max_weight: int) -> list[int]:
     """Per-weight counts of rank-window partitions, via the counting kernel."""
     _require_count(max_weight, "max_weight")
     return kernels.count_rank_bounded_partitions(
-        max_weight, max_weight, params.min_rank, params.max_rank, cap=max_weight
+        max_weight, max_weight, params.min_rank, params.max_rank, max_weight
     )
 
 
@@ -370,17 +370,27 @@ def gordon_members(half_modulus: int, residue: int, n: int) -> list[Partition]:
     Conditions: parts k-1 apart differ by at least 2 (k the half-modulus, so
     no value repeats k or more times), and fewer than ``residue`` ones.  The
     filter over every partition of n, kept as the test oracle of
-    :func:`frequency_counts`.  ``half_modulus`` and ``residue`` must be
-    ints, each refused under its own name.
+    :func:`frequency_counts`.  ``half_modulus`` must be an int k >= 1 and
+    ``residue`` an int in 1..k, each refused under its own name.
     """
-    _require_int(half_modulus, "half_modulus")
-    _require_int(residue, "residue")
+    _require_gordon(half_modulus, residue)
     _require_count(n, "n")
     return [
         p
         for p in partitions_of(n)
         if p.count(1) < residue and all(a - b >= 2 for a, b in zip(p, p[half_modulus - 1 :]))
     ]
+
+
+def _require_gordon(half_modulus: int, residue: int) -> None:
+    # The one check on a Gordon cell: an int half-modulus k >= 1 and an int
+    # residue in 1..k, each refused under its own name.
+    _require_int(half_modulus, "half_modulus")
+    _require_int(residue, "residue")
+    if half_modulus < 1:
+        raise ValueError(f"half_modulus must be >= 1, got {half_modulus}")
+    if not 1 <= residue <= half_modulus:
+        raise ValueError(f"residue must satisfy 1 <= r <= k, got r={residue} for k={half_modulus}")
 
 
 def frequency_counts(params: IdentityParams, max_weight: int) -> list[int]:

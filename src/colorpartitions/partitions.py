@@ -151,37 +151,28 @@ def from_angles(decomposition: Angles) -> Partition:
 
 
 def _rows_from_pairs(pairs) -> Partition:
-    # from_angles without the checks: the caller guarantees a sequence of
-    # (width, height) pairs with strictly decreasing positive widths and
-    # heights.  Row i (0-based) of the Durfee square has width_i + i cells
-    # and column j has height_j + j.  Column lengths grow from the last
-    # column to the first, so the rows below the square come as one run per
-    # column: the rows that column j reaches and column j + 1 does not (the
-    # square does not, for the last column) have j + 1 cells.
-    rows = []
-    d = 0
-    for width, _ in pairs:
-        rows.append(width + d)
-        d += 1
-    reached = d
-    for j in range(d - 1, -1, -1):
-        bottom = pairs[j][1] + j
-        rows += [j + 1] * (bottom - reached)
-        reached = bottom
-    return tuple(rows)
+    # from_angles without the checks: the caller guarantees (width, height)
+    # pairs with strictly decreasing positive widths and heights.  The rows
+    # grow one pair at a time by _extend_rows, the one row rule that the
+    # chain walks in ``families`` and ``verify`` extend a parent's rows by.
+    rows, last = (), 0
+    for depth, (width, height) in enumerate(pairs):
+        rows, last = _extend_rows(rows, depth, last, width, height), height
+    return rows
 
 
 def _extend_rows(
     rows: Partition, depth: int, last_height: int, width: int, height: int
 ) -> Partition:
-    # _rows_from_pairs of a chain of ``depth`` pairs, last height
-    # ``last_height`` and rows ``rows``, extended by (width, height) strictly
-    # below its last pair.  The square gains row ``depth`` and column
-    # depth + 1; the new column reaches height + depth rows, so height - 1
-    # rows of depth + 1 cells follow the square, then the last old column's
-    # run, shortened by height, then the runs of the columns before it.
-    if not depth:
-        return (width,) + (1,) * (height - 1)
+    # The rows of a chain of ``depth`` pairs, last height ``last_height``
+    # and rows ``rows``, extended by (width, height) strictly below its last
+    # pair.  Row i (0-based) of the Durfee square has width_i + i cells and
+    # column j has height_j + j, so the rows below the square come as one
+    # run per column.  The square gains row ``depth`` and column depth + 1;
+    # the new column reaches height + depth rows, so height - 1 rows of
+    # depth + 1 cells follow the square, then the last old column's run,
+    # shortened by height, then the runs of the columns before it.  The
+    # empty chain (depth 0, last height 0, no rows) has no such runs.
     return (
         rows[:depth]
         + (width + depth,)

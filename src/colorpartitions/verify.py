@@ -75,19 +75,17 @@ class VerificationReport(NamedTuple):
 def check_product_counts(params: IdentityParams, n_max: int) -> CheckRecord:
     """Rank-window member counts against the closed-form series coefficients.
 
-    The counts come from the Frobenius-pair DP
-    (:func:`~colorpartitions.kernels.count_rank_bounded_partitions`) over
-    the cell's window, called directly, with no member built.  The closed
-    form is the avoided-residue product when the residue is strictly below
-    half the modulus; at 2r = M (where that product over-counts) it is the
-    theta quotient instead, and the record notes the substitution.  Only
-    that one series is built.  ``n_max`` must be a nonnegative int.
+    The counts come from the Frobenius-pair DP over the cell's window
+    (:func:`~colorpartitions.families.rank_window_counts`), with no member
+    built.  The closed form is the avoided-residue product when the residue
+    is strictly below half the modulus; at 2r = M (where that product
+    over-counts) it is the theta quotient instead, and the record notes the
+    substitution.  Only that one series is built.  ``n_max`` must be a
+    nonnegative int.
     """
     _require_count(n_max, "n_max")
     name, build = _closed_forms(params)[0]
-    counts = kernels.count_rank_bounded_partitions(
-        n_max, n_max, params.min_rank, params.max_rank, n_max
-    )
+    counts = families.rank_window_counts(params, n_max)
     note = "" if params.has_product_form else "2r = M: no product form, checked theta quotient"
     label = f"M={params.modulus} r={params.residue}"
     return _count_record("product_counts", label, n_max, counts, name, build(params, n_max), note)
@@ -143,9 +141,7 @@ def _bijection_records(
     that it holds through that round trip, at its own params.  Each cell
     builds every series of :func:`_closed_forms`.
     """
-    modulus = max(params.modulus for params in cells)
-    residues = sorted({params.residue for params in cells})
-    walked = _members_by_top(modulus, residues, n_max)
+    walked = _members_by_top(*_walk_shape(cells), n_max)
     records = {}
     for params in cells:
         by_top, suspects = walked[params.residue]
@@ -153,6 +149,12 @@ def _bijection_records(
         forms = [(name, build(params, n_max)) for name, build in _closed_forms(params)]
         records[params] = _bijection_record(params, n_max, suspects, counts, forms)
     return records
+
+
+def _walk_shape(cells: list[IdentityParams]) -> tuple[int, list[int]]:
+    # The modulus and residues of the one walk the cells' bijection records
+    # share: their widest modulus, and their residues in ascending order.
+    return max(params.modulus for params in cells), sorted({params.residue for params in cells})
 
 
 def _bijection_record(
@@ -375,10 +377,11 @@ def check_gordon(half_modulus: int, residue: int, n_max: int) -> CheckRecord:
     The counts come from the frequency transfer matrix
     :func:`~colorpartitions.families.frequency_counts`; the filter over
     every partition, :func:`~colorpartitions.families.gordon_members`, is
-    its test oracle.  ``half_modulus`` and ``residue`` must be ints and
-    ``n_max`` a nonnegative int, each refused under its own name.
+    its test oracle.  ``half_modulus`` must be an int k >= 1, ``residue`` an
+    int in 1..k and ``n_max`` a nonnegative int, each refused under its own
+    name.
     """
-    _require_int(half_modulus, "half_modulus")  # the residue, by IdentityParams
+    families._require_gordon(half_modulus, residue)
     _require_count(n_max, "n_max")
     params = IdentityParams(2 * half_modulus + 1, residue)
     product = series.restricted_product(params, n_max)
@@ -551,14 +554,13 @@ def verify_gordon_grid(
 ) -> VerificationReport:
     """:func:`check_gordon` for each (half_modulus, residue) pair, in order.
 
-    ``n_max`` must be a nonnegative int and each pair's entries ints, each
-    checked before any work.
+    ``n_max`` must be a nonnegative int and each pair a Gordon cell (see
+    :func:`check_gordon`), each checked before any work.
     """
     _require_count(n_max, "n_max")
     pairs = tuple(pairs)
     for half, residue in pairs:
-        _require_int(half, "half_modulus")
-        _require_int(residue, "residue")
+        families._require_gordon(half, residue)
     records = tuple(check_gordon(k, r, n_max) for k, r in pairs)
     return VerificationReport("gordon grid", records)
 

@@ -180,6 +180,29 @@ def test_verify_member_limit_admits_the_documented_grids():
         cli._check_member_limit(scope, moduli, None, n_max)
 
 
+@pytest.mark.parametrize("moduli, residues", [(cli.verify.DEFAULT_MODULI, None), ((9,), (2,))])
+def test_verify_member_limit_refuses_exactly_what_the_walk_encodes(monkeypatch, moduli, residues):
+    # the bijection records walk at the shape _walk_shape names, and the
+    # limit counts the (member, residue) pairs that walk files, so a limit
+    # of that count admits the grid and one less refuses it
+    real, shapes = cli.verify._members_by_top, []
+
+    def walk(*args):
+        shapes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli.verify, "_members_by_top", walk)
+    cli.verify.verify_identity_grid(moduli, residues, 20, scope="bijection")
+    cells = cli.verify._identity_cells(moduli, residues)
+    assert shapes == [(*cli.verify._walk_shape(cells), 20)]
+    filed = sum(sum(map(sum, counts)) for counts, _ in real(*shapes[0]).values())
+    monkeypatch.setattr(cli, "VERIFY_MEMBER_LIMIT", filed)
+    cli._check_member_limit("bijection", moduli, residues, 20)
+    monkeypatch.setattr(cli, "VERIFY_MEMBER_LIMIT", filed - 1)
+    with pytest.raises(ValueError, match=f"encodes {filed:,} \\(member, residue\\) pairs"):
+        cli._check_member_limit("bijection", moduli, residues, 20)
+
+
 def test_verify_counts_reads_no_member_count(capsys, monkeypatch):
     def no_guard(*args):
         raise AssertionError("the member limit was checked")

@@ -558,6 +558,13 @@ def test_finitized_and_gordon_grids_refuse_bad_cells_before_any_work(monkeypatch
             verify_gordon_grid(pairs=pairs)
     with pytest.raises(ValueError, match=r"residue must be an int, got "):
         verify_gordon_grid(pairs=((2, 1), (3, 1.0)))
+    for pairs, message in (
+        (((2, 1), (0, 1)), "half_modulus must be >= 1, got 0"),
+        (((2, 1), (2, 3)), "residue must satisfy 1 <= r <= k, got r=3 for k=2"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            verify_gordon_grid(pairs=pairs)
+        assert str(caught.value) == message
     # every bound, under its own name, before the first cell of any scope
     refusals = ((-1, "must be nonnegative, got -1"), (2.0, "must be an int, got 2.0"))
     for grid, names in (
@@ -763,6 +770,11 @@ def test_checks_reject_negative_bound():
             ((2.5, 1, 5), "half_modulus must be an int, got 2.5"),
             ((True, 1, 5), "half_modulus must be an int, got True"),
             ((2, 1.0, 5), "residue must be an int, got 1.0"),
+            # and a half-modulus below 1 or a residue outside 1..k, by name
+            ((0, 1, 5), "half_modulus must be >= 1, got 0"),
+            ((-1, 1, 5), "half_modulus must be >= 1, got -1"),
+            ((2, 0, 5), "residue must satisfy 1 <= r <= k, got r=0 for k=2"),
+            ((2, 3, 5), "residue must satisfy 1 <= r <= k, got r=3 for k=2"),
         ):
             with pytest.raises(ValueError) as caught:
                 call(*args)

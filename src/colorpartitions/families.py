@@ -193,7 +193,7 @@ def rank_window_counts(params: IdentityParams, max_weight: int) -> list[int]:
     """Per-weight counts of rank-window partitions, via the counting kernel."""
     _require_count(max_weight, "max_weight")
     return kernels.count_rank_bounded_partitions(
-        max_weight, max_weight, params.min_rank, params.max_rank, max_weight
+        max_weight, max_weight, params.min_rank, params.max_rank, cap=max_weight
     )
 
 

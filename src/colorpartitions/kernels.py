@@ -18,21 +18,19 @@ Every series is packed into one Python int (Kronecker substitution q = 2^B):
 coefficient t sits in bits [t*B, (t+1)*B), so adding two series is one int
 addition and multiplying by q^s is a shift by s*B bits.  No limb ever carries
 into the next: each coefficient of every series and partial sum the sweep
-forms counts distinct partitions of weight t <= top inside the W x H box.
-Complementing in the box maps those one to one to partitions of WH - t, so
-the coefficient is at most p(min(t, WH - t)) <= p(min(top, WH // 2)) (p is
-nondecreasing: adding a part 1 maps the partitions of t into those of t + 1
-one to one), and that is below 2^B with B = ``_limb_bits(min(top, WH //
-2))``.  A capped top-by-top window keeps B = ``_limb_bits(top)``, and no
-narrower width serves it: the open window there counts every partition, so
-its coefficient top is p(top) itself.  The counts are unpacked once, at the
-end, as exact Python ints at every size; a brute-force descent in
-``tests/test_kernels.py`` is the oracle they are compared against.  The
-counts hold only the running column sums.  The per-pair series f(w, h) are
-kept for one reader, the exact-weight child table in ``families``
-(``_exact_root``), whose descent they steer: a pair heads a chain of weight
-b exactly when limb b of f(w, h), ``(f >> (B * b)) & (2^B - 1)``, is
-nonzero.
+forms counts distinct partitions of weight t <= top, so it is at most
+p(t) <= p(top) (p is nondecreasing: adding a part 1 maps the partitions of
+t into those of t + 1 one to one), and p(top) < 2^B with B =
+``_limb_bits(top)``, the bit length of p(top).  No narrower width serves
+every window and box of top weight top: the open window in a top-by-top box
+counts every partition, so its coefficient top is p(top) itself.  The
+counts are unpacked once, at the end, as exact Python ints at every size; a
+brute-force descent in ``tests/test_kernels.py`` is the oracle they are
+compared against.  The counts hold only the running column sums.  The
+per-pair series f(w, h) are kept for one reader, the exact-weight child
+table in ``families`` (``_exact_root``), whose descent they steer: a pair
+heads a chain of weight b exactly when limb b of f(w, h), ``(f >> (B * b))
+& (2^B - 1)``, is nonzero.
 
 The pack, unpack and width helpers below are shared with the packed
 finitized sides in ``series`` and the head and frequency DPs in
@@ -175,7 +173,7 @@ def _pair_sweep(max_part, max_length, rank_lo, rank_hi, cap=None, *, keep):
     _require_count(0 if cap is None else cap, "cap")  # ``cap or 0`` would let False through
     box = max_part * max_length
     top = box if cap is None else min(cap, box)
-    bits = _limb_bits(min(top, box // 2))  # the half-box bound of the module docstring
+    bits = _limb_bits(top)
     mask = (1 << (bits * (top + 1))) - 1
     # below[h] = sum of f(w', h) over the rows w' already done; h is 1-based.
     heights = min(max_length, top)

@@ -75,17 +75,19 @@ class VerificationReport(NamedTuple):
 def check_product_counts(params: IdentityParams, n_max: int) -> CheckRecord:
     """Rank-window member counts against the closed-form series coefficients.
 
-    The counts come from the Frobenius-pair DP over the cell's window
-    (:func:`~colorpartitions.families.rank_window_counts`), with no member
-    built.  The closed form is the avoided-residue product when the residue
-    is strictly below half the modulus; at 2r = M (where that product
-    over-counts) it is the theta quotient instead, and the record notes the
-    substitution.  Only that one series is built.  ``n_max`` must be a
-    nonnegative int.
+    The counts come from the Frobenius-pair DP
+    (:func:`~colorpartitions.kernels.count_rank_bounded_partitions`) over
+    the cell's window, called directly, with no member built.  The closed
+    form is the avoided-residue product when the residue is strictly below
+    half the modulus; at 2r = M (where that product over-counts) it is the
+    theta quotient instead, and the record notes the substitution.  Only
+    that one series is built.  ``n_max`` must be a nonnegative int.
     """
     _require_count(n_max, "n_max")
     name, build = _closed_forms(params)[0]
-    counts = families.rank_window_counts(params, n_max)
+    counts = kernels.count_rank_bounded_partitions(
+        n_max, n_max, params.min_rank, params.max_rank, n_max
+    )
     note = "" if params.has_product_form else "2r = M: no product form, checked theta quotient"
     label = f"M={params.modulus} r={params.residue}"
     return _count_record("product_counts", label, n_max, counts, name, build(params, n_max), note)

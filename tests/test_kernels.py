@@ -227,12 +227,10 @@ def test_dp_matches_pure_on_grid():
         for v in range(0, 7):
             for lo in range(-3, 3):
                 for hi in range(lo - 2, lo + 5):
-                    # an uncapped box reaches every weight, the middle one
-                    # with the most partitions
-                    for cap in (min(u * v, 14), None):
-                        assert kernels.count_rank_bounded_partitions(
-                            u, v, lo, hi, cap
-                        ) == pure_counts(u, v, lo, hi, cap)
+                    top = min(u * v, 14)
+                    assert kernels.count_rank_bounded_partitions(
+                        u, v, lo, hi, top
+                    ) == pure_counts(u, v, lo, hi, top)
 
 
 def test_sweep_lists_every_admissible_pair():

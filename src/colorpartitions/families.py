@@ -427,8 +427,12 @@ def frequency_counts(params: IdentityParams, max_weight: int) -> list[int]:
 
 
 def gap2_members(n: int, min_part: int = 1) -> list[Partition]:
-    """Partitions of n whose parts decrease by at least 2, parts >= min_part."""
+    """Partitions of n whose parts decrease by at least 2, parts >= min_part.
+
+    ``min_part`` must be an int.
+    """
     _require_count(n, "n")
+    _require_int(min_part, "min_part")
     return [
         p
         for p in partitions_of(n)

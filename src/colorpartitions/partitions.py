@@ -209,10 +209,13 @@ def parse_partition(text: str) -> Partition:
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     """Yield all partitions of ``n`` in reverse-lexicographic order.
 
-    ``max_part`` additionally caps the largest part.  Reverse-lexicographic
-    means ``(4) > (3,1) > (2,2) > (2,1,1) > (1,1,1,1)``.
+    ``max_part`` additionally caps the largest part; it must be an int or
+    None.  Reverse-lexicographic means ``(4) > (3,1) > (2,2) > (2,1,1) >
+    (1,1,1,1)``.
     """
     _require_count(n, "n")
+    if max_part is not None:
+        _require_int(max_part, "max_part")
     cap = n if max_part is None else min(max_part, n)
     if n == 0:
         yield ()

@@ -12,8 +12,8 @@ finitized sides run on packed ints (Kronecker substitution q = 2^B, as in
 int, a product with a Gaussian binomial is one int multiply, and a q-shift
 is a bit shift.  Each side carries a bound on the absolute values of its
 final coefficients and unpacks them as balanced digits at ``kernels``' one
-width rule: the bit length of that bound plus one sign bit.  Each binomial
-is packed once per width it is asked for in the process.
+width rule: the bit length of that bound plus one sign bit.  Packs are
+cached by value: one per distinct coefficient tuple and width.
 Enumeration-based verification lives elsewhere.
 """
 
@@ -228,11 +228,10 @@ def gaussian_binomial(a: int, b: int, base: int = 1) -> TruncatedSeries:
     expansion (used by the even-modulus finitized sum) and must be positive.
     The finitized sides of one verify run ask for the same few hundred
     polynomials thousands of times; cached results are shared, never
-    mutated.  The finitized sides also keep each one packed, once per width
-    they ask for in the process (each side at each size has its own exact
-    width, so a binomial shared by many sizes is packed at many), beside the
-    very object this function returned: a patched or rebuilt binomial is a
-    new object, and is packed afresh.
+    mutated.  Callers in this module pass ``base`` positionally, so each
+    binomial has one cache key.  The finitized sides pack each binomial's
+    coefficients once per width, keyed by those values, so a patched or
+    rebuilt binomial with other values is packed afresh.
     Every argument must be an int.
     """
     for name, value in (("a", a), ("b", b), ("base", base)):
@@ -242,7 +241,7 @@ def gaussian_binomial(a: int, b: int, base: int = 1) -> TruncatedSeries:
     if b < 0 or a < 0 or b > a:
         return TruncatedSeries()
     if base > 1:
-        plain = gaussian_binomial(a, b).coefficients
+        plain = gaussian_binomial(a, b, 1).coefficients
         spread = [0] * ((len(plain) - 1) * base + 1)
         spread[::base] = plain
         return TruncatedSeries(spread)
@@ -318,19 +317,19 @@ def finitized_lhs(params: IdentityParams, size: int) -> TruncatedSeries:
     _require_count(size, "size")
     upper = sum(finitized_box(params, size))
     offset = upper - params.half_modulus + params.residue
-    terms = []  # (j, the _binomial_entry of the term's binomial)
+    terms = []  # (j, the coefficients of the term's binomial)
     j = 0
     while (lower := (offset - params.modulus * j) // 2) >= 0:  # lower index falls
-        terms.append((j, _binomial_entry(upper, lower)))
+        terms.append((j, gaussian_binomial(upper, lower, 1).coefficients))
         j += 1
     j = -1
     while (lower := (offset - params.modulus * j) // 2) <= upper:  # lower index rises
-        terms.append((j, _binomial_entry(upper, lower)))
+        terms.append((j, gaussian_binomial(upper, lower, 1).coefficients))
         j -= 1
-    bits = _signed_bits(sum(entry[1] for _, entry in terms))
+    bits = _signed_bits(sum(sum(map(abs, c)) for _, c in terms))
     total = 0
-    for j, entry in terms:
-        packed = _packed_at(entry, bits) << (bits * _theta_exponent(params, j))
+    for j, c in terms:
+        packed = _packed(c, bits) << (bits * _theta_exponent(params, j))
         total += -packed if j % 2 else packed
     return _polynomial(_unpack_signed(total, bits))
 
@@ -409,8 +408,8 @@ def _multisum_states(params: IdentityParams, size: int, bits: int) -> tuple[int,
                     key = (upper, prev - n, base)
                     factor = factors.get(key)
                     if factor is None:
-                        entry = _binomial_entry(*key)
-                        factor = factors[key] = (_packed_at(entry, bits), entry[1])
+                        c = gaussian_binomial(*key).coefficients
+                        factor = factors[key] = (_packed(c, bits), sum(map(abs, c)))
                     if not factor[1]:  # a zero binomial ends every prefix here
                         continue
                     term, term_bound = term * factor[0], term_bound * factor[1]
@@ -425,30 +424,9 @@ def _multisum_states(params: IdentityParams, size: int, bits: int) -> tuple[int,
     return sum(poly for poly, _ in states.values()), sum(b for _, b in states.values())
 
 
-# (a, b, base) -> (the binomial gaussian_binomial gave, its coefficient sum
-# |.|_1, {bits: the binomial packed at that width}); see _binomial_entry.
-_PACKED_BINOMIALS: dict[tuple[int, int, int], tuple[TruncatedSeries, int, dict[int, int]]] = {}
-
-
-def _binomial_entry(
-    a: int, b: int, base: int = 1
-) -> tuple[TruncatedSeries, int, dict[int, int]]:
-    # The _PACKED_BINOMIALS entry of gaussian_binomial(a, b, base), so that
-    # each binomial is packed once per width in the process.  The binomial
-    # comes from the module global at every call, and an entry serves only
-    # the very object it was made from, so a patched binomial, or one the
-    # cache rebuilt after cache_clear, replaces the entry.
-    binomial = gaussian_binomial(a, b, base)
-    entry = _PACKED_BINOMIALS.get((a, b, base))
-    if entry is None or entry[0] is not binomial:
-        total = sum(map(abs, binomial.coefficients))
-        entry = _PACKED_BINOMIALS[a, b, base] = (binomial, total, {})
-    return entry
-
-
-def _packed_at(entry: tuple[TruncatedSeries, int, dict[int, int]], bits: int) -> int:
-    # The entry's binomial packed at width bits, packed on first use.
-    packed = entry[2].get(bits)
-    if packed is None:
-        packed = entry[2][bits] = _pack(entry[0].coefficients, bits)
-    return packed
+@lru_cache(maxsize=None)
+def _packed(coefficients: tuple[int, ...], bits: int) -> int:
+    # A binomial's coefficients packed at width bits, keyed by value: equal
+    # binomials (symmetric pairs, the many equal to 1) share one pack, and a
+    # patched or rebuilt binomial with other values gets its own.
+    return _pack(coefficients, bits)

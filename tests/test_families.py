@@ -643,6 +643,13 @@ def test_shifted_window_counts_gap2_above_one():
         assert len(window) == len(gap2_members(n, min_part=2)), n
 
 
+def test_gap2_members_rejects_non_int_min_part():
+    # a float floor would otherwise compare quietly: min_part=2.5 gave [(6,)]
+    for bad in (True, 2.5, "2"):
+        with pytest.raises(ValueError, match="min_part must be an int"):
+            gap2_members(6, min_part=bad)
+
+
 def test_boxed_members_respect_box():
     expected = [
         p

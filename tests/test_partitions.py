@@ -139,6 +139,10 @@ def test_partitions_of_rejects_non_int_weight():
     for n in (True, 2.0, "3"):
         with pytest.raises(ValueError, match="n must be an int"):
             list(partitions_of(n))
+    # a bool cap would yield (True, True, True), a float one fail mid-list
+    for cap in (True, 2.5, "2"):
+        with pytest.raises(ValueError, match="max_part must be an int"):
+            list(partitions_of(3, cap))
 
 
 def test_partitions_of_emits_reverse_lexicographic():

@@ -168,6 +168,15 @@ def test_gauss_base_inflation():
     )
 
 
+def test_gauss_base_q2_reuses_the_plain_cache_key():
+    # the base-q^2 branch asks for the plain binomial as (a, b, 1), the key
+    # every caller in the package uses, so the plain polynomial is built once
+    gaussian_binomial.cache_clear()
+    gaussian_binomial(9, 3, 2)
+    gaussian_binomial(9, 3, 1)
+    assert gaussian_binomial.cache_info().misses == 2
+
+
 # ------------------------------------------------------------- offset tables
 
 
@@ -572,7 +581,7 @@ def test_pack_memo_follows_the_binomial_it_is_given(monkeypatch):
     # the patch is gone.  The Gaussian binomial cache is cleared after the
     # patch: its base-q^2 entries are built through the module global.
     verify_finitized_grid()
-    assert series._PACKED_BINOMIALS
+    assert series._packed.cache_info().currsize
     cells = [
         (IdentityParams(m, r), size)
         for m in range(4, 10)
@@ -596,6 +605,36 @@ def test_pack_memo_follows_the_binomial_it_is_given(monkeypatch):
     assert min(changed) > len(cells) // 2, changed
     for cell in cells:
         assert (finitized_lhs(*cell), finitized_rhs(*cell)) == clean[cell], cell
+
+
+def test_pack_cache_is_keyed_by_the_binomial_values(monkeypatch):
+    # A binomial that hands back equal values in fresh objects packs nothing
+    # new; one that hands back other values is packed afresh and decodes
+    # exactly.  Both an odd and an even cell, so base-q^2 factors take part.
+    cells = [(IdentityParams(m, r), 7) for m, r in ((7, 2), (8, 2), (10, 3))]
+    clean = {cell: (finitized_lhs(*cell), finitized_rhs(*cell)) for cell in cells}
+    real = series.gaussian_binomial
+
+    def fresh(a, b, base=1):
+        return TruncatedSeries(list(real(a, b, base).coefficients))
+
+    misses = series._packed.cache_info().misses
+    monkeypatch.setattr(series, "gaussian_binomial", fresh)
+    try:
+        for cell in cells:
+            assert (finitized_lhs(*cell), finitized_rhs(*cell)) == clean[cell], cell
+        assert series._packed.cache_info().misses == misses
+        monkeypatch.setattr(series, "gaussian_binomial", _binomial_plus(3, 1))
+        real.cache_clear()
+        for cell in cells:
+            lhs, rhs = finitized_lhs(*cell), finitized_rhs(*cell)
+            assert lhs.coefficients == finitized_lhs_by_lists(*cell), cell
+            assert rhs.coefficients == finitized_rhs_by_lists(*cell), cell
+            assert (lhs, rhs) != clean[cell], cell
+        assert series._packed.cache_info().misses > misses
+    finally:
+        monkeypatch.undo()
+        real.cache_clear()
 
 
 def test_finitized_lhs_counts_its_box():

@@ -47,16 +47,27 @@ TABLE_ROW_LIMIT = 500_000
 # the limit has no rows (M = 3, or M = 4, r = 1 at odd n) or too many.
 TABLE_WEIGHT_LIMIT = 250
 
+# The largest order ``coeffs`` accepts; past it the request exits 2 before
+# any series is built.  A series' cost grows with the square of its order,
+# and the multisum's with its level count too: at this limit the slowest
+# request measured up to M = 1001 is coeffs fermionic 1001 500 2000, 1.3 s
+# at 20 MB peak RSS (product 5 1: 0.2 s, bosonic 5 1: 0.34 s), and order
+# 3000 takes up to 2.9 s (a child process, Python 3.11, a shared 2-core
+# host).  The benchmark asks for at most 300, CI for 400.
+COEFFS_ORDER_LIMIT = 2000
+
 # The most rank-window members ``verify bijection`` and ``verify all``
 # encode: one walk at the grid's widest modulus serves every residue, over
 # every weight up to --n-max, and encodes each member once per residue
-# whose window holds it, at about 3.5 us a (member, residue) pair on one
-# Xeon core under Python 3.11 (some 7 s at the limit).  The walk keeps no
-# member's rows but a suspect's (none on correct code), so its memory does
-# not grow with the count and the limit bounds time only: verify
-# bijection --n-max 55 peaks at 23 MB.  A larger request exits 2 before
-# the walk.  The default grid holds 1,175,276 such pairs at --n-max 55 and
-# 2,285,110 at 60.
+# whose window holds it, at about 3.2 to 3.6 us a (member, residue) pair
+# on one Xeon core under Python 3.11 (the walk alone, in process, on a
+# shared 2-core host); verify bijection --n-max 58 (1,757,278 pairs) takes
+# 5.8 to 6.6 s in a child process, so some 7 s at the limit.  The walk
+# keeps no member's rows but a suspect's (none on correct code), so its
+# memory does not grow with the count and the limit bounds time only:
+# verify bijection --n-max 55 and 58 peak at 17 MB.  A larger request
+# exits 2 before the walk.  The default grid holds 1,175,276 such pairs at
+# --n-max 55 and 2,285,110 at 60.
 VERIFY_MEMBER_LIMIT = 2_000_000
 
 # The largest --n-max those scopes accept; past it the request exits 2
@@ -234,6 +245,8 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
         "bosonic": series.bosonic_sum,
         "fermionic": series.fermionic_multisum,
     }[args.form]
+    if args.order > COEFFS_ORDER_LIMIT:
+        raise ValueError(f"coeffs order {args.order} is over the limit of {COEFFS_ORDER_LIMIT}")
     coefficients = builder(params, args.order).coefficients
     _emit(
         (render.render_coefficients(args.form, params, args.order, coefficients, args.format),),

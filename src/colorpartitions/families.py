@@ -6,15 +6,8 @@ gap-2 partitions, and partitions into residue-restricted parts.  Enumerators
 return materialized lists at fixed weight, or per-weight buckets.
 Rank-window members come from walks over Frobenius pair chains, each
 with a cost that follows its output, in which a node's rows are its
-parent's extended by its last pair (w, h).  For its bijection records the
-verification harness walks every chain up to a weight bound whose ranks lie
-in some residue's window, at the grid's widest modulus, and counts each node
-by top rank for every residue whose window holds it: one walk serves every
-residue and every modulus (``verify._members_by_top``).  It encodes each
-node once per residue that holds it, and per residue checks each new part
-alone once per part and after its previous part once per such pair.  The
-count records walk no chain: they read the counting kernel.  The member
-lists and the table ask for one
+parent's extended by its last pair (w, h); the bijection records' walk is
+``verify._members_by_top``.  The member lists and the table ask for one
 exact weight, and their walks read a per-call child table (``_exact_root``), in which
 ``_exact_children`` lists each chain state's children once, each with one
 entry made once per pair: its rank w - h and the part
@@ -235,7 +228,7 @@ def colored_head_counts(
     directly, summing heads without unpacking them); this unpacks each
     head's series into its own list.
     """
-    bits, packed, _ = _colored_head_counts(params, max_weight, max_size)
+    bits, packed = _colored_head_counts(params, max_weight, max_size)
     headed = {}
     for head, value in packed.items():
         size = head[0][0] if head else 0
@@ -247,12 +240,10 @@ def colored_head_counts(
 
 def _colored_head_counts(
     params: IdentityParams, max_weight: int, max_size: int
-) -> tuple[int, dict[ColoredPartition, int], list[tuple[list[ColoredPartition], list[int]]]]:
-    # (B, packed, columns): the head transfer matrix of colored_head_counts,
-    # packed.  packed maps each head, () included, to its series packed at
-    # limb width B, truncated past max_weight.  columns holds, per color
-    # 1..C, that color's heads in ascending size and their running sums:
-    # sums[i] is the packed sum of the first i heads' series.
+) -> tuple[int, dict[ColoredPartition, int]]:
+    # (B, packed): the head transfer matrix of colored_head_counts, packed.
+    # packed maps each head to its series packed at limb width B, truncated
+    # past max_weight, in ascending size: () first, then each size's heads.
     #
     # Each coefficient of a head's series, and of any sum of distinct heads'
     # series, counts distinct colored partitions of its weight w whose sizes
@@ -271,7 +262,6 @@ def _colored_head_counts(
     bits = kernels._limb_bits(max_weight) + (params.color_count ** isqrt(max_weight)).bit_length()
     mask = (1 << (bits * (max_weight + 1))) - 1
     packed: dict[ColoredPartition, int] = {(): 1}
-    columns = [([], [0]) for _ in colors]
     # running[c][s]: the summed series of the heads (s', c), s' <= s, s' = s mod 2
     running = [[0] * (start + 1) for _ in range(params.color_count + 1)]
     for size in range(1, start + 1):
@@ -283,15 +273,11 @@ def _colored_head_counts(
                         cut -= 2
                     if cut > 0:
                         tails += running[tail_color][cut]
-            head = ((size, color),)
-            packed[head] = value = (tails << (bits * size)) & mask
-            heads, sums = columns[color - 1]
-            heads.append(head)
-            sums.append(sums[-1] + value)
+            packed[((size, color),)] = (tails << (bits * size)) & mask
         for color in colors:
             below = running[color][size - 2] if size > 1 else 0
             running[color][size] = below + packed.get(((size, color),), 0)
-    return bits, packed, columns
+    return bits, packed
 
 
 def colored_members_up_to(

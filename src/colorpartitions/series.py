@@ -317,15 +317,11 @@ def finitized_lhs(params: IdentityParams, size: int) -> TruncatedSeries:
     _require_count(size, "size")
     upper = sum(finitized_box(params, size))
     offset = upper - params.half_modulus + params.residue
+    m = params.modulus
     terms = []  # (j, the coefficients of the term's binomial)
-    j = 0
-    while (lower := (offset - params.modulus * j) // 2) >= 0:  # lower index falls
-        terms.append((j, gaussian_binomial(upper, lower, 1).coefficients))
-        j += 1
-    j = -1
-    while (lower := (offset - params.modulus * j) // 2) <= upper:  # lower index rises
-        terms.append((j, gaussian_binomial(upper, lower, 1).coefficients))
-        j -= 1
+    # exactly the j whose lower index (offset - M j) // 2 lies in 0..upper
+    for j in range(-((2 * upper + 1 - offset) // m), offset // m + 1):
+        terms.append((j, gaussian_binomial(upper, (offset - m * j) // 2, 1).coefficients))
     bits = _signed_bits(sum(sum(map(abs, c)) for _, c in terms))
     total = 0
     for j, c in terms:

@@ -8,8 +8,7 @@ canonical JSON.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import coloring, families, kernels, series
 from .coloring import ColoredPartition, IdentityParams, color_map, inverse_map
@@ -172,7 +171,7 @@ def _bijection_record(
     # cell's member list gives (the walk keeps no rows but the suspects').
     label = f"M={params.modulus} r={params.residue}"
     span, cut = f"n<={n_max}", params.modulus - 2
-    bits, packed, _ = families._colored_head_counts(params, n_max, n_max)
+    bits, packed = families._colored_head_counts(params, n_max, n_max)
     colored = kernels._unpack(sum(packed.values()), bits, n_max + 1)
     onto = "n={n}: encoded family differs from direct generation ({count} vs {value} members)"
     legs = [(colored, onto)] + [
@@ -419,11 +418,12 @@ def check_finitized(
     members passing the top-part bound (colored side).  The colored side is a
     head count under conditions (i)-(iii), the packed head transfer matrix
     behind :func:`~colorpartitions.families.colored_head_counts`, taken once
-    for the largest box.  Each size sums, still packed, the series of the
-    heads its box admits (:func:`_admitted_series`) and unpacks that sum
-    once; the colored enumeration is its test oracle.  ``n_max`` bounds that
-    count's weight and truncates the per-weight comparisons.  A ``size_max``
-    or ``n_max`` that is not a nonnegative int raises ValueError.
+    for the largest box.  One sweep up the sizes adds each head's series,
+    still packed, at the first size whose box admits it, and each size
+    unpacks its running total once; the colored enumeration is its test
+    oracle.  ``n_max`` bounds that count's weight and truncates the
+    per-weight comparisons.  A ``size_max`` or ``n_max`` that is not a
+    nonnegative int raises ValueError.
     """
     _require_count(size_max, "size_max")
     if n_max is not None:
@@ -438,9 +438,9 @@ def check_finitized(
     weight_max = _gap2_weight_bound(largest_top)
     if n_max is not None:
         weight_max = min(weight_max, n_max)
-    bits, packed, columns = families._colored_head_counts(params, weight_max, largest_top)
+    bits, packed = families._colored_head_counts(params, weight_max, largest_top)
     checked = 0
-    for size in range(size_max + 1):
+    for size, admitted in enumerate(_admitted_series(params, packed, size_max)):
         lhs = series.finitized_lhs(params, size)
         rhs = series.finitized_rhs(params, size)
         checked += 1
@@ -454,7 +454,6 @@ def check_finitized(
         top = max(lhs.degree, box.order, _gap2_weight_bound(colored_top))
         if n_max is not None:
             top = min(top, n_max)
-        admitted = _admitted_series(params, size, packed[()], columns)
         # limbs past weight_max read 0: every head's series is truncated there
         colored = kernels._unpack(admitted, bits, top + 1)
         expected = lhs.padded(top)
@@ -472,23 +471,27 @@ def check_finitized(
 
 
 def _admitted_series(
-    params: IdentityParams, size: int, empty: int,
-    columns: list[tuple[list[ColoredPartition], list[int]]],
-) -> int:
-    # The packed sum of the series of the heads the size's box admits: the
-    # empty head's ``empty`` if finitized_top_ok admits (), plus per color the
-    # running sum of its admitted heads.  The box law decodes a head (s, c)
-    # to its pair (w, h) and asks w <= W and h <= H; within one color both
-    # coordinates grow with s, so per color it admits the smallest heads:
-    # bisecting finitized_top_ok on the color's heads, ascending in size,
-    # counts them.
-    def refused(head):
-        return not finitized_top_ok(head, params, size)
-
-    admitted = 0 if refused(()) else empty
-    for heads, sums in columns:
-        admitted += sums[bisect_left(heads, True, key=refused)]
-    return admitted
+    params: IdentityParams, packed: dict[ColoredPartition, int], size_max: int
+) -> Iterator[int]:
+    # For each size 0..size_max, the packed sum of the series of the heads
+    # of ``packed`` (the head DP's, in ascending size) that finitized_top_ok
+    # admits at that size.  The box law decodes a head (s, c) to its pair
+    # (w, h) and asks w <= W and h <= H.  Within one color neither w nor h
+    # falls as s grows, so each box admits a prefix of each color's heads,
+    # and neither W nor H falls as the size grows, so that prefix only
+    # extends: one queue per color, smallest head next, is advanced while
+    # the law admits its next head, and each head is asked about once when
+    # admitted.  () is admitted exactly when the box is well formed.
+    queues: dict[int, list[ColoredPartition]] = {}
+    for head in reversed(packed):  # descending, so each queue pops its smallest
+        if head:
+            queues.setdefault(head[0][1], []).append(head)
+    total = 0
+    for size in range(size_max + 1):
+        for queue in queues.values():
+            while queue and finitized_top_ok(queue[-1], params, size):
+                total += packed[queue.pop()]
+        yield (total + packed[()]) if finitized_top_ok((), params, size) else total
 
 
 def _colored_top(max_part: int, max_length: int) -> int:
@@ -517,17 +520,15 @@ def verify_identity_grid(
     residues as given, or ascending by default.  Each distinct cell's count
     record is :func:`check_product_counts`'s, called through the module
     global, and the bijection records share one walk at the widest modulus
-    (see :func:`_bijection_records`).  Every modulus and residue must be an
-    int and ``n_max`` a nonnegative int, each checked before any work.
+    (see :func:`_bijection_records`).  Every modulus must be an int >= 3,
+    every residue an int >= 1 and ``n_max`` a nonnegative int, each checked
+    under its own name before any work.
     """
     if scope not in ("product_counts", "bijection", "both"):
         raise ValueError(f"unknown scope {scope!r}")
     _require_count(n_max, "n_max")
     moduli = tuple(moduli)
     residues = None if residues is None else tuple(residues)
-    for name, values in (("modulus", moduli), ("residue", residues or ())):
-        for value in values:
-            _require_int(value, name)
     cells = _identity_cells(moduli, residues)
     records_of: dict[IdentityParams, list[CheckRecord]] = {params: [] for params in cells}
     if scope != "bijection":
@@ -542,13 +543,25 @@ def verify_identity_grid(
 
 
 def _identity_cells(moduli, residues) -> list[IdentityParams]:
-    # The grid's cells in record order: residues as given, or 1..M/2.
+    # The grid's cells in record order: residues as given, or 1..M/2.  A
+    # modulus below 3 or a residue below 1 is refused by name before any cell.
+    _require_at_least(moduli, "modulus", 3)
+    _require_at_least(residues or (), "residue", 1)
     return [
         IdentityParams(modulus, residue)
         for modulus in moduli
         for residue in (range(1, modulus // 2 + 1) if residues is None else residues)
         if 2 * residue <= modulus
     ]
+
+
+def _require_at_least(values, name: str, least: int) -> None:
+    # Refuses, under ``name``, the first of a grid's values that is not an int
+    # of at least ``least``.
+    for value in values:
+        _require_int(value, name)
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def verify_gordon_grid(
@@ -580,10 +593,10 @@ def verify_finitized_grid(
     The cells run parity by parity, then by half-modulus k (modulus 2k + 1
     or 2k; modulus 2 has no cell), then by residue (1..k, or those of
     ``residues`` at most k), with sizes up to ``odd_size_max`` or
-    ``even_size_max``.  Each parity
-    must be "odd" or "even", each half-modulus and residue an int, and each
-    size bound and ``n_max`` (unless None) a nonnegative int, each checked
-    under its own name before any work.
+    ``even_size_max``.  Each parity must be "odd" or "even", each
+    half-modulus an int, each residue an int >= 1, and each size bound and
+    ``n_max`` (unless None) a nonnegative int, each checked under its own
+    name before any work.
     """
     _require_count(odd_size_max, "odd_size_max")
     _require_count(even_size_max, "even_size_max")
@@ -594,9 +607,9 @@ def verify_finitized_grid(
     for parity in parities:
         if parity not in ("odd", "even"):
             raise ValueError(f"unknown parity {parity!r}")
-    for name, values in (("half_modulus", halves), ("residue", residues or ())):
-        for value in values:
-            _require_int(value, name)
+    for half in halves:
+        _require_int(half, "half_modulus")
+    _require_at_least(residues or (), "residue", 1)
     records = []
     for parity in parities:
         size_max = odd_size_max if parity == "odd" else even_size_max

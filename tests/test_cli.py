@@ -226,6 +226,44 @@ def test_verify_counts_refuses_a_weight_past_its_limit_before_any_work(capsys, m
             assert err == f"error: verify counts --n-max {n_max} is over the limit of {limit}\n"
 
 
+def test_verify_refuses_a_bad_modulus_or_residue_by_its_own_name(capsys):
+    for argv, message in (
+        (("counts", "--r", "0"), "residue must be >= 1, got 0"),
+        (("bijection", "--r", "0"), "residue must be >= 1, got 0"),
+        (("finitized", "--r", "0"), "residue must be >= 1, got 0"),
+        (("finitized", "--k", "3", "--r", "-1"), "residue must be >= 1, got -1"),
+        (("counts", "--M", "0"), "modulus must be >= 3, got 0"),
+        (("bijection", "--M", "1"), "modulus must be >= 3, got 1"),
+        (("counts", "--M", "2"), "modulus must be >= 3, got 2"),
+    ):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
+def test_coeffs_refuses_an_order_past_its_limit_before_any_series(capsys, monkeypatch):
+    def no_series(*args):
+        raise AssertionError("a series was built")
+
+    limit = cli.COEFFS_ORDER_LIMIT
+    for name in ("restricted_product", "bosonic_sum", "fermionic_multisum"):
+        monkeypatch.setattr(cli.series, name, no_series)
+    for form in ("product", "bosonic", "fermionic"):
+        for order in (limit + 1, 1_000_000):
+            code, out, err = run_cli(capsys, "coeffs", form, "5", "1", str(order))
+            assert (code, out) == (2, "")
+            assert err == f"error: coeffs order {order} is over the limit of {limit}\n"
+
+
+def test_coeffs_order_limit_admits_the_documented_orders(capsys):
+    # the benchmark asks for orders up to 300 and CI for 400; the limit
+    # itself is admitted
+    limit = cli.COEFFS_ORDER_LIMIT
+    assert limit >= 400
+    code, out, err = run_cli(capsys, "coeffs", "product", "5", "1", str(limit))
+    assert (code, err) == (0, "")
+    assert len(out.split()) == limit + 1
+
+
 @pytest.mark.parametrize(
     "handler, argv",
     [

@@ -21,7 +21,7 @@ from colorpartitions.verify import verify_all
 GRID = dict(n_max=20, gordon_n_max=20, odd_size_max=8, even_size_max=6)
 CACHED_BINOMIAL = series.gaussian_binomial
 SIZE_OK, GAP_OK, DECODE_PART = coloring._size_ok, coloring._gap_ok, coloring._decode_part
-COLOR_MAP = coloring.color_map
+COLOR_MAP, BOX_LAW = coloring.color_map, coloring.check_box_condition
 
 
 def bumped(coefficients, degree):
@@ -56,10 +56,10 @@ def empty_head_plus_one(degree):
     real = families._colored_head_counts
 
     def mutant(params, max_weight, max_size):
-        bits, packed, columns = real(params, max_weight, max_size)
+        bits, packed = real(params, max_weight, max_size)
         if max_weight >= degree:
             packed[()] += 1 << (bits * degree)
-        return bits, packed, columns
+        return bits, packed
 
     return mutant
 
@@ -101,6 +101,11 @@ def color_map_bumps_size_seven(parts, params):
     return tuple((size, color + (size >= 7)) for size, color in COLOR_MAP(parts, params))
 
 
+def box_law_admits_one_more_row(colored, params, max_width, max_height):
+    # the box law admits a member one row taller than the box
+    return BOX_LAW(colored, params, max_width, max_height + 1)
+
+
 KNOCKOUTS = [
     ("restricted_product", series, series_plus_one("restricted_product", 12),
      {"product_counts": 15, "bijection": 15, "gordon": 5}),
@@ -134,6 +139,11 @@ KNOCKOUTS = [
     # top-part count of the finitized records sees it as well.
     ("_decode_part", coloring, decode_wide_from_size_seven, {"bijection": 18, "finitized": 18}),
     ("color_map", coloring, color_map_bumps_size_seven, {"bijection": 18}),
+    # The box law is read by the top-part count of the finitized records
+    # alone.  At M = 4 the window's one rank w - h = 2 - r and the box
+    # W = N + 2 - r, H = N give h <= H whenever w <= W, so those two cells
+    # never see the extra row.
+    ("check_box_condition", coloring, box_law_admits_one_more_row, {"finitized": 16}),
 ]
 
 

@@ -73,24 +73,17 @@ def test_bijection_pass():
 def head_count_plus(weight, delta):
     """The packed head DP, ``delta`` added at ``weight`` to one head's count.
 
-    The head is the first, smallest first, whose series is nonzero there;
-    the change reaches its own series and its color's running sums from it
-    on, so every reader of the DP sees the same miscount.
+    The head is the first, smallest first, whose series is nonzero there.
     """
     real = families._colored_head_counts
 
     def mutant(params, max_weight, max_size):
-        bits, packed, columns = real(params, max_weight, max_size)
+        bits, packed = real(params, max_weight, max_size)
         if max_weight >= weight:
             limb = (1 << bits) - 1
             head = next(h for h, value in packed.items() if (value >> (bits * weight)) & limb)
-            change = delta << (bits * weight)
-            packed[head] += change
-            for heads, sums in columns:
-                if head in heads:
-                    for i in range(heads.index(head) + 1, len(sums)):
-                        sums[i] += change
-        return bits, packed, columns
+            packed[head] += delta << (bits * weight)
+        return bits, packed
 
     return mutant
 
@@ -534,6 +527,30 @@ def test_grid_refuses_non_int_modulus_or_residue_before_any_work(monkeypatch):
         verify_identity_grid(moduli=(9, 2))
 
 
+def test_grids_refuse_a_modulus_below_3_or_a_residue_below_1_by_name(monkeypatch):
+    # by the value's own name, before any cell, not as the first cell's
+    # IdentityParams error naming a modulus the caller never gave
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    for name in ("check_product_counts", "_bijection_records", "check_finitized"):
+        monkeypatch.setattr(verify, name, refuse)
+    for kwargs, message in (
+        (dict(moduli=(0,)), "modulus must be >= 3, got 0"),
+        (dict(moduli=(9, 2)), "modulus must be >= 3, got 2"),
+        (dict(residues=(0,)), "residue must be >= 1, got 0"),
+        (dict(moduli=(9,), residues=(1, -1)), "residue must be >= 1, got -1"),
+    ):
+        for scope in ("product_counts", "bijection", "both"):
+            with pytest.raises(ValueError) as caught:
+                verify_identity_grid(scope=scope, **kwargs)
+            assert str(caught.value) == message
+    for residues in ((0,), (1, -2)):
+        with pytest.raises(ValueError) as caught:
+            verify_finitized_grid(residues=residues)
+        assert str(caught.value) == f"residue must be >= 1, got {residues[-1]}"
+
+
 def test_finitized_and_gordon_grids_refuse_bad_cells_before_any_work(monkeypatch):
     from colorpartitions import verify
 
@@ -644,7 +661,7 @@ def colored_side_by_filter(params, size, max_weight, max_size):
 
 @pytest.mark.parametrize("parity", ["odd", "even"])
 def test_admitted_running_sums_match_the_per_head_filter(parity):
-    # k = 2..6, every residue, every size <= 14: the bisected running sums
+    # k = 2..6, every residue, every size <= 14: the swept running sums
     # against the filter over every head, heads and weights up to the
     # size-14 box's as in check_finitized
     ill_formed = 0
@@ -653,9 +670,8 @@ def test_admitted_running_sums_match_the_per_head_filter(parity):
             params = IdentityParams(2 * k + 1 if parity == "odd" else 2 * k, r)
             max_size = verify._colored_top(*finitized_box(params, 14))
             weight = verify._gap2_weight_bound(max_size)
-            bits, packed, columns = families._colored_head_counts(params, weight, max_size)
-            for size in range(15):
-                admitted = verify._admitted_series(params, size, packed[()], columns)
+            bits, packed = families._colored_head_counts(params, weight, max_size)
+            for size, admitted in enumerate(verify._admitted_series(params, packed, 14)):
                 expected = colored_side_by_filter(params, size, weight, max_size)
                 assert kernels._unpack(admitted, bits, weight + 1) == expected, (params, size)
                 if min(finitized_box(params, size)) < 0:  # admits nothing
@@ -663,6 +679,67 @@ def test_admitted_running_sums_match_the_per_head_filter(parity):
                     assert admitted == 0 and not any(expected), (params, size)
     # odd boxes below size k - r have a negative side; even boxes never do
     assert ill_formed if parity == "odd" else not ill_formed
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_box_law_admits_a_growing_prefix_of_each_colors_heads(parity):
+    # The two facts the sweep rests on: each box admits a prefix of each
+    # color's heads in ascending size, and that prefix (and the empty head)
+    # never shrinks as the size grows.  k = 2..12, every residue, sizes
+    # <= 16, heads up to the largest part the size-16 box admits.
+    for k in range(2, 13):
+        for r in range(1, k + 1):
+            params = IdentityParams(2 * k + 1 if parity == "odd" else 2 * k, r)
+            max_size = verify._colored_top(*finitized_box(params, 16))
+            colors_of = families._admissible_colors(params, max_size)
+            queues = [
+                [((s, color),) for s in range(1, max_size + 1) if color in colors_of[s]]
+                for color in range(1, params.color_count + 1)
+            ] + [[()]]
+            admitted = [0] * len(queues)
+            for size in range(17):
+                for i, heads in enumerate(queues):
+                    verdicts = [finitized_top_ok(head, params, size) for head in heads]
+                    count = verdicts.count(True)
+                    assert verdicts == [True] * count + [False] * (len(heads) - count), (
+                        params, size, heads[0]
+                    )
+                    assert count >= admitted[i], (params, size, heads[0])
+                    admitted[i] = count
+            assert admitted[-1] == 1  # the size-16 box is well formed
+
+
+def test_sweep_asks_the_box_law_once_per_head_and_per_size_and_color(monkeypatch):
+    # On each default finitized cell, finitized_top_ok runs at most once per
+    # head it admits, plus once per size for each color's next head and ().
+    calls, heads = [], []
+    real_ok, real_heads = verify.finitized_top_ok, families._colored_head_counts
+
+    def counted_ok(*args):
+        calls.append(args)
+        return real_ok(*args)
+
+    def counted_heads(*args):
+        bits, packed = real_heads(*args)
+        heads.append(len(packed) - 1)  # () is no sized head
+        return bits, packed
+
+    monkeypatch.setattr(verify, "finitized_top_ok", counted_ok)
+    monkeypatch.setattr(families, "_colored_head_counts", counted_heads)
+    cells = 0
+    for parity, size_max in (
+        ("odd", verify.DEFAULT_ODD_SIZE_MAX), ("even", verify.DEFAULT_EVEN_SIZE_MAX)
+    ):
+        for k in verify.DEFAULT_FINITIZED_HALVES:
+            for r in range(1, k + 1):
+                params = IdentityParams(2 * k + 1 if parity == "odd" else 2 * k, r)
+                calls.clear()
+                heads.clear()
+                assert check_finitized(params, size_max).ok
+                bound = heads[0] + (size_max + 1) * (params.color_count + 1)
+                assert len(calls) <= bound, (params, len(calls), bound)
+                cells += 1
+    assert cells == 18
 
 
 def test_finitized_detects_wrong_box_count(monkeypatch):

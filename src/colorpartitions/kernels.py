@@ -32,18 +32,18 @@ table in ``families`` (``_exact_root``), whose descent they steer: a pair
 heads a chain of weight b exactly when limb b of f(w, h), ``(f >> (B * b))
 & (2^B - 1)``, is nonzero.
 
-The pack, unpack and width helpers below are shared with the packed
-finitized sides in ``series`` and the head and frequency DPs in
-``families``, under one rule: each DP states beside it a bound on the
-coefficients it decodes, and its width B is the bit length of that bound,
-plus one sign bit for balanced digits (:func:`_signed_bits`).  Evaluation
-at q = 2^B is a ring map, so sums, products and shifts of packed series may
-carry between limbs freely; only a series that is unpacked, or truncated by
-a mask, needs every coefficient inside the decode range, [0, 2^B) for
-:func:`_unpack` and (-2^(B-1), 2^(B-1)) for :func:`_unpack_signed`.  Pack
-and unpack take any width B >= 1, each by one algorithm: a series of at
-most ``_SPLIT`` limbs in one loop (Horner's rule to pack, one shift and mask
-per limb to unpack), a longer one split in halves.
+The unpack and width helpers below are shared with the packed finitized
+sides in ``series`` and the head and frequency DPs in ``families``, under
+one rule: each DP states beside it a bound on the coefficients it decodes,
+and its width B is the bit length of that bound, plus one sign bit for
+balanced digits (:func:`_signed_bits`).  Each DP builds its packed series
+from 1 by sums, products and shifts, so none packs a coefficient list.
+Evaluation at q = 2^B is a ring map, so those may carry between limbs
+freely; only a series that is unpacked, or truncated by a mask, needs every
+coefficient inside the decode range, [0, 2^B) for :func:`_unpack` and
+(-2^(B-1), 2^(B-1)) for :func:`_unpack_signed`.  Unpacking takes any width
+B >= 1: a series of at most ``_SPLIT`` limbs in one loop of one shift and
+mask per limb, a longer one split in halves.
 """
 
 from __future__ import annotations
@@ -111,22 +111,10 @@ def _signed_bits(bound: int) -> int:
     return bound.bit_length() + 1
 
 
-# The most limbs _pack and _unpack handle in one loop; a longer series is
-# split in halves, so each int operation acts on a piece of about its own
-# size.  At least 46, so the counts at n = 45 unpack in one loop.
+# The most limbs _unpack reads in one loop; a longer series is split in
+# halves, so each int operation acts on a piece of about its own size.  At
+# least 46, so the counts at n = 45 unpack in one loop.
 _SPLIT = 48
-
-
-def _pack(coefficients, bits: int) -> int:
-    """The series evaluated at q = 2^bits: sum of c_t * 2^(bits * t), any ints c_t."""
-    if len(coefficients) > _SPLIT:
-        half = len(coefficients) // 2
-        high = _pack(coefficients[half:], bits)
-        return _pack(coefficients[:half], bits) + (high << (bits * half))
-    packed = 0
-    for c in reversed(coefficients):  # Horner
-        packed = (packed << bits) + c
-    return packed
 
 
 def _unpack(packed: int, bits: int, count: int) -> list[int]:

@@ -10,21 +10,20 @@ on plain lists: in-place prefix recurrences for the geometric factors.  The
 finitized sides run on packed ints (Kronecker substitution q = 2^B, as in
 ``kernels``; Harvey, J. Symbolic Comput. 44, 2009): each running sum is one
 int, a product with a Gaussian binomial is one int multiply, and a q-shift
-is a bit shift.  Each side carries a bound on the absolute values of its
-final coefficients and unpacks them as balanced digits at ``kernels``' one
-width rule: the bit length of that bound plus one sign bit.  Packs are
-cached by value: one per distinct coefficient tuple and width.
-Enumeration-based verification lives elsewhere.
+is a bit shift.  Each call reads its Gaussian binomials from its own packed
+q-Pascal table, grown only as far as it reads.  Each side carries a bound
+on the absolute values of its final coefficients and unpacks them as
+balanced digits at ``kernels``' one width rule: the bit length of that
+bound plus one sign bit.  Enumeration-based verification lives elsewhere.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .coloring import IdentityParams
-from .kernels import _pack, _signed_bits, _unpack_signed
+from .kernels import _signed_bits, _unpack_signed
 from .partitions import _require_count, _require_int
 
 __all__ = [
@@ -197,7 +196,8 @@ def fermionic_multisum(params: IdentityParams, order: int) -> TruncatedSeries:
     """
     _require_count(order, "order")
     below = [[1] + [0] * order]  # B_k
-    for j in range(params.half_modulus - 1, 0, -1):
+    # a level j > order admits only n_j = 0, so it would copy B_{j+1}
+    for j in range(min(params.half_modulus - 1, order), 0, -1):
         base = _step_base(params, j)
         linear = 1 if j >= params.residue else 0
         level = []
@@ -215,9 +215,8 @@ def fermionic_multisum(params: IdentityParams, order: int) -> TruncatedSeries:
     return TruncatedSeries([sum(column) for column in zip(*below)])
 
 
-@lru_cache(maxsize=None, typed=True)
 def gaussian_binomial(a: int, b: int, base: int = 1) -> TruncatedSeries:
-    """Gaussian binomial coefficient [a, b] as an exact polynomial (cached).
+    """Gaussian binomial coefficient [a, b] as an exact polynomial.
 
     Zero when b < 0 or b > a or a < 0.  Built on one list as the product of
     (1 - q^(a-b+i)) / (1 - q^i) for i = 1..b (Andrews, *The Theory of
@@ -225,13 +224,9 @@ def gaussian_binomial(a: int, b: int, base: int = 1) -> TruncatedSeries:
     each denominator divided out by a prefix recurrence.  A division is exact
     exactly when the recurrence leaves the list's top i coefficients zero, and
     anything else raises ValueError.  ``base`` substitutes q -> q**base after
-    expansion (used by the even-modulus finitized sum) and must be positive.
-    The finitized sides of one verify run ask for the same few hundred
-    polynomials thousands of times; cached results are shared, never
-    mutated.  Callers in this module pass ``base`` positionally, so each
-    binomial has one cache key.  The finitized sides pack each binomial's
-    coefficients once per width, keyed by those values, so a patched or
-    rebuilt binomial with other values is packed afresh.
+    expansion and must be positive.  The finitized sides read their
+    binomials packed, from a q-Pascal table (:func:`_gaussian_binomial`);
+    this list builder is the oracle that table is tested against.
     Every argument must be an int.
     """
     for name, value in (("a", a), ("b", b), ("base", base)):
@@ -306,10 +301,11 @@ def finitized_lhs(params: IdentityParams, size: int) -> TruncatedSeries:
     Baxter, Bressoud, Burge, Forrester and Viennot, Europ. J. Combin. 8,
     1987), one formula for both parities.
 
-    Summed packed.  No coefficient of the sum exceeds in absolute value the
-    sum of its terms' coefficient sums |[upper, lower]|_1 (C(upper, lower)
-    each on correct binomials), so balanced digits of the width that bound
-    gives decode it exactly, whatever the binomials hold.
+    Summed packed, from one q-Pascal table.  No coefficient of the sum
+    exceeds in absolute value the sum of its terms' bounds on |[upper,
+    lower]|_1, C(upper, lower) each on correct entries, so balanced digits
+    of the width that bound gives decode it exactly, whatever the entries
+    hold (:func:`_decoded`).
 
     ``size`` must be a nonnegative int; anything else raises ValueError
     naming ``size``.
@@ -318,16 +314,20 @@ def finitized_lhs(params: IdentityParams, size: int) -> TruncatedSeries:
     upper = sum(finitized_box(params, size))
     offset = upper - params.half_modulus + params.residue
     m = params.modulus
-    terms = []  # (j, the coefficients of the term's binomial)
     # exactly the j whose lower index (offset - M j) // 2 lies in 0..upper
-    for j in range(-((2 * upper + 1 - offset) // m), offset // m + 1):
-        terms.append((j, gaussian_binomial(upper, (offset - m * j) // 2, 1).coefficients))
-    bits = _signed_bits(sum(sum(map(abs, c)) for _, c in terms))
-    total = 0
-    for j, c in terms:
-        packed = _packed(c, bits) << (bits * _theta_exponent(params, j))
-        total += -packed if j % 2 else packed
-    return _polynomial(_unpack_signed(total, bits))
+    js = range(-((2 * upper + 1 - offset) // m), offset // m + 1)
+    terms = [(j, (offset - m * j) // 2) for j in js]
+
+    def build(bits: int) -> tuple[int, int]:
+        rows, total, bound = [], 0, 0
+        for j, lower in terms:
+            packed, term_bound = _gaussian_binomial(rows, upper, lower, bits)
+            packed <<= bits * _theta_exponent(params, j)
+            total += -packed if j % 2 else packed
+            bound += term_bound
+        return total, bound
+
+    return _decoded(build, sum(comb(upper, lower) for _, lower in terms))
 
 
 def finitized_rhs(params: IdentityParams, size: int) -> TruncatedSeries:
@@ -359,37 +359,33 @@ def finitized_rhs(params: IdentityParams, size: int) -> TruncatedSeries:
 
     Each C_j is one packed int, beside a bound on the sum of the absolute
     values of its coefficients: 1 for C_0, multiplied through each
-    binomial's own coefficient sum |[upper, lower]|_1 and added through each
-    sum.  The final bound holds every coefficient of the result, which is
-    unpacked as balanced digits once 2^(B-1) exceeds it; otherwise the sum
-    is taken once more, at the width that bound gives.  On correct
-    binomials every coefficient is nonnegative, so the bound is the value at
-    q = 1, the count of the W x H box's rank-window partitions, at most
-    C(W + H, H): the width starts there and is not widened.
+    binomial's own bound on |[upper, lower]|_1 and added through each sum.
+    The final bound holds every coefficient of the result (:func:`_decoded`).
+    On correct entries every coefficient is nonnegative, so the bound is the
+    value at q = 1, the count of the W x H box's rank-window partitions, at
+    most C(W + H, H): the width starts there and is not widened.
 
     ``size`` must be a nonnegative int; anything else raises ValueError
     naming ``size``.
     """
     _require_count(size, "size")
     width, height = finitized_box(params, size)
-    bits = _signed_bits(comb(max(width + height, 0), max(height, 0)))
-    total, bound = _multisum_states(params, size, bits)
-    if bound >> (bits - 1):
-        bits = _signed_bits(bound)
-        total, bound = _multisum_states(params, size, bits)
-    return _polynomial(_unpack_signed(total, bits))
+    guess = comb(max(width + height, 0), max(height, 0))
+    return _decoded(lambda bits: _multisum_states(params, size, bits), guess)
 
 
 def _multisum_states(params: IdentityParams, size: int, bits: int) -> tuple[int, int]:
     # (sum of C_k packed at width bits, its coefficient-sum bound): the levels
-    # of finitized_rhs.  Each binomial is looked up once per call.
+    # of finitized_rhs.  A binomial in q^2 at width bits is the plain one at
+    # width 2 bits, so each base reads its own table, at its own width.
     k, r = params.half_modulus, params.residue
     cap = (size - k + r) // 2 if params.is_odd else size  # n_1 + ... + n_{k-1} <= cap
-    factors: dict[tuple[int, int, int], tuple[int, int]] = {}  # -> (packed, |.|_1)
+    tables = ([], [])  # the rows of the base-1 and the base-2 tables
     states = {(cap, 0): (1, 1)}  # (n_{j-1}, P_j): (summed terms of its prefixes, bound)
     for j in range(1, k + 1):
         if j > 1:  # step j - 1: [upper_{j-1}, n_{j-1} - n_j], upper_{j-1} below
             base = _step_base(params, j - 1)
+            rows = tables[base - 1]
             if params.is_odd:
                 lead = size - odd_offset(k, r, j - 1)
             elif base == 1:
@@ -401,14 +397,10 @@ def _multisum_states(params: IdentityParams, size: int, bits: int) -> tuple[int,
                 term, term_bound = poly, bound
                 if j > 1:
                     upper = size - before if base == 2 else lead - 2 * before - prev - n
-                    key = (upper, prev - n, base)
-                    factor = factors.get(key)
-                    if factor is None:
-                        c = gaussian_binomial(*key).coefficients
-                        factor = factors[key] = (_packed(c, bits), sum(map(abs, c)))
-                    if not factor[1]:  # a zero binomial ends every prefix here
+                    factor, factor_bound = _gaussian_binomial(rows, upper, prev - n, base * bits)
+                    if not factor_bound:  # a zero binomial ends every prefix here
                         continue
-                    term, term_bound = term * factor[0], term_bound * factor[1]
+                    term, term_bound = term * factor, term_bound * factor_bound
                 term <<= bits * (n * n + (n if j >= r else 0))
                 key = (n, prefix + n)
                 if key in level:
@@ -420,9 +412,34 @@ def _multisum_states(params: IdentityParams, size: int, bits: int) -> tuple[int,
     return sum(poly for poly, _ in states.values()), sum(b for _, b in states.values())
 
 
-@lru_cache(maxsize=None)
-def _packed(coefficients: tuple[int, ...], bits: int) -> int:
-    # A binomial's coefficients packed at width bits, keyed by value: equal
-    # binomials (symmetric pairs, the many equal to 1) share one pack, and a
-    # patched or rebuilt binomial with other values gets its own.
-    return _pack(coefficients, bits)
+def _gaussian_binomial(rows: list, a: int, b: int, bits: int) -> tuple[int, int]:
+    # (packed, bound): [a, b] packed at width bits, beside a bound on the sum
+    # of the absolute values of its coefficients; (0, 0) unless 0 <= b <= a.
+    # rows is the caller's table at width bits, grown until row a exists by
+    # the q-Pascal rule [a, b] = [a-1, b-1] + q^b [a-1, b] (Andrews, The
+    # Theory of Partitions, ch. 3).  Row a holds b <= a // 2, and [a, b] =
+    # [a, a - b] gives the rest.  Bounds add as the entries do, so each is
+    # C(a, b) on correct entries.
+    if not 0 <= b <= a:
+        return 0, 0
+    while len(rows) <= a:
+        n, above = len(rows), rows[-1] if rows else []
+        row = [(1, 1)]
+        for i in range(1, n // 2 + 1):
+            (low, low_bound), (high, high_bound) = above[i - 1], above[min(i, n - 1 - i)]
+            row.append((low + (high << (bits * i)), low_bound + high_bound))
+        rows.append(row)
+    return rows[a][min(b, a - b)]
+
+
+def _decoded(build: Callable[[int], tuple[int, int]], guess: int) -> TruncatedSeries:
+    # The polynomial that build(B) packs at width B, beside a bound on the
+    # absolute values of its coefficients.  Built at the width the guess
+    # gives, and once more at the bound's own width when the bound passes
+    # it, so balanced digits decode it exactly whatever the entries hold.
+    bits = _signed_bits(guess)
+    total, bound = build(bits)
+    if bound >> (bits - 1):
+        bits = _signed_bits(bound)
+        total, _ = build(bits)
+    return _polynomial(_unpack_signed(total, bits))

@@ -594,7 +594,7 @@ def verify_finitized_grid(
     or 2k; modulus 2 has no cell), then by residue (1..k, or those of
     ``residues`` at most k), with sizes up to ``odd_size_max`` or
     ``even_size_max``.  Each parity must be "odd" or "even", each
-    half-modulus an int, each residue an int >= 1, and each size bound and
+    half-modulus and each residue an int >= 1, and each size bound and
     ``n_max`` (unless None) a nonnegative int, each checked under its own
     name before any work.
     """
@@ -607,8 +607,7 @@ def verify_finitized_grid(
     for parity in parities:
         if parity not in ("odd", "even"):
             raise ValueError(f"unknown parity {parity!r}")
-    for half in halves:
-        _require_int(half, "half_modulus")
+    _require_at_least(halves, "half_modulus", 1)
     _require_at_least(residues or (), "residue", 1)
     records = []
     for parity in parities:

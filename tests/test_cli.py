@@ -429,6 +429,15 @@ def test_verify_finitized_half_one(capsys):
     assert err == "error: the selection matches no grid cell\n"
 
 
+def test_verify_finitized_refuses_half_modulus_below_one(capsys):
+    # named as verify gordon --k 0 names it, not as a selection of no cell
+    for k in ("0", "-3"):
+        code, out, err = run_cli(capsys, "verify", "finitized", "--k", k)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: half_modulus must be >= 1, got {k}\n"
+
+
 def test_verify_failure_exit_one(capsys, monkeypatch):
     # exit-code contract: a failed identity turns into exit status 1
     broken = VerificationReport(

@@ -140,16 +140,20 @@ def test_counts_exact_where_the_limb_width_steps_up():
         assert counts == list(numbers[: n + 1]), n
 
 
+def _pack(coefficients, bits):
+    # the series at q = 2^bits: sum of c_t * 2^(bits * t), any ints c_t
+    return sum(c << (bits * t) for t, c in enumerate(coefficients))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-(1 << 200), 1 << 200) | st.integers(0, (1 << 64) - 1), max_size=30))
 def test_packed_coefficients_round_trip(coefficients):
-    # any ints, negative or past one word: the packed value is the series at
-    # q = 2^B, and balanced digits at the width their bound gives decode it
+    # any ints, negative or past one word: balanced digits at the width
+    # their bound gives decode the series at q = 2^B
     while coefficients and coefficients[-1] == 0:
         coefficients.pop()
     bits = kernels._signed_bits(max(map(abs, coefficients), default=0))
-    packed = kernels._pack(coefficients, bits)
-    assert packed == sum(c << (bits * t) for t, c in enumerate(coefficients))
+    packed = _pack(coefficients, bits)
     decoded = kernels._unpack_signed(packed, bits)
     assert decoded[: len(coefficients)] == coefficients
     assert not any(decoded[len(coefficients) :])
@@ -175,13 +179,11 @@ def test_pack_round_trips_at_any_width_past_the_split(bits, count, rng):
     # (-2^(B-1), 2^(B-1)) through _unpack_signed, which reads every limb up
     # to the top nonzero one and at most one zero limb above it
     unsigned = _digits(rng, count, 0, (1 << bits) - 1)
-    packed = kernels._pack(unsigned, bits)
-    assert packed == sum(c << (bits * t) for t, c in enumerate(unsigned))
+    packed = _pack(unsigned, bits)
     assert kernels._unpack(packed, bits, count) == unsigned
     half = 1 << (bits - 1)
     signed = _digits(rng, count, 1 - half, half - 1)
-    packed = kernels._pack(signed, bits)
-    assert packed == sum(c << (bits * t) for t, c in enumerate(signed))
+    packed = _pack(signed, bits)
     decoded = kernels._unpack_signed(packed, bits)
     degree = max((t for t, c in enumerate(signed) if c), default=0)
     assert degree < len(decoded) <= degree + 2
@@ -194,7 +196,7 @@ def test_pack_round_trips_at_any_width_past_the_split(bits, count, rng):
 def test_unpack_reads_the_low_limbs_of_any_int(bits, count, high, rng):
     # limbs from count on are ignored, whatever they hold
     low = _digits(rng, count, 0, (1 << bits) - 1)
-    packed = kernels._pack(low, bits) + (high << (bits * count))
+    packed = _pack(low, bits) + (high << (bits * count))
     assert kernels._unpack(packed, bits, count) == low
 
 

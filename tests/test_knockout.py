@@ -19,7 +19,6 @@ from colorpartitions.series import TruncatedSeries
 from colorpartitions.verify import verify_all
 
 GRID = dict(n_max=20, gordon_n_max=20, odd_size_max=8, even_size_max=6)
-CACHED_BINOMIAL = series.gaussian_binomial
 SIZE_OK, GAP_OK, DECODE_PART = coloring._size_ok, coloring._gap_ok, coloring._decode_part
 COLOR_MAP, BOX_LAW = coloring.color_map, coloring.check_box_condition
 
@@ -37,11 +36,14 @@ def series_plus_one(name, degree):
 
 
 def binomial_plus_one(a, b, degree):
-    def mutant(upper, lower, base=1):
-        result = CACHED_BINOMIAL(upper, lower, base)
-        if (upper, lower, base) == (a, b, 1):
-            return TruncatedSeries(bumped(result.coefficients, degree))
-        return result
+    # the table read of [a, b], +1 at limb ``degree`` of the read's width
+    real = series._gaussian_binomial
+
+    def mutant(rows, upper, lower, bits):
+        packed, bound = real(rows, upper, lower, bits)
+        if (upper, lower) == (a, b):
+            return packed + (1 << (bits * degree)), bound + 1
+        return packed, bound
 
     return mutant
 
@@ -115,7 +117,7 @@ KNOCKOUTS = [
      {"bijection": 18}),
     ("finitized_lhs", series, series_plus_one("finitized_lhs", 12), {"finitized": 18}),
     ("finitized_rhs", series, series_plus_one("finitized_rhs", 12), {"finitized": 18}),
-    ("gaussian_binomial", series, binomial_plus_one(9, 3, 4), {"finitized": 4}),
+    ("_gaussian_binomial", series, binomial_plus_one(9, 3, 4), {"finitized": 4}),
     ("frequency_counts", families, counts_plus_one(families, "frequency_counts", 12),
      {"gordon": 5}),
     ("_colored_head_counts", families, empty_head_plus_one(12),
@@ -148,13 +150,7 @@ KNOCKOUTS = [
 
 
 def failing_scopes():
-    # Gaussian binomials are cached: a clean cache on both sides of the run
-    # makes every call see the mutant, and keeps it out of later results.
-    CACHED_BINOMIAL.cache_clear()
-    try:
-        report = verify_all(**GRID)
-    finally:
-        CACHED_BINOMIAL.cache_clear()
+    report = verify_all(**GRID)
     return dict(Counter(record.scope for record in report.records if not record.ok))
 
 

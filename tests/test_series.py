@@ -8,6 +8,7 @@ tuples with the local helpers, not with library arithmetic.
 
 from functools import lru_cache
 from itertools import zip_longest
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,8 +27,8 @@ from colorpartitions import (
 )
 from colorpartitions import series
 from colorpartitions.families import boxed_counts
+from colorpartitions.kernels import _unpack
 from colorpartitions.series import even_offset, first_difference, odd_offset
-from colorpartitions.verify import verify_finitized_grid
 
 
 def shifted_sum(left, right, shift):
@@ -138,7 +139,6 @@ def test_gauss_rejects_nonpositive_base():
 
 
 def test_gauss_rejects_non_int_arguments():
-    gaussian_binomial(1, 1)  # a cached (1, 1) must not answer (True, 1)
     for bad in (True, 2.0, "3"):
         for args, name in (((bad, 1), "a"), ((2, bad), "b"), ((2, 1, bad), "base")):
             with pytest.raises(ValueError, match=f"{name} must be an int"):
@@ -154,8 +154,6 @@ def test_gauss_symmetry_and_degree():
 
 
 def test_gauss_at_one_is_binomial():
-    from math import comb
-
     for a in range(9):
         for b in range(a + 1):
             assert sum(gaussian_binomial(a, b).coefficients) == comb(a, b)
@@ -168,13 +166,35 @@ def test_gauss_base_inflation():
     )
 
 
-def test_gauss_base_q2_reuses_the_plain_cache_key():
-    # the base-q^2 branch asks for the plain binomial as (a, b, 1), the key
-    # every caller in the package uses, so the plain polynomial is built once
-    gaussian_binomial.cache_clear()
-    gaussian_binomial(9, 3, 2)
-    gaussian_binomial(9, 3, 1)
-    assert gaussian_binomial.cache_info().misses == 2
+def _read_as(packed, bits, expected):
+    # the packed int is the list at q = 2^bits, at any width; where every
+    # coefficient fits a limb, it also unpacks to the list
+    assert packed == sum(c << (bits * t) for t, c in enumerate(expected))
+    if max(expected, default=0) >> bits == 0:
+        assert tuple(_unpack(packed, bits, len(expected))) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=st.integers(1, 70),
+    reads=st.lists(
+        st.integers(0, 40).flatmap(lambda a: st.tuples(st.just(a), st.integers(-1, a + 1)))
+    ),
+)
+@example(bits=1, reads=[(40, 20), (0, 0), (1, 1), (39, 40)])
+def test_binomial_table_matches_the_list_builder(bits, reads):
+    # Reads in any order from one table per width grow it out of order.
+    # Each entry is the list-built binomial packed, beside its coefficient
+    # sum C(a, b), and the table at width 2B read at width B is the binomial
+    # in q^2.
+    plain, wide = [], []
+    for a, b in reads:
+        packed, bound = series._gaussian_binomial(plain, a, b, bits)
+        _read_as(packed, bits, gaussian_binomial(a, b).coefficients)
+        assert bound == (comb(a, b) if b >= 0 else 0), (a, b)
+        packed, bound = series._gaussian_binomial(wide, a, b, 2 * bits)
+        _read_as(packed, bits, gaussian_binomial(a, b, 2).coefficients)
+        assert bound == (comb(a, b) if b >= 0 else 0), (a, b)
 
 
 # ------------------------------------------------------------- offset tables
@@ -354,6 +374,21 @@ def test_multisum_levels_match_tuple_oracle():
                 assert levels == oracle[: order + 1], (m, r, order)
 
 
+def test_multisum_skips_levels_above_the_order():
+    # A level j above the order admits only n_j = 0, so cells with more
+    # levels than the order reads match the theta quotient all the same.
+    cells = [(IdentityParams(2001, 1000), 30), (IdentityParams(2000, 7), 12)]
+    cells += [
+        (IdentityParams(m, r), order)
+        for m in range(6, 30, 5)
+        for r in (1, m // 2)
+        for order in range(m // 2 - 1)
+    ]
+    for params, order in cells:
+        assert params.half_modulus - 1 > order
+        assert fermionic_multisum(params, order) == bosonic_sum(params, order), (params, order)
+
+
 def test_three_forms_agree_on_grid():
     # The multisum's nested Horner levels against the theta quotient, which
     # shares no code with them beyond the geometric division.
@@ -466,8 +501,8 @@ def _stripped(coefficients):
 def finitized_lhs_by_lists(params, size):
     """The alternating side summed on coefficient lists, term by term.
 
-    Reads ``series.gaussian_binomial`` through the module, as the packed
-    side does, so a patched binomial reaches both.
+    Reads ``series.gaussian_binomial`` through the module, so a patched
+    binomial reaches it.
     """
     upper = sum(finitized_box(params, size))
     offset = upper - params.half_modulus + params.residue
@@ -492,7 +527,8 @@ def finitized_rhs_by_lists(params, size):
     """The sum side's levels over (n_j, P_{j+1}) states on coefficient lists.
 
     One convolution per binomial and one shifted add per state, reading
-    ``series.gaussian_binomial`` through the module like the packed levels.
+    ``series.gaussian_binomial`` through the module, so a patched binomial
+    reaches it.
     """
     k, r = params.half_modulus, params.residue
     cap = (size - k + r) // 2 if params.is_odd else size
@@ -539,102 +575,48 @@ def test_packed_sides_match_list_oracles(params, size):
 
 
 def _binomial_plus(degree, delta):
-    # every Gaussian binomial, zero-extended to ``degree`` as needed, plus
-    # ``delta`` there (base-q^2 ones included, through the inner call)
+    # every plain Gaussian binomial, zero-extended to ``degree`` as needed,
+    # plus ``delta`` there, then spread to q^base
     real = series.gaussian_binomial
 
     def mutant(a, b, base=1):
-        coefficients = list(real(a, b, base).coefficients)
+        coefficients = list(real(a, b).coefficients)
         coefficients += [0] * (degree + 1 - len(coefficients))
         coefficients[degree] += delta
-        return TruncatedSeries(coefficients)
+        return TruncatedSeries(inflate(coefficients, base))
+
+    return mutant
+
+
+def _table_plus(degree, delta):
+    # every table read, in range or not, plus ``delta`` at limb ``degree``
+    # of its own width (so at degree 2 * degree for a binomial in q^2), and
+    # its bound plus |delta|
+    real = series._gaussian_binomial
+
+    def mutant(rows, a, b, bits):
+        packed, bound = real(rows, a, b, bits)
+        return packed + (delta << (bits * degree)), bound + abs(delta)
 
     return mutant
 
 
 @pytest.mark.parametrize("degree, delta", [(2, 1 << 70), (0, -1), (3, -1)])
 def test_packed_sides_decode_any_binomials(monkeypatch, degree, delta):
-    # Limb widths hold for whatever the binomials hold: a coefficient past
-    # 64 bits widens the sum side once, and a negative one (or a binomial
-    # that becomes zero) needs the balanced digits.  The cache is cleared on
-    # both sides so no mutated polynomial outlives the test.
-    cached = series.gaussian_binomial
+    # Limb widths hold for whatever the table entries hold: a coefficient
+    # past 64 bits widens both sides once, and a negative one (or a binomial
+    # that becomes zero) needs the balanced digits.  The list oracles read
+    # the same change through gaussian_binomial.
+    monkeypatch.setattr(series, "_gaussian_binomial", _table_plus(degree, delta))
     monkeypatch.setattr(series, "gaussian_binomial", _binomial_plus(degree, delta))
-    cached.cache_clear()
-    try:
-        for m in range(3, 11):
-            for r in range(1, m // 2 + 1):
-                params = IdentityParams(m, r)
-                for size in range(9):
-                    lhs = finitized_lhs(params, size).coefficients
-                    rhs = finitized_rhs(params, size).coefficients
-                    assert lhs == finitized_lhs_by_lists(params, size), (m, r, size)
-                    assert rhs == finitized_rhs_by_lists(params, size), (m, r, size)
-    finally:
-        cached.cache_clear()
-
-
-def test_pack_memo_follows_the_binomial_it_is_given(monkeypatch):
-    # One grid run fills the process's packed binomials.  A patched
-    # binomial, cached so that it hands back one object per argument, must
-    # reach both sides all the same, and the real one must come back once
-    # the patch is gone.  The Gaussian binomial cache is cleared after the
-    # patch: its base-q^2 entries are built through the module global.
-    verify_finitized_grid()
-    assert series._packed.cache_info().currsize
-    cells = [
-        (IdentityParams(m, r), size)
-        for m in range(4, 10)
-        for r in range(1, m // 2 + 1)
-        for size in range(9)
-    ]
-    clean = {cell: (finitized_lhs(*cell), finitized_rhs(*cell)) for cell in cells}
-    cached = series.gaussian_binomial
-    monkeypatch.setattr(series, "gaussian_binomial", lru_cache(_binomial_plus(3, 1)))
-    changed = [0, 0]  # cells whose lhs, rhs the patch changed
-    try:
-        for cell in cells:
-            lhs, rhs = finitized_lhs(*cell), finitized_rhs(*cell)
-            assert lhs.coefficients == finitized_lhs_by_lists(*cell), cell
-            assert rhs.coefficients == finitized_rhs_by_lists(*cell), cell
-            changed[0] += lhs != clean[cell][0]
-            changed[1] += rhs != clean[cell][1]
-    finally:
-        monkeypatch.undo()
-        cached.cache_clear()
-    assert min(changed) > len(cells) // 2, changed
-    for cell in cells:
-        assert (finitized_lhs(*cell), finitized_rhs(*cell)) == clean[cell], cell
-
-
-def test_pack_cache_is_keyed_by_the_binomial_values(monkeypatch):
-    # A binomial that hands back equal values in fresh objects packs nothing
-    # new; one that hands back other values is packed afresh and decodes
-    # exactly.  Both an odd and an even cell, so base-q^2 factors take part.
-    cells = [(IdentityParams(m, r), 7) for m, r in ((7, 2), (8, 2), (10, 3))]
-    clean = {cell: (finitized_lhs(*cell), finitized_rhs(*cell)) for cell in cells}
-    real = series.gaussian_binomial
-
-    def fresh(a, b, base=1):
-        return TruncatedSeries(list(real(a, b, base).coefficients))
-
-    misses = series._packed.cache_info().misses
-    monkeypatch.setattr(series, "gaussian_binomial", fresh)
-    try:
-        for cell in cells:
-            assert (finitized_lhs(*cell), finitized_rhs(*cell)) == clean[cell], cell
-        assert series._packed.cache_info().misses == misses
-        monkeypatch.setattr(series, "gaussian_binomial", _binomial_plus(3, 1))
-        real.cache_clear()
-        for cell in cells:
-            lhs, rhs = finitized_lhs(*cell), finitized_rhs(*cell)
-            assert lhs.coefficients == finitized_lhs_by_lists(*cell), cell
-            assert rhs.coefficients == finitized_rhs_by_lists(*cell), cell
-            assert (lhs, rhs) != clean[cell], cell
-        assert series._packed.cache_info().misses > misses
-    finally:
-        monkeypatch.undo()
-        real.cache_clear()
+    for m in range(3, 11):
+        for r in range(1, m // 2 + 1):
+            params = IdentityParams(m, r)
+            for size in range(9):
+                lhs = finitized_lhs(params, size).coefficients
+                rhs = finitized_rhs(params, size).coefficients
+                assert lhs == finitized_lhs_by_lists(params, size), (m, r, size)
+                assert rhs == finitized_rhs_by_lists(params, size), (m, r, size)
 
 
 def test_finitized_lhs_counts_its_box():

@@ -549,6 +549,11 @@ def test_grids_refuse_a_modulus_below_3_or_a_residue_below_1_by_name(monkeypatch
         with pytest.raises(ValueError) as caught:
             verify_finitized_grid(residues=residues)
         assert str(caught.value) == f"residue must be >= 1, got {residues[-1]}"
+    # a half-modulus below 1 has no cell, and is refused by name, not skipped
+    for halves in ((0,), (2, -3)):
+        with pytest.raises(ValueError) as caught:
+            verify_finitized_grid(halves=halves)
+        assert str(caught.value) == f"half_modulus must be >= 1, got {halves[-1]}"
 
 
 def test_finitized_and_gordon_grids_refuse_bad_cells_before_any_work(monkeypatch):

@@ -179,8 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 @cache
 def _parser() -> argparse.ArgumentParser:
-    # The parser main reuses: building one costs about a millisecond, and
-    # parse_args leaves it as it was, each call getting a fresh namespace.
+    # The parser main reuses: the first build in a process costs about 3 ms
+    # and a later one about 1 ms, and parse_args leaves it as it was, each
+    # call getting a fresh namespace.
     return build_parser()
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import isqrt
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import kernels
 from .coloring import (
@@ -111,6 +111,30 @@ def _exact_root(params: IdentityParams, n: int, max_part: int, max_length: int) 
     if not n:
         return None
     return _exact_children(pairs, hi, bits, params, ({}, {}, {}), len(pairs), n + 1, n)
+
+
+def _boxed_counts(params: IdentityParams, boxes: list[tuple[int, int]]) -> Iterator[list[int]]:
+    # boxed_counts(params, W, H) for each box (W, H) of a nonempty list in
+    # which neither W nor H falls, from one pair sweep at the last box: the
+    # box bounds only the first pair, so f(w, h) serves every box, and each
+    # box adds the pairs it newly admits (w <= W, h <= H, ascending h per
+    # row) to one running sum, unpacked to W * H + 1 limbs.
+    width, height = (max(side, 0) for side in boxes[-1])
+    _, _, bits, pairs = kernels._pair_sweep(
+        width, height, params.min_rank, params.max_rank, keep=True
+    )
+    admitted, total = [0] * len(pairs), 1
+    for max_part, max_length in boxes:
+        if min(max_part, max_length) < 0:
+            yield [0]
+            continue
+        for w in range(1, min(max_part + 1, len(pairs))):
+            row, end = pairs[w], admitted[w]
+            while end < len(row) and row[end][0] <= max_length:
+                total += row[end][1]
+                end += 1
+            admitted[w] = end
+        yield kernels._unpack(total, bits, max_part * max_length + 1)
 
 
 def _exact_children(pairs, hi, bits, params, memo, w_head, h_head, budget) -> list:

@@ -10,17 +10,20 @@ on plain lists: in-place prefix recurrences for the geometric factors.  The
 finitized sides run on packed ints (Kronecker substitution q = 2^B, as in
 ``kernels``; Harvey, J. Symbolic Comput. 44, 2009): each running sum is one
 int, a product with a Gaussian binomial is one int multiply, and a q-shift
-is a bit shift.  Each call reads its Gaussian binomials from its own packed
-q-Pascal table, grown only as far as it reads.  Each side carries a bound
-on the absolute values of its final coefficients and unpacks them as
-balanced digits at ``kernels``' one width rule: the bit length of that
-bound plus one sign bit.  Enumeration-based verification lives elsewhere.
+is a bit shift.  Each public side reads its Gaussian binomials from its own
+packed q-Pascal table, grown only as far as it reads; ``verify`` reads both
+sides at every size of a cell from one table per base, grown once at the
+width the largest size needs, and compares them packed at that width
+(``_finitized_sides``).  Each side carries a bound on the absolute values
+of its final coefficients and unpacks them as balanced digits at
+``kernels``' one width rule: the bit length of that bound plus one sign
+bit.  Enumeration-based verification lives elsewhere.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .coloring import IdentityParams
 from .kernels import _signed_bits, _unpack_signed
@@ -284,7 +287,12 @@ def even_offset(k: int, i: int, j: int) -> int:
 
 
 def finitized_box(params: IdentityParams, size: int) -> tuple[int, int]:
-    """(max columns, max rows) of the box the finitized identity counts."""
+    """(max columns, max rows) of the box the finitized identity counts.
+
+    ``size`` must be a nonnegative int; anything else raises ValueError
+    naming ``size``.
+    """
+    _require_count(size, "size")
     k = params.half_modulus
     r = params.residue
     if params.is_odd:
@@ -310,24 +318,40 @@ def finitized_lhs(params: IdentityParams, size: int) -> TruncatedSeries:
     ``size`` must be a nonnegative int; anything else raises ValueError
     naming ``size``.
     """
-    _require_count(size, "size")
+    guess = _first_guesses(params, size)[0]
+    return _decoded(lambda bits: _finitized_lhs(params, size, ([], []), bits), guess)
+
+
+def _alternating_terms(params: IdentityParams, size: int) -> tuple[int, list[tuple[int, int]]]:
+    # (upper, [(j, lower), ...]): exactly the j of finitized_lhs whose lower
+    # index (offset - M j) // 2 lies in 0..upper
     upper = sum(finitized_box(params, size))
     offset = upper - params.half_modulus + params.residue
     m = params.modulus
-    # exactly the j whose lower index (offset - M j) // 2 lies in 0..upper
     js = range(-((2 * upper + 1 - offset) // m), offset // m + 1)
-    terms = [(j, (offset - m * j) // 2) for j in js]
+    return upper, [(j, (offset - m * j) // 2) for j in js]
 
-    def build(bits: int) -> tuple[int, int]:
-        rows, total, bound = [], 0, 0
-        for j, lower in terms:
-            packed, term_bound = _gaussian_binomial(rows, upper, lower, bits)
-            packed <<= bits * _theta_exponent(params, j)
-            total += -packed if j % 2 else packed
-            bound += term_bound
-        return total, bound
 
-    return _decoded(build, sum(comb(upper, lower) for _, lower in terms))
+def _first_guesses(params: IdentityParams, size: int) -> tuple[int, int]:
+    # The bounds each side's coefficients have on correct table entries:
+    # sum C(upper, lower) over the alternating side's terms, and C(W + H, H)
+    # for the sum side (see finitized_rhs).
+    upper, terms = _alternating_terms(params, size)
+    height = finitized_box(params, size)[1]
+    return sum(comb(upper, lower) for _, lower in terms), comb(max(upper, 0), max(height, 0))
+
+
+def _finitized_lhs(params: IdentityParams, size: int, tables: tuple, bits: int) -> tuple[int, int]:
+    # (sum packed at width bits, its coefficient bound): finitized_lhs read
+    # from the base-1 table of tables, the caller's rows at width bits.
+    upper, terms = _alternating_terms(params, size)
+    total, bound = 0, 0
+    for j, lower in terms:
+        packed, term_bound = _gaussian_binomial(tables[0], upper, lower, bits)
+        packed <<= bits * _theta_exponent(params, j)
+        total += -packed if j % 2 else packed
+        bound += term_bound
+    return total, bound
 
 
 def finitized_rhs(params: IdentityParams, size: int) -> TruncatedSeries:
@@ -368,19 +392,17 @@ def finitized_rhs(params: IdentityParams, size: int) -> TruncatedSeries:
     ``size`` must be a nonnegative int; anything else raises ValueError
     naming ``size``.
     """
-    _require_count(size, "size")
-    width, height = finitized_box(params, size)
-    guess = comb(max(width + height, 0), max(height, 0))
-    return _decoded(lambda bits: _multisum_states(params, size, bits), guess)
+    guess = _first_guesses(params, size)[1]
+    return _decoded(lambda bits: _finitized_rhs(params, size, ([], []), bits), guess)
 
 
-def _multisum_states(params: IdentityParams, size: int, bits: int) -> tuple[int, int]:
+def _finitized_rhs(params: IdentityParams, size: int, tables: tuple, bits: int) -> tuple[int, int]:
     # (sum of C_k packed at width bits, its coefficient-sum bound): the levels
     # of finitized_rhs.  A binomial in q^2 at width bits is the plain one at
-    # width 2 bits, so each base reads its own table, at its own width.
+    # width 2 bits, so tables holds the caller's rows of the base-1 table at
+    # width bits and of the base-2 table at width 2 bits.
     k, r = params.half_modulus, params.residue
     cap = (size - k + r) // 2 if params.is_odd else size  # n_1 + ... + n_{k-1} <= cap
-    tables = ([], [])  # the rows of the base-1 and the base-2 tables
     states = {(cap, 0): (1, 1)}  # (n_{j-1}, P_j): (summed terms of its prefixes, bound)
     for j in range(1, k + 1):
         if j > 1:  # step j - 1: [upper_{j-1}, n_{j-1} - n_j], upper_{j-1} below
@@ -443,3 +465,24 @@ def _decoded(build: Callable[[int], tuple[int, int]], guess: int) -> TruncatedSe
         bits = _signed_bits(bound)
         total, _ = build(bits)
     return _polynomial(_unpack_signed(total, bits))
+
+
+def _finitized_sides(
+    params: IdentityParams, size_max: int
+) -> Iterator[tuple[TruncatedSeries, TruncatedSeries]]:
+    # (finitized_lhs, finitized_rhs) at each size 0..size_max, both sides
+    # read from one table per base at one width B: that of the larger first
+    # guess at size_max.  A size whose bounds reach 2^(B-1) reads the public
+    # sides instead, each at its own width.  With every balanced digit in
+    # range, the sides' packed ints are equal exactly when their polynomials
+    # are, so the sum side is decoded only when they differ.
+    bits = _signed_bits(max(_first_guesses(params, size_max)))
+    tables = ([], [])
+    for size in range(size_max + 1):
+        lhs, lhs_bound = _finitized_lhs(params, size, tables, bits)
+        rhs, rhs_bound = _finitized_rhs(params, size, tables, bits)
+        if (lhs_bound | rhs_bound) >> (bits - 1):
+            yield finitized_lhs(params, size), finitized_rhs(params, size)
+            continue
+        left = _polynomial(_unpack_signed(lhs, bits))
+        yield left, left if rhs == lhs else _polynomial(_unpack_signed(rhs, bits))

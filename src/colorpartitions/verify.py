@@ -421,9 +421,14 @@ def check_finitized(
     for the largest box.  One sweep up the sizes adds each head's series,
     still packed, at the first size whose box admits it, and each size
     unpacks its running total once; the colored enumeration is its test
-    oracle.  ``n_max`` bounds that count's weight and truncates the
-    per-weight comparisons.  A ``size_max`` or ``n_max`` that is not a
-    nonnegative int raises ValueError.
+    oracle.  The other routes are built once per cell too: both sides read
+    one packed q-Pascal table per base, grown at the width the largest size
+    needs, and are compared as packed ints at that width
+    (``series._finitized_sides``); the box counts read one pair sweep at the
+    largest box, each size adding the pairs its box newly admits
+    (``families._boxed_counts``).  ``n_max`` bounds the colored count's
+    weight and truncates the per-weight comparisons.  A ``size_max`` or
+    ``n_max`` that is not a nonnegative int raises ValueError.
     """
     _require_count(size_max, "size_max")
     if n_max is not None:
@@ -434,22 +439,26 @@ def check_finitized(
     # The box law reads only the largest part and bounds it by W + H - 1,
     # which grows with the size: the weight series of the members each head
     # heads, up to the largest box, serve every size.
-    largest_top = _colored_top(*series.finitized_box(params, size_max))
+    boxes = [series.finitized_box(params, size) for size in range(size_max + 1)]
+    largest_top = _colored_top(*boxes[-1])
     weight_max = _gap2_weight_bound(largest_top)
     if n_max is not None:
         weight_max = min(weight_max, n_max)
     bits, packed = families._colored_head_counts(params, weight_max, largest_top)
+    sweeps = zip(
+        _admitted_series(params, packed, size_max),
+        series._finitized_sides(params, size_max),
+        families._boxed_counts(params, boxes),
+    )
     checked = 0
-    for size, admitted in enumerate(_admitted_series(params, packed, size_max)):
-        lhs = series.finitized_lhs(params, size)
-        rhs = series.finitized_rhs(params, size)
+    for size, (admitted, (lhs, rhs), counts) in enumerate(sweeps):
         checked += 1
         if lhs != rhs:
             degree = series.first_difference(lhs.coefficients, rhs.coefficients)
             note = f"size={size}: sides first differ at degree {degree}"
             return CheckRecord("finitized", label, span, checked, False, note)
-        max_part, max_length = series.finitized_box(params, size)
-        box = series.TruncatedSeries(families.boxed_counts(params, max_part, max_length))
+        max_part, max_length = boxes[size]
+        box = series.TruncatedSeries(counts)
         colored_top = _colored_top(max_part, max_length)
         top = max(lhs.degree, box.order, _gap2_weight_bound(colored_top))
         if n_max is not None:

@@ -679,6 +679,21 @@ def test_boxed_counts_negative_box():
     assert boxed_members(P71, 3, 2, -1) == []
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    params=st.sampled_from(CELLS_TO_14),
+    start=st.tuples(st.integers(-3, 4), st.integers(-3, 4)),
+    steps=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=5),
+)
+def test_box_sweep_matches_boxed_counts_box_by_box(params, start, steps):
+    # One pair sweep at the last box serves every box of a sequence in which
+    # neither side falls, negative sides included.
+    boxes = list(itertools.accumulate(steps, lambda box, step: tuple(map(add, box, step)),
+                                      initial=start))
+    swept = list(families._boxed_counts(params, boxes))
+    assert swept == [boxed_counts(params, *box) for box in boxes], boxes
+
+
 def test_boxed_routes_reject_non_int_sides():
     for bad in (True, 2.0, "3"):
         for sides, name in (((bad, 2), "max_part"), ((3, bad), "max_length"),

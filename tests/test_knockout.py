@@ -48,9 +48,44 @@ def binomial_plus_one(a, b, degree):
     return mutant
 
 
+def builder_plus_one(name, degree):
+    # a packed finitized side's total, +1 at limb ``degree`` of its read
+    # width, and its bound plus 1
+    real = getattr(series, name)
+
+    def mutant(params, size, tables, bits):
+        total, bound = real(params, size, tables, bits)
+        return total + (1 << (bits * degree)), bound + 1
+
+    return mutant
+
+
 def counts_plus_one(module, name, degree):
     real = getattr(module, name)
     return lambda *args, **kwargs: bumped(real(*args, **kwargs), degree)
+
+
+def each_plus_one(module, name, degree):
+    # every count list a sweep yields, +1 at ``degree``
+    real = getattr(module, name)
+    return lambda *args: [bumped(counts, degree) for counts in real(*args)]
+
+
+def pair_sweep_plus_one(degree):
+    # q^degree added to the pair sweep's total and to each kept pair's
+    # series, when its top weight reaches that far
+    real = kernels._pair_sweep
+
+    def mutant(*args, **kwargs):
+        total, top, bits, pairs = real(*args, **kwargs)
+        if top >= degree:
+            step = 1 << (bits * degree)
+            total += step
+            if pairs is not None:
+                pairs = [[(h, chains + step) for h, chains in row] for row in pairs]
+        return total, top, bits, pairs
+
+    return mutant
 
 
 def empty_head_plus_one(degree):
@@ -115,19 +150,17 @@ KNOCKOUTS = [
      {"bijection": 18, "product_counts": 3}),
     ("fermionic_multisum", series, series_plus_one("fermionic_multisum", 12),
      {"bijection": 18}),
-    ("finitized_lhs", series, series_plus_one("finitized_lhs", 12), {"finitized": 18}),
-    ("finitized_rhs", series, series_plus_one("finitized_rhs", 12), {"finitized": 18}),
+    ("_finitized_lhs", series, builder_plus_one("_finitized_lhs", 12), {"finitized": 18}),
+    ("_finitized_rhs", series, builder_plus_one("_finitized_rhs", 12), {"finitized": 18}),
     ("_gaussian_binomial", series, binomial_plus_one(9, 3, 4), {"finitized": 4}),
     ("frequency_counts", families, counts_plus_one(families, "frequency_counts", 12),
      {"gordon": 5}),
     ("_colored_head_counts", families, empty_head_plus_one(12),
      {"bijection": 18, "finitized": 18}),
-    ("boxed_counts", families, counts_plus_one(families, "boxed_counts", 12), {"finitized": 18}),
-    # The counting kernel feeds the count records and, through boxed_counts,
-    # the finitized box count.
-    ("count_rank_bounded_partitions", kernels,
-     counts_plus_one(kernels, "count_rank_bounded_partitions", 12),
-     {"product_counts": 18, "finitized": 18}),
+    ("_boxed_counts", families, each_plus_one(families, "_boxed_counts", 12), {"finitized": 18}),
+    # The pair sweep feeds the count records, through the counting kernel,
+    # and the finitized box count, through the box sweep's kept pairs.
+    ("_pair_sweep", kernels, pair_sweep_plus_one(12), {"product_counts": 18, "finitized": 18}),
     ("_size_ok", coloring, size_ok_admits_size_one, {"bijection": 14, "finitized": 14}),
     ("_gap_ok", coloring, gap_ok_two_short_across_colors, {"bijection": 14, "finitized": 14}),
     # The running head sums start each cut two or three below the head, so

@@ -326,6 +326,7 @@ COUNT_ARGUMENTS = [
     pytest.param(lambda v: series.restricted_product(P71, v), "order", id="restricted_product"),
     pytest.param(lambda v: series.bosonic_sum(P71, v), "order", id="bosonic_sum"),
     pytest.param(lambda v: series.fermionic_multisum(P71, v), "order", id="fermionic_multisum"),
+    pytest.param(lambda v: series.finitized_box(P71, v), "size", id="finitized_box"),
     pytest.param(lambda v: series.finitized_lhs(P71, v), "size", id="finitized_lhs"),
     pytest.param(lambda v: series.finitized_rhs(P71, v), "size", id="finitized_rhs"),
     pytest.param(lambda v: render.bijection_rows(P71, v), "n", id="bijection_rows"),
@@ -334,6 +335,7 @@ COUNT_ARGUMENTS = [
                  id="check_product_counts"),
     pytest.param(lambda v: verify.check_bijection(P71, v), "n_max", id="check_bijection"),
     pytest.param(lambda v: verify.check_gordon(2, 1, v), "n_max", id="check_gordon"),
+    pytest.param(lambda v: verify.finitized_top_ok((), P71, v), "size", id="finitized_top_ok"),
     pytest.param(lambda v: verify.check_finitized(P71, v), "size_max",
                  id="check_finitized-size_max"),
     pytest.param(lambda v: verify.check_finitized(P71, 4, v), "n_max",

@@ -25,9 +25,10 @@ from colorpartitions import (
     partition_series,
     restricted_product,
 )
-from colorpartitions import series
+from colorpartitions import families, kernels, series, verify
 from colorpartitions.families import boxed_counts
 from colorpartitions.kernels import _unpack
+from colorpartitions.verify import CheckRecord, check_finitized
 from colorpartitions.series import even_offset, first_difference, odd_offset
 
 
@@ -617,6 +618,89 @@ def test_packed_sides_decode_any_binomials(monkeypatch, degree, delta):
                 rhs = finitized_rhs(params, size).coefficients
                 assert lhs == finitized_lhs_by_lists(params, size), (m, r, size)
                 assert rhs == finitized_rhs_by_lists(params, size), (m, r, size)
+
+
+def test_sides_sweep_matches_the_public_sides():
+    # one table per base and one width for every size of a cell, against
+    # each size's sides built alone
+    for m in range(3, 21):
+        for r in range(1, m // 2 + 1):
+            params = IdentityParams(m, r)
+            for size, sides in enumerate(series._finitized_sides(params, 12)):
+                assert sides == (finitized_lhs(params, size), finitized_rhs(params, size)), (
+                    m, r, size
+                )
+
+
+@pytest.mark.parametrize("name", ["_finitized_lhs", "_finitized_rhs"])
+def test_sides_sweep_widens_for_either_side(monkeypatch, name):
+    # one side alone given a 71-bit coefficient at degree 3, its bound past
+    # the shared width: that size reads the public sides, each widened
+    real = getattr(series, name)
+
+    def wide(params, size, tables, bits):
+        total, bound = real(params, size, tables, bits)
+        return total + (1 << 70 << (bits * 3)), bound + (1 << 70)
+
+    monkeypatch.setattr(series, name, wide)
+    for m in range(3, 12):
+        for r in range(1, m // 2 + 1):
+            params = IdentityParams(m, r)
+            for size, sides in enumerate(series._finitized_sides(params, 8)):
+                assert sides == (finitized_lhs(params, size), finitized_rhs(params, size)), (
+                    m, r, size
+                )
+
+
+def check_finitized_by_sizes(params, size_max):
+    """check_finitized's record by a loop that builds each size alone: the
+    public sides, boxed_counts and the head sweep."""
+    label = f"{'odd' if params.is_odd else 'even'} k={params.half_modulus} r={params.residue}"
+    span = f"N<={size_max}"
+    largest_top = verify._colored_top(*finitized_box(params, size_max))
+    weight_max = verify._gap2_weight_bound(largest_top)
+    bits, packed = families._colored_head_counts(params, weight_max, largest_top)
+    checked = 0
+    for size, admitted in enumerate(verify._admitted_series(params, packed, size_max)):
+        lhs, rhs = finitized_lhs(params, size), finitized_rhs(params, size)
+        checked += 1
+        if lhs != rhs:
+            note = f"size={size}: sides first differ at degree "
+            return CheckRecord("finitized", label, span, checked, False,
+                               note + str(first_difference(lhs.coefficients, rhs.coefficients)))
+        max_part, max_length = finitized_box(params, size)
+        box = TruncatedSeries(boxed_counts(params, max_part, max_length))
+        colored_top = verify._colored_top(max_part, max_length)
+        top = max(lhs.degree, box.order, verify._gap2_weight_bound(colored_top))
+        colored = _unpack(admitted, bits, top + 1)
+        routes = (("box count", box.padded(top)), ("top-part count", colored))
+        for n, coefficient in enumerate(lhs.padded(top)):
+            checked += 2
+            for route, values in routes:
+                if values[n] != coefficient:
+                    note = f"size={size} n={n}: {route} {values[n]} vs coefficient {coefficient}"
+                    return CheckRecord("finitized", label, span, checked, False, note)
+    return CheckRecord("finitized", label, span, checked, True)
+
+
+@pytest.mark.parametrize("degree, delta", [(2, 1 << 70), (0, -1), (3, -1), (1, 5)])
+def test_finitized_records_match_the_per_size_loop_under_any_binomials(
+    monkeypatch, degree, delta
+):
+    # Whatever the table entries hold, one table per cell and the packed
+    # comparison give each record the per-size loop gives; a coefficient
+    # past 64 bits sends a size to the public sides, each at its own width.
+    monkeypatch.setattr(series, "_gaussian_binomial", _table_plus(degree, delta))
+    public, fallbacks = series.finitized_lhs, []
+    monkeypatch.setattr(
+        series, "finitized_lhs", lambda *args: fallbacks.append(args) or public(*args)
+    )
+    for m in range(3, 12):
+        for r in range(1, m // 2 + 1):
+            params = IdentityParams(m, r)
+            record = check_finitized(params, 8)
+            assert record == check_finitized_by_sizes(params, 8), (m, r)
+    assert fallbacks or delta != 1 << 70
 
 
 def test_finitized_lhs_counts_its_box():

@@ -748,17 +748,17 @@ def test_sweep_asks_the_box_law_once_per_head_and_per_size_and_color(monkeypatch
 
 
 def test_finitized_detects_wrong_box_count(monkeypatch):
-    from colorpartitions import families, verify
+    from colorpartitions import families
 
-    real = families.boxed_counts
+    real = families._boxed_counts
 
-    def off_by_one(params, max_part, max_length, cap=None):
-        counts = real(params, max_part, max_length, cap)
-        if len(counts) > 5:
-            counts[5] += 1
-        return counts
+    def off_by_one(params, boxes):
+        for counts in real(params, boxes):
+            if len(counts) > 5:
+                counts[5] += 1
+            yield counts
 
-    monkeypatch.setattr(verify.families, "boxed_counts", off_by_one)
+    monkeypatch.setattr(families, "_boxed_counts", off_by_one)
     record = check_finitized(IdentityParams(8, 3), 5)
     assert not record.ok
     assert "n=5: box count" in record.note

@@ -48,12 +48,13 @@ TABLE_ROW_LIMIT = 500_000
 TABLE_WEIGHT_LIMIT = 250
 
 # The largest order ``coeffs`` accepts; past it the request exits 2 before
-# any series is built.  A series' cost grows with the square of its order,
-# and the multisum's with its level count too: at this limit the slowest
-# request measured up to M = 1001 is coeffs fermionic 1001 500 2000, 1.3 s
-# at 20 MB peak RSS (product 5 1: 0.2 s, bosonic 5 1: 0.34 s), and order
-# 3000 takes up to 2.9 s (a child process, Python 3.11, a shared 2-core
-# host).  The benchmark asks for at most 300, CI for 400.
+# any series is built.  The product's and the multisum's cost grows with
+# the square of the order, the multisum's with its level count too, and the
+# theta quotient's only as order^1.5: at this limit the slowest
+# request measured up to M = 1001 is coeffs fermionic 1001 500 2000, 1.2 s
+# at 20 MB peak RSS (product 5 1: 0.22 s, bosonic 5 1: 0.15 s; medians of
+# 5 runs), and order 3000 takes up to 2.9 s (a child process, Python 3.11,
+# a shared 2-core host).  The benchmark asks for at most 300, CI for 400.
 COEFFS_ORDER_LIMIT = 2000
 
 # The most rank-window members ``verify bijection`` and ``verify all``

@@ -24,6 +24,10 @@ t into those of t + 1 one to one), and p(top) < 2^B with B =
 ``_limb_bits(top)``, the bit length of p(top).  No narrower width serves
 every window and box of top weight top: the open window in a top-by-top box
 counts every partition, so its coefficient top is p(top) itself.  The
+partition numbers come from one table per process, kept by Euler's
+pentagonal recurrence (:func:`_partition_number`).  The sweep reads only
+p(top)'s bit length; the table's second reader, ``series.bosonic_sum``,
+reads p(0..order) as the values the theta series is multiplied by.  The
 counts are unpacked once, at the end, as exact Python ints at every size; a
 brute-force descent in ``tests/test_kernels.py`` is the oracle they are
 compared against.  The counts hold only the running column sums.  The

@@ -5,16 +5,20 @@ Everything is integer-exact and held in one coefficient type,
 infinite forms (restricted product, alternating theta over the partition
 series, quadratic multisum) carry coefficients 0..order; the two finitized
 polynomial identities and the Gaussian binomials are polynomials with
-trailing zeros stripped.  The infinite forms and the Gaussian binomials run
-on plain lists: in-place prefix recurrences for the geometric factors.  The
+trailing zeros stripped.  The product, the multisum and the Gaussian
+binomials run on plain lists: in-place prefix recurrences for the geometric
+factors.  The theta quotient divides by no geometric factor: it reads the
+partition numbers from ``kernels``' table, kept by Euler's pentagonal
+recurrence, and adds one shifted copy of them per theta term.  The
 finitized sides run on packed ints (Kronecker substitution q = 2^B, as in
 ``kernels``; Harvey, J. Symbolic Comput. 44, 2009): each running sum is one
 int, a product with a Gaussian binomial is one int multiply, and a q-shift
-is a bit shift.  Each public side reads its Gaussian binomials from its own
-packed q-Pascal table, grown only as far as it reads; ``verify`` reads both
-sides at every size of a cell from one table per base, grown once at the
-width the largest size needs, and compares them packed at that width
-(``_finitized_sides``).  Each side carries a bound on the absolute values
+is a bit shift.  Each public side reads its Gaussian binomials from packed
+q-Pascal rows: the sum side from its own table, grown only as far as it
+reads, and the alternating side from the one row it reads, grown keeping
+only the newest row.  ``verify`` reads both sides at every size of a cell
+from one table per base, grown once at the width the largest size needs,
+and compares them packed at that width (``_finitized_sides``).  Each side carries a bound on the absolute values
 of its final coefficients and unpacks them as balanced digits at
 ``kernels``' one width rule: the bit length of that bound plus one sign
 bit.  Enumeration-based verification lives elsewhere.
@@ -22,11 +26,12 @@ bit.  Enumeration-based verification lives elsewhere.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, isqrt
+from operator import add, sub
 from typing import Callable, Iterator, Sequence
 
 from .coloring import IdentityParams
-from .kernels import _signed_bits, _unpack_signed
+from .kernels import _partition_number, _signed_bits, _unpack_signed
 from .partitions import _require_count, _require_int
 
 __all__ = [
@@ -151,25 +156,26 @@ def _theta_exponent(params: IdentityParams, j: int) -> int:
 
 
 def bosonic_sum(params: IdentityParams, order: int) -> TruncatedSeries:
-    """Alternating theta series divided by the full partition product."""
+    """Alternating theta series divided by the full partition product.
+
+    The theta series sum_j (-1)^j q^e(j), e(j) = j(Mj + M - 2r)/2 over every
+    int j, times the partition series: each term adds (-1)^j p(n - e(j)) to
+    every coefficient n >= e(j).  The partition numbers p(0..order) are read
+    from ``kernels``' pentagonal table, not divided out factor by factor.
+    For either sign of j, e(j) >= M|j|(|j| - 1)/2 >= M(|j| - 1)^2/2 (as
+    2r <= M), so a term inside the order has |j| <= isqrt(2 order // M) + 1.
+    At 2r = M, e(j) = e(-j) and both terms count.
+    """
     _require_count(order, "order")
-    theta = [0] * (order + 1)
-    theta[0] = 1
-    j = 1
-    while True:
-        sign = -1 if j % 2 else 1
-        plus = _theta_exponent(params, j)
-        minus = _theta_exponent(params, -j)
-        if plus > order and minus > order:
-            break
-        if plus <= order:
-            theta[plus] += sign
-        if minus <= order:
-            theta[minus] += sign
-        j += 1
-    for n in range(1, order + 1):
-        _divide_geometric(theta, n)
-    return TruncatedSeries(theta)
+    # read from the top down, so the shared table grows once, not once per n
+    numbers = [_partition_number(n) for n in range(order, -1, -1)][::-1]
+    coeffs = [0] * (order + 1)
+    reach = isqrt(2 * order // params.modulus) + 1
+    for j in range(-reach, reach + 1):
+        exponent = _theta_exponent(params, j)
+        if exponent <= order:
+            coeffs[exponent:] = map(sub if j % 2 else add, coeffs[exponent:], numbers)
+    return TruncatedSeries(coeffs)
 
 
 def _step_base(params: IdentityParams, j: int) -> int:
@@ -211,7 +217,7 @@ def fermionic_multisum(params: IdentityParams, order: int) -> TruncatedSeries:
             for m in range(1, n + 1):
                 _divide_geometric(acc, base * (n - m + 1))
                 if m < len(below):  # a missing B_{j+1}(m) is zero to this order
-                    acc = [a + c for a, c in zip(acc, below[m])]
+                    acc = list(map(add, acc, below[m]))
             level.append([0] * exponent + acc)
             n += 1
         below = level
@@ -309,7 +315,9 @@ def finitized_lhs(params: IdentityParams, size: int) -> TruncatedSeries:
     Baxter, Bressoud, Burge, Forrester and Viennot, Europ. J. Combin. 8,
     1987), one formula for both parities.
 
-    Summed packed, from one q-Pascal table.  No coefficient of the sum
+    Summed packed.  Every term reads row upper of the q-Pascal table, so
+    that row alone is kept: it is grown from row 0 holding only the newest
+    row.  No coefficient of the sum
     exceeds in absolute value the sum of its terms' bounds on |[upper,
     lower]|_1, C(upper, lower) each on correct entries, so balanced digits
     of the width that bound gives decode it exactly, whatever the entries
@@ -319,7 +327,17 @@ def finitized_lhs(params: IdentityParams, size: int) -> TruncatedSeries:
     naming ``size``.
     """
     guess = _first_guesses(params, size)[0]
-    return _decoded(lambda bits: _finitized_lhs(params, size, ([], []), bits), guess)
+    upper = sum(finitized_box(params, size))
+
+    def build(bits: int) -> tuple[int, int]:
+        # Every term reads row upper alone: grow it keeping only the newest
+        # row, with None standing in for the rows below it in the table.
+        row: list = []
+        for n in range(upper + 1):
+            row = _pascal_row(row, n, bits)
+        return _finitized_lhs(params, size, ([None] * upper + [row], []), bits)
+
+    return _decoded(build, guess)
 
 
 def _alternating_terms(params: IdentityParams, size: int) -> tuple[int, list[tuple[int, int]]]:
@@ -445,13 +463,18 @@ def _gaussian_binomial(rows: list, a: int, b: int, bits: int) -> tuple[int, int]
     if not 0 <= b <= a:
         return 0, 0
     while len(rows) <= a:
-        n, above = len(rows), rows[-1] if rows else []
-        row = [(1, 1)]
-        for i in range(1, n // 2 + 1):
-            (low, low_bound), (high, high_bound) = above[i - 1], above[min(i, n - 1 - i)]
-            row.append((low + (high << (bits * i)), low_bound + high_bound))
-        rows.append(row)
+        rows.append(_pascal_row(rows[-1] if rows else [], len(rows), bits))
     return rows[a][min(b, a - b)]
+
+
+def _pascal_row(above: list, n: int, bits: int) -> list:
+    # Row n of a q-Pascal table at width bits from row n - 1 (``above``,
+    # unread at n = 0): entries (packed, bound) for b <= n // 2.
+    row = [(1, 1)]
+    for i in range(1, n // 2 + 1):
+        (low, low_bound), (high, high_bound) = above[i - 1], above[min(i, n - 1 - i)]
+        row.append((low + (high << (bits * i)), low_bound + high_bound))
+    return row
 
 
 def _decoded(build: Callable[[int], tuple[int, int]], guess: int) -> TruncatedSeries:

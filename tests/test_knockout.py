@@ -101,6 +101,12 @@ def empty_head_plus_one(degree):
     return mutant
 
 
+def partition_number_plus_one(degree):
+    # p(degree) one too high, wherever the pentagonal table is read
+    real = kernels._partition_number
+    return lambda n: real(n) + 1 if n == degree else real(n)
+
+
 def size_ok_admits_size_one(size, rank):
     # (i) admits every part of size 1, whatever rank it encodes
     return size == 1 or SIZE_OK(size, rank)
@@ -147,6 +153,10 @@ KNOCKOUTS = [
     ("restricted_product", series, series_plus_one("restricted_product", 12),
      {"product_counts": 15, "bijection": 15, "gordon": 5}),
     ("bosonic_sum", series, series_plus_one("bosonic_sum", 12),
+     {"bijection": 18, "product_counts": 3}),
+    # The theta quotient reads its values from the pentagonal table; the pair
+    # sweep reads only p(top)'s bit length, which p(12) + 1 leaves at 7.
+    ("_partition_number", kernels, partition_number_plus_one(12),
      {"bijection": 18, "product_counts": 3}),
     ("fermionic_multisum", series, series_plus_one("fermionic_multisum", 12),
      {"bijection": 18}),

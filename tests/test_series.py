@@ -6,6 +6,7 @@ library's multiply/divide path.  The identities below combine coefficient
 tuples with the local helpers, not with library arithmetic.
 """
 
+import tracemalloc
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb
@@ -292,6 +293,46 @@ def test_bosonic_at_half_modulus_keeps_theta_factor():
             if n % m == m // 2:
                 expected = truncated_product(expected, geometric_factor(n, order), order)
         assert bosonic_sum(params, order).coefficients == expected
+
+
+def theta_quotient_by_division(params, order):
+    """The theta quotient by lists: the theta series, term by term, divided
+    in place by 1 - q^n for every n <= order."""
+    theta = [0] * (order + 1)
+    theta[0] = 1
+    j = 1
+    while True:
+        sign = -1 if j % 2 else 1
+        plus = series._theta_exponent(params, j)
+        minus = series._theta_exponent(params, -j)
+        if plus > order and minus > order:
+            break
+        if plus <= order:
+            theta[plus] += sign
+        if minus <= order:  # at 2r = M, minus == plus and both count
+            theta[minus] += sign
+        j += 1
+    for n in range(1, order + 1):
+        for i in range(n, order + 1):
+            theta[i] += theta[i - n]
+    return tuple(theta)
+
+
+def test_bosonic_matches_the_division_oracle():
+    # Every modulus through 40, every residue (each 2r = M cell among them)
+    # and every order through 150.  The division is causal, so the oracle at
+    # order 150 truncated to n + 1 coefficients is the oracle at order n.
+    top = 150
+    for m in range(3, 41):
+        for r in range(1, m // 2 + 1):
+            params = IdentityParams(m, r)
+            expected = theta_quotient_by_division(params, top)
+            for order in range(top + 1):
+                assert bosonic_sum(params, order).coefficients == expected[: order + 1], (
+                    m, r, order
+                )
+    # the cell where merging the j and -j terms first shows
+    assert bosonic_sum(IdentityParams(4, 2), 2).coefficients == (1, 1, 0)
 
 
 def test_fermionic_trivial_and_small():
@@ -630,6 +671,40 @@ def test_sides_sweep_matches_the_public_sides():
                 assert sides == (finitized_lhs(params, size), finitized_rhs(params, size)), (
                     m, r, size
                 )
+
+
+def finitized_lhs_by_full_table(params, size):
+    """The alternating side read from a q-Pascal table that keeps every row
+    0..upper, grown by ``series._gaussian_binomial`` as the reads ask."""
+    guess = series._first_guesses(params, size)[0]
+    return series._decoded(
+        lambda bits: series._finitized_lhs(params, size, ([], []), bits), guess
+    )
+
+
+def test_one_row_alternating_side_matches_the_full_table():
+    for m in range(3, 21):
+        for r in range(1, m // 2 + 1):
+            params = IdentityParams(m, r)
+            for size in range(13):
+                assert finitized_lhs(params, size) == finitized_lhs_by_full_table(
+                    params, size
+                ), (m, r, size)
+
+
+def test_alternating_side_holds_one_row():
+    # Row upper alone, grown keeping only the newest row: the peak traced
+    # at (4, 1), N = 40 is about 0.9 MiB, where keeping rows 0..upper
+    # peaked near 9.9 MiB.
+    params = IdentityParams(4, 1)
+    finitized_lhs(params, 40)  # any one-time table outside the side, grown
+    tracemalloc.start()
+    try:
+        finitized_lhs(params, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20, peak
 
 
 @pytest.mark.parametrize("name", ["_finitized_lhs", "_finitized_rhs"])
